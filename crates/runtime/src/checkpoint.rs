@@ -20,12 +20,41 @@ use crate::logic::StateEntry;
 /// `key % parallelism` — the same rule the engine's hash router uses, so
 /// entry `(k, v)` lands on the instance that receives records for key `k`.
 pub fn partition_state(entries: Vec<StateEntry>, parallelism: usize) -> Vec<Vec<StateEntry>> {
-    let mut buckets: Vec<Vec<StateEntry>> = (0..parallelism).map(|_| Vec::new()).collect();
+    partition_parts(vec![entries], parallelism)
+}
+
+/// [`partition_state`] over state that arrives in several parts — one per
+/// drained instance — without concatenating them first. A counting pass
+/// sizes every bucket exactly, so the fill pass never regrows one; state
+/// bound for a single instance is handed through without a pass.
+pub fn partition_parts(parts: Vec<Vec<StateEntry>>, parallelism: usize) -> Vec<Vec<StateEntry>> {
     if parallelism == 0 {
-        return buckets;
+        return Vec::new();
     }
-    for (key, value) in entries {
-        buckets[key as usize % parallelism].push((key, value));
+    if parallelism == 1 {
+        // Everything goes to one instance: a lone part as it is, several
+        // joined by whole-vector moves — no key is looked at.
+        if parts.len() == 1 {
+            return parts;
+        }
+        let mut all = Vec::with_capacity(parts.iter().map(Vec::len).sum());
+        parts.into_iter().for_each(|part| all.extend(part));
+        return vec![all];
+    }
+    let p = parallelism as u64;
+    // `k & (p-1) == k % p` for a power of two, as in the router.
+    let mask = parallelism.is_power_of_two().then(|| p - 1);
+    let bucket_of = |key: u64| match mask {
+        Some(m) => (key & m) as usize,
+        None => (key % p) as usize,
+    };
+    let mut sizes = vec![0usize; parallelism];
+    for (key, _) in parts.iter().flatten() {
+        sizes[bucket_of(*key)] += 1;
+    }
+    let mut buckets: Vec<Vec<StateEntry>> = sizes.into_iter().map(Vec::with_capacity).collect();
+    for (key, value) in parts.into_iter().flatten() {
+        buckets[bucket_of(key)].push((key, value));
     }
     buckets
 }

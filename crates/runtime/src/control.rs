@@ -160,7 +160,9 @@ where
                     });
                 }
                 Err(e) => {
-                    // The rescale aborted and the job is halted. The
+                    // The rescale aborted and the job is halted — or a new
+                    // instance panicked restoring its state, the job runs
+                    // and `recover` below leaves it to the next `heal`. The
                     // controller is NOT told the plan deployed — a
                     // verify-then-retry manager will re-issue it once the
                     // job is healthy again.

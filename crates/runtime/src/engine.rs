@@ -33,13 +33,19 @@ use ds2_core::snapshot::MetricsSnapshot;
 use ds2_metrics::counters::{CounterTotals, SharedCounters};
 
 use crate::chaos::{ChaosAction, ChaosRuntime, InstanceChaos};
-use crate::checkpoint::{partition_state, CheckpointStats, CheckpointStore};
-use crate::job::{JobSpec, KeyFn};
+use crate::checkpoint::{partition_parts, CheckpointStats, CheckpointStore};
+use crate::job::{JobSpec, KeyFn, LogicFactory};
 use crate::logic::{Logic, StateEntry};
 use crate::supervisor::{self, RestartDecision, Supervisor, SupervisorEvent, WorkerCmd};
 
-/// Batches flowing through channels.
+/// Batches flowing through channels. The data plane never ships an empty
+/// one, so a zero-record batch is the engine's wake token: it ends a
+/// worker's blocking receive and is dropped before it reaches the `Logic`.
 type Batch<R> = Vec<R>;
+
+/// Keyed state between deployments: per operator, one part per drained
+/// instance (or salvage, or checkpoint slice), never concatenated.
+type StateParts = BTreeMap<OperatorId, Vec<Vec<StateEntry>>>;
 
 /// How long a chaos-wedged worker blocks in "user code".
 const WEDGE_SLEEP: Duration = Duration::from_secs(3600);
@@ -215,7 +221,7 @@ impl<R: Clone> OutputRoute<R> {
 }
 
 /// One deployed instance.
-struct InstanceHandle<R> {
+struct InstanceHandle {
     /// Instance index within the operator (stable across restarts).
     instance: usize,
     /// Monotone spawn counter; supervisor events from older incarnations of
@@ -225,7 +231,50 @@ struct InstanceHandle<R> {
     last_totals: CounterTotals,
     /// Control-command channel into the worker (`None` for sources).
     cmd_tx: Option<Sender<WorkerCmd>>,
-    join: JoinHandle<Option<Box<dyn Logic<R>>>>,
+    /// The thread holds the only sender: a worker acknowledges its restored
+    /// state with one `()`, and every thread drops the sender on its way
+    /// out — disconnection is the exit event a deadline can wait on.
+    alive: Receiver<()>,
+    /// A halted worker returns the keyed state it drained from its own
+    /// logic (`None` for sources, and after a panic — see `report_panic`).
+    join: JoinHandle<Option<Vec<StateEntry>>>,
+}
+
+impl InstanceHandle {
+    /// Spawns the instance's thread; `body` is handed the `alive` sender.
+    fn spawn(
+        name: String,
+        (instance, incarnation): (usize, u64),
+        counters: Arc<SharedCounters>,
+        cmd_tx: Option<Sender<WorkerCmd>>,
+        body: impl FnOnce(Sender<()>) -> Option<Vec<StateEntry>> + Send + 'static,
+    ) -> Self {
+        let (alive_tx, alive) = bounded(1);
+        let join = std::thread::Builder::new()
+            .name(name)
+            .spawn(move || body(alive_tx))
+            .expect("spawn instance thread");
+        Self {
+            instance,
+            incarnation,
+            counters,
+            last_totals: CounterTotals::default(),
+            cmd_tx,
+            alive,
+            join,
+        }
+    }
+
+    /// Waits until the thread is on its way out or `limit` passes.
+    fn exited_by(&self, limit: Instant) -> bool {
+        loop {
+            let left = limit.saturating_duration_since(Instant::now());
+            match self.alive.recv_timeout(left) {
+                Ok(()) => {} // a restore acknowledgement nobody waited for
+                Err(e) => return e == RecvTimeoutError::Disconnected,
+            }
+        }
+    }
 }
 
 /// The channel endpoints of one operator's input queues. The engine retains
@@ -234,6 +283,11 @@ struct InstanceHandle<R> {
 struct OpChannels<R> {
     senders: Vec<Sender<Batch<R>>>,
     receivers: Vec<Receiver<Batch<R>>>,
+    /// Halt release: set once every upstream producer has exited, telling
+    /// the workers to finish their queue and stop. (The retained sender
+    /// clones mean receivers never observe disconnection while the job is
+    /// alive, so halting is flag-based, not disconnect-based.)
+    upstream_done: Arc<AtomicBool>,
 }
 
 /// Outcome of one [`RunningJob::heal`] pass.
@@ -251,14 +305,8 @@ pub struct HealOutcome {
 pub struct RunningJob<R> {
     spec: JobSpec<R>,
     deployment: Deployment,
-    instances: BTreeMap<OperatorId, Vec<InstanceHandle<R>>>,
+    instances: BTreeMap<OperatorId, Vec<InstanceHandle>>,
     channels: BTreeMap<OperatorId, OpChannels<R>>,
-    /// Per-operator halt release: set once every upstream producer has
-    /// exited, telling workers to drain their queue and stop. (The engine's
-    /// retained sender clones mean receivers never observe disconnection
-    /// while the job is alive, so halting is flag-based, not
-    /// disconnect-based.)
-    upstream_done: BTreeMap<OperatorId, Arc<AtomicBool>>,
     stop: Arc<AtomicBool>,
     sup_tx: Sender<SupervisorEvent>,
     sup_rx: Receiver<SupervisorEvent>,
@@ -288,7 +336,7 @@ pub struct RunningJob<R> {
     /// State drained from instances that halted cleanly during a rescale
     /// that then timed out. Kept so [`shutdown`](Self::shutdown) still
     /// returns everything salvageable after an aborted rescale.
-    salvaged: BTreeMap<OperatorId, Vec<StateEntry>>,
+    salvaged: StateParts,
 }
 
 impl<R: Clone + Send + 'static> RunningJob<R> {
@@ -309,7 +357,6 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
             deployment,
             instances: BTreeMap::new(),
             channels: BTreeMap::new(),
-            upstream_done: BTreeMap::new(),
             stop: Arc::new(AtomicBool::new(false)),
             sup_tx,
             sup_rx,
@@ -369,16 +416,17 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
         !self.instances.is_empty()
     }
 
-    /// Spawns all instances, restoring `state` (keyed entries per operator)
-    /// into the new logic instances.
-    fn spawn_all(&mut self, mut state: BTreeMap<OperatorId, Vec<StateEntry>>) {
+    /// Spawns all instances. Each worker is handed its share of `state`,
+    /// partitioned by key straight from the parts, and restores it on its
+    /// own thread; sources start without waiting for that — the bounded
+    /// channels absorb the intake while state restores.
+    fn spawn_all(&mut self, mut state: StateParts) {
         supervisor::install_quiet_panic_hook();
         self.stop = Arc::new(AtomicBool::new(false));
         self.wedged_at_halt.clear();
         self.suspect_wedged.clear();
         self.supervisor.clear_missed();
         self.channels.clear();
-        self.upstream_done.clear();
 
         let graph = &self.spec.graph;
         let ops: Vec<OperatorId> = graph
@@ -389,35 +437,31 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
         // Create input channels for every non-source instance, retaining
         // both endpoints (see `OpChannels`).
         for &op in &ops {
-            let p = self.deployment.parallelism(op);
-            let mut senders = Vec::with_capacity(p);
-            let mut receivers = Vec::with_capacity(p);
-            for _ in 0..p {
-                let (s, r) = bounded(self.spec.channel_capacity);
-                senders.push(s);
-                receivers.push(r);
-            }
-            self.channels.insert(op, OpChannels { senders, receivers });
-            self.upstream_done
-                .insert(op, Arc::new(AtomicBool::new(false)));
+            let (senders, receivers) = (0..self.deployment.parallelism(op))
+                .map(|_| bounded(self.spec.channel_capacity))
+                .unzip();
+            let upstream_done = Arc::new(AtomicBool::new(false));
+            let channels = OpChannels {
+                senders,
+                receivers,
+                upstream_done,
+            };
+            self.channels.insert(op, channels);
         }
 
-        // Spawn non-source operators first so their receivers exist before
-        // sources start pushing.
-        let mut instances: BTreeMap<OperatorId, Vec<InstanceHandle<R>>> = BTreeMap::new();
+        // Workers first, so every record a source sends finds a consumer;
+        // what their restores have not caught up with waits in the queues.
+        let mut instances: BTreeMap<OperatorId, Vec<InstanceHandle>> = BTreeMap::new();
         for &op in &ops {
             let p = self.deployment.parallelism(op);
-            let buckets = partition_state(state.remove(&op).unwrap_or_default(), p);
+            let buckets = partition_parts(state.remove(&op).unwrap_or_default(), p);
             let mut handles = Vec::with_capacity(p);
             for (k, bucket) in buckets.into_iter().enumerate() {
-                let mut logic = (self.spec.operators[&op].factory)();
-                logic.restore_state(bucket);
-                handles.push(self.spawn_worker(op, k, logic, SharedCounters::new()));
+                handles.push(self.spawn_worker(op, k, bucket, SharedCounters::new()));
             }
             instances.insert(op, handles);
         }
 
-        // Spawn sources.
         let source_ids: Vec<OperatorId> = self.spec.sources.keys().copied().collect();
         for op in source_ids {
             let src = self.spec.sources[&op].clone();
@@ -432,21 +476,12 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
                 let rate = src.rate / p as f64;
                 let batch = self.spec.batch_size;
                 let pool = Arc::clone(&self.pool);
-                let join = std::thread::Builder::new()
-                    .name(format!("{}-src-{k}", self.spec.graph.name(op)))
-                    .spawn(move || {
-                        source_loop(generate, rate, batch, routes, c, stop, pool);
-                        None
-                    })
-                    .expect("spawn source");
-                handles.push(InstanceHandle {
-                    instance: k,
-                    incarnation: 0,
-                    counters,
-                    last_totals: CounterTotals::default(),
-                    cmd_tx: None,
-                    join,
-                });
+                let name = format!("{}-src-{k}", self.spec.graph.name(op));
+                let body = move |_alive| {
+                    source_loop(generate, rate, batch, routes, c, stop, pool);
+                    None
+                };
+                handles.push(InstanceHandle::spawn(name, (k, 0), counters, None, body));
             }
             instances.insert(op, handles);
         }
@@ -469,14 +504,15 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     }
 
     /// Spawns one supervised worker for `(op, instance)`, attached to the
-    /// operator's retained input queue.
+    /// operator's retained input queue. The worker builds its logic and
+    /// restores `restore` into it on its own thread.
     fn spawn_worker(
         &mut self,
         op: OperatorId,
         instance: usize,
-        logic: Box<dyn Logic<R>>,
+        restore: Vec<StateEntry>,
         counters: Arc<SharedCounters>,
-    ) -> InstanceHandle<R> {
+    ) -> InstanceHandle {
         self.next_incarnation += 1;
         let incarnation = self.next_incarnation;
         // Unbounded so the control plane never blocks sending a command
@@ -486,182 +522,125 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
             op,
             instance,
             incarnation,
-            logic,
             rx: self.channels[&op].receivers[instance].clone(),
             cmd_rx,
             routes: self.routes_for(op),
             counters: Arc::clone(&counters),
-            upstream_done: Arc::clone(&self.upstream_done[&op]),
+            upstream_done: Arc::clone(&self.channels[&op].upstream_done),
             sup_tx: self.sup_tx.clone(),
             chaos: self.chaos.hook(op, instance),
+            chaos_delay: None,
             pool: Arc::clone(&self.pool),
+            out_buf: Vec::new(),
         };
-        let join = std::thread::Builder::new()
-            .name(format!("{}-{instance}", self.spec.graph.name(op)))
-            .spawn(move || worker_loop(ctx))
-            .expect("spawn worker");
-        InstanceHandle {
-            instance,
-            incarnation,
-            counters,
-            last_totals: CounterTotals::default(),
-            cmd_tx: Some(cmd_tx),
-            join,
-        }
+        let factory = Arc::clone(&self.spec.operators[&op].factory);
+        let name = format!("{}-{instance}", self.spec.graph.name(op));
+        let body = move |alive| worker_loop(ctx, factory, restore, alive);
+        InstanceHandle::spawn(name, (instance, incarnation), counters, Some(cmd_tx), body)
     }
 
-    /// Stops every thread and returns the drained keyed state. Sources are
-    /// joined first; each downstream operator is then released in
-    /// topological order by its `upstream_done` flag — when its turn comes,
-    /// every producer has already exited, so its workers drain the queue
-    /// and stop.
-    fn halt(&mut self) -> BTreeMap<OperatorId, Vec<StateEntry>> {
+    /// Stops every thread and returns the keyed state each worker drained
+    /// from its own logic, one part per instance. Sources stop on the stop
+    /// flag; an operator is released the moment all of its upstream
+    /// producers have exited: its workers finish their queue and drain.
+    ///
+    /// With a `deadline`, an instance still running when it passes — wedged
+    /// in user code, or never released because a producer wedged — is
+    /// abandoned: its thread detaches, and its key range is recorded so
+    /// [`recover`](Self::recover) can restore it from the latest checkpoint.
+    /// The halt then fails, with the state of the instances that did halt
+    /// stashed for recovery or [`shutdown`](Self::shutdown).
+    fn halt(&mut self, deadline: Option<Duration>) -> Result<StateParts, Ds2Error> {
         self.stop.store(true, Ordering::SeqCst);
-        let mut state: BTreeMap<OperatorId, Vec<StateEntry>> = BTreeMap::new();
-        let source_ids: Vec<OperatorId> = self.spec.graph.sources().to_vec();
-        for op in source_ids {
-            if let Some(handles) = self.instances.remove(&op) {
-                for h in handles {
-                    let _ = h.join.join().expect("source thread panicked");
-                }
-            }
+        // Only sources ever park (between batches): wake them to the flag.
+        for h in self.instances.values().flatten() {
+            h.join.thread().unpark();
         }
-        let order: Vec<OperatorId> = self.spec.graph.topological_order().collect();
-        for op in order {
-            let Some(handles) = self.instances.remove(&op) else {
-                continue;
-            };
-            if let Some(flag) = self.upstream_done.get(&op) {
-                flag.store(true, Ordering::SeqCst);
-            }
-            let mut entries = Vec::new();
-            for h in handles {
-                if let Some(mut logic) = h.join.join().expect("worker thread panicked") {
-                    entries.extend(logic.drain_state());
+        let (graph, channels) = (&self.spec.graph, &self.channels);
+        let ready = |op, done: &[OperatorId]| graph.upstream(op).iter().all(|u| done.contains(u));
+        // `upstream_done` plus a wake token per instance, so an idle worker
+        // sees the flag now, not at its next poll. A full queue refuses the
+        // token: its worker is busy and checks the flag after the batch.
+        let release = |op| {
+            // (No queues: the job is already halted.)
+            if let Some(queues) = channels.get(&op) {
+                queues.upstream_done.store(true, Ordering::SeqCst);
+                for s in &queues.senders {
+                    let _ = s.try_send(Batch::new());
                 }
             }
-            state.insert(op, entries);
+        };
+        let limit = deadline.map(|d| Instant::now() + d);
+        let mut state = std::mem::take(&mut self.salvaged);
+        let mut wedged: Vec<String> = Vec::new();
+        let mut exited: Vec<OperatorId> = Vec::new();
+        for op in graph.topological_order() {
+            let released = ready(op, &exited);
+            let mut clean = released;
+            for h in self.instances.remove(&op).unwrap_or_default() {
+                // (Without a deadline the `join` does the waiting.)
+                if released && limit.is_none_or(|at| h.exited_by(at)) {
+                    if let Some(entries) = h.join.join().expect("instance thread panicked") {
+                        state.entry(op).or_default().push(entries);
+                    }
+                } else {
+                    wedged.push(h.join.thread().name().unwrap_or("<unnamed>").to_string());
+                    self.wedged_at_halt
+                        .push((op, h.instance, self.deployment.parallelism(op)));
+                    clean = false;
+                }
+            }
+            if clean {
+                exited.push(op);
+                let consumers = graph.downstream_edges(op).map(|e| e.to);
+                consumers.filter(|&c| ready(c, &exited)).for_each(release);
+            }
         }
         self.drain_failure_salvage(&mut state);
-        self.merge_salvaged(&mut state);
         self.channels.clear();
-        self.upstream_done.clear();
-        state
+        if wedged.is_empty() {
+            return Ok(state);
+        }
+        self.salvaged = state;
+        Err(Ds2Error::RescaleTimedOut(format!(
+            "{} instance(s) failed to halt within {:?}: {}",
+            wedged.len(),
+            deadline.unwrap_or_default(),
+            wedged.join(", ")
+        )))
     }
 
     /// Folds the salvage carried by unconsumed panic events into `state`.
     /// An unconsumed event's thread exited without being restarted, so the
     /// event holds the only copy of its keyed state (a panicked worker's
     /// join returns `None`).
-    fn drain_failure_salvage(&mut self, state: &mut BTreeMap<OperatorId, Vec<StateEntry>>) {
+    fn drain_failure_salvage(&mut self, state: &mut StateParts) {
         let pending = std::mem::take(&mut self.pending_failures);
         let fresh = std::iter::from_fn(|| self.sup_rx.try_recv().ok());
         for event in pending.into_iter().chain(fresh) {
             let SupervisorEvent::Panicked { op, salvaged, .. } = event;
             if let Some(entries) = salvaged {
-                state.entry(op).or_default().extend(entries);
+                state.entry(op).or_default().push(entries);
             }
         }
     }
 
-    /// Merges any stash from a previously aborted rescale into `state`.
-    fn merge_salvaged(&mut self, state: &mut BTreeMap<OperatorId, Vec<StateEntry>>) {
-        for (op, entries) in std::mem::take(&mut self.salvaged) {
-            state.entry(op).or_default().extend(entries);
+    /// Blocks until every new worker has restored its state. One that
+    /// exits without acknowledging panicked while building or restoring.
+    fn await_restored(&self) -> Result<(), Ds2Error> {
+        for (&op, handles) in &self.instances {
+            for h in handles.iter().filter(|h| h.cmd_tx.is_some()) {
+                let instance = h.instance;
+                (h.alive.recv()).map_err(|_| Ds2Error::WorkerPanicked { op, instance })?;
+            }
         }
-    }
-
-    /// Like [`halt`](Self::halt), but gives up after `deadline`: instances
-    /// are joined as they finish (polling, since a wedged worker would
-    /// block a plain `join`), and any instance still running at the
-    /// deadline is abandoned — its thread detaches, and its key range is
-    /// recorded so [`recover`](Self::recover) can restore it from the
-    /// latest checkpoint. State drained from the instances that did halt is
-    /// stashed for [`shutdown`](Self::shutdown) or recovery.
-    fn halt_within(
-        &mut self,
-        deadline: Duration,
-    ) -> Result<BTreeMap<OperatorId, Vec<StateEntry>>, Ds2Error> {
-        self.stop.store(true, Ordering::SeqCst);
-        let limit = Instant::now() + deadline;
-        let mut state: BTreeMap<OperatorId, Vec<StateEntry>> = BTreeMap::new();
-        let order: Vec<OperatorId> = self.spec.graph.topological_order().collect();
-        loop {
-            let mut pending = 0usize;
-            for (&op, handles) in self.instances.iter_mut() {
-                let mut remaining = Vec::new();
-                for h in handles.drain(..) {
-                    if h.join.is_finished() {
-                        if let Some(mut logic) = h.join.join().expect("worker thread panicked") {
-                            state.entry(op).or_default().extend(logic.drain_state());
-                        }
-                    } else {
-                        remaining.push(h);
-                    }
-                }
-                pending += remaining.len();
-                *handles = remaining;
-            }
-            // Staged release: an operator may drain and exit once every
-            // upstream producer (source or operator) has fully exited.
-            for &op in &order {
-                if let Some(flag) = self.upstream_done.get(&op) {
-                    if !flag.load(Ordering::SeqCst) {
-                        let released = self
-                            .spec
-                            .graph
-                            .upstream(op)
-                            .iter()
-                            .all(|u| self.instances.get(u).is_none_or(|hs| hs.is_empty()));
-                        if released {
-                            flag.store(true, Ordering::SeqCst);
-                        }
-                    }
-                }
-            }
-            if pending == 0 {
-                self.instances.clear();
-                self.drain_failure_salvage(&mut state);
-                self.merge_salvaged(&mut state);
-                self.channels.clear();
-                self.upstream_done.clear();
-                return Ok(state);
-            }
-            if Instant::now() >= limit {
-                let mut wedged_names = Vec::new();
-                for (&op, handles) in &self.instances {
-                    for h in handles {
-                        wedged_names
-                            .push(h.join.thread().name().unwrap_or("<unnamed>").to_string());
-                        self.wedged_at_halt
-                            .push((op, h.instance, self.deployment.parallelism(op)));
-                    }
-                }
-                self.instances.clear();
-                for (op, entries) in state {
-                    self.salvaged.entry(op).or_default().extend(entries);
-                }
-                let mut rescue = BTreeMap::new();
-                self.drain_failure_salvage(&mut rescue);
-                for (op, entries) in rescue {
-                    self.salvaged.entry(op).or_default().extend(entries);
-                }
-                self.channels.clear();
-                self.upstream_done.clear();
-                return Err(Ds2Error::RescaleTimedOut(format!(
-                    "{} instance(s) failed to halt within {:?}: {}",
-                    wedged_names.len(),
-                    deadline,
-                    wedged_names.join(", ")
-                )));
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        Ok(())
     }
 
     /// Stop-the-world rescale: halt, drain state, redeploy with `plan`.
     ///
-    /// Returns the downtime (the paper's savepoint-and-restore latency).
+    /// Returns the downtime (the paper's savepoint-and-restore latency),
+    /// up to the last new instance's restored state; sources run by then.
     ///
     /// # Errors
     ///
@@ -672,16 +651,18 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     /// is untouched, and the state salvaged from the workers that did halt
     /// is either redeployed by [`recover`](Self::recover) or returned by
     /// the next [`shutdown`](Self::shutdown).
+    ///
+    /// [`Ds2Error::WorkerPanicked`] if a new instance panicked building its
+    /// logic or restoring its state: `plan` is deployed and counted, the
+    /// supervisor holds the salvage and [`heal`](Self::heal) restarts it.
     pub fn rescale(&mut self, plan: Deployment) -> Result<Duration, Ds2Error> {
         plan.validate(&self.spec.graph)?;
         let t0 = Instant::now();
-        let state = match self.spec.rescale_timeout {
-            Some(deadline) => self.halt_within(deadline)?,
-            None => self.halt(),
-        };
+        let state = self.halt(self.spec.rescale_timeout)?;
         self.deployment = plan;
         self.spawn_all(state);
         self.rescales += 1;
+        self.await_restored()?;
         Ok(t0.elapsed())
     }
 
@@ -701,7 +682,7 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
             state
                 .entry(op)
                 .or_default()
-                .extend(self.checkpoints.key_slice(op, instance, parallelism));
+                .push(self.checkpoints.key_slice(op, instance, parallelism));
         }
         self.recoveries += 1;
         self.spawn_all(state);
@@ -749,12 +730,12 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
                 RestartDecision::GiveUp { attempts } => {
                     // The slot stays dead; keep its state for shutdown.
                     if let Some(entries) = salvaged {
-                        self.salvaged.entry(op).or_default().extend(entries);
+                        self.salvaged.entry(op).or_default().push(entries);
                     }
                     outcome.gave_up = Some(Ds2Error::RecoveryExhausted { attempts });
                 }
                 RestartDecision::Restart => {
-                    self.restart_instance(op, instance, salvaged);
+                    self.respawn(op, instance, salvaged, false);
                     outcome
                         .healed
                         .push(Ds2Error::WorkerPanicked { op, instance });
@@ -779,7 +760,7 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
                     outcome.gave_up = Some(Ds2Error::RecoveryExhausted { attempts });
                 }
                 RestartDecision::Restart => {
-                    self.replace_wedged(op, instance);
+                    self.respawn(op, instance, None, true);
                     outcome.healed.push(Ds2Error::WorkerWedged { op, instance });
                 }
             }
@@ -787,44 +768,31 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
         outcome
     }
 
-    /// Restarts a panicked instance in its slot, reattached to the same
-    /// input queue, restoring `salvaged` (or the checkpointed key range
-    /// when salvage failed).
-    fn restart_instance(
+    /// Respawns `(op, instance)` in its slot, reattached to the same input
+    /// queue, restoring `salvaged` or — without one — the checkpointed key
+    /// range. A panicked thread is dead, so its counters carry over and the
+    /// metrics window stays continuous. A `wedged` one is abandoned alive
+    /// (its dropped handle detaches it; it holds only clones of the channel
+    /// endpoints, so it cannot close the queues), and fresh counters keep
+    /// its late accounting out of the replacement's metrics.
+    fn respawn(
         &mut self,
         op: OperatorId,
         instance: usize,
         salvaged: Option<Vec<StateEntry>>,
+        wedged: bool,
     ) {
         let parallelism = self.deployment.parallelism(op);
-        let restore = match salvaged {
-            Some(entries) => entries,
-            None => self.checkpoints.key_slice(op, instance, parallelism),
-        };
-        let mut logic = (self.spec.operators[&op].factory)();
-        logic.restore_state(restore);
-        // The panicked thread is dead, so its counters can carry over — the
-        // metrics window stays continuous across the restart.
-        let (counters, last_totals) = {
-            let old = &self.instances[&op][instance];
+        let restore =
+            salvaged.unwrap_or_else(|| self.checkpoints.key_slice(op, instance, parallelism));
+        let old = &self.instances[&op][instance];
+        let (counters, last_totals) = if wedged {
+            (SharedCounters::new(), CounterTotals::default())
+        } else {
             (Arc::clone(&old.counters), old.last_totals)
         };
-        let mut h = self.spawn_worker(op, instance, logic, counters);
+        let mut h = self.spawn_worker(op, instance, restore, counters);
         h.last_totals = last_totals;
-        self.restarts += 1;
-        self.instances.get_mut(&op).expect("op deployed")[instance] = h;
-    }
-
-    /// Replaces a wedged instance from the latest checkpoint. The wedged
-    /// thread is abandoned (dropping its handle detaches it); it only holds
-    /// clones of the channel endpoints, so nothing it does can close the
-    /// queues, and it gets fresh counters so its eventual late accounting
-    /// cannot pollute the replacement's metrics.
-    fn replace_wedged(&mut self, op: OperatorId, instance: usize) {
-        let parallelism = self.deployment.parallelism(op);
-        let mut logic = (self.spec.operators[&op].factory)();
-        logic.restore_state(self.checkpoints.key_slice(op, instance, parallelism));
-        let h = self.spawn_worker(op, instance, logic, SharedCounters::new());
         self.restarts += 1;
         self.instances.get_mut(&op).expect("op deployed")[instance] = h;
     }
@@ -909,7 +877,15 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     /// Shuts the job down, returning the final drained state (including
     /// anything salvaged from panics or an aborted rescale).
     pub fn shutdown(mut self) -> BTreeMap<OperatorId, Vec<StateEntry>> {
-        self.halt()
+        let state = self
+            .halt(None)
+            .unwrap_or_else(|_| std::mem::take(&mut self.salvaged));
+        // One instance is handed every part: the parts of each operator
+        // joined (a lone part untouched).
+        state
+            .into_iter()
+            .map(|(op, parts)| (op, partition_parts(parts, 1).remove(0)))
+            .collect()
     }
 
     /// Closes the instrumentation window and builds a metrics snapshot.
@@ -953,12 +929,11 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     }
 }
 
-/// Everything one supervised worker thread owns.
+/// Everything one supervised worker thread owns besides its logic.
 struct WorkerCtx<R> {
     op: OperatorId,
     instance: usize,
     incarnation: u64,
-    logic: Box<dyn Logic<R>>,
     rx: Receiver<Batch<R>>,
     cmd_rx: Receiver<WorkerCmd>,
     routes: Vec<OutputRoute<R>>,
@@ -966,15 +941,26 @@ struct WorkerCtx<R> {
     upstream_done: Arc<AtomicBool>,
     sup_tx: Sender<SupervisorEvent>,
     chaos: Option<Arc<InstanceChaos>>,
+    chaos_delay: Option<Duration>,
     pool: Arc<BatchPool<R>>,
+    /// Collects one batch's outputs; recycled through the pool.
+    out_buf: Vec<R>,
 }
 
-/// Reports a contained panic to the supervisor, salvaging the logic's
-/// keyed state when it can still be drained (the panic unwound out of
-/// `process`, not out of the logic value itself — a second panic during
-/// the drain falls back to checkpoint recovery).
-fn report_panic<R: 'static>(ctx: &mut WorkerCtx<R>, payload: Box<dyn std::any::Any + Send>) {
-    let salvaged = catch_unwind(AssertUnwindSafe(|| ctx.logic.drain_state())).ok();
+/// What a logic still holds after a panic unwound out of one of its
+/// methods (the value itself survived): `None` when draining it panics
+/// too, which falls back to checkpoint recovery.
+fn salvage<R: 'static>(logic: &mut dyn Logic<R>) -> Option<Vec<StateEntry>> {
+    catch_unwind(AssertUnwindSafe(|| logic.drain_state())).ok()
+}
+
+/// Reports a contained panic to the supervisor, with the keyed state that
+/// could be rescued. Returns what the worker's thread then exits with.
+fn report_panic<R>(
+    ctx: &WorkerCtx<R>,
+    salvaged: Option<Vec<StateEntry>>,
+    payload: Box<dyn std::any::Any + Send>,
+) -> Option<Vec<StateEntry>> {
     let _ = ctx.sup_tx.send(SupervisorEvent::Panicked {
         op: ctx.op,
         instance: ctx.instance,
@@ -982,44 +968,44 @@ fn report_panic<R: 'static>(ctx: &mut WorkerCtx<R>, payload: Box<dyn std::any::A
         salvaged,
         message: supervisor::panic_message(payload.as_ref()),
     });
+    None
 }
 
 /// Processes one batch inside the unwind boundary. Returns `false` when
 /// the logic panicked (the worker must exit; the supervisor was told).
 fn run_batch<R: Clone + Send + 'static>(
     ctx: &mut WorkerCtx<R>,
+    logic: &mut dyn Logic<R>,
     mut batch: Batch<R>,
-    out_buf: &mut Vec<R>,
-    chaos_delay: &mut Option<Duration>,
 ) -> bool {
+    if batch.is_empty() {
+        return true; // a wake token, not data: the logic never sees it
+    }
     let n_in = batch.len() as u64;
     let t0 = Instant::now();
-    let result = {
-        let logic = &mut ctx.logic;
-        let chaos = &ctx.chaos;
-        catch_unwind(AssertUnwindSafe(|| {
-            if chaos.is_none() && chaos_delay.is_none() {
-                // Fault-free fast path: the logic consumes the whole batch
-                // in one call (overridable for vectorized operators).
-                logic.process_batch(&mut batch, out_buf);
-            } else {
-                for r in batch.drain(..) {
-                    if let Some(hook) = chaos {
-                        match hook.before_record() {
-                            Some(ChaosAction::Crash) => panic!("chaos: injected crash"),
-                            Some(ChaosAction::Wedge) => std::thread::sleep(WEDGE_SLEEP),
-                            Some(ChaosAction::Delay(d)) => *chaos_delay = Some(d),
-                            None => {}
-                        }
+    let (chaos, chaos_delay, out_buf) = (&ctx.chaos, &mut ctx.chaos_delay, &mut ctx.out_buf);
+    let result = catch_unwind(AssertUnwindSafe(|| {
+        if chaos.is_none() && chaos_delay.is_none() {
+            // Fault-free fast path: the logic consumes the whole batch in
+            // one call (overridable for vectorized operators).
+            logic.process_batch(&mut batch, out_buf);
+        } else {
+            for r in batch.drain(..) {
+                if let Some(hook) = chaos {
+                    match hook.before_record() {
+                        Some(ChaosAction::Crash) => panic!("chaos: injected crash"),
+                        Some(ChaosAction::Wedge) => std::thread::sleep(WEDGE_SLEEP),
+                        Some(ChaosAction::Delay(d)) => *chaos_delay = Some(d),
+                        None => {}
                     }
-                    if let Some(d) = *chaos_delay {
-                        std::thread::sleep(d);
-                    }
-                    logic.process(r, out_buf);
                 }
+                if let Some(d) = *chaos_delay {
+                    std::thread::sleep(d);
+                }
+                logic.process(r, out_buf);
             }
-        }))
-    };
+        }
+    }));
     ctx.counters.add_processing(t0.elapsed().as_nanos() as u64);
     match result {
         Ok(()) => {
@@ -1050,66 +1036,75 @@ fn run_batch<R: Clone + Send + 'static>(
             // at-most-once for the failing batch, exactly once for
             // everything before it.
             out_buf.clear();
-            report_panic(ctx, payload);
+            report_panic(ctx, salvage(logic), payload);
             false
         }
     }
 }
 
-/// Worker loop for a non-source instance. Returns the logic for state
-/// migration once every upstream producer has exited (`None` if the logic
-/// was lost to a panic — the supervisor holds the salvage).
-fn worker_loop<R: Clone + Send + 'static>(mut ctx: WorkerCtx<R>) -> Option<Box<dyn Logic<R>>> {
+/// Thread body of a non-source instance. Builds the logic and restores its
+/// share of the migrated state here — inside the unwind boundary, off the
+/// control thread — then processes batches until every upstream producer
+/// has exited, and returns the keyed state drained from the logic (`None`
+/// if a panic took it). Restore and drain are charged to none of the
+/// useful/wait counters DS2 reads.
+fn worker_loop<R: Clone + Send + 'static>(
+    mut ctx: WorkerCtx<R>,
+    factory: LogicFactory<R>,
+    restore: Vec<StateEntry>,
+    alive: Sender<()>,
+) -> Option<Vec<StateEntry>> {
     supervisor::mark_supervised();
-    let mut out_buf: Vec<R> = Vec::new();
-    let mut chaos_delay: Option<Duration> = None;
+    let mut logic = match catch_unwind(AssertUnwindSafe(|| factory())) {
+        Ok(logic) => logic,
+        // Nothing consumed the entries: they are the salvage.
+        Err(payload) => return report_panic(&ctx, Some(restore), payload),
+    };
+    if let Err(payload) = catch_unwind(AssertUnwindSafe(|| logic.restore_state(restore))) {
+        return report_panic(&ctx, salvage(logic.as_mut()), payload);
+    }
+    let _ = alive.send(());
     loop {
-        while let Ok(cmd) = ctx.cmd_rx.try_recv() {
-            match cmd {
-                WorkerCmd::Snapshot(reply) => {
-                    match catch_unwind(AssertUnwindSafe(|| ctx.logic.snapshot_state())) {
-                        Ok(entries) => {
-                            // The collector may have timed out and left.
-                            let _ = reply.send(entries);
-                        }
-                        Err(payload) => {
-                            report_panic(&mut ctx, payload);
-                            return None;
-                        }
-                    }
-                }
+        while let Ok(WorkerCmd::Snapshot(reply)) = ctx.cmd_rx.try_recv() {
+            match catch_unwind(AssertUnwindSafe(|| logic.snapshot_state())) {
+                // The collector may have timed out and left.
+                Ok(entries) => drop(reply.send(entries)),
+                Err(payload) => return report_panic(&ctx, salvage(logic.as_mut()), payload),
             }
         }
+        // The timeout bounds how long a command waits for an idle worker;
+        // a halt does not wait for it (`RunningJob::halt` sends a token).
         let t_wait = Instant::now();
-        match ctx.rx.recv_timeout(Duration::from_millis(5)) {
+        let received = ctx.rx.recv_timeout(Duration::from_millis(5));
+        ctx.counters
+            .add_wait_input(t_wait.elapsed().as_nanos() as u64);
+        match received {
             Ok(batch) => {
-                ctx.counters
-                    .add_wait_input(t_wait.elapsed().as_nanos() as u64);
-                if !run_batch(&mut ctx, batch, &mut out_buf, &mut chaos_delay) {
+                if !run_batch(&mut ctx, logic.as_mut(), batch) {
                     return None;
                 }
             }
-            Err(RecvTimeoutError::Timeout) => {
-                ctx.counters
-                    .add_wait_input(t_wait.elapsed().as_nanos() as u64);
-                if ctx.upstream_done.load(Ordering::SeqCst) {
-                    // Every upstream producer has exited: drain what is
-                    // left in the queue and halt.
-                    while let Ok(batch) = ctx.rx.try_recv() {
-                        if !run_batch(&mut ctx, batch, &mut out_buf, &mut chaos_delay) {
-                            return None;
-                        }
-                    }
-                    break;
-                }
-            }
+            Err(RecvTimeoutError::Timeout) => {}
             // Backstop: all senders gone (a dropped job tears down this
             // way; a live engine retains sender clones, so this cannot
             // fire while the job is running).
             Err(RecvTimeoutError::Disconnected) => break,
         }
+        if ctx.upstream_done.load(Ordering::SeqCst) {
+            // Every upstream producer has exited, so nothing can follow
+            // what is queued now: finish it and halt.
+            while let Ok(batch) = ctx.rx.try_recv() {
+                if !run_batch(&mut ctx, logic.as_mut(), batch) {
+                    return None;
+                }
+            }
+            break;
+        }
     }
-    Some(ctx.logic)
+    match catch_unwind(AssertUnwindSafe(|| logic.drain_state())) {
+        Ok(entries) => Some(entries),
+        Err(payload) => report_panic(&ctx, None, payload),
+    }
 }
 
 /// Source loop: rate-limited generation in batches, scheduled on absolute
@@ -1118,11 +1113,9 @@ fn worker_loop<R: Clone + Send + 'static>(mut ctx: WorkerCtx<R>) -> Option<Box<d
 /// ticks. Sleep overshoot and transiently blocked sends do not accumulate:
 /// a source that falls behind fires its overdue batches back to back until
 /// it is on schedule again, so the observed aggregate rate holds the
-/// configured `rate` exactly instead of drifting below it. (The old
-/// relative-sleep pacing reset its clock on every overrun, silently
-/// donating each overshoot to the clock and under-producing by the sum of
-/// them.) Sustained overload still bounds production through channel
-/// backpressure: the source cannot outrun its blocked sends.
+/// configured `rate` exactly instead of drifting below it. Sustained
+/// overload still bounds production through channel backpressure: the
+/// source cannot outrun its blocked sends.
 fn source_loop<R: Clone + Send + 'static>(
     generate: crate::job::SourceFn<R>,
     rate: f64,
@@ -1160,10 +1153,17 @@ fn source_loop<R: Clone + Send + 'static>(
         counters.add_records_out(n);
 
         fired += 1;
-        let deadline = Duration::from_nanos(interval_ns.saturating_mul(fired));
-        if let Some(wait) = (start + deadline).checked_duration_since(Instant::now()) {
-            counters.add_wait_input(wait.as_nanos() as u64);
-            std::thread::sleep(wait);
+        let due = start + Duration::from_nanos(interval_ns.saturating_mul(fired));
+        let t_wait = Instant::now();
+        if t_wait < due {
+            // Parked, not asleep: a halt unparks the thread, so a slow
+            // source (a batch a second) stops now, not at its next batch.
+            let mut now = t_wait;
+            while now < due && !stop.load(Ordering::Relaxed) {
+                std::thread::park_timeout(due - now);
+                now = Instant::now();
+            }
+            counters.add_wait_input((now - t_wait).as_nanos() as u64);
         }
         // Behind schedule: fire the next batch immediately. The absolute
         // deadline stays put, so the backlog is worked off rather than
@@ -1432,6 +1432,186 @@ mod tests {
             drained,
             sink.lock().clone(),
             "state salvaged across the aborted rescale diverged from sink totals"
+        );
+    }
+
+    /// The halt is event-driven: on an idle-ish chain a whole rescale —
+    /// halt, migrate 64 keys, respawn, restore acknowledged — takes well
+    /// under the 10 ms the two 5 ms input polls of the staged halt used to
+    /// cost, with and without a deadline (the two share one halt).
+    #[test]
+    fn idle_chain_rescales_below_the_old_poll_floor() {
+        for timeout in [None, Some(Duration::from_secs(2))] {
+            let (mut spec, _s, _m, c, sink) = pipeline(2_000.0);
+            spec.rescale_timeout = timeout;
+            let g = spec.graph.clone();
+            let mut job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+            std::thread::sleep(Duration::from_millis(150));
+            // The fastest of a few: a loaded test machine may preempt one.
+            let mut fastest = Duration::MAX;
+            for p in [2, 1, 2, 1, 2] {
+                let mut plan = job.deployment().clone();
+                plan.set(c, p);
+                fastest = fastest.min(job.rescale(plan).expect("rescale"));
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            assert!(
+                fastest < Duration::from_millis(5),
+                "rescale_timeout {timeout:?}: fastest of 5 rescales took {fastest:?}"
+            );
+            let drained: u64 = (job.shutdown().remove(&c).unwrap_or_default().into_iter())
+                .map(|(_, v)| *v.into_any().downcast::<u64>().unwrap())
+                .sum();
+            assert_eq!(drained, sink.lock().values().sum::<u64>());
+        }
+    }
+
+    /// A paced source waits for its next batch parked, not asleep: at 100
+    /// rec/s a 128-record batch is due every 1.28 s, and neither a rescale
+    /// nor a shutdown may wait that long for the source to notice.
+    #[test]
+    fn halt_interrupts_a_slow_sources_pacing_wait() {
+        let (spec, _s, _m, c, _sink) = pipeline(100.0);
+        let g = spec.graph.clone();
+        let mut job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+        std::thread::sleep(Duration::from_millis(100)); // first batch sent, now waiting
+        let mut plan = job.deployment().clone();
+        plan.set(c, 2);
+        let pause = job.rescale(plan).expect("rescale");
+        assert!(pause < Duration::from_millis(100), "rescale took {pause:?}");
+        std::thread::sleep(Duration::from_millis(100));
+        let t0 = Instant::now();
+        job.shutdown();
+        assert!(t0.elapsed() < Duration::from_millis(100));
+    }
+
+    /// The wake token is the engine's business: a logic that refuses empty
+    /// batches survives 20 rescales and a shutdown, and the input counter
+    /// only ever reports records the logic was given.
+    #[test]
+    fn wake_tokens_never_reach_the_logic() {
+        use std::sync::atomic::AtomicU64;
+        struct NoEmptyBatches(Arc<AtomicBool>, Arc<AtomicU64>);
+        impl Logic<u64> for NoEmptyBatches {
+            fn process(&mut self, _r: u64, _out: &mut Vec<u64>) {}
+            fn process_batch(&mut self, batch: &mut Vec<u64>, _out: &mut Vec<u64>) {
+                if batch.is_empty() {
+                    self.0.store(true, Ordering::SeqCst);
+                }
+                self.1.fetch_add(batch.len() as u64, Ordering::SeqCst);
+                batch.clear();
+            }
+        }
+        let mut b = GraphBuilder::new();
+        let s = b.operator("src");
+        let o = b.operator("op");
+        b.connect(s, o);
+        let g = b.build().unwrap();
+        let saw_empty = Arc::new(AtomicBool::new(false));
+        let given = Arc::new(AtomicU64::new(0));
+        let (flag, count) = (Arc::clone(&saw_empty), Arc::clone(&given));
+        let mut spec: JobSpec<u64> = JobSpec::new(g.clone());
+        spec.batch_size = 16;
+        spec.source(s, 3_200.0, |n| n, |&r| r);
+        spec.operator(
+            o,
+            move || Box::new(NoEmptyBatches(Arc::clone(&flag), Arc::clone(&count))),
+            |&r| r,
+        );
+        let mut job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+        let _ = job.collect_snapshot();
+        let mut records_in = 0;
+        for i in 0..20 {
+            std::thread::sleep(Duration::from_millis(10));
+            records_in += job
+                .collect_snapshot()
+                .operator(o)
+                .unwrap()
+                .total_records_in();
+            let mut plan = job.deployment().clone();
+            plan.set(o, 1 + i % 3);
+            job.rescale(plan).expect("rescale");
+        }
+        assert_eq!(job.rescales(), 20);
+        job.shutdown();
+        assert!(
+            !saw_empty.load(Ordering::SeqCst),
+            "a token reached the logic"
+        );
+        let given = given.load(Ordering::SeqCst);
+        assert!(
+            0 < records_in && records_in <= given,
+            "{records_in} > {given}"
+        );
+    }
+
+    /// A `restore_state` that panics on a new instance is a contained
+    /// worker panic, not a control-thread panic: `rescale` returns the typed
+    /// error with the plan deployed, the state the logic had taken in is
+    /// salvaged, `heal` restarts the instance with it, and nothing is lost.
+    #[test]
+    fn restore_panic_surfaces_as_typed_error_with_salvage() {
+        struct FragileCount(CountLogic, Arc<AtomicBool>);
+        impl Logic<u64> for FragileCount {
+            fn process(&mut self, r: u64, out: &mut Vec<u64>) {
+                self.0.process(r, out);
+            }
+            fn drain_state(&mut self) -> Vec<StateEntry> {
+                self.0.drain_state()
+            }
+            fn restore_state(&mut self, entries: Vec<StateEntry>) {
+                let poisoned = !entries.is_empty() && self.1.swap(false, Ordering::SeqCst);
+                self.0.restore_state(entries);
+                assert!(!poisoned, "injected restore failure");
+            }
+        }
+        let (mut spec, _s, _m, c, sink) = pipeline(20_000.0);
+        let poison = Arc::new(AtomicBool::new(false));
+        let (sink2, poison2) = (Arc::clone(&sink), Arc::clone(&poison));
+        spec.operator(
+            c,
+            move || {
+                let counts = CountLogic {
+                    counts: HashMap::new(),
+                    sink: Arc::clone(&sink2),
+                };
+                Box::new(FragileCount(counts, Arc::clone(&poison2)))
+            },
+            |&r| r,
+        );
+        let g = spec.graph.clone();
+        let mut job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+        std::thread::sleep(Duration::from_millis(200));
+
+        poison.store(true, Ordering::SeqCst);
+        let mut plan = job.deployment().clone();
+        plan.set(c, 2);
+        let err = job.rescale(plan.clone()).expect_err("one restore panics");
+        assert!(
+            matches!(err, Ds2Error::WorkerPanicked { op, .. } if op == c),
+            "expected WorkerPanicked on count, got {err:?}"
+        );
+        assert_eq!(job.deployment(), &plan, "the plan is deployed");
+        assert!(job.is_running());
+
+        // The supervisor path takes it from here.
+        let mut healed = Vec::new();
+        for _ in 0..20 {
+            std::thread::sleep(Duration::from_millis(10));
+            healed.extend(job.heal().healed);
+        }
+        assert_eq!(healed.len(), 1, "one restart: {healed:?}");
+        assert!(matches!(healed[0], Ds2Error::WorkerPanicked { op, .. } if op == c));
+        std::thread::sleep(Duration::from_millis(100));
+
+        let mut drained: HashMap<u64, u64> = HashMap::new();
+        for (k, v) in job.shutdown().remove(&c).unwrap_or_default() {
+            *drained.entry(k).or_insert(0) += *v.into_any().downcast::<u64>().unwrap();
+        }
+        assert_eq!(
+            drained,
+            sink.lock().clone(),
+            "salvage lost across the panic"
         );
     }
 

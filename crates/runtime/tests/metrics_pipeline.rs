@@ -18,7 +18,7 @@ use std::time::Duration;
 use ds2_core::deployment::Deployment;
 use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
 use ds2_core::snapshot::MetricsSnapshot;
-use ds2_runtime::{ChaosSpec, FnLogic, JobSpec, RunningJob};
+use ds2_runtime::{ChaosSpec, FnLogic, JobSpec, Logic, RunningJob, StateEntry, StateValue};
 
 const OP: OperatorId = OperatorId(1);
 
@@ -194,4 +194,75 @@ fn windows_survive_incarnation_restart_without_double_counting() {
         "pipeline must keep moving volume across the restart, got {total}"
     );
     assert_no_double_counting(&sums, total, rate, 64, 2);
+}
+
+/// State hand-off happens on the workers' own threads, and DS2 divides by
+/// what those threads report: time spent draining or restoring state must
+/// reach neither the useful nor the wait counters. A logic whose drain and
+/// restore each take 40 ms (against microseconds per record) makes a
+/// mischarge unmissable in the first window after a rescale.
+#[test]
+fn state_hand_off_is_not_charged_to_the_first_window_after_a_rescale() {
+    const HAND_OFF: Duration = Duration::from_millis(40);
+    /// Far above what one `fetch_add` record costs, even unoptimised.
+    const PER_RECORD_NS: u64 = 5_000;
+
+    struct SlowState(Arc<AtomicU64>);
+    impl Logic<u64> for SlowState {
+        fn process(&mut self, _r: u64, _out: &mut Vec<u64>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
+        }
+        fn drain_state(&mut self) -> Vec<StateEntry> {
+            std::thread::sleep(HAND_OFF);
+            (0..8u64)
+                .map(|k| (k, Box::new(k) as Box<dyn StateValue>))
+                .collect()
+        }
+        fn restore_state(&mut self, _entries: Vec<StateEntry>) {
+            std::thread::sleep(HAND_OFF);
+        }
+    }
+
+    let (mut spec, g, processed) = counted_job(20_000.0);
+    spec.operator(
+        OP,
+        move || Box::new(SlowState(Arc::clone(&processed))),
+        |&r| r,
+    );
+    let mut job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+    let mut snap = MetricsSnapshot::new();
+    std::thread::sleep(Duration::from_millis(150));
+    job.collect_snapshot_into(&mut snap);
+
+    let mut plan = Deployment::uniform(&g, 1);
+    plan.set(OP, 2);
+    let pause = job.rescale(plan).expect("healthy rescale must succeed");
+    assert!(
+        pause >= 2 * HAND_OFF,
+        "drain and restore both ran: {pause:?}"
+    );
+    std::thread::sleep(Duration::from_millis(150));
+    job.collect_snapshot_into(&mut snap);
+    let metrics = snap.operator(OP).expect("operator metrics present").clone();
+    job.shutdown();
+
+    assert_eq!(metrics.instances.len(), 2);
+    for inst in &metrics.instances {
+        assert!(inst.records_in > 0, "the new instance processed records");
+        assert!(
+            inst.useful_ns <= inst.records_in * PER_RECORD_NS,
+            "useful {} ns for {} records: the restore was charged as work",
+            inst.useful_ns,
+            inst.records_in
+        );
+        // The window opened before the rescale, so it spans the old
+        // instance's drain and this one's restore; neither is accounted.
+        let accounted = inst.useful_ns + inst.wait_input_ns + inst.wait_output_ns;
+        let hand_off_ns = 2 * HAND_OFF.as_nanos() as u64;
+        assert!(
+            accounted + hand_off_ns <= inst.window_ns,
+            "accounted {accounted} ns of a {} ns window that holds {hand_off_ns} ns of hand-off",
+            inst.window_ns
+        );
+    }
 }

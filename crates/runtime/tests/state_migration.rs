@@ -7,7 +7,7 @@
 use std::collections::BTreeMap;
 
 use ds2_core::graph::OperatorId;
-use ds2_runtime::checkpoint::{partition_state, CheckpointStore};
+use ds2_runtime::checkpoint::{partition_parts, partition_state, CheckpointStore};
 use ds2_runtime::{Logic, StateEntry, StateValue};
 use proptest::prelude::*;
 
@@ -46,6 +46,32 @@ proptest! {
         expect.sort_unstable();
         seen.sort_unstable();
         prop_assert_eq!(seen, expect, "entries lost or duplicated");
+    }
+
+    /// The engine partitions the per-instance parts of a drained operator
+    /// directly; that must fill every bucket with exactly the entries
+    /// `partition_state` puts there for the concatenated state — for any
+    /// old and new parallelism, including the hand-through cases.
+    #[test]
+    fn partitioning_parts_equals_partitioning_their_concatenation(
+        pairs in proptest::collection::vec((0u64..10_000, 0u64..1_000_000), 0..200),
+        p_old in 1usize..8,
+        p_new in 1usize..8,
+    ) {
+        let mut parts: Vec<Vec<(u64, u64)>> = vec![Vec::new(); p_old];
+        for &(k, v) in &pairs {
+            parts[k as usize % p_old].push((k, v));
+        }
+        let from_parts = partition_parts(parts.iter().map(|p| entries_from(p)).collect(), p_new);
+        let from_concat = partition_state(entries_from(&parts.concat()), p_new);
+        prop_assert_eq!(from_parts.len(), p_new);
+        prop_assert_eq!(from_concat.len(), p_new);
+        for (i, (a, b)) in from_parts.iter().zip(&from_concat).enumerate() {
+            let (mut a, mut b) = (to_pairs(a), to_pairs(b));
+            a.sort_unstable();
+            b.sort_unstable();
+            prop_assert_eq!(a, b, "bucket {} differs", i);
+        }
     }
 
     /// The full rescale round-trip — drain at parallelism `p_old`,
