@@ -37,7 +37,11 @@
 //!                     the synthetic family — 1/4-thread nexmark-family
 //!                     rows, a 1-thread hotkey+state_pressure row under
 //!                     ds2_multidim, and a 1-thread harsh-faults row under
-//!                     ds2_hardened) and write it to P as JSON, then exit
+//!                     ds2_hardened; rows asking for more threads than the
+//!                     machine has CPUs are skipped) and write it to P as
+//!                     JSON, then exit. Each row's timing line on stderr
+//!                     ends with the share of engine ticks that ran in
+//!                     full and that were replayed, by kind
 //!   controllers       any of ds2/dhalion/threshold/queueing/ds2_multidim/
 //!                     ds2_hardened (default: ds2 + the three baselines).
 //!                     `ds2_multidim` runs DS2 on the multi-dimensional
@@ -56,8 +60,10 @@
 //! (the state bill). Parallelism-only reports render byte-identically to
 //! the classic format.
 //!
-//! The report table goes to stdout; timing and progress go to stderr, so
-//! two runs with different `--threads` can be `diff`ed directly (CI does).
+//! The report table goes to stdout; timing, the tick breakdown (full vs
+//! replayed steady/drift/halted) and progress go to stderr, so two runs with
+//! different `--threads` — or with and without `--exact` — can be `diff`ed
+//! directly (CI does).
 //!
 //! Environment: `DS2_MATRIX_SEED` (same as `--seed`),
 //! `DS2_MATRIX_WORKLOADS` (comma-separated family names),
@@ -69,6 +75,7 @@ use ds2_simulator::scenarios::{
     ControllerKind, FaultProfile, MatrixConfig, ScenarioFamily, ScenarioMatrix, ScenarioSpec,
     WorkloadShape,
 };
+use ds2_simulator::FastForwardStats;
 
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
@@ -141,6 +148,25 @@ fn parse_families(value: &str) -> Vec<ScenarioFamily> {
             families
         }
     }
+}
+
+/// Renders where the engines' ticks went: executed in full, or replayed
+/// from a fixed point, a drift step or a halted stretch.
+fn tick_breakdown(stats: FastForwardStats) -> String {
+    let total = (stats.full_ticks + stats.replayed_ticks).max(1) as f64;
+    let pct = |ticks: u64| 100.0 * ticks as f64 / total;
+    let steady = stats.replayed_ticks - stats.drift_ticks - stats.halted_ticks;
+    format!(
+        "{:.2} M ticks: {:.1}% full, replayed {:.1}% steady + {:.1}% drift + {:.1}% halted; \
+         {} of {} probes failed",
+        total / 1e6,
+        pct(stats.full_ticks),
+        pct(steady),
+        pct(stats.drift_ticks),
+        pct(stats.halted_ticks),
+        stats.probe_failures,
+        stats.probes,
+    )
 }
 
 fn parse_flag<T: std::str::FromStr>(args: &mut std::vec::IntoIter<String>, flag: &str) -> T {
@@ -257,7 +283,7 @@ fn main() {
     // Per-run progress (stderr) for debugging pathological scenarios. In
     // parallel runs cells are reported in completion order.
     let mut last = Instant::now();
-    let report = matrix.run_with(|spec, o| {
+    let (report, ff_stats) = matrix.run_with_stats(|spec, o| {
         if verbose {
             eprintln!(
                 "seed {} {} {} ops={} {}: steps={} conv={} final={} in {:?}",
@@ -277,11 +303,12 @@ fn main() {
 
     // Timing to stderr: stdout must be identical across thread counts.
     eprintln!(
-        "scenario matrix: {} scenarios x {} controllers on {} threads in {:?}",
+        "scenario matrix: {} scenarios x {} controllers on {} threads in {:?} ({})",
         config.scenarios,
         config.controllers.len(),
         matrix.effective_threads(),
-        t0.elapsed()
+        t0.elapsed(),
+        tick_breakdown(ff_stats),
     );
     println!(
         "scenario matrix: {} scenarios x {} controllers\n",
@@ -317,14 +344,15 @@ fn main() {
 /// per configuration so the committed baseline captures single-thread
 /// data-plane speed, parallel scaling, the fast-forward ratio, the
 /// real-query-dataflow cost, the multi-dim overhead and the hardening
-/// overhead. Thread counts beyond the host's CPUs still run (the sharded
-/// queue over-subscribes harmlessly); the `threads` field records the
-/// configuration, `cpus` the host, so readers can judge comparability.
+/// overhead. Rows asking for more threads than the host has CPUs are
+/// skipped: an over-subscribed run measures the scheduler, not parallel
+/// scaling, and must not be committed as a baseline. Every written row
+/// records its `threads` and the host's `cpus`.
 fn run_throughput_baseline(path: &str, base: &MatrixConfig) {
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1);
-    let scenarios = base.scenarios.clamp(8, 64);
+    let scenarios = base.scenarios.clamp(8, 512);
     let mut entries = Vec::new();
     // (family-suffix, families, threads, fast_forward, controller): the
     // synthetic rows keep their historical names (no suffix) so the CI
@@ -407,6 +435,10 @@ fn run_throughput_baseline(path: &str, base: &MatrixConfig) {
         ),
     ];
     for (family_suffix, families, threads, fast_forward, controller, faults) in runs {
+        if threads > cpus {
+            eprintln!("bench: skipping the {threads}-thread{family_suffix} row on {cpus} cpu(s)");
+            continue;
+        }
         let mut config = MatrixConfig {
             scenarios,
             threads,
@@ -418,7 +450,7 @@ fn run_throughput_baseline(path: &str, base: &MatrixConfig) {
         config.generator.families = families;
         let matrix = ScenarioMatrix::new(config);
         let t0 = Instant::now();
-        let report = matrix.run();
+        let (report, ff_stats) = matrix.run_with_stats(|_, _| {});
         let elapsed = t0.elapsed().as_secs_f64();
         let per_s = scenarios as f64 / elapsed;
         let suffix = format!(
@@ -427,9 +459,10 @@ fn run_throughput_baseline(path: &str, base: &MatrixConfig) {
         );
         eprintln!(
             "bench: {scenarios}{family_suffix} scenarios on {threads} thread(s){}: {elapsed:.2}s \
-             ({per_s:.2} scenarios/s, {} outcomes)",
+             ({per_s:.2} scenarios/s, {} outcomes; {})",
             if fast_forward { "" } else { " [exact]" },
-            report.outcomes.len()
+            report.outcomes.len(),
+            tick_breakdown(ff_stats),
         );
         entries.push(format!(
             "  {{\"name\": \"scenario_matrix/ds2_{threads}threads{suffix}\", \

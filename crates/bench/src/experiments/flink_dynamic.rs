@@ -63,8 +63,8 @@ pub fn figure7(duration_ns: u64) -> (Fig7Run, String) {
                 format!("{:.0}", p.t_ns as f64 / 1e9),
                 format!("{:.0}", p.offered_rate),
                 format!("{:.0}", p.observed_rate),
-                p.parallelism[&run.ops.flat_map].to_string(),
-                p.parallelism[&run.ops.count].to_string(),
+                p.parallelism[run.ops.flat_map.index()].to_string(),
+                p.parallelism[run.ops.count.index()].to_string(),
                 (p.halted as u8).to_string(),
             ]
         })

@@ -76,16 +76,8 @@ pub fn timeline_rows(run: &HeronRun) -> Vec<Vec<String>> {
                 format!("{:.0}", p.t_ns as f64 / 1e9),
                 format!("{:.0}", p.offered_rate),
                 format!("{:.0}", p.observed_rate),
-                p.parallelism
-                    .get(&run.ops.flat_map)
-                    .copied()
-                    .unwrap_or(0)
-                    .to_string(),
-                p.parallelism
-                    .get(&run.ops.count)
-                    .copied()
-                    .unwrap_or(0)
-                    .to_string(),
+                p.parallelism[run.ops.flat_map.index()].to_string(),
+                p.parallelism[run.ops.count.index()].to_string(),
                 (p.backpressure as u8).to_string(),
                 (p.halted as u8).to_string(),
             ]

@@ -44,7 +44,9 @@ use ds2_core::snapshot::MetricsSnapshot;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::fastforward::{FastForward, FastForwardStats, MAX_FINGERPRINT_SPANS};
+use crate::fastforward::{
+    DriftQueue, FastForward, FastForwardStats, QueueLog, QueueMark, StepKind, MAX_FINGERPRINT_SPANS,
+};
 use crate::latency::{EpochTracker, LatencyRecorder};
 use crate::profile::{OperatorProfile, OutputMode, ProfileMap};
 use crate::queue::{EpochQueue, Span};
@@ -119,9 +121,10 @@ pub struct EngineConfig {
     pub epoch_ns: u64,
     /// Initial worker count in Timely mode.
     pub timely_workers: usize,
-    /// Macro-tick fast-forward: when the engine can prove the dataflow
-    /// reached a steady state (see [`crate::fastforward`]), it replays the
-    /// confirmed per-tick transition instead of re-executing identical
+    /// Macro-tick fast-forward: when the engine can prove that ticks
+    /// repeat — a steady state, queues drifting inside their linear regime,
+    /// a halt for redeployment (see [`crate::fastforward`]) — it replays
+    /// the recorded per-tick operations instead of re-executing the
     /// ticks. Results are bitwise identical to exact execution; disable
     /// (the `--exact` escape hatch) to force tick-by-tick execution.
     pub fast_forward: bool,
@@ -246,9 +249,24 @@ impl OpState {
     /// Pushes `records` (tagged `tag`) split across partitions by share:
     /// one representative push per class.
     fn push_partitioned(&mut self, tag: u64, records: f64) {
-        for c in &mut self.classes {
+        self.push_partitioned_with(tag, records, |_, _| {});
+    }
+
+    /// [`OpState::push_partitioned`], reporting each `(class index, records)`
+    /// to `observe` just before it is pushed (the fast-forward probe logs
+    /// them; the plain path passes a no-op that compiles away).
+    #[inline]
+    fn push_partitioned_with(
+        &mut self,
+        tag: u64,
+        records: f64,
+        mut observe: impl FnMut(usize, f64),
+    ) {
+        for (k, c) in self.classes.iter_mut().enumerate() {
             if c.share > 0.0 {
-                c.queue.push(tag, records * c.share);
+                let x = records * c.share;
+                observe(k, x);
+                c.queue.push(tag, x);
             }
         }
     }
@@ -379,6 +397,31 @@ pub struct FluidEngine {
     /// pool size), rebuilt when the pool rescales, so
     /// [`FluidEngine::deployment`] can lend it without allocating.
     timely_deployment: Deployment,
+}
+
+/// Pushes `records` into operator `to`'s partition queues; the `LOG`
+/// instantiation also appends every positive per-class push to the probe
+/// log, under the queue's walk-order index.
+#[inline]
+fn route<const LOG: bool>(
+    states: &mut [OpState],
+    log: &mut QueueLog,
+    to: OperatorId,
+    tag: u64,
+    records: f64,
+) {
+    let st = &mut states[to.index()];
+    if LOG {
+        let base = log.class_base[to.index()];
+        st.push_partitioned_with(tag, records, |k, x| {
+            // `push` ignores non-positive amounts.
+            if x > 0.0 {
+                log.pushes.push((base + k as u32, x));
+            }
+        });
+    } else {
+        st.push_partitioned(tag, records);
+    }
 }
 
 impl FluidEngine {
@@ -792,8 +835,8 @@ impl FluidEngine {
         self.full_tick()
     }
 
-    /// Advances the simulation by one tick, replaying a confirmed
-    /// steady-state transition when possible.
+    /// Advances the simulation by one tick, replaying an armed transition
+    /// (steady, drift or halted step) when possible.
     ///
     /// `horizon_ns` is the caller's *event horizon*: a promise that no
     /// external interaction (metrics-window close acted upon, rescale
@@ -804,23 +847,27 @@ impl FluidEngine {
     /// before the caller is going to perturb the dataflow anyway.
     ///
     /// The outcome is bitwise identical to calling [`FluidEngine::tick`]
-    /// in a loop: a replayed tick performs the same accumulator additions,
-    /// latency samples and epoch advances the full tick would, and any
-    /// state the engine cannot prove steady keeps executing in full. See
+    /// in a loop: a replayed tick performs the same queue, accumulator and
+    /// backlog arithmetic, latency samples and epoch advances the full tick
+    /// would, and anything the engine cannot prove keeps executing in
+    /// full. See
     /// [`crate::fastforward`] for the proof obligations.
     pub fn tick_within(&mut self, horizon_ns: u64) -> TickEvents {
-        if self.cfg.fast_forward && self.ff.can_replay(self.now_ns) {
-            return self.replay_tick();
+        if self.cfg.fast_forward && self.ff.can_replay(self.now_ns) && self.replay_batch(1) == 1 {
+            return TickEvents::default();
         }
         if self.ff.is_armed() {
-            // Armed but unable to replay: the transition's phase ended.
+            // Armed but unable to replay: the transition's window ended.
             self.ff.invalidate();
         }
         if self.probe_eligible(horizon_ns) && self.ff.should_probe() {
-            self.probe_tick()
-        } else {
-            self.full_tick()
+            return self.probe_tick();
         }
+        let events = self.full_tick();
+        if self.cfg.fast_forward {
+            self.arm_halted_step();
+        }
+        events
     }
 
     /// Cumulative fast-forward work counters (probes, replayed ticks).
@@ -828,8 +875,7 @@ impl FluidEngine {
         self.ff.stats
     }
 
-    /// `true` while the engine holds a confirmed steady-state transition it
-    /// can replay.
+    /// `true` while the engine holds a confirmed transition it can replay.
     pub fn fastforward_active(&self) -> bool {
         self.ff.is_armed()
     }
@@ -850,6 +896,13 @@ impl FluidEngine {
             && self
                 .next_phase_change()
                 .is_none_or(|c| self.now_ns + 2 * self.cfg.tick_ns <= c)
+    }
+
+    /// Whether this engine can arm a drift step: untagged queues hold one
+    /// span whatever they receive, and only Flink mode reads queue lengths
+    /// in nothing but the guarded comparisons (see [`crate::fastforward`]).
+    fn drift_capable(&self) -> bool {
+        !self.cfg.track_record_latency && self.cfg.mode == EngineMode::Flink
     }
 
     /// The earliest source-schedule rate change strictly after `now`.
@@ -877,24 +930,35 @@ impl FluidEngine {
         }
     }
 
-    /// Copies the structural fluid state into the fingerprint buffer.
-    /// Returns `false` (probe abandoned) when the total span count exceeds
-    /// the fingerprint budget.
+    /// Copies the structural fluid state into the fingerprint buffer and
+    /// resets the probe's queue log to the same walk order. Returns `false`
+    /// (probe abandoned) when the total span count exceeds the fingerprint
+    /// budget.
     ///
     /// Untagged engines skip the span lists entirely: tags then have no
     /// observable effect (no latency, no epochs), so the `(count, total)`
     /// pair fully determines a queue's future behaviour.
     fn capture_fingerprint(&mut self) -> bool {
         let track = self.cfg.track_record_latency;
-        let fp = &mut self.ff.fingerprint;
+        let FastForward {
+            fingerprint: fp,
+            log,
+            ..
+        } = &mut self.ff;
         fp.clear();
+        log.class_base.clear();
         fp.heron_backpressure = self.heron_backpressure;
         for (i, st) in self.states.iter().enumerate() {
             fp.backlog.push(self.backlog[i]);
             fp.window_pending.push(st.window_pending);
+            log.class_base.push(fp.queues.len() as u32);
             for c in &st.classes {
                 let q = &c.queue;
-                fp.queues.push((q.span_count() as u32, q.len()));
+                fp.queues.push(QueueMark {
+                    spans: q.span_count() as u32,
+                    total: q.len(),
+                    sole_records: q.sole_span_records(),
+                });
                 if track {
                     if fp.spans.len() + q.span_count() > MAX_FINGERPRINT_SPANS {
                         return false;
@@ -903,20 +967,36 @@ impl FluidEngine {
                 }
             }
         }
+        log.reset(fp.queues.len());
         true
     }
 
-    /// Whether the current state equals the fingerprint with every span tag
-    /// advanced by exactly one tick — the fixed-point ("shift step") test.
-    /// All float comparisons are bitwise: fast-forward replays only what it
-    /// can prove exactly. Untagged engines compare totals only (their tags
-    /// are unobservable).
-    fn state_is_shifted(&self) -> bool {
+    /// Classifies the probe tick just executed against the fingerprint.
+    ///
+    /// [`StepKind::Steady`] when the current state equals the fingerprint
+    /// with every span tag advanced by exactly one tick — the fixed-point
+    /// ("shift step") test; untagged engines compare totals only (their
+    /// tags are unobservable). On a `drift_capable` engine a queue whose
+    /// length did change is accepted if the probe's logged operations keep
+    /// it inside its linear regime from both the state before and the state
+    /// after the tick; any such queue makes the step a [`StepKind::Drift`]
+    /// and leaves its operations in `ff.drift`. `None` is a failed probe.
+    /// All state comparisons are bitwise: fast-forward replays only what it
+    /// can prove exactly.
+    fn confirm_step(&mut self, drift_capable: bool) -> Option<StepKind> {
         let track = self.cfg.track_record_latency;
-        let fp = &self.ff.fingerprint;
         let tick_ns = self.cfg.tick_ns;
+        let FastForward {
+            fingerprint: fp,
+            log,
+            drift,
+            drift_pushes,
+            ..
+        } = &mut self.ff;
+        drift.clear();
+        drift_pushes.clear();
         if fp.heron_backpressure != self.heron_backpressure {
-            return false;
+            return None;
         }
         let mut qi = 0usize;
         let mut si = 0usize;
@@ -924,43 +1004,62 @@ impl FluidEngine {
             if fp.backlog[i].to_bits() != self.backlog[i].to_bits()
                 || fp.window_pending[i].to_bits() != st.window_pending.to_bits()
             {
-                return false;
+                return None;
             }
-            for c in &st.classes {
+            for (k, c) in st.classes.iter().enumerate() {
                 let q = &c.queue;
-                let (count, total) = fp.queues[qi];
+                let mark = fp.queues[qi];
+                let index = qi as u32;
                 qi += 1;
-                if q.span_count() != count as usize || total.to_bits() != q.len().to_bits() {
-                    return false;
-                }
-                if track {
-                    for span in q.spans() {
-                        let prev = fp.spans[si];
-                        si += 1;
-                        if span.records.to_bits() != prev.records.to_bits()
-                            || span.emitted_ns != prev.emitted_ns + tick_ns
-                        {
-                            return false;
+                if q.span_count() == mark.spans as usize
+                    && mark.total.to_bits() == q.len().to_bits()
+                {
+                    if track {
+                        for span in q.spans() {
+                            let prev = fp.spans[si];
+                            si += 1;
+                            if span.records.to_bits() != prev.records.to_bits()
+                                || span.emitted_ns != prev.emitted_ns + tick_ns
+                            {
+                                return None;
+                            }
                         }
                     }
+                    continue;
                 }
+                if !drift_capable {
+                    return None;
+                }
+                let d = DriftQueue::from_log(log, index, (i, k), q.capacity(), drift_pushes)?;
+                if !d.admits(mark.sole_records, mark.total)
+                    || !d.admits(q.sole_span_records(), q.len())
+                {
+                    return None;
+                }
+                drift.push(d);
             }
         }
-        true
+        Some(if drift.is_empty() {
+            StepKind::Steady
+        } else {
+            StepKind::Drift
+        })
     }
 
     /// A full tick run with delta capture: accumulators start from zero so
     /// the values they end with are exactly this tick's addends, then get
     /// restored as `saved + addend` — the identical float operation an
-    /// unprobed tick performs. If the post-state is a shift of the
-    /// pre-state, the transition is armed for replay.
+    /// unprobed tick performs. Drift-capable engines run the logging
+    /// instantiation of the tick body. If the post-state is a shift of the
+    /// pre-state, or differs from it only by guarded drift, the transition
+    /// is armed for replay.
     fn probe_tick(&mut self) -> TickEvents {
         self.materialize_tag_shift();
         self.ff.stats.probes += 1;
         self.ff.stats.full_ticks += 1;
         if !self.capture_fingerprint() {
             self.ff.probe_failed();
-            return self.tick_core();
+            return self.tick_core::<false>();
         }
         let phase_end = self.next_phase_change();
 
@@ -973,7 +1072,12 @@ impl FluidEngine {
         }
         let latency_mark = self.latency.len();
 
-        let events = self.tick_core();
+        let drift_capable = self.drift_capable();
+        let events = if drift_capable {
+            self.tick_core::<true>()
+        } else {
+            self.tick_core::<false>()
+        };
 
         let mut deltas = std::mem::take(&mut self.ff.deltas);
         deltas.clear();
@@ -996,26 +1100,71 @@ impl FluidEngine {
         self.ff.saved = saved;
         self.ff.deltas = deltas;
 
-        if self.state_is_shifted() {
-            let samples = self.latency.samples();
-            self.ff.latency.clear();
-            self.ff.latency.extend_from_slice(&samples[latency_mark..]);
-            self.ff.frontier_offset = self.last_frontier.map(|f| self.now_ns - f);
-            self.ff.arm(phase_end.unwrap_or(u64::MAX));
-        } else {
-            self.ff.probe_failed();
+        match self.confirm_step(drift_capable) {
+            Some(kind) => {
+                let samples = self.latency.samples();
+                self.ff.latency.clear();
+                self.ff.latency.extend_from_slice(&samples[latency_mark..]);
+                self.ff.frontier_offset = self.last_frontier.map(|f| self.now_ns - f);
+                self.ff.arm(kind, phase_end.unwrap_or(u64::MAX));
+            }
+            None => self.ff.probe_failed(),
         }
         events
     }
 
-    /// Replays as many confirmed steady ticks as fit before `horizon_ns`,
-    /// returning how many were replayed (zero when no transition is armed
-    /// or fast-forward is disabled). The engine-side effects are bitwise
-    /// identical to calling [`FluidEngine::tick`] that many times; callers
-    /// with per-tick aggregation of their own (the closed-loop harness sums
-    /// each tick's offered/emitted counts into timeline buckets) replicate
-    /// it for the returned count — the per-tick values are constants, read
-    /// once from [`FluidEngine::last_tick`].
+    /// After a fully executed halted tick that did not deploy: arms the
+    /// halted step — `wait_input_ns += tick_ns` per accumulator class and
+    /// `backlog += offered` per durable source — for ticks that end before
+    /// the deployment lands and start before the next schedule change. A
+    /// rate change inside the executed tick (schedules need not be
+    /// tick-aligned) leaves it offering the old rate, so the step is armed
+    /// only if the next tick offers bitwise the same.
+    fn arm_halted_step(&mut self) {
+        let Some(resume_at) = self.pending_rescale.as_ref().map(|p| p.0) else {
+            return;
+        };
+        let tick_ns = self.cfg.tick_ns;
+        let executed_at = self.now_ns - tick_ns;
+        let same_offer = self.sources.iter().all(|(_, spec)| {
+            spec.schedule.rate_at(executed_at).to_bits()
+                == spec.schedule.rate_at(self.now_ns).to_bits()
+        });
+        let valid_until = self
+            .next_phase_change()
+            .unwrap_or(u64::MAX)
+            .min(resume_at.saturating_sub(tick_ns));
+        if !same_offer || self.now_ns >= valid_until {
+            return;
+        }
+        let ff = &mut self.ff;
+        ff.deltas.clear();
+        let waiting = InstanceAcc {
+            wait_input_ns: tick_ns as f64,
+            ..InstanceAcc::default()
+        };
+        for st in &self.states {
+            ff.deltas.extend(st.accs.iter().map(|_| waiting));
+        }
+        ff.backlog_addends.clear();
+        for (op, spec) in self.sources.iter() {
+            if spec.durable_backlog {
+                ff.backlog_addends
+                    .push((op.index(), self.last_tick.offered[op]));
+            }
+        }
+        ff.arm(StepKind::Halted, valid_until);
+    }
+
+    /// Replays as many armed ticks as fit before `horizon_ns`, returning
+    /// how many were replayed (zero when no transition is armed or
+    /// fast-forward is disabled; fewer than fit when a drift guard ended
+    /// the replay early). The engine-side effects are bitwise identical to
+    /// calling [`FluidEngine::tick`] that many times; callers with per-tick
+    /// aggregation of their own (the closed-loop harness sums each tick's
+    /// offered/emitted counts into timeline buckets) replicate it for the
+    /// returned count — the per-tick values are constants, read once from
+    /// [`FluidEngine::last_tick`].
     pub fn replay_steady(&mut self, horizon_ns: u64) -> u64 {
         if !self.cfg.fast_forward {
             return 0;
@@ -1023,21 +1172,58 @@ impl FluidEngine {
         let ticks = self
             .ff
             .replayable_ticks(self.now_ns, self.cfg.tick_ns, horizon_ns);
-        if ticks > 0 {
-            self.replay_batch(ticks);
+        self.replay_batch(ticks)
+    }
+
+    /// Advances the drifting queues of an armed drift step by up to `ticks`
+    /// ticks, returning how many were applied. Before each tick every
+    /// drifting queue's guards are re-checked on its current state — a tick
+    /// is replayed for all queues or for none — and then the recorded
+    /// drain and pushes are applied verbatim. Steps without drifting
+    /// queues admit every tick.
+    fn replay_drift(&mut self, ticks: u64) -> u64 {
+        let drift = &self.ff.drift;
+        if drift.is_empty() {
+            return ticks;
+        }
+        let states = &mut self.states;
+        for done in 0..ticks {
+            let admitted = drift.iter().all(|d| {
+                let q = &states[d.op as usize].classes[d.class as usize].queue;
+                d.admits(q.sole_span_records(), q.len())
+            });
+            if !admitted {
+                return done;
+            }
+            for d in drift {
+                let (from, to) = d.pushes;
+                states[d.op as usize].classes[d.class as usize]
+                    .queue
+                    .replay_linear(d.take, &self.ff.drift_pushes[from as usize..to as usize]);
+            }
         }
         ticks
     }
 
-    /// Replays the confirmed steady-state transition for `ticks` ticks: the
-    /// accumulator additions, sink latency samples and epoch advances the
-    /// full ticks would perform — and nothing else. Span tags shift lazily
-    /// via `pending_tag_shift`. Accumulator sums are built by repeated
-    /// addition of the captured addends — the exact float operations of
-    /// tick-by-tick execution, not a multiplied approximation — with the
-    /// five per-instance fields interleaved so the dependency chains
-    /// pipeline.
-    fn replay_batch(&mut self, ticks: u64) {
+    /// Replays the armed transition for up to `ticks` ticks and returns how
+    /// many it replayed: the recorded queue drift, the accumulator and
+    /// backlog additions, sink latency samples and epoch advances the full
+    /// ticks would perform — and nothing else. A drift guard that fails
+    /// ends the replay before the tick it refused and drops the transition
+    /// (that tick then runs in full). Span tags shift lazily via
+    /// `pending_tag_shift`. Sums are built by repeated addition of the
+    /// recorded addends — the exact float operations of tick-by-tick
+    /// execution, not a multiplied approximation — with the five
+    /// per-instance fields interleaved so the dependency chains pipeline.
+    fn replay_batch(&mut self, ticks: u64) -> u64 {
+        let requested = ticks;
+        let ticks = self.replay_drift(requested);
+        if ticks < requested {
+            self.ff.invalidate();
+        }
+        if ticks == 0 {
+            return 0;
+        }
         let tick_ns = self.cfg.tick_ns;
 
         let mut di = 0usize;
@@ -1062,7 +1248,14 @@ impl FluidEngine {
                 }
             }
         }
-        if self.cfg.track_record_latency {
+        for &(i, offered) in &self.ff.backlog_addends {
+            for _ in 0..ticks {
+                self.backlog[i] += offered;
+            }
+        }
+        // Halted ticks return before the epoch bookkeeping and leave queued
+        // tags alone (the records age while the job is down).
+        if self.cfg.track_record_latency && self.ff.kind != StepKind::Halted {
             if !self.ff.latency.is_empty() {
                 for _ in 0..ticks {
                     for i in 0..self.ff.latency.len() {
@@ -1087,24 +1280,22 @@ impl FluidEngine {
             self.pending_tag_shift += ticks * tick_ns;
         }
         self.now_ns += ticks * tick_ns;
-        self.ff.stats.replayed_ticks += ticks;
-    }
-
-    /// Single-tick replay (the [`FluidEngine::tick_within`] path).
-    fn replay_tick(&mut self) -> TickEvents {
-        self.replay_batch(1);
-        TickEvents::default()
+        self.ff.count_replayed(ticks);
+        ticks
     }
 
     /// A fully executed tick (tag shift materialized first).
     fn full_tick(&mut self) -> TickEvents {
         self.materialize_tag_shift();
         self.ff.stats.full_ticks += 1;
-        self.tick_core()
+        self.tick_core::<false>()
     }
 
-    /// The tick body: one full simulation step.
-    fn tick_core(&mut self) -> TickEvents {
+    /// The tick body: one full simulation step. The `LOG` instantiation
+    /// additionally records every partition-queue drain and push in
+    /// `ff.log` for the fast-forward probe; plain ticks run the `false`
+    /// instantiation, which carries no logging code at all.
+    fn tick_core<const LOG: bool>(&mut self) -> TickEvents {
         self.refresh_spill();
         let mut events = TickEvents::default();
         let tick_ns = self.cfg.tick_ns;
@@ -1140,7 +1331,7 @@ impl FluidEngine {
         }
 
         match self.cfg.mode {
-            EngineMode::Flink | EngineMode::Heron => self.tick_blocking(&mut stats, tick_ns),
+            EngineMode::Flink | EngineMode::Heron => self.tick_blocking::<LOG>(&mut stats, tick_ns),
             EngineMode::Timely => self.tick_timely(&mut stats, tick_ns),
         }
 
@@ -1240,15 +1431,15 @@ impl FluidEngine {
     }
 
     /// One tick of the blocking (Flink) or signal-based (Heron) personality.
-    fn tick_blocking(&mut self, stats: &mut TickStats, tick_ns: u64) {
+    fn tick_blocking<const LOG: bool>(&mut self, stats: &mut TickStats, tick_ns: u64) {
         let tick_s = tick_ns as f64 / 1e9;
         for i in 0..self.reverse_topo.len() {
             let op = self.reverse_topo[i];
             if self.graph.is_source(op) {
-                self.source_emit(op, stats, tick_s);
+                self.source_emit::<LOG>(op, stats, tick_s);
             } else {
                 let noise = self.noise_factor();
-                self.operator_process(op, tick_ns, noise);
+                self.operator_process::<LOG>(op, tick_ns, noise);
             }
         }
     }
@@ -1261,7 +1452,7 @@ impl FluidEngine {
         // Sources emit first and fully.
         for i in 0..self.graph.sources().len() {
             let op = self.graph.sources()[i];
-            self.source_emit(op, stats, tick_s);
+            self.source_emit::<false>(op, stats, tick_s);
         }
 
         // Fair-share allocation of `workers × tick` nanoseconds.
@@ -1349,7 +1540,7 @@ impl FluidEngine {
 
     /// Source emission for one tick (blocking personalities consult
     /// downstream queue space; Timely never blocks).
-    fn source_emit(&mut self, op: OperatorId, stats: &mut TickStats, tick_s: f64) {
+    fn source_emit<const LOG: bool>(&mut self, op: OperatorId, stats: &mut TickStats, tick_s: f64) {
         let (offered, generation_cost_ns, durable_backlog) = {
             let spec = &self.sources[op];
             (
@@ -1392,8 +1583,9 @@ impl FluidEngine {
             let now = self.now_ns;
             let edges = &self.down_edges[op.index()];
             let states = &mut self.states;
+            let log = &mut self.ff.log;
             for &(to, weight) in edges {
-                states[to.index()].push_partitioned(now, emit * weight);
+                route::<LOG>(states, log, to, now, emit * weight);
             }
         }
 
@@ -1448,7 +1640,7 @@ impl FluidEngine {
 
     /// Processes one non-source operator for one tick of the blocking
     /// personalities.
-    fn operator_process(&mut self, op: OperatorId, tick_ns: u64, noise: f64) {
+    fn operator_process<const LOG: bool>(&mut self, op: OperatorId, tick_ns: u64, noise: f64) {
         let i = op.index();
         let (instr_base, real_base) = self.cost_cache[i];
         let instr_cost = instr_base * noise;
@@ -1484,6 +1676,12 @@ impl FluidEngine {
                     *t *= factor;
                 }
                 out_limited = true;
+            }
+        }
+        if LOG {
+            let base = self.ff.log.class_base[i] as usize;
+            for (k, take) in takes.iter().enumerate() {
+                self.ff.log.drains[base + k] = (cap_inst, *take);
             }
         }
 
@@ -1548,8 +1746,9 @@ impl FluidEngine {
                     out_total += out;
                     let edges = &self.down_edges[i];
                     let states = &mut self.states;
+                    let log = &mut self.ff.log;
                     for &(to, weight) in edges {
-                        states[to.index()].push_partitioned(span.emitted_ns, out * weight);
+                        route::<LOG>(states, log, to, span.emitted_ns, out * weight);
                     }
                 }
             }
@@ -2600,6 +2799,213 @@ mod tests {
         );
         assert!(stats.probes >= 3, "re-probed per phase: {stats:?}");
         assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// Drives `exact` with plain ticks and `fast` through the fast-forward
+    /// path for `ticks` ticks, asserting queue lengths and backlogs stay
+    /// bitwise identical after *every* tick (a replayed drift tick must
+    /// leave the exact queue state behind, not just the right totals later).
+    fn assert_lockstep(
+        exact: &mut FluidEngine,
+        fast: &mut FluidEngine,
+        ids: &[OperatorId],
+        ticks: usize,
+    ) {
+        for t in 0..ticks {
+            let ea = exact.tick();
+            let eb = fast.tick_within(u64::MAX);
+            assert_eq!(ea.deployed.is_some(), eb.deployed.is_some(), "tick {t}");
+            for &op in ids {
+                assert_eq!(
+                    exact.queue_len(op).to_bits(),
+                    fast.queue_len(op).to_bits(),
+                    "queue {op} diverged at tick {t}: {} vs {}",
+                    exact.queue_len(op),
+                    fast.queue_len(op),
+                );
+                assert_eq!(
+                    exact.backlog(op).to_bits(),
+                    fast.backlog(op).to_bits(),
+                    "backlog {op} diverged at tick {t}"
+                );
+            }
+        }
+    }
+
+    fn untagged(cfg: EngineConfig) -> EngineConfig {
+        EngineConfig {
+            track_record_latency: false,
+            ..cfg
+        }
+    }
+
+    /// A scale-up leaves the bottleneck's full queues behind; with capacity
+    /// just above the offered rate they drain a few records per tick for
+    /// thousands of ticks. Fast-forward replays that drain as a drift step,
+    /// leaves the regime when the queue falls to one tick's service, and
+    /// stays bitwise on tick-by-tick execution through the exit into the
+    /// steady state that follows.
+    #[test]
+    fn drift_replays_post_rescale_drain_through_the_drain_guard() {
+        let cfg = untagged(EngineConfig {
+            reconfig_latency_ns: 1_000_000_000,
+            ..Default::default()
+        });
+        let mk = || engine_with(&[(520.0, 1.0)], 1_000.0, &[1, 1], cfg.clone());
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        // Under-provisioned: the queue fills to its 5000-record capacity.
+        assert_lockstep(&mut exact, &mut fast, &ids, 1_500);
+        assert!(exact.queue_len(ids[1]) > 4_900.0, "queue filled");
+        let mut plan = fast.current_deployment();
+        plan.set(ids[1], 2);
+        exact.request_rescale(plan.clone());
+        fast.request_rescale(plan);
+        let before = fast.fastforward_stats();
+        // 2 x 5.2 records of service against 10 offered per tick: each
+        // partition sheds 0.2 records per tick.
+        assert_lockstep(&mut exact, &mut fast, &ids, 14_000);
+        let stats = fast.fastforward_stats();
+        assert!(
+            stats.drift_ticks - before.drift_ticks > 10_000,
+            "the drain should replay as drift: {stats:?}"
+        );
+        assert!(
+            exact.queue_len(ids[1]) < 20.0,
+            "drained to the steady state"
+        );
+        assert!(
+            fast.fastforward_active(),
+            "steady state re-armed after the exit"
+        );
+        assert_lockstep(&mut exact, &mut fast, &ids, 500);
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// The other way out: a queue filling 0.1 records per tick drifts until
+    /// the next push would clamp, saturates, and backpressure then makes the
+    /// queue upstream of it drift (with an output-limited drain) until that
+    /// one clamps too and the source is throttled. Both drift stretches and
+    /// both exits stay bitwise on tick-by-tick execution.
+    #[test]
+    fn drift_replays_a_filling_queue_up_to_the_space_guard() {
+        let cfg = untagged(EngineConfig {
+            per_instance_queue: 200.0,
+            ..Default::default()
+        });
+        let mk = || {
+            engine_with(
+                &[(2_000.0, 1.0), (990.0, 1.0)],
+                1_000.0,
+                &[1, 1, 1],
+                cfg.clone(),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        assert_lockstep(&mut exact, &mut fast, &ids, 1_000);
+        let filling = fast.fastforward_stats();
+        assert!(filling.drift_ticks > 500, "filling replays: {filling:?}");
+        assert!(exact.queue_len(ids[2]) < 150.0, "not yet full");
+        assert_lockstep(&mut exact, &mut fast, &ids, 5_000);
+        let stats = fast.fastforward_stats();
+        assert!(
+            stats.drift_ticks > 3_000,
+            "both queues should fill by replay: {stats:?}"
+        );
+        for &op in &ids[1..] {
+            assert!(exact.queue_len(op) > 199.0, "{op} saturated");
+        }
+        assert!(fast.fastforward_active(), "saturated fixed point armed");
+        let throttled = exact.last_tick().total_emitted();
+        assert!(throttled < 9.95, "source throttled: {throttled}");
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// Tagged engines (a drifting tagged queue grows a span per tick) and
+    /// Heron mode (its watermark comparisons read the fill level) keep the
+    /// fixed-point test: the same post-rescale drain never arms a drift
+    /// step there, and still matches tick-by-tick execution.
+    #[test]
+    fn tagged_and_heron_engines_never_drift() {
+        for (mode, track) in [
+            (EngineMode::Flink, true),
+            (EngineMode::Heron, false),
+            (EngineMode::Heron, true),
+        ] {
+            let cfg = EngineConfig {
+                mode,
+                track_record_latency: track,
+                heron_per_instance_queue: 5_000.0,
+                reconfig_latency_ns: 1_000_000_000,
+                ..Default::default()
+            };
+            let mk = || engine_with(&[(520.0, 1.0)], 1_000.0, &[1, 1], cfg.clone());
+            let (mut exact, ids) = mk();
+            let (mut fast, _) = mk();
+            assert_lockstep(&mut exact, &mut fast, &ids, 1_500);
+            let mut plan = fast.current_deployment();
+            plan.set(ids[1], 2);
+            exact.request_rescale(plan.clone());
+            fast.request_rescale(plan);
+            assert_lockstep(&mut exact, &mut fast, &ids, 3_000);
+            let stats = fast.fastforward_stats();
+            assert_eq!(stats.drift_ticks, 0, "{mode:?}/{track}: {stats:?}");
+            assert!(stats.halted_ticks > 0, "halts replay in every mode");
+            assert_engines_agree(&mut exact, &mut fast, &ids);
+        }
+    }
+
+    /// A halted stretch replays `wait_input_ns` and durable-backlog addends
+    /// only — and a rate change that is not tick-aligned falls *inside* a
+    /// halted tick, which still offers the old rate. Whether that tick is
+    /// replayed from the old phase (halt begins well before the change) or
+    /// is the first halted tick and runs in full (halt begins with it — the
+    /// step must then not be armed with the old offer), the backlog stays
+    /// bitwise on tick-by-tick execution.
+    #[test]
+    fn halted_replay_respects_an_unaligned_rate_change() {
+        let mk = || {
+            let (graph, ids) = chain(&[(3_000.0, 1.0)]);
+            let mut profiles = ProfileMap::new();
+            profiles.insert(ids[1], OperatorProfile::with_capacity(3_000.0, 1.0));
+            let mut sources = BTreeMap::new();
+            // 3.3337 s is 333.37 ticks: the change falls inside tick 333.
+            sources.insert(
+                ids[0],
+                SourceSpec::durable(0.0).with_schedule(RateSchedule::steps(vec![
+                    (0, 1_000.0),
+                    (3_333_700_000, 1_700.0),
+                ])),
+            );
+            let d = Deployment::uniform(&graph, 1);
+            let cfg = EngineConfig {
+                instrumentation: InstrumentationConfig::disabled(),
+                reconfig_latency_ns: 6_000_000_000,
+                ..Default::default()
+            };
+            (FluidEngine::new(graph, profiles, sources, d, cfg), ids)
+        };
+        for halt_at_tick in [100, 333] {
+            let (mut exact, ids) = mk();
+            let (mut fast, _) = mk();
+            assert_lockstep(&mut exact, &mut fast, &ids, halt_at_tick);
+            let mut plan = fast.current_deployment();
+            plan.set(ids[1], 2);
+            exact.request_rescale(plan.clone());
+            fast.request_rescale(plan);
+            // Down for 600 ticks, across the change.
+            assert_lockstep(&mut exact, &mut fast, &ids, 590);
+            assert!(fast.is_halted());
+            let stats = fast.fastforward_stats();
+            assert!(
+                stats.halted_ticks > 550,
+                "halt from tick {halt_at_tick} should replay: {stats:?}"
+            );
+            assert_lockstep(&mut exact, &mut fast, &ids, 1_000);
+            assert!(!fast.is_halted());
+            assert_engines_agree(&mut exact, &mut fast, &ids);
+        }
     }
 
     /// Windowed operators make the whole dataflow fast-forward ineligible:

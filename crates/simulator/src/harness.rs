@@ -6,7 +6,7 @@
 //! experiments (Figures 1, 6, 7 and Tables 3–4) are runs of this loop with
 //! different controllers, engine personalities and workloads.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use ds2_core::controller::{ControllerFaultStats, ControllerVerdict, ScalingController};
 use ds2_core::deployment::Deployment;
@@ -55,8 +55,10 @@ pub struct TimelinePoint {
     pub offered_rate: f64,
     /// Total achieved (emitted) source rate over the bucket, records/s.
     pub observed_rate: f64,
-    /// Parallelism per operator at sample time.
-    pub parallelism: BTreeMap<OperatorId, usize>,
+    /// Parallelism per operator at sample time, dense by
+    /// [`OperatorId::index`]. Consecutive samples share one allocation while
+    /// the deployment is unchanged; equality compares the contents.
+    pub parallelism: Arc<[usize]>,
     /// Timely worker-pool size at sample time.
     pub timely_workers: usize,
     /// Whether Heron backpressure was active at sample time.
@@ -170,6 +172,16 @@ impl<C: ScalingController> ClosedLoop<C> {
         self.controller
     }
 
+    /// The engine's current per-operator parallelism, dense by operator id.
+    fn dense_parallelism(&self) -> Arc<[usize]> {
+        let deployment = self.engine.deployment();
+        self.engine
+            .graph()
+            .operators()
+            .map(|op| deployment.parallelism(op))
+            .collect()
+    }
+
     /// Runs the loop for the configured duration and reports the outcome.
     pub fn run(&mut self) -> RunResult {
         let mut snapshot = MetricsSnapshot::with_len(self.engine.graph().len());
@@ -196,14 +208,23 @@ impl<C: ScalingController> ClosedLoop<C> {
         let mut bucket_offered = 0.0f64;
         let mut bucket_emitted = 0.0f64;
         let mut bucket_start = start;
+        let mut parallelism = self.dense_parallelism();
 
         while self.engine.now_ns() < end {
             // Event horizon: the engine may fast-forward provably steady
             // ticks, but the harness promises no external interaction —
             // metrics-window close, control decision — before this time.
             // Workload phase boundaries are derived by the engine itself
-            // from the source schedules it owns.
-            let horizon = next_policy.min(next_sample).min(end);
+            // from the source schedules it owns. While the job is down no
+            // policy tick can happen (one that comes due is skipped until
+            // the deployment lands, which re-bases `next_policy`), so a
+            // stale `next_policy` must not pin the horizon in the past.
+            let next_interaction = if self.engine.is_halted() {
+                next_sample
+            } else {
+                next_policy.min(next_sample)
+            };
+            let horizon = next_interaction.min(end);
 
             // Batch-replay a confirmed steady state up to the horizon. The
             // per-tick stats are constants during replay, so the bucket
@@ -229,6 +250,7 @@ impl<C: ScalingController> ClosedLoop<C> {
                 };
 
                 if let Some(deployment) = events.deployed {
+                    parallelism = self.dense_parallelism();
                     self.controller
                         .on_deployed(self.engine.now_ns(), &deployment);
                     // Metrics accumulated while the job was down describe
@@ -244,7 +266,6 @@ impl<C: ScalingController> ClosedLoop<C> {
 
             if now >= next_sample {
                 let bucket_s = (now - bucket_start) as f64 / 1e9;
-                let parallelism = self.engine.deployment().to_map();
                 let total_queued = self
                     .engine
                     .graph()
@@ -263,7 +284,7 @@ impl<C: ScalingController> ClosedLoop<C> {
                     } else {
                         0.0
                     },
-                    parallelism,
+                    parallelism: Arc::clone(&parallelism),
                     timely_workers: self.engine.timely_workers(),
                     backpressure,
                     halted,
@@ -378,14 +399,26 @@ impl<C: ScalingController> ClosedLoop<C> {
 mod tests {
     use super::*;
     use crate::engine::{EngineConfig, EngineMode, InstrumentationConfig};
+    use crate::fastforward::FastForwardStats;
     use crate::profile::{OperatorProfile, ProfileMap};
-    use crate::source::SourceSpec;
+    use crate::source::{RateSchedule, SourceSpec};
     use ds2_core::graph::GraphBuilder;
     use ds2_core::manager::{ManagerConfig, ScalingManager};
     use ds2_core::policy::PolicyConfig;
+    use std::collections::BTreeMap;
 
     fn wordcount_engine(
         rate: f64,
+        fm_cap: f64,
+        cnt_cap: f64,
+        init: (usize, usize),
+        cfg: EngineConfig,
+    ) -> (FluidEngine, OperatorId, OperatorId, OperatorId) {
+        wordcount_engine_from(SourceSpec::constant(rate), fm_cap, cnt_cap, init, cfg)
+    }
+
+    fn wordcount_engine_from(
+        source: SourceSpec,
         fm_cap: f64,
         cnt_cap: f64,
         init: (usize, usize),
@@ -402,7 +435,7 @@ mod tests {
         profiles.insert(fm, OperatorProfile::with_capacity(fm_cap, 2.0));
         profiles.insert(cnt, OperatorProfile::with_capacity(cnt_cap, 1.0));
         let mut sources = BTreeMap::new();
-        sources.insert(src, SourceSpec::constant(rate));
+        sources.insert(src, source);
         let mut d = Deployment::uniform(&graph, 1);
         d.set(fm, init.0);
         d.set(cnt, init.1);
@@ -533,5 +566,112 @@ mod tests {
         assert_eq!(result.final_workers, 3);
         assert!(!result.decisions.is_empty());
         assert_eq!(result.decisions[0].timely_workers, Some(3));
+    }
+    /// Runs DS2 over an under-provisioned word count whose converged
+    /// capacity sits 3 % above the offered rate (so the backlog a rescale
+    /// leaves behind drains slowly), with fast-forward on and off.
+    fn run_fast_and_exact(
+        source: SourceSpec,
+        cfg: EngineConfig,
+        harness: HarnessConfig,
+    ) -> (RunResult, RunResult, FastForwardStats) {
+        let run = |fast_forward: bool| {
+            let cfg = EngineConfig {
+                fast_forward,
+                ..cfg.clone()
+            };
+            let (engine, ..) = wordcount_engine_from(source.clone(), 103.0, 515.0, (1, 1), cfg);
+            let manager = ScalingManager::new(
+                engine.graph().clone(),
+                ManagerConfig {
+                    warmup_intervals: 1,
+                    ..Default::default()
+                },
+            );
+            let mut the_loop = ClosedLoop::new(engine, manager, harness.clone());
+            let result = the_loop.run();
+            (result, the_loop.engine().fastforward_stats())
+        };
+        let (fast, stats) = run(true);
+        let (exact, _) = run(false);
+        (fast, exact, stats)
+    }
+
+    /// A redeployment longer than the policy interval: policy ticks come
+    /// due while the job is down and are skipped, so `next_policy` is stale
+    /// for most of the halt and must not stop the halted stretch from
+    /// replaying. The source is durable and changes rate inside the halt at
+    /// a time that is not a multiple of the tick, so the replayed backlog
+    /// addend has to change with it.
+    #[test]
+    fn long_halt_with_unaligned_rate_change_matches_exact() {
+        let source = SourceSpec::durable(0.0).with_schedule(RateSchedule::steps(vec![
+            (0, 1_000.0),
+            (13_333_700_000, 1_400.0),
+        ]));
+        let (fast, exact, stats) = run_fast_and_exact(
+            source,
+            EngineConfig {
+                reconfig_latency_ns: 12_000_000_000,
+                ..Default::default()
+            },
+            HarnessConfig {
+                policy_interval_ns: 5_000_000_000,
+                run_duration_ns: 90_000_000_000,
+                ..Default::default()
+            },
+        );
+        assert_eq!(fast, exact, "fast-forward diverged from exact execution");
+        let at = |t_ns: u64| fast.timeline.iter().find(|p| p.t_ns >= t_ns).unwrap();
+        assert!(
+            at(13_000_000_000).halted && at(15_000_000_000).halted,
+            "the rate change and a policy tick must fall inside a halt: {:?}",
+            fast.decisions
+        );
+        assert!(
+            stats.halted_ticks > 1_100,
+            "a 1200-tick halt should replay: {stats:?}"
+        );
+    }
+
+    /// Tagged engines and Heron mode keep the fixed-point test: the slow
+    /// post-rescale drain that untagged Flink replays as drift never arms a
+    /// drift step there, and the whole `RunResult` — latency samples and
+    /// epochs included — still equals tick-by-tick execution.
+    #[test]
+    fn tagged_and_heron_runs_never_drift_and_match_exact() {
+        let harness = HarnessConfig {
+            policy_interval_ns: 10_000_000_000,
+            run_duration_ns: 150_000_000_000,
+            ..Default::default()
+        };
+        for (mode, track) in [
+            (EngineMode::Flink, false),
+            (EngineMode::Flink, true),
+            (EngineMode::Heron, true),
+        ] {
+            let cfg = EngineConfig {
+                mode,
+                track_record_latency: track,
+                heron_per_instance_queue: 5_000.0,
+                reconfig_latency_ns: 5_000_000_000,
+                ..Default::default()
+            };
+            let (fast, exact, stats) =
+                run_fast_and_exact(SourceSpec::constant(1_000.0), cfg, harness.clone());
+            assert_eq!(fast, exact, "{mode:?}/{track} diverged from exact");
+            assert!(
+                !fast.decisions.is_empty(),
+                "{mode:?}/{track} never rescaled"
+            );
+            assert!(stats.replayed_ticks > 0, "{mode:?}/{track}: {stats:?}");
+            if mode == EngineMode::Flink && !track {
+                // The control: this run does have a drain to replay.
+                assert!(stats.drift_ticks > 1_000, "untagged Flink: {stats:?}");
+            } else {
+                assert_eq!(stats.drift_ticks, 0, "{mode:?}/{track}: {stats:?}");
+                assert!(!fast.latency.is_empty(), "tagged runs record latency");
+            }
+        }
     }
 }

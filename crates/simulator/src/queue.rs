@@ -194,6 +194,35 @@ impl EpochQueue {
         self.total = self.total.max(0.0);
     }
 
+    /// Records of the queue's only span, when it holds exactly one (always
+    /// the case for a non-empty untagged queue).
+    pub(crate) fn sole_span_records(&self) -> Option<f64> {
+        match self.spans.len() {
+            1 => self.spans.front().map(|s| s.records),
+            _ => None,
+        }
+    }
+
+    /// Applies the float operations of one tick in the *linear regime* to a
+    /// single-span queue: the partial-pop branch of [`EpochQueue::pop_into`]
+    /// for `take` followed by one unclamped, merging [`EpochQueue::push`]
+    /// per entry of `pushes` — the same subtractions and additions on the
+    /// span's `records` and on `total`, in the same order, with none of the
+    /// branches. The caller (fast-forward drift replay) has checked the
+    /// guards under which those branches are the ones taken.
+    pub(crate) fn replay_linear(&mut self, take: f64, pushes: &[f64]) {
+        let span = self
+            .spans
+            .front_mut()
+            .expect("linear-regime queues hold one span");
+        span.records -= take;
+        self.total -= take;
+        for &x in pushes {
+            span.records += x;
+            self.total += x;
+        }
+    }
+
     /// Discards all queued records (used when a failed job is not restored).
     pub fn clear(&mut self) {
         self.spans.clear();
@@ -280,6 +309,31 @@ mod tests {
         assert_eq!(buf[1].emitted_ns, 10);
         assert_eq!(buf[2].emitted_ns, 20);
         assert!((buf[2].records - 10.0).abs() < 1e-12);
+    }
+
+    /// `replay_linear` is bitwise what `pop_into` + `push` do to an
+    /// untagged queue deep inside its linear regime.
+    #[test]
+    fn replay_linear_matches_pop_and_push_bitwise() {
+        let mut exact = EpochQueue::new_untagged(5_000.0);
+        exact.push(0, 2_029.023);
+        let mut replayed = exact.clone();
+        let pushes = [301.7, 0.1 + 0.2, 422.999];
+        let mut buf = Vec::new();
+        for tick in 1..=50u64 {
+            buf.clear();
+            exact.pop_into(726.2919, &mut buf);
+            for &x in &pushes {
+                assert_eq!(exact.push(tick, x), x, "unclamped");
+            }
+            replayed.replay_linear(726.2919, &pushes);
+            assert_eq!(exact.len().to_bits(), replayed.len().to_bits());
+            assert_eq!(
+                exact.sole_span_records().map(f64::to_bits),
+                replayed.sole_span_records().map(f64::to_bits)
+            );
+        }
+        assert_eq!(exact.span_count(), 1);
     }
 
     #[test]

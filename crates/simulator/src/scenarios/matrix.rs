@@ -37,12 +37,14 @@ use ds2_baselines::{
     DhalionConfig, DhalionController, QueueingConfig, QueueingController, ThresholdConfig,
     ThresholdController,
 };
+use ds2_core::controller::ScalingController;
 use ds2_core::deployment::Deployment;
 use ds2_core::manager::{ManagerConfig, ScalingManager};
 use ds2_core::policy::{PolicyConfig, PolicyWorkspace};
 use ds2_core::snapshot::MetricsSnapshot;
 
 use crate::engine::{EngineConfig, FluidEngine, InstrumentationConfig};
+use crate::fastforward::FastForwardStats;
 use crate::faults::{FaultPlan, FaultProfile};
 use crate::harness::{ClosedLoop, HarnessConfig, RunResult};
 
@@ -61,12 +63,23 @@ pub struct CellArena {
     snapshot: MetricsSnapshot,
     /// DS2 policy evaluation workspace, threaded through the manager.
     policy_ws: PolicyWorkspace,
+    /// Fast-forward work of every cell run through this arena, summed.
+    /// Kept here — not in [`RunResult`] or the report, which must be equal
+    /// with fast-forward on and off — so a throughput change can be
+    /// attributed to a replay regime.
+    ff_stats: FastForwardStats,
 }
 
 impl CellArena {
     /// Creates an empty arena (buffers grow on first use).
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Full, probed and replayed tick counts (by kind) summed over every
+    /// cell this arena has run.
+    pub fn fastforward_stats(&self) -> FastForwardStats {
+        self.ff_stats
     }
 }
 
@@ -566,6 +579,20 @@ impl MatrixReport {
     }
 }
 
+/// Runs one closed loop on `arena`'s snapshot buffer, adds the engine's
+/// fast-forward counters to the arena's, and hands the controller back.
+fn drive<C: ScalingController>(
+    engine: FluidEngine,
+    controller: C,
+    harness: HarnessConfig,
+    arena: &mut CellArena,
+) -> (RunResult, C) {
+    let mut the_loop = ClosedLoop::new(engine, controller, harness);
+    let result = the_loop.run_reusing(&mut arena.snapshot);
+    arena.ff_stats += the_loop.engine().fastforward_stats();
+    (result, the_loop.into_controller())
+}
+
 /// Drives the scenario × controller cross-product.
 #[derive(Debug, Clone, Default)]
 pub struct ScenarioMatrix {
@@ -610,7 +637,20 @@ impl ScenarioMatrix {
     /// With one worker thread the observer sees cells in matrix order
     /// (scenario-major); with several it sees them in completion order. The
     /// returned report is ordered and bit-identical either way.
-    pub fn run_with<F>(&self, mut observer: F) -> MatrixReport
+    pub fn run_with<F>(&self, observer: F) -> MatrixReport
+    where
+        F: FnMut(&ScenarioSpec, &ScenarioOutcome),
+    {
+        self.run_with_stats(observer).0
+    }
+
+    /// Like [`run_with`](Self::run_with), also returning the engines'
+    /// fast-forward tick counters summed over every worker's arena — how
+    /// many ticks ran in full and how many were replayed, by kind. The
+    /// counters describe *how* the matrix was computed, not its result:
+    /// they differ between fast-forward and exact runs whose reports are
+    /// equal.
+    pub fn run_with_stats<F>(&self, mut observer: F) -> (MatrixReport, FastForwardStats)
     where
         F: FnMut(&ScenarioSpec, &ScenarioOutcome),
     {
@@ -633,7 +673,7 @@ impl ScenarioMatrix {
                     outcomes.push(outcome);
                 }
             }
-            return MatrixReport { outcomes };
+            return (MatrixReport { outcomes }, arena.fastforward_stats());
         }
 
         // Parallel path: a bounded work queue of cell indices fanned out
@@ -644,6 +684,7 @@ impl ScenarioMatrix {
         // merged into their cell's slot, reproducing matrix order exactly.
         let mut slots: Vec<Option<ScenarioOutcome>> = Vec::new();
         slots.resize_with(cells, || None);
+        let mut ff_stats = FastForwardStats::default();
         crossbeam::thread::scope(|scope| {
             let (work_tx, work_rx) = crossbeam::channel::unbounded::<usize>();
             let (result_tx, result_rx) =
@@ -653,10 +694,11 @@ impl ScenarioMatrix {
             }
             drop(work_tx);
 
+            let mut workers = Vec::with_capacity(threads);
             for _ in 0..threads {
                 let work_rx = work_rx.clone();
                 let result_tx = result_tx.clone();
-                scope.spawn(move || {
+                workers.push(scope.spawn(move || {
                     // One arena per worker, recycled across all of its cells.
                     let mut arena = CellArena::new();
                     while let Ok(cell) = work_rx.recv() {
@@ -670,7 +712,8 @@ impl ScenarioMatrix {
                             break;
                         }
                     }
-                });
+                    arena.fastforward_stats()
+                }));
             }
             drop(result_tx);
 
@@ -678,15 +721,19 @@ impl ScenarioMatrix {
                 observer(&spec, &outcome);
                 slots[cell] = Some(outcome);
             }
+            for worker in workers {
+                ff_stats += worker.join().expect("matrix worker panicked");
+            }
         })
         .expect("matrix worker panicked");
 
-        MatrixReport {
+        let report = MatrixReport {
             outcomes: slots
                 .into_iter()
                 .map(|s| s.expect("every cell ran exactly once"))
                 .collect(),
-        }
+        };
+        (report, ff_stats)
     }
 
     /// Runs one scenario under one controller and scores the result, with a
@@ -744,9 +791,8 @@ impl ScenarioMatrix {
                     config,
                     std::mem::take(&mut arena.policy_ws),
                 );
-                let mut the_loop = ClosedLoop::new(engine, manager, harness);
-                let result = the_loop.run_reusing(&mut arena.snapshot);
-                arena.policy_ws = the_loop.into_controller().take_workspace();
+                let (result, mut manager) = drive(engine, manager, harness, arena);
+                arena.policy_ws = manager.take_workspace();
                 result
             }
             ControllerKind::Dhalion => {
@@ -759,7 +805,7 @@ impl ScenarioMatrix {
                         ..Default::default()
                     },
                 );
-                ClosedLoop::new(engine, c, harness).run_reusing(&mut arena.snapshot)
+                drive(engine, c, harness, arena).0
             }
             ControllerKind::Threshold => {
                 let c = ThresholdController::new(
@@ -769,7 +815,7 @@ impl ScenarioMatrix {
                         ..Default::default()
                     },
                 );
-                ClosedLoop::new(engine, c, harness).run_reusing(&mut arena.snapshot)
+                drive(engine, c, harness, arena).0
             }
             ControllerKind::Queueing => {
                 let c = QueueingController::new(
@@ -779,7 +825,7 @@ impl ScenarioMatrix {
                         ..Default::default()
                     },
                 );
-                ClosedLoop::new(engine, c, harness).run_reusing(&mut arena.snapshot)
+                drive(engine, c, harness, arena).0
             }
         }
     }

@@ -75,6 +75,19 @@ fn fastforward_runresults_are_bit_identical_across_scenarios() {
         with_rescales >= 20,
         "only {with_rescales}/60 scenarios rescaled — sample too tame"
     );
+    // Equality alone cannot tell a guard that never arms from one that
+    // works. Over this sample the fixed-point test by itself replays 39 %
+    // of all ticks (what the engine did before it had drift and halted
+    // steps); with them it replays 94 %, each kind contributing.
+    let stats = arena_fast.fastforward_stats();
+    let ticks = (stats.full_ticks + stats.replayed_ticks) as f64;
+    assert!(
+        stats.replayed_ticks as f64 > 0.85 * ticks
+            && stats.drift_ticks as f64 > 0.25 * ticks
+            && stats.halted_ticks as f64 > 0.08 * ticks,
+        "replayed share fell: {stats:?}"
+    );
+    assert_eq!(arena_exact.fastforward_stats().replayed_ticks, 0);
 }
 
 /// The equivalence holds for the nexmark scenario families too, across
