@@ -8,22 +8,18 @@
 //! * [`counters`] — per-instance local counters, both single-threaded
 //!   ([`counters::InstanceCounters`]) and lock-free shared
 //!   ([`counters::SharedCounters`]) variants;
-//! * [`manager`] — the `MetricsManager` that gathers, aggregates and
-//!   reports policy metrics in configurable intervals;
 //! * [`trace`] — Timely-style raw event traces with the paper's
-//!   "useful scheduling events only" filtering;
-//! * [`repo`] — the metrics repository the Scaling Manager monitors
-//!   (paper Fig. 5).
+//!   "useful scheduling events only" filtering.
+//!
+//! Gathering and reporting in intervals — the paper's metrics manager and
+//! repository (Fig. 5) — is the engine's `collect_snapshot` feeding the
+//! Scaling Manager directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod manager;
-pub mod repo;
 pub mod trace;
 
 pub use counters::{CounterTotals, InstanceCounters, SharedCounters, UsefulTime};
-pub use manager::{MetricsManager, MetricsReporter, Report};
-pub use repo::{MetricsRepository, SnapshotEntry};
 pub use trace::{TraceAggregator, TraceEvent, TraceStats, WorkerId};

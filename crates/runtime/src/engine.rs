@@ -9,6 +9,11 @@
 //! wait time, measured with wall-clock precision around the blocking
 //! channel operations.
 //!
+//! A hop costs one consumer wake-up per *burst*, not per batch: a producer
+//! that is turning out cheap batches leaves a parked consumer asleep until
+//! the queue is half full or the producer itself stops (the `owed` field
+//! of `OutputRoute` lists when it pays).
+//!
 //! Workers are *supervised*: operator logic runs inside `catch_unwind`, so
 //! a panicking instance reports a typed event (salvaging its keyed state on
 //! the way out) instead of poisoning the job, and [`RunningJob::heal`]
@@ -25,7 +30,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
+use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use ds2_core::deployment::Deployment;
 use ds2_core::error::Ds2Error;
 use ds2_core::graph::OperatorId;
@@ -95,6 +100,13 @@ impl<R> BatchPool<R> {
     }
 }
 
+/// A batch that took its producer less than this to make is *cheap*: the
+/// next one is likely to follow as fast, so its send may leave a parked
+/// consumer asleep (see [`OutputRoute::owed`]). A slower producer wakes its
+/// consumer for every batch — a consumer that would wait this long for the
+/// next batch may as well start on this one.
+const CHEAP_BATCH: Duration = Duration::from_micros(50);
+
 /// A route from one instance to all instances of one downstream operator.
 ///
 /// The per-instance buckets are a reusable arena: they are allocated once
@@ -110,6 +122,29 @@ struct OutputRoute<R> {
     mask: Option<u64>,
     /// Reusable per-instance buckets, always `senders.len()` long.
     buckets: Vec<Batch<R>>,
+    /// The queues of the producer's *other* routes, woken with this one's
+    /// before a send blocks.
+    siblings: Vec<Sender<Batch<R>>>,
+    /// A cheap batch was queued behind a parked consumer without waking it
+    /// (the queue is under half full, and a consumer woken per batch
+    /// preempts this producer, drains the one batch and parks again): this
+    /// route owes its consumers a wake-up. The channel wakes them itself
+    /// once a queue is half full, so a batch waits for at most
+    /// `capacity / 2` cheap successors; sooner than that, [`pay`](Self::pay)
+    /// runs before the producer stops producing for any reason:
+    ///
+    /// * its input is empty (`worker_loop`, ahead of the blocking receive);
+    /// * an output queue is full ([`ship`](Self::ship), ahead of the
+    ///   blocking send — siblings included);
+    /// * a source is ahead of its schedule (`source_loop`, ahead of
+    ///   `park_timeout`);
+    /// * the thread exits, unwinding included (`Drop`).
+    ///
+    /// What is not covered is a cheap batch followed by one slow batch,
+    /// whose cost is only known afterwards: there, and if a payment were
+    /// ever missed, an engine consumer finds the batch at its own 5 ms
+    /// input poll. Nothing above relies on that poll.
+    owed: bool,
 }
 
 impl<R> OutputRoute<R> {
@@ -122,6 +157,8 @@ impl<R> OutputRoute<R> {
             key_fn,
             mask,
             buckets,
+            siblings: Vec::new(),
+            owed: false,
         }
     }
 
@@ -134,7 +171,17 @@ impl<R> OutputRoute<R> {
         }
     }
 
-    /// Ships one full bucket, refilling the slot from the pool.
+    /// Pays the wake-up this route owes, if any.
+    fn pay(&mut self) {
+        if std::mem::take(&mut self.owed) {
+            self.senders.iter().for_each(Sender::wake);
+        }
+    }
+
+    /// Ships one full bucket to instance `k`. A `cheap` batch goes out
+    /// without blocking and without waking a parked consumer of a queue
+    /// under half full; if the queue is full instead, every wake-up the
+    /// producer may owe is paid before the send blocks.
     ///
     /// Blocked time is charged to `wait_output` only when the send lands: a
     /// send error means every receiver of that instance's queue is gone.
@@ -144,30 +191,50 @@ impl<R> OutputRoute<R> {
     /// so degraded routing shows up in the metrics snapshot instead of
     /// disappearing silently.
     fn ship(
-        sender: &Sender<Batch<R>>,
+        &mut self,
+        k: usize,
         bucket: Batch<R>,
+        cheap: bool,
         counters: &SharedCounters,
         pool: &BatchPool<R>,
     ) {
         let n = bucket.len() as u64;
         let t0 = Instant::now();
-        match sender.send(bucket) {
+        let sender = &self.senders[k];
+        let attempt = if cheap {
+            sender.try_send_deferred(bucket)
+        } else {
+            sender.try_send(bucket).map(|()| false)
+        };
+        let sent = match attempt {
+            Ok(owed) => {
+                self.owed |= owed;
+                Ok(())
+            }
+            Err(TrySendError::Full(bucket)) => {
+                self.pay();
+                self.siblings.iter().for_each(Sender::wake);
+                self.senders[k].send(bucket).map_err(|err| err.0)
+            }
+            Err(TrySendError::Disconnected(bucket)) => Err(bucket),
+        };
+        match sent {
             Ok(()) => counters.add_wait_output(t0.elapsed().as_nanos() as u64),
-            Err(err) => {
+            Err(bucket) => {
                 counters.add_records_dropped(n);
-                pool.put(err.0);
+                pool.put(bucket);
             }
         }
     }
 
     /// Ships every non-empty bucket of the arena.
-    fn flush(&mut self, counters: &SharedCounters, pool: &BatchPool<R>) {
-        for (k, slot) in self.buckets.iter_mut().enumerate() {
-            if slot.is_empty() {
+    fn flush(&mut self, cheap: bool, counters: &SharedCounters, pool: &BatchPool<R>) {
+        for k in 0..self.buckets.len() {
+            if self.buckets[k].is_empty() {
                 continue;
             }
-            let full = std::mem::replace(slot, pool.get());
-            Self::ship(&self.senders[k], full, counters, pool);
+            let full = std::mem::replace(&mut self.buckets[k], pool.get());
+            self.ship(k, full, cheap, counters, pool);
         }
     }
 
@@ -178,6 +245,7 @@ impl<R> OutputRoute<R> {
     fn send_owned(
         &mut self,
         mut records: Batch<R>,
+        cheap: bool,
         counters: &SharedCounters,
         pool: &BatchPool<R>,
     ) {
@@ -186,7 +254,7 @@ impl<R> OutputRoute<R> {
             return;
         }
         if self.senders.len() == 1 {
-            Self::ship(&self.senders[0], records, counters, pool);
+            self.ship(0, records, cheap, counters, pool);
             return;
         }
         for r in records.drain(..) {
@@ -194,7 +262,13 @@ impl<R> OutputRoute<R> {
             self.buckets[k].push(r);
         }
         pool.put(records);
-        self.flush(counters, pool);
+        self.flush(cheap, counters, pool);
+    }
+}
+
+impl<R> Drop for OutputRoute<R> {
+    fn drop(&mut self) {
+        self.pay();
     }
 }
 
@@ -202,22 +276,49 @@ impl<R: Clone> OutputRoute<R> {
     /// Like [`send_owned`](Self::send_owned) for a borrowed batch: records
     /// are cloned into the arena buckets (the caller still owns `records`,
     /// e.g. because another route consumes it afterwards).
-    fn send_all(&mut self, records: &[R], counters: &SharedCounters, pool: &BatchPool<R>) {
+    fn send_all(
+        &mut self,
+        records: &[R],
+        cheap: bool,
+        counters: &SharedCounters,
+        pool: &BatchPool<R>,
+    ) {
         if records.is_empty() || self.senders.is_empty() {
             return;
         }
         if self.senders.len() == 1 {
             let mut batch = pool.get();
             batch.extend_from_slice(records);
-            Self::ship(&self.senders[0], batch, counters, pool);
+            self.ship(0, batch, cheap, counters, pool);
             return;
         }
         for r in records {
             let k = self.bucket_of((self.key_fn)(r));
             self.buckets[k].push(r.clone());
         }
-        self.flush(counters, pool);
+        self.flush(cheap, counters, pool);
     }
+}
+
+/// Sends one batch of a producer's output along every route: earlier routes
+/// clone from the borrowed buffer, the last consumes it outright, so the
+/// common single-route topology never clones a record and — with one
+/// downstream instance — never touches one.
+fn send_out<R: Clone>(
+    routes: &mut [OutputRoute<R>],
+    records: Batch<R>,
+    cheap: bool,
+    counters: &SharedCounters,
+    pool: &BatchPool<R>,
+) {
+    let Some((last, rest)) = routes.split_last_mut() else {
+        pool.put(records);
+        return;
+    };
+    for route in rest {
+        route.send_all(&records, cheap, counters, pool);
+    }
+    last.send_owned(records, cheap, counters, pool);
 }
 
 /// One deployed instance.
@@ -341,8 +442,13 @@ pub struct RunningJob<R> {
 
 impl<R: Clone + Send + 'static> RunningJob<R> {
     /// Deploys `spec` with the given initial parallelism.
-    pub fn deploy(spec: JobSpec<R>, deployment: Deployment) -> Self {
+    pub fn deploy(mut spec: JobSpec<R>, deployment: Deployment) -> Self {
         spec.validate();
+        // A zero-capacity queue never accepts a batch and a zero-record
+        // batch is never shipped: either would deploy a job that moves
+        // nothing.
+        spec.channel_capacity = spec.channel_capacity.max(1);
+        spec.batch_size = spec.batch_size.max(1);
         deployment
             .validate(&spec.graph)
             .expect("invalid deployment");
@@ -496,11 +602,18 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
         } else {
             Arc::clone(&self.spec.operators[&op].key_fn)
         };
-        self.spec
-            .graph
-            .downstream_edges(op)
-            .map(|e| OutputRoute::new(self.channels[&e.to].senders.clone(), Arc::clone(&key_fn)))
-            .collect()
+        let consumers: Vec<OperatorId> = (self.spec.graph.downstream_edges(op))
+            .map(|e| e.to)
+            .collect();
+        let route = |to: &OperatorId| {
+            let mut route = OutputRoute::new(self.channels[to].senders.clone(), key_fn.clone());
+            let others = consumers.iter().filter(|&other| other != to);
+            route.siblings = others
+                .flat_map(|other| self.channels[other].senders.iter().cloned())
+                .collect();
+            route
+        };
+        consumers.iter().map(route).collect()
     }
 
     /// Spawns one supervised worker for `(op, instance)`, attached to the
@@ -1006,26 +1119,17 @@ fn run_batch<R: Clone + Send + 'static>(
             }
         }
     }));
-    ctx.counters.add_processing(t0.elapsed().as_nanos() as u64);
+    let took = t0.elapsed();
+    ctx.counters.add_processing(took.as_nanos() as u64);
     match result {
         Ok(()) => {
             ctx.pool.put(batch);
             ctx.counters.add_records_in(n_in);
             let n_out = out_buf.len() as u64;
             if n_out > 0 {
-                if let Some((last, rest)) = ctx.routes.split_last_mut() {
-                    // Earlier routes clone from the borrowed buffer; the
-                    // last route consumes it outright, so the common
-                    // single-route topology never clones a record and —
-                    // with one downstream instance — never touches one.
-                    for route in rest {
-                        route.send_all(out_buf, &ctx.counters, &ctx.pool);
-                    }
-                    let owned = std::mem::replace(out_buf, ctx.pool.get());
-                    last.send_owned(owned, &ctx.counters, &ctx.pool);
-                } else {
-                    out_buf.clear();
-                }
+                let owned = std::mem::replace(out_buf, ctx.pool.get());
+                let cheap = took < CHEAP_BATCH;
+                send_out(&mut ctx.routes, owned, cheap, &ctx.counters, &ctx.pool);
             }
             ctx.counters.add_records_out(n_out);
             true
@@ -1075,7 +1179,10 @@ fn worker_loop<R: Clone + Send + 'static>(
         // The timeout bounds how long a command waits for an idle worker;
         // a halt does not wait for it (`RunningJob::halt` sends a token).
         let t_wait = Instant::now();
-        let received = ctx.rx.recv_timeout(Duration::from_millis(5));
+        let received = ctx.rx.try_recv().or_else(|_| {
+            ctx.routes.iter_mut().for_each(OutputRoute::pay);
+            ctx.rx.recv_timeout(Duration::from_millis(5))
+        });
         ctx.counters
             .add_wait_input(t_wait.elapsed().as_nanos() as u64);
         match received {
@@ -1140,16 +1247,10 @@ fn source_loop<R: Clone + Send + 'static>(
             batch.push(generate(seq));
             seq += 1;
         }
-        counters.add_processing(t0.elapsed().as_nanos() as u64);
+        let took = t0.elapsed();
+        counters.add_processing(took.as_nanos() as u64);
         let n = batch.len() as u64;
-        if let Some((last, rest)) = routes.split_last_mut() {
-            for route in rest.iter_mut() {
-                route.send_all(&batch, &counters, &pool);
-            }
-            last.send_owned(batch, &counters, &pool);
-        } else {
-            pool.put(batch);
-        }
+        send_out(&mut routes, batch, took < CHEAP_BATCH, &counters, &pool);
         counters.add_records_out(n);
 
         fired += 1;
@@ -1158,6 +1259,7 @@ fn source_loop<R: Clone + Send + 'static>(
         if t_wait < due {
             // Parked, not asleep: a halt unparks the thread, so a slow
             // source (a batch a second) stops now, not at its next batch.
+            routes.iter_mut().for_each(OutputRoute::pay);
             let mut now = t_wait;
             while now < due && !stop.load(Ordering::Relaxed) {
                 std::thread::park_timeout(due - now);
@@ -1175,7 +1277,7 @@ fn source_loop<R: Clone + Send + 'static>(
 mod tests {
     use super::*;
     use crate::chaos::ChaosSpec;
-    use crate::logic::{FnLogic, StateValue};
+    use crate::logic::{CostedLogic, FnLogic, StateValue};
     use ds2_core::graph::GraphBuilder;
     use parking_lot::Mutex;
     use std::collections::HashMap;
@@ -1647,7 +1749,7 @@ mod tests {
         let counters = SharedCounters::new();
         let pool = BatchPool::new(8);
         // Keys 0..6: evens to the live instance, odds to the dead one.
-        route.send_all(&[0, 1, 2, 3, 4, 5], &counters, &pool);
+        route.send_all(&[0, 1, 2, 3, 4, 5], true, &counters, &pool);
         assert_eq!(counters.totals().records_dropped, 3);
     }
 
@@ -1665,7 +1767,7 @@ mod tests {
         let counters = SharedCounters::new();
         let pool = BatchPool::new(8);
         for _ in 0..1_000 {
-            route.send_all(&[1, 2, 3], &counters, &pool);
+            route.send_all(&[1, 2, 3], true, &counters, &pool);
         }
         let totals = counters.totals();
         assert_eq!(totals.records_dropped, 3_000);
@@ -1678,9 +1780,195 @@ mod tests {
         // so only the drop-path invariant is exact).
         let (alive_tx, alive_rx) = bounded::<Batch<u64>>(4);
         let mut alive = OutputRoute::new(vec![alive_tx], Arc::new(|&r: &u64| r) as KeyFn<u64>);
-        alive.send_all(&[7], &counters, &pool);
+        alive.send_all(&[7], true, &counters, &pool);
         assert_eq!(alive_rx.recv().unwrap(), vec![7]);
         assert_eq!(counters.totals().records_dropped, 3_000);
+    }
+
+    /// A route to one queue of capacity 8 whose only receiver is blocked in
+    /// `recv()` — no poll to rescue a lost wake-up — by the time this
+    /// returns; the thread hands back the first data batch it receives.
+    /// The retained sender keeps the queue connected, so nothing but a
+    /// wake-up ends that sleep.
+    fn route_to_parked_receiver() -> (OutputRoute<u64>, Sender<Batch<u64>>, JoinHandle<Batch<u64>>)
+    {
+        let (tx, rx) = bounded::<Batch<u64>>(8);
+        let consumer = std::thread::spawn(move || loop {
+            let batch = rx.recv().unwrap();
+            if !batch.is_empty() {
+                return batch;
+            }
+        });
+        // Parked once a probe (an empty batch, dropped on receipt) reports
+        // its wake-up owed; that probe stays queued and the receiver asleep.
+        while !matches!(tx.try_send_deferred(Batch::new()), Ok(true)) {
+            std::thread::yield_now();
+        }
+        let route = OutputRoute::new(vec![tx.clone()], Arc::new(|&r: &u64| r) as KeyFn<u64>);
+        (route, tx, consumer)
+    }
+
+    /// A cheap batch leaves a parked consumer asleep and the route owing;
+    /// `pay` — what `worker_loop` and `source_loop` call before they wait —
+    /// delivers it, and an expensive batch never defers in the first place.
+    #[test]
+    fn cheap_batches_defer_the_wake_up_and_pay_delivers_it() {
+        let counters = SharedCounters::new();
+        let pool = BatchPool::new(8);
+        let (mut route, _tx, consumer) = route_to_parked_receiver();
+        route.send_all(&[1], true, &counters, &pool);
+        assert!(route.owed);
+        std::thread::sleep(Duration::from_millis(20));
+        assert!(!consumer.is_finished(), "a cheap batch woke its consumer");
+        route.pay();
+        assert!(!route.owed);
+        assert_eq!(consumer.join().unwrap(), vec![1]);
+
+        let (mut route, _tx, consumer) = route_to_parked_receiver();
+        route.send_all(&[2], false, &counters, &pool);
+        assert!(!route.owed);
+        assert_eq!(consumer.join().unwrap(), vec![2]);
+    }
+
+    /// Thread exit pays: a producer that returns, or unwinds out of a
+    /// panic, while owing a wake-up leaves no batch stranded behind its
+    /// parked consumer.
+    #[test]
+    fn a_producer_that_exits_or_panics_pays_the_wake_up_it_owes() {
+        supervisor::install_quiet_panic_hook();
+        for panics in [false, true] {
+            let (mut route, _tx, consumer) = route_to_parked_receiver();
+            let producer = std::thread::spawn(move || {
+                supervisor::mark_supervised();
+                route.send_all(&[7], true, &SharedCounters::new(), &BatchPool::new(8));
+                assert!(route.owed);
+                assert!(!panics, "injected producer panic");
+            });
+            assert_eq!(producer.join().is_err(), panics);
+            assert_eq!(consumer.join().unwrap(), vec![7]);
+        }
+    }
+
+    /// A full queue pays every route: a producer about to block on one
+    /// consumer first wakes the others it owes, which may otherwise sleep
+    /// for as long as the full one takes to drain.
+    #[test]
+    fn a_full_queue_pays_every_route_before_the_send_blocks() {
+        let (owing, owing_tx, consumer) = route_to_parked_receiver();
+        let (full_tx, full_rx) = bounded::<Batch<u64>>(1);
+        full_tx.send(vec![0]).unwrap();
+        let mut full = OutputRoute::new(vec![full_tx], Arc::new(|&r: &u64| r) as KeyFn<u64>);
+        full.siblings = vec![owing_tx];
+        let mut routes = [owing, full];
+        let producer = std::thread::spawn(move || {
+            let (counters, pool) = (SharedCounters::new(), BatchPool::new(8));
+            send_out(&mut routes, vec![9], true, &counters, &pool);
+            // Blocked until the test drains `full`; still owing, had it not
+            // paid: keep the exit payment from masking that.
+            routes.into_iter().for_each(std::mem::forget);
+        });
+        assert_eq!(consumer.join().unwrap(), vec![9]);
+        assert_eq!(full_rx.recv().unwrap(), vec![0]);
+        assert_eq!(full_rx.recv().unwrap(), vec![9]);
+        producer.join().unwrap();
+    }
+
+    /// `src -> op -> sink` with 7-record batches, every record an `epoch`
+    /// timestamp: `op` is built by `stamping_op`, and the sink reports, per
+    /// batch, how long after its newest stamp the batch was delivered. A
+    /// consumer nobody wakes finds its batch at its next 5 ms input poll —
+    /// up to 5 ms late, under 1 ms only by the luck of the phase (batches
+    /// here are ~7 ms apart, so that is one in five) — and a woken one in
+    /// tens of microseconds. Returns the share delivered in under 1 ms.
+    fn share_delivered_promptly(
+        rate: f64,
+        epoch: Instant,
+        stamping_op: impl Fn() -> Box<dyn Logic<u64>> + Send + Sync + 'static,
+    ) -> f64 {
+        struct DelaySink(Instant, Arc<Mutex<Vec<u64>>>);
+        impl Logic<u64> for DelaySink {
+            fn process(&mut self, _r: u64, _out: &mut Vec<u64>) {}
+            fn process_batch(&mut self, batch: &mut Vec<u64>, _out: &mut Vec<u64>) {
+                let now = self.0.elapsed().as_nanos() as u64;
+                let newest = batch.drain(..).max().expect("never an empty batch");
+                self.1.lock().push(now.saturating_sub(newest));
+            }
+        }
+        let mut b = GraphBuilder::new();
+        let s = b.operator("src");
+        let o = b.operator("op");
+        let k = b.operator("sink");
+        b.connect(s, o);
+        b.connect(o, k);
+        let g = b.build().unwrap();
+        let delays = Arc::new(Mutex::new(Vec::new()));
+        let delays2 = Arc::clone(&delays);
+        let mut spec: JobSpec<u64> = JobSpec::new(g.clone());
+        spec.batch_size = 7;
+        spec.source(s, rate, move |_| epoch.elapsed().as_nanos() as u64, |&r| r);
+        spec.operator(o, stamping_op, |&r| r);
+        spec.operator(
+            k,
+            move || Box::new(DelaySink(epoch, Arc::clone(&delays2))),
+            |&r| r,
+        );
+        let job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+        std::thread::sleep(Duration::from_millis(400));
+        job.shutdown();
+        let delays = delays.lock();
+        assert!(delays.len() > 20, "only {} batches arrived", delays.len());
+        delays.iter().filter(|&&d| d < 1_000_000).count() as f64 / delays.len() as f64
+    }
+
+    /// A producer that runs dry pays before it waits: the source ahead of
+    /// its schedule (a batch every 7 ms), the operator on an empty input.
+    /// Either payment missing leaves that hop's consumer to its poll.
+    #[test]
+    fn a_paced_chain_wakes_each_consumer_for_each_batch() {
+        let epoch = Instant::now();
+        let forward = || Box::new(FnLogic::new(|r: u64, out: &mut Vec<u64>| out.push(r))) as _;
+        let prompt = share_delivered_promptly(1_000.0, epoch, forward);
+        assert!(
+            prompt > 0.6,
+            "{prompt:.2} of the batches took two hops in 1 ms"
+        );
+    }
+
+    /// The cheap-batch guard: an operator that is never idle (its input is
+    /// backlogged) but takes 7 ms a batch wakes its consumer for every one
+    /// of them — deferring would hold each batch until the consumer's poll
+    /// or, with no poll, for 32 batches.
+    #[test]
+    fn expensive_batches_wake_their_consumer_per_batch() {
+        let epoch = Instant::now();
+        let prompt = share_delivered_promptly(50_000.0, epoch, move || {
+            let restamp = move |_r: u64, out: &mut Vec<u64>| {
+                out.push(epoch.elapsed().as_nanos() as u64);
+            };
+            Box::new(CostedLogic::new(Duration::from_millis(1), restamp))
+        });
+        assert!(
+            prompt > 0.6,
+            "{prompt:.2} of the batches arrived within 1 ms"
+        );
+    }
+
+    /// Zero is not a queue capacity or a batch size a job can run with:
+    /// `bounded(0)` never accepts a batch and a zero-record batch is never
+    /// shipped. Both are clamped to 1 at deploy.
+    #[test]
+    fn zero_capacity_and_zero_batch_size_still_move_records() {
+        let (mut spec, _s, _m, c, sink) = pipeline(20_000.0);
+        spec.channel_capacity = 0;
+        spec.batch_size = 0;
+        let g = spec.graph.clone();
+        let job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
+        std::thread::sleep(Duration::from_millis(200));
+        let drained: u64 = (job.shutdown().remove(&c).unwrap_or_default().into_iter())
+            .map(|(_, v)| *v.into_any().downcast::<u64>().unwrap())
+            .sum();
+        assert!(drained > 1_000, "only {drained} records reached the sink");
+        assert_eq!(drained, sink.lock().values().sum::<u64>());
     }
 
     /// Power-of-two downstream parallelism routes through the bitmask path;
@@ -1695,7 +1983,7 @@ mod tests {
         let counters = SharedCounters::new();
         let pool = BatchPool::new(8);
         let records: Vec<u64> = (0..64).collect();
-        route.send_all(&records, &counters, &pool);
+        route.send_all(&records, true, &counters, &pool);
         for (k, rx) in rxs.iter().enumerate() {
             let mut got: Vec<u64> = Vec::new();
             while let Ok(batch) = rx.try_recv() {
@@ -1729,7 +2017,7 @@ mod tests {
         let mut route = OutputRoute::new(vec![tx], Arc::new(|r: &PoisonClone| r.0));
         let counters = SharedCounters::new();
         let pool: Arc<BatchPool<PoisonClone>> = BatchPool::new(8);
-        route.send_owned(vec![PoisonClone(1), PoisonClone(2)], &counters, &pool);
+        route.send_owned(vec![PoisonClone(1), PoisonClone(2)], true, &counters, &pool);
         let got = rx.recv().unwrap();
         assert_eq!(got.len(), 2);
         assert_eq!(got[1].0, 2);

@@ -76,9 +76,12 @@ pub struct JobSpec<R> {
     /// buffers are recycled through the job's free-list
     /// ([`BatchPool`](crate::engine), sized from `channel_capacity`), so
     /// larger batches amortize per-batch channel and dispatch costs
-    /// without adding steady-state allocation.
+    /// without adding steady-state allocation. Deployed as at least 1.
     pub batch_size: usize,
     /// Bounded channel capacity, in batches, per receiving instance.
+    /// Deployed as at least 1. A producer of cheap batches lets a sleeping
+    /// consumer sleep until half of this is queued (or until it stops
+    /// producing), so a larger queue means fewer, longer consumer bursts.
     pub channel_capacity: usize,
     /// Deadline for the stop-the-world halt during a rescale. `None` waits
     /// forever (the pre-hardening behaviour); with a deadline set, a worker

@@ -10,8 +10,8 @@
 //!
 //! * [`core`](ds2_core) — the DS2 model and controller: true rates, the
 //!   Eq. 7–8 policy, and the Scaling Manager;
-//! * [`metrics`](ds2_metrics) — §4.1 instrumentation: counters, the
-//!   `MetricsManager`, Timely-style traces, the metrics repository;
+//! * [`metrics`](ds2_metrics) — §4.1 instrumentation: per-instance
+//!   counters and Timely-style traces;
 //! * [`simulator`](ds2_simulator) — a deterministic fluid queueing
 //!   simulation of the Flink / Heron / Timely execution models;
 //! * [`nexmark`](ds2_nexmark) — the Nexmark workload: generator, the six
@@ -76,7 +76,7 @@ pub use ds2_simulator as simulator;
 pub mod prelude {
     pub use ds2_baselines::{DhalionController, QueueingController, ThresholdController};
     pub use ds2_core::prelude::*;
-    pub use ds2_metrics::{MetricsManager, MetricsRepository, SharedCounters};
+    pub use ds2_metrics::SharedCounters;
     pub use ds2_nexmark::{EventGenerator, QueryId, Target};
     pub use ds2_simulator::{
         ClosedLoop, EngineConfig, EngineMode, FluidEngine, HarnessConfig, OperatorProfile,
