@@ -151,19 +151,20 @@ fn parse_families(value: &str) -> Vec<ScenarioFamily> {
 }
 
 /// Renders where the engines' ticks went: executed in full, or replayed
-/// from a fixed point, a drift step or a halted stretch.
+/// from a fixed point, a drift step, a halted stretch or a window cycle.
 fn tick_breakdown(stats: FastForwardStats) -> String {
     let total = (stats.full_ticks + stats.replayed_ticks).max(1) as f64;
     let pct = |ticks: u64| 100.0 * ticks as f64 / total;
-    let steady = stats.replayed_ticks - stats.drift_ticks - stats.halted_ticks;
+    let steady = stats.replayed_ticks - stats.drift_ticks - stats.halted_ticks - stats.cycle_ticks;
     format!(
-        "{:.2} M ticks: {:.1}% full, replayed {:.1}% steady + {:.1}% drift + {:.1}% halted; \
-         {} of {} probes failed",
+        "{:.2} M ticks: {:.1}% full, replayed {:.1}% steady + {:.1}% drift + {:.1}% halted \
+         + {:.1}% cycle; {} of {} probes failed",
         total / 1e6,
         pct(stats.full_ticks),
         pct(steady),
         pct(stats.drift_ticks),
         pct(stats.halted_ticks),
+        pct(stats.cycle_ticks),
         stats.probe_failures,
         stats.probes,
     )

@@ -45,7 +45,8 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fastforward::{
-    DriftQueue, FastForward, FastForwardStats, QueueLog, QueueMark, StepKind, MAX_FINGERPRINT_SPANS,
+    cycle_length, DriftQueue, FastForward, FastForwardStats, OpMark, QueueLog, QueueMark,
+    MAX_FINGERPRINT_SPANS,
 };
 use crate::latency::{EpochTracker, LatencyRecorder};
 use crate::profile::{OperatorProfile, OutputMode, ProfileMap};
@@ -170,6 +171,18 @@ pub(crate) struct InstanceAcc {
     pub(crate) useful_ns: f64,
     pub(crate) wait_input_ns: f64,
     pub(crate) wait_output_ns: f64,
+}
+
+impl InstanceAcc {
+    /// Adds one tick's addends, field by field.
+    #[inline]
+    fn add(&mut self, d: &InstanceAcc) {
+        self.records_in += d.records_in;
+        self.records_out += d.records_out;
+        self.useful_ns += d.useful_ns;
+        self.wait_input_ns += d.wait_input_ns;
+        self.wait_output_ns += d.wait_output_ns;
+    }
 }
 
 /// One *class* of identical partitions.
@@ -380,8 +393,13 @@ pub struct FluidEngine {
     /// Epoch frontier computed by the most recent full tick.
     last_frontier: Option<u64>,
     /// Whether any operator uses windowed output (window firings are tied
-    /// to absolute time, so such graphs never fast-forward).
+    /// to absolute time, so replay must carry `next_fire_ns` along).
     has_windowed: bool,
+    /// Length in ticks of the cycle a fast-forward probe records — the
+    /// least common multiple of the window periods, `1` without windows —
+    /// or `0` when no repetition is provable: service noise, Timely mode,
+    /// or windows that are tagged, off the tick grid or too long a cycle.
+    probe_cycle: u32,
     /// Whether any operator carries a [`StateProfile`]. Gates the whole
     /// spill path: stateless dataflows never compute spill factors and take
     /// the exact historical float path through the cost cache.
@@ -483,6 +501,14 @@ impl FluidEngine {
         let epoch_ns = cfg.epoch_ns;
         let seed = cfg.seed;
         let has_windowed = window_periods.iter().any(|w| w.is_some());
+        let probe_cycle = if cfg.mode == EngineMode::Timely
+            || cfg.service_noise > 0.0
+            || (has_windowed && cfg.track_record_latency)
+        {
+            0
+        } else {
+            cycle_length(cfg.tick_ns, window_periods.iter().flatten().copied()).unwrap_or(0)
+        };
         let has_state = (0..m).any(|i| {
             profiles
                 .get(OperatorId(i))
@@ -519,6 +545,7 @@ impl FluidEngine {
             pending_tag_shift: 0,
             last_frontier: None,
             has_windowed,
+            probe_cycle,
             has_state,
             spill_rate_bits: None,
             spill_total_rate: 0.0,
@@ -836,15 +863,19 @@ impl FluidEngine {
     }
 
     /// Advances the simulation by one tick, replaying an armed transition
-    /// (steady, drift or halted step) when possible.
+    /// (a cycle of ticks, with or without drifting queues, or a halted
+    /// step) when possible.
     ///
     /// `horizon_ns` is the caller's *event horizon*: a promise that no
     /// external interaction (metrics-window close acted upon, rescale
     /// request, workload reconfiguration) happens for ticks ending at or
     /// before it. The engine derives the hard correctness boundaries —
-    /// source phase changes, pending redeployments, windowed firings —
-    /// itself; the horizon only stops it from spending probe work right
-    /// before the caller is going to perturb the dataflow anyway.
+    /// source phase changes, pending redeployments, window firings —
+    /// itself; the horizon only stops it from starting probe work right
+    /// before the caller is going to perturb the dataflow anyway. A probe
+    /// that spans several ticks carries on across horizons: closing a
+    /// metrics window does not disturb it, and a rescale request cancels
+    /// it.
     ///
     /// The outcome is bitwise identical to calling [`FluidEngine::tick`]
     /// in a loop: a replayed tick performs the same queue, accumulator and
@@ -853,20 +884,21 @@ impl FluidEngine {
     /// full. See
     /// [`crate::fastforward`] for the proof obligations.
     pub fn tick_within(&mut self, horizon_ns: u64) -> TickEvents {
-        if self.cfg.fast_forward && self.ff.can_replay(self.now_ns) && self.replay_batch(1) == 1 {
+        if !self.cfg.fast_forward {
+            return self.full_tick();
+        }
+        if self.ff.can_replay(self.now_ns) && self.replay_batch(1) == 1 {
             return TickEvents::default();
         }
         if self.ff.is_armed() {
             // Armed but unable to replay: the transition's window ended.
             self.ff.invalidate();
         }
-        if self.probe_eligible(horizon_ns) && self.ff.should_probe() {
+        if self.ff.probing() || (self.probe_eligible(horizon_ns) && self.ff.should_probe()) {
             return self.probe_tick();
         }
         let events = self.full_tick();
-        if self.cfg.fast_forward {
-            self.arm_halted_step();
-        }
+        self.arm_halted_step();
         events
     }
 
@@ -880,27 +912,26 @@ impl FluidEngine {
         self.ff.is_armed()
     }
 
-    /// Whether a probe is worth attempting at all this tick.
+    /// Whether a probe is worth starting this tick.
     fn probe_eligible(&self, horizon_ns: u64) -> bool {
-        self.cfg.fast_forward
-            && !self.has_windowed
-            && self.cfg.mode != EngineMode::Timely
-            && self.cfg.service_noise <= 0.0
+        let tick_ns = self.cfg.tick_ns;
+        self.probe_cycle != 0
             && self.pending_rescale.is_none()
-            // The probe tick plus at least one replayed tick must fit
-            // before the caller's next interaction...
-            && self.now_ns + 2 * self.cfg.tick_ns <= horizon_ns
-            // ...and before the next source phase boundary (a rate change
-            // inside or right after the probe tick would make the captured
-            // transition unsound).
+            // The first probe tick plus at least one more must fit before
+            // the caller's next interaction...
+            && self.now_ns + 2 * tick_ns <= horizon_ns
+            // ...and the whole cycle plus one replayed tick before the next
+            // source phase boundary (a rate change inside or right after
+            // the probe would make the captured transition unsound).
             && self
                 .next_phase_change()
-                .is_none_or(|c| self.now_ns + 2 * self.cfg.tick_ns <= c)
+                .is_none_or(|c| self.now_ns + (self.probe_cycle as u64 + 1) * tick_ns <= c)
     }
 
-    /// Whether this engine can arm a drift step: untagged queues hold one
-    /// span whatever they receive, and only Flink mode reads queue lengths
-    /// in nothing but the guarded comparisons (see [`crate::fastforward`]).
+    /// Whether this engine can accept drifting queues: untagged queues hold
+    /// one span whatever they receive, and only Flink mode reads queue
+    /// lengths in nothing but the guarded comparisons (see
+    /// [`crate::fastforward`]).
     fn drift_capable(&self) -> bool {
         !self.cfg.track_record_latency && self.cfg.mode == EngineMode::Flink
     }
@@ -930,36 +961,45 @@ impl FluidEngine {
         }
     }
 
-    /// Copies the structural fluid state into the fingerprint buffer and
-    /// resets the probe's queue log to the same walk order. Returns `false`
-    /// (probe abandoned) when the total span count exceeds the fingerprint
-    /// budget.
+    /// Appends one row of the structural fluid state to the fingerprint.
+    /// The `first` row of a probe also lays the queue log out in the same
+    /// walk order and, on tagged engines, copies the span lists; it returns
+    /// `false` (probe abandoned) when the total span count exceeds the
+    /// fingerprint budget.
     ///
     /// Untagged engines skip the span lists entirely: tags then have no
-    /// observable effect (no latency, no epochs), so the `(count, total)`
-    /// pair fully determines a queue's future behaviour.
-    fn capture_fingerprint(&mut self) -> bool {
-        let track = self.cfg.track_record_latency;
+    /// observable effect (no latency, no epochs), so a queue's mark fully
+    /// determines its future behaviour.
+    fn capture_state(&mut self, first: bool) -> bool {
+        let spans = first && self.cfg.track_record_latency;
         let FastForward {
             fingerprint: fp,
             log,
             ..
         } = &mut self.ff;
-        fp.clear();
-        log.class_base.clear();
-        fp.heron_backpressure = self.heron_backpressure;
+        if first {
+            fp.clear();
+            log.clear();
+            fp.heron_backpressure = self.heron_backpressure;
+        }
+        let row = fp.queues.len();
         for (i, st) in self.states.iter().enumerate() {
-            fp.backlog.push(self.backlog[i]);
-            fp.window_pending.push(st.window_pending);
-            log.class_base.push(fp.queues.len() as u32);
+            fp.ops.push(OpMark {
+                backlog: self.backlog[i],
+                window_pending: st.window_pending,
+                window_oldest: st.window_pending_oldest,
+                fire_in: match self.window_periods[i] {
+                    Some(_) => st.next_fire_ns.wrapping_sub(self.now_ns),
+                    None => 0,
+                },
+            });
+            if first {
+                log.class_base.push(fp.queues.len() as u32);
+            }
             for c in &st.classes {
                 let q = &c.queue;
-                fp.queues.push(QueueMark {
-                    spans: q.span_count() as u32,
-                    total: q.len(),
-                    sole_records: q.sole_span_records(),
-                });
-                if track {
+                fp.queues.push(QueueMark::of(q));
+                if spans {
                     if fp.spans.len() + q.span_count() > MAX_FINGERPRINT_SPANS {
                         return false;
                     }
@@ -967,101 +1007,139 @@ impl FluidEngine {
                 }
             }
         }
-        log.reset(fp.queues.len());
+        fp.width = fp.queues.len() - row;
         true
     }
 
-    /// Classifies the probe tick just executed against the fingerprint.
+    /// Whether the cycle a probe just finished recording repeats.
     ///
-    /// [`StepKind::Steady`] when the current state equals the fingerprint
-    /// with every span tag advanced by exactly one tick — the fixed-point
-    /// ("shift step") test; untagged engines compare totals only (their
-    /// tags are unobservable). On a `drift_capable` engine a queue whose
-    /// length did change is accepted if the probe's logged operations keep
-    /// it inside its linear regime from both the state before and the state
-    /// after the tick; any such queue makes the step a [`StepKind::Drift`]
-    /// and leaves its operations in `ff.drift`. `None` is a failed probe.
-    /// All state comparisons are bitwise: fast-forward replays only what it
-    /// can prove exactly.
-    fn confirm_step(&mut self, drift_capable: bool) -> Option<StepKind> {
+    /// It does when the last fingerprint row equals the first — queue and
+    /// operator marks bitwise, firing times by their distance from now,
+    /// and on tagged engines (whose probes are one tick long) every span
+    /// tag advanced by exactly one tick: the fixed-point test, lifted to
+    /// the map of the whole cycle. On a `drift_capable` engine a queue
+    /// whose mark did change is accepted if every tick's logged operations
+    /// keep it inside its linear regime from the state before that tick,
+    /// and the first tick's from the state after the last; such queues and
+    /// their per-phase operations are left in `ff.drifting` / `ff.drift`.
+    /// All comparisons are bitwise: fast-forward replays only what it can
+    /// prove exactly.
+    fn confirm_cycle(&mut self, drift_capable: bool) -> bool {
         let track = self.cfg.track_record_latency;
         let tick_ns = self.cfg.tick_ns;
         let FastForward {
             fingerprint: fp,
             log,
+            drifting,
             drift,
             drift_pushes,
+            cycle,
             ..
         } = &mut self.ff;
+        drifting.clear();
         drift.clear();
         drift_pushes.clear();
-        if fp.heron_backpressure != self.heron_backpressure {
-            return None;
+        let (cycle, width, ops) = (*cycle as usize, fp.width, self.states.len());
+        if fp.heron_backpressure != self.heron_backpressure
+            || !(0..ops).all(|i| fp.ops[i].repeats(&fp.ops[cycle * ops + i]))
+        {
+            return false;
         }
         let mut qi = 0usize;
         let mut si = 0usize;
         for (i, st) in self.states.iter().enumerate() {
-            if fp.backlog[i].to_bits() != self.backlog[i].to_bits()
-                || fp.window_pending[i].to_bits() != st.window_pending.to_bits()
+            // Windowed engines only: one-tick cycles arm as they always did.
+            if self.has_windowed && !fp.class_tags_settled(log, drift_capable, qi, st.classes.len())
             {
-                return None;
+                return false;
             }
             for (k, c) in st.classes.iter().enumerate() {
-                let q = &c.queue;
-                let mark = fp.queues[qi];
-                let index = qi as u32;
+                let index = qi;
                 qi += 1;
-                if q.span_count() == mark.spans as usize
-                    && mark.total.to_bits() == q.len().to_bits()
-                {
+                if fp.queues[index].same(&fp.queues[cycle * width + index]) {
                     if track {
-                        for span in q.spans() {
+                        for span in c.queue.spans() {
                             let prev = fp.spans[si];
                             si += 1;
                             if span.records.to_bits() != prev.records.to_bits()
                                 || span.emitted_ns != prev.emitted_ns + tick_ns
                             {
-                                return None;
+                                return false;
                             }
                         }
                     }
-                    continue;
+                } else if drift_capable {
+                    drifting.push((index as u32, i as u32, k as u32));
+                } else {
+                    return false;
                 }
-                if !drift_capable {
-                    return None;
-                }
-                let d = DriftQueue::from_log(log, index, (i, k), q.capacity(), drift_pushes)?;
-                if !d.admits(mark.sole_records, mark.total)
-                    || !d.admits(q.sole_span_records(), q.len())
-                {
-                    return None;
+            }
+        }
+        for phase in 0..cycle {
+            for &(index, i, k) in drifting.iter() {
+                let capacity = self.states[i as usize].classes[k as usize].queue.capacity();
+                let Some(d) =
+                    DriftQueue::from_log(log, phase, index, (i, k), capacity, drift_pushes)
+                else {
+                    return false;
+                };
+                let before = &fp.queues[phase * width + index as usize];
+                if !d.admits(before.sole_records, before.total) {
+                    return false;
                 }
                 drift.push(d);
             }
         }
-        Some(if drift.is_empty() {
-            StepKind::Steady
-        } else {
-            StepKind::Drift
+        // The state the cycle ends in must admit its first tick again.
+        drifting.iter().zip(drift.iter()).all(|(&(index, ..), d)| {
+            let after = &fp.queues[cycle * width + index as usize];
+            d.admits(after.sole_records, after.total)
         })
     }
 
-    /// A full tick run with delta capture: accumulators start from zero so
-    /// the values they end with are exactly this tick's addends, then get
-    /// restored as `saved + addend` — the identical float operation an
-    /// unprobed tick performs. Drift-capable engines run the logging
-    /// instantiation of the tick body. If the post-state is a shift of the
-    /// pre-state, or differs from it only by guarded drift, the transition
-    /// is armed for replay.
+    /// Whether the tick just executed offered, emitted and signalled what
+    /// the `first` tick of the probe did (whose values it records): callers
+    /// read [`FluidEngine::last_tick`] once per replayed batch.
+    fn source_stats_repeat(&mut self, first: bool) -> bool {
+        let stats = &self.last_tick;
+        let bits = self
+            .sources
+            .iter()
+            .map(|(op, _)| (stats.offered[op].to_bits(), stats.emitted[op].to_bits()))
+            .chain(std::iter::once((stats.backpressure as u64, 0)));
+        let seen = &mut self.ff.source_stats;
+        if first {
+            seen.clear();
+            seen.extend(bits);
+            return true;
+        }
+        seen.iter().copied().eq(bits)
+    }
+
+    /// One tick of a probe: a full tick run with delta capture.
+    /// Accumulators start from zero so the values they end with are exactly
+    /// this tick's addends, then get restored as `saved + addend` — the
+    /// identical float operation an unprobed tick performs. Drift-capable
+    /// engines run the logging instantiation of the tick body. A probe
+    /// records `probe_cycle` consecutive ticks this way, one per call, and
+    /// the state after each; the last call arms the cycle if it repeats.
+    /// Out of line and cold: the plain tick path must compile as if probes
+    /// did not exist.
+    #[cold]
+    #[inline(never)]
     fn probe_tick(&mut self) -> TickEvents {
         self.materialize_tag_shift();
-        self.ff.stats.probes += 1;
         self.ff.stats.full_ticks += 1;
-        if !self.capture_fingerprint() {
-            self.ff.probe_failed();
-            return self.tick_core::<false>();
+        let first = self.ff.pos == 0;
+        if first {
+            self.ff.stats.probes += 1;
+            if !self.capture_state(true) {
+                self.ff.probe_failed();
+                return self.tick_core::<false>();
+            }
+            self.ff.cycle = self.probe_cycle;
+            self.ff.deltas.clear();
         }
-        let phase_end = self.next_phase_change();
 
         let mut saved = std::mem::take(&mut self.ff.saved);
         saved.clear();
@@ -1073,42 +1151,45 @@ impl FluidEngine {
         let latency_mark = self.latency.len();
 
         let drift_capable = self.drift_capable();
+        self.ff.log.begin_tick(self.ff.fingerprint.width);
         let events = if drift_capable {
             self.tick_core::<true>()
         } else {
             self.tick_core::<false>()
         };
+        self.ff.log.end_tick();
 
-        let mut deltas = std::mem::take(&mut self.ff.deltas);
-        deltas.clear();
         let mut saved_it = saved.iter();
         for st in &mut self.states {
             for class in &mut st.accs {
-                let acc = &mut class.acc;
-                let d = *acc;
-                let s = saved_it.next().expect("class count stable within a tick");
+                let d = class.acc;
                 // Restore `saved + addend`, the identical float operation
                 // the unprobed tick would have performed in place.
-                acc.records_in = s.records_in + d.records_in;
-                acc.records_out = s.records_out + d.records_out;
-                acc.useful_ns = s.useful_ns + d.useful_ns;
-                acc.wait_input_ns = s.wait_input_ns + d.wait_input_ns;
-                acc.wait_output_ns = s.wait_output_ns + d.wait_output_ns;
-                deltas.push(d);
+                class.acc = *saved_it.next().expect("class count stable within a tick");
+                class.acc.add(&d);
+                self.ff.deltas.push(d);
             }
         }
         self.ff.saved = saved;
-        self.ff.deltas = deltas;
+        self.capture_state(false);
+        self.ff.pos += 1;
 
-        match self.confirm_step(drift_capable) {
-            Some(kind) => {
+        // (A one-tick cycle has no second tick to differ from the first.)
+        if self.ff.cycle > 1 && !self.source_stats_repeat(first) {
+            self.ff.probe_failed();
+        } else if self.ff.pos == self.ff.cycle {
+            if self.confirm_cycle(drift_capable) {
                 let samples = self.latency.samples();
                 self.ff.latency.clear();
                 self.ff.latency.extend_from_slice(&samples[latency_mark..]);
                 self.ff.frontier_offset = self.last_frontier.map(|f| self.now_ns - f);
-                self.ff.arm(kind, phase_end.unwrap_or(u64::MAX));
+                // No rate changed during the probe, so this is the phase
+                // boundary that was next when it started.
+                self.ff
+                    .arm(false, self.next_phase_change().unwrap_or(u64::MAX));
+            } else {
+                self.ff.probe_failed();
             }
-            None => self.ff.probe_failed(),
         }
         events
     }
@@ -1153,7 +1234,7 @@ impl FluidEngine {
                     .push((op.index(), self.last_tick.offered[op]));
             }
         }
-        ff.arm(StepKind::Halted, valid_until);
+        ff.arm(true, valid_until);
     }
 
     /// Replays as many armed ticks as fit before `horizon_ns`, returning
@@ -1175,18 +1256,22 @@ impl FluidEngine {
         self.replay_batch(ticks)
     }
 
-    /// Advances the drifting queues of an armed drift step by up to `ticks`
-    /// ticks, returning how many were applied. Before each tick every
-    /// drifting queue's guards are re-checked on its current state — a tick
-    /// is replayed for all queues or for none — and then the recorded
-    /// drain and pushes are applied verbatim. Steps without drifting
-    /// queues admit every tick.
+    /// Advances the drifting queues of the armed cycle by up to `ticks`
+    /// ticks from the current phase, returning how many were applied.
+    /// Before each tick every drifting queue's guards for that phase are
+    /// re-checked on its current state — a tick is replayed for all queues
+    /// or for none — and then that phase's recorded drain and pushes are
+    /// applied verbatim. Cycles without drifting queues admit every tick.
     fn replay_drift(&mut self, ticks: u64) -> u64 {
-        let drift = &self.ff.drift;
-        if drift.is_empty() {
+        let ff = &self.ff;
+        let queues = ff.drifting.len();
+        if queues == 0 {
             return ticks;
         }
         let states = &mut self.states;
+        let cycle = ff.cycle as usize;
+        let mut phase = ff.pos as usize;
+        let mut drift = &ff.drift[phase * queues..][..queues];
         for done in 0..ticks {
             let admitted = drift.iter().all(|d| {
                 let q = &states[d.op as usize].classes[d.class as usize].queue;
@@ -1199,53 +1284,76 @@ impl FluidEngine {
                 let (from, to) = d.pushes;
                 states[d.op as usize].classes[d.class as usize]
                     .queue
-                    .replay_linear(d.take, &self.ff.drift_pushes[from as usize..to as usize]);
+                    .replay_linear(d.take, &ff.drift_pushes[from as usize..to as usize]);
+            }
+            // A one-tick cycle repeats the same operations.
+            if cycle > 1 {
+                phase = if phase + 1 == cycle { 0 } else { phase + 1 };
+                drift = &ff.drift[phase * queues..][..queues];
             }
         }
         ticks
     }
 
-    /// Replays the armed transition for up to `ticks` ticks and returns how
-    /// many it replayed: the recorded queue drift, the accumulator and
+    /// Replays the armed transition for up to `ticks` ticks from the
+    /// current phase of its cycle and returns how many it replayed: per
+    /// tick the recorded queue drift and that phase's accumulator and
     /// backlog additions, sink latency samples and epoch advances the full
-    /// ticks would perform — and nothing else. A drift guard that fails
-    /// ends the replay before the tick it refused and drops the transition
-    /// (that tick then runs in full). Span tags shift lazily via
-    /// `pending_tag_shift`. Sums are built by repeated addition of the
-    /// recorded addends — the exact float operations of tick-by-tick
-    /// execution, not a multiplied approximation — with the five
-    /// per-instance fields interleaved so the dependency chains pipeline.
-    fn replay_batch(&mut self, ticks: u64) -> u64 {
-        let requested = ticks;
-        let ticks = self.replay_drift(requested);
-        if ticks < requested {
-            self.ff.invalidate();
+    /// ticks would perform — and nothing else; the state that merely cycles
+    /// is set once, to what the probe recorded after the last replayed
+    /// phase. A drift guard that fails ends the replay before the tick it
+    /// refused and drops the transition (that tick then runs in full). Span
+    /// tags shift lazily via `pending_tag_shift`. Sums are built by
+    /// repeated addition of the recorded addends — the exact float
+    /// operations of tick-by-tick execution, not a multiplied approximation
+    /// — with the five per-instance fields interleaved so the dependency
+    /// chains pipeline.
+    #[inline(never)]
+    fn replay_batch(&mut self, requested: u64) -> u64 {
+        if requested == 0 {
+            // Nothing armed, or no room before the horizon.
+            return 0;
         }
+        let ticks = self.replay_drift(requested);
         if ticks == 0 {
+            self.ff.invalidate();
             return 0;
         }
         let tick_ns = self.cfg.tick_ns;
+        let cycle = self.ff.cycle as usize;
 
-        let mut di = 0usize;
-        for st in &mut self.states {
-            for class in &mut st.accs {
-                let acc = &mut class.acc;
-                let d = self.ff.deltas[di];
-                di += 1;
-                // `x += 0.0` is the identity on these non-negative sums,
-                // so wholly idle classes are skipped without changing
-                // the result (and zero addends inside the loop are cheap
-                // pipelined adds, not worth branching over).
-                if d == InstanceAcc::default() {
-                    continue;
+        let deltas = &self.ff.deltas;
+        // The phase the tick after this batch repeats.
+        let mut phase = self.ff.pos as usize;
+        if cycle == 1 {
+            // One addend per class for every tick: it stays in registers.
+            let mut di = 0usize;
+            for st in &mut self.states {
+                for class in &mut st.accs {
+                    let d = deltas[di];
+                    di += 1;
+                    // `x += 0.0` is the identity on these non-negative sums,
+                    // so wholly idle classes are skipped without changing
+                    // the result (and zero addends inside the loop are cheap
+                    // pipelined adds, not worth branching over).
+                    if d == InstanceAcc::default() {
+                        continue;
+                    }
+                    for _ in 0..ticks {
+                        class.acc.add(&d);
+                    }
                 }
-                for _ in 0..ticks {
-                    acc.records_in += d.records_in;
-                    acc.records_out += d.records_out;
-                    acc.useful_ns += d.useful_ns;
-                    acc.wait_input_ns += d.wait_input_ns;
-                    acc.wait_output_ns += d.wait_output_ns;
+            }
+        } else {
+            // Tick by tick, each phase's row of addends in turn.
+            let classes: usize = self.states.iter().map(|st| st.accs.len()).sum();
+            for _ in 0..ticks {
+                let addends = &deltas[phase * classes..][..classes];
+                let accs = self.states.iter_mut().flat_map(|st| &mut st.accs);
+                for (class, d) in accs.zip(addends) {
+                    class.acc.add(d);
                 }
+                phase = if phase + 1 == cycle { 0 } else { phase + 1 };
             }
         }
         for &(i, offered) in &self.ff.backlog_addends {
@@ -1255,7 +1363,7 @@ impl FluidEngine {
         }
         // Halted ticks return before the epoch bookkeeping and leave queued
         // tags alone (the records age while the job is down).
-        if self.cfg.track_record_latency && self.ff.kind != StepKind::Halted {
+        if self.cfg.track_record_latency && !self.ff.halted {
             if !self.ff.latency.is_empty() {
                 for _ in 0..ticks {
                     for i in 0..self.ff.latency.len() {
@@ -1280,8 +1388,45 @@ impl FluidEngine {
             self.pending_tag_shift += ticks * tick_ns;
         }
         self.now_ns += ticks * tick_ns;
+        if self.has_windowed && !self.ff.halted {
+            // Row `p + 1` holds the state after phase `p`.
+            self.restore_cycling_state(if phase == 0 { cycle } else { phase });
+        }
+        self.ff.pos = phase as u32;
         self.ff.count_replayed(ticks);
+        if ticks < requested {
+            self.ff.invalidate();
+        }
         ticks
+    }
+
+    /// Sets what a windowed cycle moves without drifting — backlogs, window
+    /// buffers, firing times (by their distance from now) and the queues
+    /// that are not drifting — to fingerprint row `row`, the state the probe
+    /// recorded at this point of the cycle.
+    fn restore_cycling_state(&mut self, row: usize) {
+        let fp = &self.ff.fingerprint;
+        let now = self.now_ns;
+        let mut drifting = self.ff.drifting.iter().map(|d| d.0 as usize).peekable();
+        let op_marks = &fp.ops[row * self.states.len()..];
+        let queue_marks = &fp.queues[row * fp.width..];
+        let mut qi = 0usize;
+        for (i, st) in self.states.iter_mut().enumerate() {
+            let mark = &op_marks[i];
+            self.backlog[i] = mark.backlog;
+            st.window_pending = mark.window_pending;
+            st.window_pending_oldest = mark.window_oldest;
+            if self.window_periods[i].is_some() {
+                st.next_fire_ns = now.wrapping_add(mark.fire_in);
+            }
+            for c in &mut st.classes {
+                if drifting.next_if_eq(&qi).is_none() {
+                    let mark = &queue_marks[qi];
+                    c.queue.restore(mark.total, mark.sole_records, mark.tag);
+                }
+                qi += 1;
+            }
+        }
     }
 
     /// A fully executed tick (tag shift materialized first).
@@ -1679,7 +1824,7 @@ impl FluidEngine {
             }
         }
         if LOG {
-            let base = self.ff.log.class_base[i] as usize;
+            let base = self.ff.log.row + self.ff.log.class_base[i] as usize;
             for (k, take) in takes.iter().enumerate() {
                 self.ff.log.drains[base + k] = (cap_inst, *take);
             }
@@ -1797,7 +1942,7 @@ impl FluidEngine {
         self.takes_scratch = takes;
         self.span_scratch = drained;
 
-        self.maybe_fire_window(op);
+        self.maybe_fire_window::<LOG>(op);
     }
 
     /// Timely drain path: `n` records off the operator's shared queue,
@@ -1865,11 +2010,13 @@ impl FluidEngine {
         }
         self.span_scratch = spans;
 
-        self.maybe_fire_window(op);
+        self.maybe_fire_window::<false>(op);
     }
 
     /// Fires a windowed operator's buffered output when its period elapses.
-    fn maybe_fire_window(&mut self, op: OperatorId) {
+    /// The flush is routed like any other output, so the `LOG` instantiation
+    /// records it for the fast-forward probe.
+    fn maybe_fire_window<const LOG: bool>(&mut self, op: OperatorId) {
         let Some(period) = self.window_period(op) else {
             return;
         };
@@ -1910,13 +2057,13 @@ impl FluidEngine {
         {
             let edges = &self.down_edges[i];
             let states = &mut self.states;
+            let log = &mut self.ff.log;
             for &(to, weight) in edges {
-                let st = &mut states[to.index()];
                 // Window flushes are bursts: a bounded receiving queue may not
                 // absorb everything; the spill stays pending for the next tick.
-                let accept = st.accept_limit();
+                let accept = states[to.index()].accept_limit();
                 let send = (pending * weight).min(accept);
-                st.push_partitioned(tag, send);
+                route::<LOG>(states, log, to, tag, send);
                 spilled = spilled.max(pending - send / weight.max(1e-12));
             }
         }
@@ -2802,9 +2949,11 @@ mod tests {
     }
 
     /// Drives `exact` with plain ticks and `fast` through the fast-forward
-    /// path for `ticks` ticks, asserting queue lengths and backlogs stay
-    /// bitwise identical after *every* tick (a replayed drift tick must
-    /// leave the exact queue state behind, not just the right totals later).
+    /// path for `ticks` ticks, asserting queue lengths, backlogs, window
+    /// buffers, firing times and the reported source statistics stay
+    /// bitwise identical after *every* tick
+    /// (a replayed tick must leave the exact state behind, not just the
+    /// right totals later).
     fn assert_lockstep(
         exact: &mut FluidEngine,
         fast: &mut FluidEngine,
@@ -2815,6 +2964,19 @@ mod tests {
             let ea = exact.tick();
             let eb = fast.tick_within(u64::MAX);
             assert_eq!(ea.deployed.is_some(), eb.deployed.is_some(), "tick {t}");
+            // Replay leaves `last_tick` alone: it must hold what every
+            // replayed tick would have reported.
+            let (sa, sb) = (exact.last_tick(), fast.last_tick());
+            assert_eq!(
+                (sa.total_offered().to_bits(), sa.total_emitted().to_bits()),
+                (sb.total_offered().to_bits(), sb.total_emitted().to_bits()),
+                "source stats diverged at tick {t}"
+            );
+            assert_eq!(
+                (sa.backpressure, sa.halted),
+                (sb.backpressure, sb.halted),
+                "tick {t}"
+            );
             for &op in ids {
                 assert_eq!(
                     exact.queue_len(op).to_bits(),
@@ -2827,6 +2989,12 @@ mod tests {
                     exact.backlog(op).to_bits(),
                     fast.backlog(op).to_bits(),
                     "backlog {op} diverged at tick {t}"
+                );
+                let (a, b) = (&exact.states[op.index()], &fast.states[op.index()]);
+                assert_eq!(
+                    (a.window_pending.to_bits(), a.next_fire_ns),
+                    (b.window_pending.to_bits(), b.next_fire_ns),
+                    "window of {op} diverged at tick {t}"
                 );
             }
         }
@@ -3008,39 +3176,396 @@ mod tests {
         }
     }
 
-    /// Windowed operators make the whole dataflow fast-forward ineligible:
-    /// window firings are tied to absolute time, so a tick is never a pure
-    /// shift of its predecessor. The engine must not even *probe* — the
-    /// nexmark windowed query families (Q5/Q8/Q11) rely on this bail-out
-    /// staying pinned; if windowed replay support is ever added, this test
-    /// is the reminder that its proof obligations change.
-    #[test]
-    fn windowed_topologies_are_fastforward_ineligible() {
-        let (graph, ids) = chain(&[(10_000.0, 1.0), (10_000.0, 1.0)]);
+    /// `src -> op0 -> op1 -> ...` at `rate` records/s, every operator one
+    /// instance of `(capacity, window period)`; `None` emits per record.
+    fn windowed_chain(
+        ops: &[(f64, Option<u64>)],
+        rate: SourceSpec,
+        cfg: EngineConfig,
+    ) -> (FluidEngine, Vec<OperatorId>) {
+        let caps: Vec<(f64, f64)> = ops.iter().map(|&(cap, _)| (cap, 1.0)).collect();
+        let (graph, ids) = chain(&caps);
         let mut profiles = ProfileMap::new();
-        // One windowed operator in an otherwise steady chain suffices.
-        profiles.insert(
-            ids[1],
-            OperatorProfile::with_capacity(10_000.0, 1.0).windowed(1_000_000_000),
-        );
-        profiles.insert(ids[2], OperatorProfile::with_capacity(10_000.0, 1.0));
+        for (i, &(cap, period)) in ops.iter().enumerate() {
+            let profile = OperatorProfile::with_capacity(cap, 1.0);
+            profiles.insert(
+                ids[i + 1],
+                match period {
+                    Some(period_ns) => profile.windowed(period_ns),
+                    None => profile,
+                },
+            );
+        }
         let mut sources = BTreeMap::new();
-        sources.insert(ids[0], SourceSpec::constant(1_000.0));
+        sources.insert(ids[0], rate);
+        let d = Deployment::uniform(&graph, 1);
         let cfg = EngineConfig {
             instrumentation: InstrumentationConfig::disabled(),
-            fast_forward: true,
-            ..Default::default()
+            ..cfg
         };
-        let d = Deployment::uniform(&graph, 1);
-        let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
-        for _ in 0..2_000 {
-            e.tick_within(u64::MAX);
+        (FluidEngine::new(graph, profiles, sources, d, cfg), ids)
+    }
+
+    const MS: u64 = 1_000_000;
+
+    /// A well-provisioned windowed chain is a pure cycle of one window
+    /// period (100 ticks). The probe that starts at time zero sees the
+    /// pipeline fill and the second one the short first window (99 ticks of
+    /// input) drain; the third arms, and from then on nothing runs in full.
+    #[test]
+    fn cycle_replays_a_wellprovisioned_windowed_chain() {
+        let mk = || {
+            windowed_chain(
+                &[(10_000.0, Some(1_000 * MS)), (10_000.0, None)],
+                SourceSpec::constant(1_000.0),
+                untagged(EngineConfig::default()),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        assert_lockstep(&mut exact, &mut fast, &ids, 303);
+        assert!(fast.fastforward_active(), "armed by the third probe");
+        assert_lockstep(&mut exact, &mut fast, &ids, 2_697);
+        let stats = fast.fastforward_stats();
+        assert_eq!(
+            stats.full_ticks, 303,
+            "three probes, 1 + 2 ticks of cooldown"
+        );
+        assert_eq!(stats.cycle_ticks, stats.replayed_ticks);
+        assert_eq!(stats.cycle_ticks + stats.full_ticks, 3_000);
+        assert_eq!((stats.probes, stats.probe_failures), (3, 2));
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// An under-provisioned windowed main: its input queue gains 0.1 records
+    /// per tick while everything else cycles every 20 ticks. The cycle arms
+    /// with that queue drifting, replays it up to the space guard, and the
+    /// guard stops the replay in the *middle* of a cycle — the tick it
+    /// refused runs in full from the state replay left behind.
+    #[test]
+    fn cycle_with_a_drifting_queue_ends_mid_cycle_at_the_space_guard() {
+        let cfg = untagged(EngineConfig {
+            per_instance_queue: 300.0,
+            ..Default::default()
+        });
+        let mk = || {
+            windowed_chain(
+                &[(990.0, Some(200 * MS)), (10_000.0, None)],
+                SourceSpec::constant(1_000.0),
+                cfg.clone(),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        let mut stretch = 0u64;
+        let mut ended = None;
+        for t in 0..6_000 {
+            let before = fast.fastforward_stats();
+            assert_lockstep(&mut exact, &mut fast, &ids, 1);
+            let after = fast.fastforward_stats();
+            if after.cycle_ticks > before.cycle_ticks {
+                stretch += 1;
+            } else if stretch > 0 && ended.is_none() {
+                ended = Some((t, stretch));
+                assert_eq!(
+                    after.full_ticks,
+                    before.full_ticks + 1,
+                    "refused tick ran in full"
+                );
+            }
         }
-        let stats = e.fastforward_stats();
-        assert!(!e.fastforward_active(), "windowed dataflow armed replay");
-        assert_eq!(stats.probes, 0, "windowed dataflow probed: {stats:?}");
-        assert_eq!(stats.replayed_ticks, 0, "windowed dataflow replayed");
-        assert_eq!(stats.full_ticks, 2_000);
+        let (t, stretch) = ended.expect("the space guard ends the drift");
+        assert!(stretch > 2_000, "most of the fill is replayed: {stretch}");
+        assert_ne!(stretch % 20, 0, "replay ended at tick {t}, mid-cycle");
+        assert!(exact.queue_len(ids[1]) > 299.0, "input queue saturated");
+        assert!(exact.last_tick().total_emitted() < 10.0, "source throttled");
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// The drifting queue can be the one a window flushes into: a slow
+    /// operator behind a well-provisioned window receives 200 records every
+    /// 20 ticks and serves 198 of them. The flush is one of the cycle's
+    /// logged pushes — replayed without it the queue would only drain — and
+    /// the space guard binds in the flush's phase alone, so that is where
+    /// the replay ends.
+    #[test]
+    fn a_flush_into_a_drifting_queue_is_replayed_with_its_push() {
+        let cfg = untagged(EngineConfig {
+            per_instance_queue: 300.0,
+            ..Default::default()
+        });
+        let mk = || {
+            windowed_chain(
+                &[(10_000.0, Some(200 * MS)), (990.0, None)],
+                SourceSpec::constant(1_000.0),
+                cfg.clone(),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        assert_lockstep(&mut exact, &mut fast, &ids, 600);
+        assert!(fast.fastforward_active(), "armed with the queue drifting");
+        assert!(!fast.ff.drifting.is_empty());
+        let flush_phase = (0..20)
+            .find(|phase| fast.ff.drift[*phase].pushes.0 != fast.ff.drift[*phase].pushes.1)
+            .expect("one phase of the cycle carries the flush");
+        let armed_at = fast.fastforward_stats().full_ticks;
+        let mut t = 600;
+        while fast.fastforward_active() {
+            assert_lockstep(&mut exact, &mut fast, &ids, 1);
+            t += 1;
+        }
+        // `t` ticks ran, the last of them the one replay refused.
+        assert_eq!((t - 1 - armed_at) % 20, flush_phase as u64);
+        assert!(t > 1_000, "hundreds of ticks of drift replayed: {t}");
+        assert_lockstep(&mut exact, &mut fast, &ids, 2_000);
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// A flush larger than the receiving queue spills: the remainder stays
+    /// buffered and the window retries every tick (`next_fire_ns` is set
+    /// one tick past the tick's end), which moves every later firing.
+    /// Whatever fast-forward makes of that, it stays on tick-by-tick
+    /// execution.
+    #[test]
+    fn a_spilling_flush_and_its_retries_stay_exact() {
+        let cfg = untagged(EngineConfig {
+            per_instance_queue: 300.0,
+            ..Default::default()
+        });
+        let mk = || {
+            windowed_chain(
+                &[(10_000.0, Some(1_000 * MS)), (2_000.0, None)],
+                SourceSpec::constant(1_000.0),
+                cfg.clone(),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        let mut retries = 0;
+        for _ in 0..4_000 {
+            assert_lockstep(&mut exact, &mut fast, &ids, 1);
+            let st = &exact.states[ids[1].index()];
+            retries += (st.next_fire_ns == exact.now_ns() + exact.config().tick_ns) as u32;
+        }
+        assert!(retries > 100, "flushes spilled and retried: {retries}");
+        assert!(fast.fastforward_stats().probes > 0);
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// Two windows cycle together at the least common multiple of their
+    /// periods: 0.5 s and 2 s repeat every 200 ticks, 0.5 s and 0.75 s every
+    /// 150 — longer than either period.
+    #[test]
+    fn two_windows_cycle_at_the_lcm_of_their_periods() {
+        for (first, second, cycle) in [(500, 2_000, 200), (500, 750, 150)] {
+            let mk = || {
+                windowed_chain(
+                    &[
+                        (10_000.0, Some(first * MS)),
+                        (10_000.0, Some(second * MS)),
+                        (10_000.0, None),
+                    ],
+                    SourceSpec::constant(1_000.0),
+                    untagged(EngineConfig::default()),
+                )
+            };
+            let (mut exact, ids) = mk();
+            let (mut fast, _) = mk();
+            assert_eq!(fast.probe_cycle, cycle);
+            assert_lockstep(&mut exact, &mut fast, &ids, 3_000);
+            let stats = fast.fastforward_stats();
+            assert!(fast.fastforward_active(), "{cycle}: {stats:?}");
+            assert_eq!(
+                stats.full_ticks,
+                stats.probes * cycle as u64 + (1 << stats.probe_failures) - 1,
+                "{cycle}: whole probes, and cooldowns of 1, 2, .. ticks between: {stats:?}"
+            );
+            assert!(stats.cycle_ticks > 2_000, "{cycle}: {stats:?}");
+            assert_engines_agree(&mut exact, &mut fast, &ids);
+        }
+    }
+
+    /// Heron mode with a queue the size of one flush: every flush lifts the
+    /// sink's queue over the high watermark, the spout pauses until it has
+    /// drained, and the whole pattern repeats with the window. The state
+    /// does return after 100 ticks, but the source emits in some of them
+    /// and not in others — a caller reading `last_tick` once per replayed
+    /// batch would be told the wrong thing, so such a cycle must not arm.
+    #[test]
+    fn a_cycle_whose_source_statistics_vary_never_arms() {
+        let cfg = untagged(EngineConfig {
+            mode: EngineMode::Heron,
+            heron_per_instance_queue: 1_000.0,
+            ..Default::default()
+        });
+        let mk = || {
+            windowed_chain(
+                &[(10_000.0, Some(1_000 * MS)), (10_000.0, None)],
+                SourceSpec::constant(1_000.0),
+                cfg.clone(),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        let mut paused = 0;
+        for _ in 0..3_000 {
+            assert_lockstep(&mut exact, &mut fast, &ids, 1);
+            paused += exact.backpressure_active() as u32;
+        }
+        assert!(
+            paused > 100 && paused < 1_000,
+            "pauses come and go: {paused}"
+        );
+        let stats = fast.fastforward_stats();
+        assert!(stats.probes > 5, "{stats:?}");
+        assert_eq!(stats.replayed_ticks, 0, "{stats:?}");
+    }
+
+    /// What a probe cannot prove, it does not start: a window period off the
+    /// tick grid, tagged queues under a window (a tagged cycle would have to
+    /// replay per-phase latency samples), Timely mode and service noise all
+    /// keep executing full ticks.
+    #[test]
+    fn unprovable_engines_never_start_a_probe() {
+        let windowed = |period_ns: u64, cfg: EngineConfig| {
+            windowed_chain(
+                &[(10_000.0, Some(period_ns)), (10_000.0, None)],
+                SourceSpec::constant(1_000.0),
+                cfg,
+            )
+            .0
+        };
+        let flink = untagged(EngineConfig::default());
+        let engines = [
+            ("off-grid period", windowed(1_005 * MS, flink.clone())),
+            ("tagged", windowed(1_000 * MS, EngineConfig::default())),
+            (
+                "timely",
+                windowed(
+                    1_000 * MS,
+                    EngineConfig {
+                        mode: EngineMode::Timely,
+                        timely_workers: 4,
+                        ..flink.clone()
+                    },
+                ),
+            ),
+            (
+                "noisy",
+                windowed(
+                    1_000 * MS,
+                    EngineConfig {
+                        service_noise: 0.05,
+                        ..flink
+                    },
+                ),
+            ),
+        ];
+        for (what, mut e) in engines {
+            for _ in 0..500 {
+                e.tick_within(u64::MAX);
+            }
+            let stats = e.fastforward_stats();
+            assert_eq!(
+                (stats.probes, stats.replayed_ticks, stats.full_ticks),
+                (0, 0, 500),
+                "{what}"
+            );
+        }
+    }
+
+    /// A probe that spans a hundred ticks lives through what happens between
+    /// them: closing a metrics window zeroes the accumulators and leaves it
+    /// running — it arms on the same tick as an undisturbed twin — while a
+    /// rescale request cancels it, without counting a failure.
+    #[test]
+    fn a_running_probe_survives_a_snapshot_and_yields_to_a_rescale() {
+        let cfg = untagged(EngineConfig {
+            reconfig_latency_ns: 300 * MS,
+            ..Default::default()
+        });
+        let mk = || {
+            windowed_chain(
+                &[(10_000.0, Some(1_000 * MS)), (10_000.0, None)],
+                SourceSpec::constant(1_000.0),
+                cfg.clone(),
+            )
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        let (mut undisturbed, _) = mk();
+        let run = |exact: &mut FluidEngine, fast: &mut FluidEngine, twin: &mut FluidEngine, n| {
+            for _ in 0..n {
+                assert_lockstep(exact, fast, &ids, 1);
+                twin.tick_within(u64::MAX);
+                assert_eq!(fast.fastforward_active(), twin.fastforward_active());
+            }
+        };
+        run(&mut exact, &mut fast, &mut undisturbed, 250);
+        assert!(fast.ff.probing(), "third probe under way");
+        assert_eq!(exact.collect_snapshot(), fast.collect_snapshot());
+        assert!(fast.ff.probing(), "a snapshot leaves the probe alone");
+        run(&mut exact, &mut fast, &mut undisturbed, 100);
+        assert!(fast.fastforward_active());
+        assert_eq!(exact.collect_snapshot(), fast.collect_snapshot());
+
+        // Drop the armed cycle, then cancel the probe that follows it.
+        fast.ff.invalidate();
+        assert_lockstep(&mut exact, &mut fast, &ids, 30);
+        assert!(fast.ff.probing());
+        let failures = fast.fastforward_stats().probe_failures;
+        let mut plan = fast.current_deployment();
+        plan.set(ids[1], 2);
+        exact.request_rescale(plan.clone());
+        fast.request_rescale(plan);
+        assert!(!fast.ff.probing(), "a rescale request cancels the probe");
+        assert_lockstep(&mut exact, &mut fast, &ids, 1_000);
+        let stats = fast.fastforward_stats();
+        assert_eq!(fast.deployment().parallelism(ids[1]), 2);
+        assert!(
+            stats.halted_ticks > 0 && fast.fastforward_active(),
+            "{stats:?}"
+        );
+        assert!(
+            stats.probe_failures <= failures + 1,
+            "the cancelled probe is no failure (the pipeline refilling after \
+             the deploy may cost one): {stats:?}"
+        );
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// A probe starts only if its whole cycle and one replayed tick fit in
+    /// the source phase. With the rate changing at tick 304, the probe that
+    /// starts at tick 203 (the two before it fail on the filling pipeline)
+    /// ends at 303 and buys exactly one replayed tick; with the change one
+    /// tick earlier it must not start at all.
+    #[test]
+    fn a_rate_change_right_after_the_cycle_bounds_probe_and_replay() {
+        for (change_tick, probes, replayed) in [(304u64, 3, 1), (303, 2, 0)] {
+            let mk = || {
+                let schedule =
+                    RateSchedule::steps(vec![(0, 1_000.0), (change_tick * 10 * MS, 1_500.0)]);
+                windowed_chain(
+                    &[(10_000.0, Some(1_000 * MS)), (10_000.0, None)],
+                    SourceSpec::constant(0.0).with_schedule(schedule),
+                    untagged(EngineConfig::default()),
+                )
+            };
+            let (mut exact, ids) = mk();
+            let (mut fast, _) = mk();
+            assert_lockstep(&mut exact, &mut fast, &ids, change_tick as usize);
+            let stats = fast.fastforward_stats();
+            assert_eq!(
+                (stats.probes, stats.cycle_ticks),
+                (probes, replayed),
+                "change at tick {change_tick}: {stats:?}"
+            );
+            assert_lockstep(&mut exact, &mut fast, &ids, 1_000);
+            let stats = fast.fastforward_stats();
+            assert!(stats.cycle_ticks > 500, "new phase replays: {stats:?}");
+            assert_engines_agree(&mut exact, &mut fast, &ids);
+        }
     }
 
     #[test]

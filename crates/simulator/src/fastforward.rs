@@ -2,41 +2,70 @@
 //! [`FluidEngine`](crate::engine::FluidEngine) can prove repeat.
 //!
 //! The scenario matrix's workloads are piecewise-constant, so between
-//! workload phases and control decisions almost every tick performs the same
-//! float operations as the one before it. The engine *arms* a transition
-//! when it has proved that, and from then on replays only the operations
-//! whose results accumulate. One armed transition is a set of recorded,
-//! replayable operations — accumulator addends, sink latency samples, the
-//! epoch-frontier offset, backlog addends and per-queue drift operations —
-//! and one function replays all of it; a fixed point is the case with no
-//! backlog and no queue operations.
+//! workload phases and control decisions the engine does the same float
+//! operations over and over: every tick when nothing is windowed, every
+//! window period when something is. The engine *arms* a transition when it
+//! has proved that, and from then on replays only the operations whose
+//! results accumulate. One armed transition is a **cycle** of `k` recorded
+//! ticks — per phase the accumulator addends and the drifting queues'
+//! operations, plus sink latency samples, the epoch-frontier offset and
+//! backlog addends — and one function replays all of it. `k` is the least
+//! common multiple of the window periods in ticks; a dataflow without
+//! windows is the case `k = 1`, a fixed point the case with no queue
+//! operations, a halted stretch the case with nothing but waits.
 //!
 //! # Proof obligations
 //!
 //! A tick is a pure function of the fluid state (queues, durable backlogs,
-//! window buffers, the Heron signal) and of inputs that are frozen while a
-//! transition is armed: no pending rescale (or, for the halted step, the
-//! same one), no windowed operators, zero service noise, every source
-//! schedule inside a constant phase (which also freezes the spill factors).
-//! All comparisons below are bitwise; nothing is tolerance-based, and
-//! anything unproven keeps executing full ticks.
+//! window buffers and firing times, the Heron signal) and of inputs that
+//! are frozen while a transition is armed: no pending rescale (or, for the
+//! halted step, the same one), zero service noise, every source schedule
+//! inside a constant phase (which also freezes the spill factors). All
+//! comparisons below are bitwise; nothing is tolerance-based, and anything
+//! unproven keeps executing full ticks.
 //!
-//! * **Fixed point** (`StepKind::Steady`). The post-tick state equals the
-//!   pre-tick state with every queued span's emission tag advanced by one
-//!   tick (untagged engines have no observable tags and compare totals
-//!   only). The tick function is shift-equivariant, so one confirmed shift
-//!   step proves every later tick of the phase repeats it.
+//! * **Cycle.** A probe records `k` consecutive ticks — each with its
+//!   accumulators started from zero, so what they hold afterwards is that
+//!   tick's addends — and the structural state before the first and after
+//!   every one of them (`Fingerprint`, one row per tick boundary). If the
+//!   last row equals the first, the `k`-tick map has a fixed point there:
+//!   the inputs are time-invariant, so the trajectory repeats tick for
+//!   tick, phase `j` of every later cycle doing what probe tick `j` did.
+//!   "Equals" means: every queue's span count, `total` and sole span's
+//!   `records`, every backlog and window buffer bitwise; every window's
+//!   firing time by its distance from now (`next_fire_ns - now_ns`, which
+//!   is why a window period must be a whole number of ticks); whether a
+//!   window buffer carries a tag; and on tagged engines — which have no
+//!   windows to cycle with, so `k = 1` — every queued span with its tag
+//!   advanced by one tick (the tick function is shift-equivariant).
+//!   Windowed engines are untagged: a tagged cycle would have to replay
+//!   per-phase latency samples.
 //!
-//! * **Drifting queues** (`StepKind::Drift`; untagged Flink-mode engines).
-//!   Everything is bitwise unchanged *except* the lengths of some queues.
-//!   A tick reads a queue's length in exactly these places:
+//!   Untagged marks hold no tags, yet one thing a tick does depends on
+//!   them: the spans an operator drains from its *class* queues are merged
+//!   before routing iff their tags agree, and a push of `a + b` rounds
+//!   differently from two. Cycles re-create queues in bursts, so a float
+//!   state can repeat before those relations have settled;
+//!   `Fingerprint::class_tags_settled` refuses such a cycle, and replay
+//!   restores each row's tags along with its marks.
+//!
+//! * **Constant `TickStats`.** The sources must have offered and emitted
+//!   bitwise the same, and the backpressure flag read the same, in all `k`
+//!   ticks. Nothing in the engine needs that — the addends are per phase —
+//!   but callers aggregate per tick from [`last_tick`] and read it once
+//!   per replayed batch, and that contract is kept rather than widened.
+//!
+//! * **Drifting queues** (untagged Flink-mode engines). Everything cycles
+//!   *except* the lengths of some queues. A tick reads a queue's length in
+//!   exactly these places:
 //!   1. the drain `len.min(cap_inst)` and `amount.min(total)` in
 //!      `pop_into` — equal to `cap_inst` resp. the requested amount while
 //!      `total > cap_inst`;
 //!   2. the pop branch `front.records <= remaining + 1e-12` — the partial
 //!      branch while the single span's `records > cap_inst >= take`;
 //!   3. `space()` in the upstream `emit.min(limit / weight)` /
-//!      `want_total > limit` flow control — not the binding term while the
+//!      `want_total > limit` flow control and in a window flush's
+//!      `(pending * weight).min(accept)` — not the binding term while the
 //!      space left after the drain exceeds everything the tick pushes;
 //!   4. `records >= space` in `push` — unclamped under the same condition.
 //!
@@ -47,55 +76,80 @@
 //!   therefore make the tick independent of the drifting lengths: all
 //!   flows, addends and pushes repeat bitwise, and the queue itself sees
 //!   `records -= take; total -= take` followed by `records += x;
-//!   total += x` per push. The probe tick logs exactly those operands
-//!   (`QueueLog`); the engine arms when both guards hold on the state
-//!   before *and* after the probe tick, and replay re-checks them on the
-//!   current state before every replayed tick, then applies the logged
-//!   operations verbatim. Queue lengths (and so every timeline sample and
-//!   later full tick) are bitwise those of tick-by-tick execution; there is
-//!   no closed-form horizon and no rounding argument. The first failing
-//!   guard ends the replay and the tick it refused runs in full.
+//!   total += x` per push. The probe logs exactly those operands per tick
+//!   (`QueueLog`; a window flush is routed and logged like any other
+//!   push). **The guards are per phase**: phase `j`'s are built from probe
+//!   tick `j`'s drain and pushes — the tick that receives a flush has a
+//!   much lower ceiling than the nineteen that do not — and must hold on
+//!   the state before probe tick `j`; the state the cycle ends in must
+//!   admit phase 0 again. Replay re-checks phase `j`'s guards on the
+//!   current state before every replayed tick of phase `j`, then applies
+//!   that tick's logged operations verbatim. Queue lengths (and so every
+//!   timeline sample and later full tick) are bitwise those of
+//!   tick-by-tick execution; there is no closed-form horizon and no
+//!   rounding argument. The first failing guard ends the replay — in the
+//!   middle of a cycle if need be — and the tick it refused runs in full.
 //!   Tagged engines stay on the fixed-point test (a tagged drifting queue
 //!   grows a span per tick), as does Heron mode (its watermark comparisons
 //!   read the fill level too).
 //!
-//! * **Halted stretch** (`StepKind::Halted`; every engine mode). While a
-//!   redeployment is pending a tick touches nothing but `wait_input_ns +=
-//!   tick_ns` per accumulator class and `backlog += offered` per durable
-//!   source, and performs no epoch advance. After one fully executed halted
-//!   tick those addends are armed for ticks that end before the deployment
-//!   lands (the deploy tick always runs in full) and start before the next
-//!   schedule change. `offered` is taken from the executed tick, so the
-//!   engine arms only if the next tick offers bitwise the same: a rate
-//!   change that is not tick-aligned falls *inside* a tick, which then
-//!   still offers the old rate while `next_change_after` already reports
-//!   the change after it.
+//! * **Marks per batch, drift per tick.** What cycles is a function of the
+//!   phase alone, so replay does not walk it through the ticks: once per
+//!   batch it sets queues, backlogs and window buffers to the row recorded
+//!   after the last replayed phase and the firing times to `now` plus
+//!   their recorded distance. What drifts is a function of how many ticks
+//!   were replayed, and its guards read it, so it is advanced tick by
+//!   tick. The accumulator sums are order-sensitive floats and get every
+//!   phase's addend in phase order.
 //!
+//! * **Halted stretch** (every engine mode). While a redeployment is
+//!   pending a tick touches nothing but `wait_input_ns += tick_ns` per
+//!   accumulator class and `backlog += offered` per durable source, and
+//!   performs no epoch advance and no window firing. After one fully
+//!   executed halted tick those addends are armed as a one-tick cycle for
+//!   ticks that end before the deployment lands (the deploy tick always
+//!   runs in full) and start before the next schedule change. `offered` is
+//!   taken from the executed tick, so the engine arms only if the next
+//!   tick offers bitwise the same: a rate change that is not tick-aligned
+//!   falls *inside* a tick, which then still offers the old rate while
+//!   `next_change_after` already reports the change after it.
+//!
+//! A probe starts only if its `k` ticks and one replayed tick fit before
+//! the next schedule change, and spans whatever the caller does between
+//! ticks that leaves the dataflow alone: closing a metrics window zeroes
+//! the accumulators, which the per-tick save and restore never notices.
 //! Replay builds every sum by repeated addition of the recorded addends —
 //! the float operations of tick-by-tick execution, never a multiplied
-//! approximation. Rescale requests invalidate any armed transition; a class
-//! split or a spill-phase flip deploys through the rescale path or happens
-//! at a phase boundary, so neither can occur inside a replayed window.
+//! approximation. Rescale requests cancel a running probe and invalidate
+//! any armed transition; a class split or a spill-phase flip deploys
+//! through the rescale path or happens at a phase boundary, so neither can
+//! occur inside a probed or replayed window.
+//!
+//! [`last_tick`]: crate::engine::FluidEngine::last_tick
 
 use crate::engine::InstanceAcc;
-use crate::queue::Span;
+use crate::queue::{EpochQueue, Span};
 
 /// Counters describing how much work fast-forward saved (and spent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FastForwardStats {
     /// Fully executed ticks (including probe ticks).
     pub full_ticks: u64,
-    /// Probe attempts (full ticks run with delta capture enabled).
+    /// Probe attempts (one per cycle recorded, however many ticks it spans).
     pub probes: u64,
-    /// Probes whose post-state was neither a shift of the pre-state nor a
-    /// guarded drift step.
+    /// Probes whose cycle neither returned to its starting state nor
+    /// differed from it by guarded drift only.
     pub probe_failures: u64,
     /// Ticks replayed from an armed transition, of every kind.
     pub replayed_ticks: u64,
-    /// Of `replayed_ticks`, those replayed from a drift step.
+    /// Of `replayed_ticks`, those replayed from a one-tick cycle with
+    /// drifting queues.
     pub drift_ticks: u64,
     /// Of `replayed_ticks`, those replayed while halted for redeployment.
     pub halted_ticks: u64,
+    /// Of `replayed_ticks`, those replayed from a cycle longer than one
+    /// tick (windowed dataflows), drifting queues or not.
+    pub cycle_ticks: u64,
 }
 
 impl std::ops::AddAssign for FastForwardStats {
@@ -106,47 +160,88 @@ impl std::ops::AddAssign for FastForwardStats {
         self.replayed_ticks += other.replayed_ticks;
         self.drift_ticks += other.drift_ticks;
         self.halted_ticks += other.halted_ticks;
+        self.cycle_ticks += other.cycle_ticks;
     }
 }
 
-/// What kind of repeating tick an armed transition replays.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub(crate) enum StepKind {
-    /// Post-state == pre-state (shifted by one tick).
-    #[default]
-    Steady,
-    /// Post-state == pre-state except guarded, linearly drifting queues.
-    Drift,
-    /// The job is down: only waits and durable backlogs accumulate, and
-    /// virtual time passes without an epoch advance.
-    Halted,
-}
-
-/// One queue's structural state before a probe tick.
+/// One queue's structural state at a tick boundary.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueueMark {
     pub(crate) spans: u32,
     pub(crate) total: f64,
     /// Records of the only span (`None` unless the queue held exactly one).
     pub(crate) sole_records: Option<f64>,
+    /// Tag of the oldest span (`0` when empty). Not compared — untagged
+    /// engines report nothing that depends on a tag's value — but restored
+    /// with the rest: see [`Fingerprint::class_tags_settled`].
+    pub(crate) tag: u64,
 }
 
-/// Compact copy of the engine's structural fluid state, captured before a
-/// probe tick and compared (shifted) against the state after it.
+impl QueueMark {
+    pub(crate) fn of(queue: &EpochQueue) -> Self {
+        Self {
+            spans: queue.span_count() as u32,
+            total: queue.len(),
+            sole_records: queue.sole_span_records(),
+            tag: queue.oldest_ns().unwrap_or(0),
+        }
+    }
+
+    /// Bitwise equality. `total` alone is not enough: a clamped push sets
+    /// `total` to the capacity while the span accumulates `records`, so the
+    /// two can part ways, and `pop_into` branches on `records`.
+    pub(crate) fn same(&self, other: &Self) -> bool {
+        self.spans == other.spans
+            && self.total.to_bits() == other.total.to_bits()
+            && self.sole_records.map(f64::to_bits) == other.sole_records.map(f64::to_bits)
+    }
+}
+
+/// One operator's structural state outside its queues at a tick boundary.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpMark {
+    /// Durable backlog (sources).
+    pub(crate) backlog: f64,
+    /// Buffered window output and its oldest tag.
+    pub(crate) window_pending: f64,
+    pub(crate) window_oldest: Option<u64>,
+    /// `next_fire_ns - now_ns`, wrapping (`0` for operators without a
+    /// window).
+    pub(crate) fire_in: u64,
+}
+
+impl OpMark {
+    /// Whether a tick starting from `later` does what one starting from
+    /// `self` did: everything bitwise equal, the firing time by its
+    /// distance from now, the oldest buffered tag by its presence (its
+    /// value only labels what a flush pushes).
+    pub(crate) fn repeats(&self, later: &Self) -> bool {
+        self.backlog.to_bits() == later.backlog.to_bits()
+            && self.window_pending.to_bits() == later.window_pending.to_bits()
+            && self.window_oldest.is_some() == later.window_oldest.is_some()
+            && self.fire_in == later.fire_in
+    }
+}
+
+/// Compact copies of the engine's structural fluid state: row 0 is the
+/// state before a probe's first tick, row `j + 1` the state after its tick
+/// `j`. The cycle test compares the last row against row 0, drift guards
+/// are checked on every pair of adjacent rows, and replay restores the row
+/// of the last replayed phase.
 ///
 /// Buffers are recycled across probes; a capture never allocates once the
-/// vectors have grown to the dataflow's size.
+/// vectors have grown to the dataflow's size times the cycle length.
 #[derive(Debug, Default)]
 pub(crate) struct Fingerprint {
-    /// One mark per queue, in engine walk order.
+    /// One mark per queue, in engine walk order, row after row.
     pub(crate) queues: Vec<QueueMark>,
-    /// All spans, concatenated in the same walk order.
+    /// Queues per row.
+    pub(crate) width: usize,
+    /// Row 0's spans, concatenated in the same walk order (tagged engines).
     pub(crate) spans: Vec<Span>,
-    /// Durable backlog per operator id.
-    pub(crate) backlog: Vec<f64>,
-    /// Buffered window output per operator id.
-    pub(crate) window_pending: Vec<f64>,
-    /// Heron spout-pausing signal.
+    /// One mark per operator id, row after row.
+    pub(crate) ops: Vec<OpMark>,
+    /// Heron spout-pausing signal before the probe.
     pub(crate) heron_backpressure: bool,
 }
 
@@ -154,32 +249,107 @@ impl Fingerprint {
     pub(crate) fn clear(&mut self) {
         self.queues.clear();
         self.spans.clear();
-        self.backlog.clear();
-        self.window_pending.clear();
-        self.heron_backpressure = false;
+        self.ops.clear();
+    }
+
+    /// Whether the tags of one operator's class queues — `classes` queues
+    /// from walk-order index `first` — stand to each other, in every row,
+    /// in a way every later cycle keeps (a tick merges the spans it drains
+    /// from them iff their tags agree; see the module docs). Two classes do
+    /// when their tags agree in every row where both hold a span (they are
+    /// always re-created together, by the same push), or when the one with
+    /// the smaller tag keeps its span through every tick of the cycle — its
+    /// tag then never changes, and the other's only grows. Whether a span
+    /// survives a tick is read off the `logged` drains; without a log only
+    /// agreement counts.
+    pub(crate) fn class_tags_settled(
+        &self,
+        log: &QueueLog,
+        logged: bool,
+        first: usize,
+        classes: usize,
+    ) -> bool {
+        let rows = self.queues.len() / self.width;
+        let mark = |row: usize, class: usize| &self.queues[row * self.width + first + class];
+        let keeps_its_span = |class: usize| {
+            logged
+                && (0..rows - 1).all(|phase| {
+                    let (_, take) = log.drain(phase, first + class);
+                    // The partial-pop branch of `pop_into`.
+                    mark(phase, class)
+                        .sole_records
+                        .is_some_and(|records| records > take + 1e-12)
+                })
+        };
+        (0..classes).all(|c| {
+            (c + 1..classes).all(|d| {
+                let (mut agree, mut c_older, mut d_older) = (true, true, true);
+                for row in 0..rows {
+                    let (a, b) = (mark(row, c), mark(row, d));
+                    if a.spans > 0 && b.spans > 0 {
+                        agree &= a.tag == b.tag;
+                        c_older &= a.tag < b.tag;
+                        d_older &= b.tag < a.tag;
+                    }
+                }
+                agree
+                    || (c_older && keeps_its_span(c))
+                    || (d_older && keeps_its_span(d))
+                    || (keeps_its_span(c) && keeps_its_span(d))
+            })
+        })
     }
 }
 
-/// What a probe tick did to the partition-class queues: the drain each was
-/// asked for and every push it received, in execution order. Written only by
-/// the probe instantiation of the tick path — plain ticks carry no logging
-/// code at all.
+/// What the ticks of a probe did to the partition-class queues: the drain
+/// each was asked for and every push it received, in execution order.
+/// Written only by the probe instantiation of the tick path — plain ticks
+/// carry no logging code at all.
 #[derive(Debug, Default)]
 pub(crate) struct QueueLog {
     /// Walk-order index of each operator's first class queue.
     pub(crate) class_base: Vec<u32>,
-    /// `(cap_inst, take)` per queue, by walk-order index.
+    /// `(cap_inst, take)` per queue by walk-order index, one row per tick.
     pub(crate) drains: Vec<(f64, f64)>,
+    /// Queues per row, and where the running tick's row starts.
+    queues: usize,
+    pub(crate) row: usize,
     /// `(queue, records)` per positive push, in execution order.
     pub(crate) pushes: Vec<(u32, f64)>,
+    /// Length of `pushes` at the end of each finished tick.
+    push_ends: Vec<usize>,
 }
 
 impl QueueLog {
-    /// Empties the log for a dataflow whose queues were just fingerprinted.
-    pub(crate) fn reset(&mut self, queues: usize) {
+    /// Empties the log for a new probe.
+    pub(crate) fn clear(&mut self) {
+        self.class_base.clear();
         self.drains.clear();
-        self.drains.resize(queues, (0.0, 0.0));
         self.pushes.clear();
+        self.push_ends.clear();
+    }
+
+    /// Opens the row of a tick over `queues` queues.
+    pub(crate) fn begin_tick(&mut self, queues: usize) {
+        self.queues = queues;
+        self.row = self.drains.len();
+        self.drains.resize(self.row + queues, (0.0, 0.0));
+    }
+
+    pub(crate) fn end_tick(&mut self) {
+        self.push_ends.push(self.pushes.len());
+    }
+
+    /// The `(cap_inst, take)` logged for queue `index` in finished tick
+    /// `phase`.
+    fn drain(&self, phase: usize, index: usize) -> (f64, f64) {
+        self.drains[phase * self.queues + index]
+    }
+
+    /// The pushes of finished tick `phase`.
+    fn pushes(&self, phase: usize) -> &[(u32, f64)] {
+        let from = phase.checked_sub(1).map_or(0, |p| self.push_ends[p]);
+        &self.pushes[from..self.push_ends[phase]]
     }
 }
 
@@ -187,14 +357,15 @@ impl QueueLog {
 /// guarded comparisons is below `1e-15` × capacity.
 const GUARD_SLACK: f64 = 1e-6;
 
-/// The recorded per-tick operations of one drifting queue, with the bounds
-/// inside which they are the operations a full tick performs.
+/// The recorded operations of one drifting queue in one phase of the
+/// cycle, with the bounds inside which they are the operations a full tick
+/// performs.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct DriftQueue {
     /// Operator id index and class index of the queue.
     pub(crate) op: u32,
     pub(crate) class: u32,
-    /// Records drained per tick (`0.0` when the tick drained none).
+    /// Records drained (`0.0` when the tick drained none).
     pub(crate) take: f64,
     /// This queue's pushes, as a range of [`FastForward::drift_pushes`].
     pub(crate) pushes: (u32, u32),
@@ -205,18 +376,19 @@ pub(crate) struct DriftQueue {
 }
 
 impl DriftQueue {
-    /// Builds the drift operations of queue `index` (`class` of `op`) from
+    /// Builds the drift operations of queue `index` from tick `phase` of
     /// the probe log, appending its pushes to `pushes_out`. `None` when the
     /// logged drain is one `pop_into` might skip as dust.
     pub(crate) fn from_log(
         log: &QueueLog,
+        phase: usize,
         index: u32,
-        (op, class): (usize, usize),
+        (op, class): (u32, u32),
         capacity: f64,
         pushes_out: &mut Vec<f64>,
     ) -> Option<Self> {
         let slack = GUARD_SLACK * capacity;
-        let (cap_inst, take) = log.drains[index as usize];
+        let (cap_inst, take) = log.drain(phase, index as usize);
         // A non-positive take pops nothing; in between, `pop_into`'s own
         // dust threshold decides — not a case worth proving.
         let take = if take > 0.0 { take } else { 0.0 };
@@ -225,15 +397,15 @@ impl DriftQueue {
         }
         let from = pushes_out.len();
         pushes_out.extend(
-            log.pushes
+            log.pushes(phase)
                 .iter()
                 .filter(|(queue, _)| *queue == index)
                 .map(|(_, x)| x),
         );
         let pushed: f64 = pushes_out[from..].iter().sum();
         Some(Self {
-            op: op as u32,
-            class: class as u32,
+            op,
+            class,
             take,
             pushes: (from as u32, pushes_out.len() as u32),
             floor: cap_inst + slack,
@@ -262,20 +434,53 @@ pub(crate) const MAX_FINGERPRINT_SPANS: usize = 8_192;
 /// most this many full ticks of missed replay once a steady state forms.
 pub(crate) const MAX_PROBE_COOLDOWN: u32 = 32;
 
+/// Longest cycle a probe records, in ticks: bounds the fingerprint rows and
+/// the full ticks one hopeless probe can cost.
+const MAX_CYCLE_TICKS: u64 = 512;
+
+/// The number of ticks after which windows firing every `periods` repeat
+/// their pattern: the least common multiple of the periods in ticks (`1`
+/// without windows). `None` when a period is not a whole number of ticks
+/// or the cycle is longer than a probe records.
+pub(crate) fn cycle_length(tick_ns: u64, periods: impl Iterator<Item = u64>) -> Option<u32> {
+    let mut cycle = 1u64;
+    for period in periods {
+        let ticks = period / tick_ns;
+        if ticks == 0 || period % tick_ns != 0 || ticks > MAX_CYCLE_TICKS {
+            return None;
+        }
+        let (mut a, mut b) = (cycle, ticks);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        cycle = cycle / a * ticks;
+        if cycle > MAX_CYCLE_TICKS {
+            return None;
+        }
+    }
+    Some(cycle as u32)
+}
+
 /// The fast-forward state machine owned by the engine.
 #[derive(Debug, Default)]
 pub(crate) struct FastForward {
     /// `true` when a transition has been confirmed and not yet invalidated.
     armed: bool,
-    /// Which kind of step is armed.
-    pub(crate) kind: StepKind,
+    /// Whether the armed transition is a halted step (no epoch advance, no
+    /// cycling state).
+    pub(crate) halted: bool,
     /// First tick *start* time at which the armed transition no longer
     /// applies (the next source-schedule phase boundary, or one tick before
     /// a pending deployment lands).
     valid_until_ns: u64,
-    /// Per-class accumulator addends, flat in engine walk order (a probe
-    /// tick runs with accumulators zeroed, so each addend is exactly what
-    /// the tick applied).
+    /// Ticks per cycle of the transition being probed or armed.
+    pub(crate) cycle: u32,
+    /// While probing: ticks recorded so far (`0` when no probe is running).
+    /// While armed: the phase of the cycle the next replayed tick repeats.
+    pub(crate) pos: u32,
+    /// Per-class accumulator addends, phase after phase, each flat in
+    /// engine walk order (a probe tick runs with accumulators zeroed, so
+    /// each addend is exactly what the tick applied).
     pub(crate) deltas: Vec<InstanceAcc>,
     /// Accumulator values saved while a probe tick runs from zero.
     pub(crate) saved: Vec<InstanceAcc>,
@@ -288,14 +493,22 @@ pub(crate) struct FastForward {
     /// Durable-backlog addends `(operator id index, records)`; non-empty
     /// only for a halted step.
     pub(crate) backlog_addends: Vec<(usize, f64)>,
-    /// Drifting queues of a drift step (empty otherwise).
+    /// `(walk-order index, operator id index, class index)` of the queues
+    /// that drift, in walk order (empty for a pure cycle).
+    pub(crate) drifting: Vec<(u32, u32, u32)>,
+    /// The drifting queues' operations, phase after phase, each in the
+    /// order of `drifting`.
     pub(crate) drift: Vec<DriftQueue>,
     /// The drifting queues' pushes, concatenated.
     pub(crate) drift_pushes: Vec<f64>,
-    /// Pre-probe structural state (recycled buffer).
+    /// Structural state before the probe and after each of its ticks
+    /// (recycled buffer).
     pub(crate) fingerprint: Fingerprint,
-    /// Queue operations of the probe tick (recycled buffer).
+    /// Queue operations of the probe's ticks (recycled buffer).
     pub(crate) log: QueueLog,
+    /// What the sources offered and emitted (bit patterns, per source) and
+    /// the backpressure flag of the probe's first tick.
+    pub(crate) source_stats: Vec<(u64, u64)>,
     /// Full ticks to wait before the next probe attempt.
     cooldown: u32,
     /// Next cooldown on failure (exponential, capped).
@@ -322,8 +535,13 @@ impl FastForward {
         by_horizon.min(by_phase)
     }
 
-    /// Whether the engine should attempt a probe this tick. Counts down
-    /// the failure cooldown as a side effect.
+    /// Whether a probe has recorded some of its cycle's ticks and not all.
+    pub(crate) fn probing(&self) -> bool {
+        !self.armed && self.pos > 0
+    }
+
+    /// Whether the engine should start a probe this tick. Counts down the
+    /// failure cooldown as a side effect.
     pub(crate) fn should_probe(&mut self) -> bool {
         if self.armed {
             return false;
@@ -335,16 +553,20 @@ impl FastForward {
         true
     }
 
-    /// Arms replay of the recorded `kind` of step, valid for ticks starting
-    /// before `valid_until_ns`. Operations only the other kinds record are
-    /// dropped, so one replay path serves all of them.
-    pub(crate) fn arm(&mut self, kind: StepKind, valid_until_ns: u64) {
-        match kind {
-            StepKind::Halted => self.drift.clear(),
-            StepKind::Steady | StepKind::Drift => self.backlog_addends.clear(),
+    /// Arms replay of the recorded cycle (or halted step) from its first
+    /// phase, valid for ticks starting before `valid_until_ns`. Operations
+    /// only the other kind records are dropped, so one replay path serves
+    /// both.
+    pub(crate) fn arm(&mut self, halted: bool, valid_until_ns: u64) {
+        if halted {
+            self.cycle = 1;
+            self.drifting.clear();
+        } else {
+            self.backlog_addends.clear();
         }
         self.armed = true;
-        self.kind = kind;
+        self.halted = halted;
+        self.pos = 0;
         self.valid_until_ns = valid_until_ns;
         self.cooldown = 0;
         self.next_cooldown = 1;
@@ -353,17 +575,19 @@ impl FastForward {
     /// Records a failed probe and backs off.
     pub(crate) fn probe_failed(&mut self) {
         self.stats.probe_failures += 1;
+        self.pos = 0;
         let cooldown = self.next_cooldown.max(1);
         self.cooldown = cooldown;
         self.next_cooldown = (cooldown * 2).min(MAX_PROBE_COOLDOWN);
     }
 
-    /// Drops any armed transition (rescale requested, phase boundary
-    /// reached, a drift guard failed, or an externally driven exact tick).
-    /// Probing restarts immediately: invalidation means the world changed,
-    /// not that the search was failing.
+    /// Drops any armed transition and any running probe (rescale requested,
+    /// phase boundary reached, a drift guard failed, or an externally
+    /// driven exact tick). Probing restarts immediately: invalidation means
+    /// the world changed, not that the search was failing.
     pub(crate) fn invalidate(&mut self) {
         self.armed = false;
+        self.pos = 0;
         self.cooldown = 0;
         self.next_cooldown = 1;
     }
@@ -376,10 +600,12 @@ impl FastForward {
     /// Counts `ticks` replayed ticks of the armed kind.
     pub(crate) fn count_replayed(&mut self, ticks: u64) {
         self.stats.replayed_ticks += ticks;
-        match self.kind {
-            StepKind::Steady => {}
-            StepKind::Drift => self.stats.drift_ticks += ticks,
-            StepKind::Halted => self.stats.halted_ticks += ticks,
+        if self.halted {
+            self.stats.halted_ticks += ticks;
+        } else if self.cycle > 1 {
+            self.stats.cycle_ticks += ticks;
+        } else if !self.drifting.is_empty() {
+            self.stats.drift_ticks += ticks;
         }
     }
 }
@@ -412,7 +638,7 @@ mod tests {
     #[test]
     fn arm_and_invalidate() {
         let mut ff = FastForward::default();
-        ff.arm(StepKind::Steady, 1_000);
+        ff.arm(false, 1_000);
         assert!(ff.can_replay(999));
         assert!(!ff.can_replay(1_000), "valid_until is exclusive");
         assert!(!ff.should_probe(), "armed state never probes");
@@ -422,16 +648,25 @@ mod tests {
     }
 
     /// The two drift guards bound the linear regime from both sides, and a
-    /// dust-sized drain is refused outright.
+    /// dust-sized drain is refused outright. The log holds two ticks; each
+    /// phase reads its own row of drains and its own pushes.
     #[test]
     fn drift_guards_bound_the_linear_regime() {
-        let log = QueueLog {
+        let mut log = QueueLog {
             class_base: vec![0],
-            drains: vec![(700.0, 600.0)],
-            pushes: vec![(0, 400.0), (1, 9.0), (0, 290.0)],
+            ..Default::default()
         };
+        log.begin_tick(1);
+        log.drains[log.row] = (700.0, 1e-9);
+        log.pushes.push((0, 5.0));
+        log.end_tick();
+        log.begin_tick(1);
+        log.drains[log.row] = (700.0, 600.0);
+        log.pushes.extend([(0, 400.0), (1, 9.0), (0, 290.0)]);
+        log.end_tick();
+
         let mut pushes = Vec::new();
-        let d = DriftQueue::from_log(&log, 0, (3, 1), 5_000.0, &mut pushes).unwrap();
+        let d = DriftQueue::from_log(&log, 1, 0, (3, 1), 5_000.0, &mut pushes).unwrap();
         assert_eq!((d.op, d.class, d.take), (3, 1, 600.0));
         assert_eq!(pushes, vec![400.0, 290.0], "only this queue's pushes");
         assert!(d.admits(Some(2_000.0), 2_000.0));
@@ -448,11 +683,159 @@ mod tests {
         assert!(d.admits(Some(4_909.0), 4_909.0));
         assert!(!d.admits(Some(4_910.0), 4_910.0), "a push would clamp");
 
-        let dust = QueueLog {
-            class_base: vec![0],
-            drains: vec![(700.0, 1e-9)],
-            pushes: vec![],
+        assert!(DriftQueue::from_log(&log, 0, 0, (3, 1), 5_000.0, &mut pushes).is_none());
+    }
+
+    /// A saturated queue's `total` returns to the capacity with every
+    /// clamped push while its span's `records` — `records + (capacity -
+    /// total)`, rounded — need not: the marks must differ, or the cycle test
+    /// would call a state repeated that `pop_into` can tell apart.
+    #[test]
+    fn marks_compare_the_span_records_not_only_the_total() {
+        let mut q = EpochQueue::new_untagged(1_742.7);
+        q.push(0, 354.64);
+        q.push(0, 5_000.0);
+        let before = QueueMark::of(&q);
+        q.pop_into(705.92, &mut Vec::new());
+        q.push(0, 5_000.0);
+        let after = QueueMark::of(&q);
+        assert_eq!((before.spans, after.spans), (1, 1));
+        assert_eq!(before.total.to_bits(), after.total.to_bits());
+        assert_ne!(
+            before.sole_records.map(f64::to_bits),
+            after.sole_records.map(f64::to_bits),
+            "premise: the span drifted off the total"
+        );
+        assert!(before.same(&before));
+        assert!(!before.same(&after), "the probe must refuse this cycle");
+    }
+
+    /// An operator's state repeats only if its window fires at the same
+    /// distance from now; which tag its buffer carries does not matter,
+    /// whether it carries one does.
+    #[test]
+    fn operator_marks_compare_firing_distance_and_tag_presence() {
+        let mark = OpMark {
+            backlog: 3.5,
+            window_pending: 120.0,
+            window_oldest: Some(40),
+            fire_in: 70,
         };
-        assert!(DriftQueue::from_log(&dust, 0, (0, 0), 5_000.0, &mut pushes).is_none());
+        assert!(mark.repeats(&OpMark {
+            window_oldest: Some(1_040),
+            ..mark
+        }));
+        assert!(!mark.repeats(&OpMark {
+            window_oldest: None,
+            ..mark
+        }));
+        assert!(!mark.repeats(&OpMark {
+            fire_in: 80,
+            ..mark
+        }));
+        assert!(!mark.repeats(&OpMark {
+            window_pending: 120.00000000000001,
+            ..mark
+        }));
+        assert!(!mark.repeats(&OpMark {
+            backlog: 0.0,
+            ..mark
+        }));
+    }
+
+    /// Two class queues keep the relation of their tags when the tags
+    /// agree wherever both hold a span, or when the older one provably
+    /// never empties; a cycle that starts with equal tags and ends with
+    /// different ones (the younger class was re-created on the way) is the
+    /// one whose next round merges differently.
+    #[test]
+    fn class_tags_must_stand_as_later_cycles_keep_them() {
+        // Two queues, a cycle of two ticks (three rows); queue 0 is drained
+        // of 10 records per tick, queue 1 of 30.
+        let mut log = QueueLog::default();
+        for _ in 0..2 {
+            log.begin_tick(2);
+            log.drains[log.row] = (10.0, 10.0);
+            log.drains[log.row + 1] = (30.0, 30.0);
+            log.end_tick();
+        }
+        let fingerprint = |rows: [[(f64, u64); 2]; 3]| Fingerprint {
+            queues: rows
+                .iter()
+                .flatten()
+                .map(|&(records, tag)| QueueMark {
+                    spans: (records > 0.0) as u32,
+                    total: records,
+                    sole_records: (records > 0.0).then_some(records),
+                    tag,
+                })
+                .collect(),
+            width: 2,
+            ..Default::default()
+        };
+        let settled = |rows, logged| fingerprint(rows).class_tags_settled(&log, logged, 0, 2);
+
+        // Always filled by the same push.
+        let together = [
+            [(50.0, 7), (20.0, 7)],
+            [(50.0, 8), (20.0, 8)],
+            [(50.0, 9), (20.0, 9)],
+        ];
+        assert!(settled(together, false));
+        // Equal, then the second is re-created: the relation already moved.
+        let parted = [
+            [(50.0, 7), (20.0, 7)],
+            [(50.0, 7), (20.0, 8)],
+            [(50.0, 7), (20.0, 9)],
+        ];
+        assert!(!settled(parted, true));
+        // The first holds 50 > 10 records before every tick: it keeps its
+        // span and its older tag for good — if the drains are known.
+        let older = [
+            [(50.0, 3), (20.0, 7)],
+            [(50.0, 3), (20.0, 8)],
+            [(50.0, 3), (20.0, 9)],
+        ];
+        assert!(settled(older, true));
+        assert!(!settled(older, false), "no log, no proof that it persists");
+        // Down to its last 10 records, the next drain takes the whole span.
+        let drained = [
+            [(50.0, 3), (20.0, 7)],
+            [(10.0, 3), (20.0, 8)],
+            [(50.0, 3), (20.0, 9)],
+        ];
+        assert!(!settled(drained, true));
+        // Rows in which one of them is empty compare nothing.
+        let apart = [
+            [(50.0, 7), (20.0, 7)],
+            [(50.0, 7), (0.0, 0)],
+            [(50.0, 7), (20.0, 7)],
+        ];
+        assert!(settled(apart, false));
+    }
+
+    /// A window period maps to a cycle only on the tick grid, and several
+    /// windows to the least common multiple of theirs.
+    #[test]
+    fn cycle_is_the_lcm_of_the_periods_in_ticks() {
+        let tick = 25_000_000;
+        assert_eq!(cycle_length(tick, [].into_iter()), Some(1));
+        assert_eq!(cycle_length(tick, [2_500_000_000].into_iter()), Some(100));
+        assert_eq!(
+            cycle_length(tick, [500_000_000, 2_000_000_000, 750_000_000].into_iter()),
+            Some(240)
+        );
+        assert_eq!(cycle_length(tick, [tick].into_iter()), Some(1));
+        assert_eq!(cycle_length(tick, [1_010_000_000].into_iter()), None);
+        assert_eq!(cycle_length(tick, [tick / 2].into_iter()), None);
+        assert_eq!(
+            cycle_length(tick, [(MAX_CYCLE_TICKS + 1) * tick].into_iter()),
+            None
+        );
+        assert_eq!(
+            cycle_length(tick, [511 * tick, 2 * tick].into_iter()),
+            None,
+            "each period fits, their lcm does not"
+        );
     }
 }

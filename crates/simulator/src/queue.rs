@@ -223,6 +223,22 @@ impl EpochQueue {
         }
     }
 
+    /// Sets an untagged queue's contents to a state recorded earlier: its
+    /// `total`, and its only span's `records` (`None` = no span) and tag.
+    /// Fast-forward replay uses it for the queues of a cycle that return to
+    /// their recorded states.
+    pub(crate) fn restore(&mut self, total: f64, sole_records: Option<f64>, tag: u64) {
+        debug_assert!(self.untagged);
+        self.total = total;
+        self.spans.clear();
+        if let Some(records) = sole_records {
+            self.spans.push_back(Span {
+                emitted_ns: tag,
+                records,
+            });
+        }
+    }
+
     /// Discards all queued records (used when a failed job is not restored).
     pub fn clear(&mut self) {
         self.spans.clear();
@@ -334,6 +350,23 @@ mod tests {
             );
         }
         assert_eq!(exact.span_count(), 1);
+    }
+
+    /// `restore` puts an untagged queue into a recorded state whatever it
+    /// holds: with a span, without one, and back.
+    #[test]
+    fn restore_sets_total_and_the_sole_span() {
+        let mut q = EpochQueue::new_untagged(100.0);
+        q.push(5, 30.0);
+        q.restore(12.5, Some(12.25), 9);
+        assert_eq!((q.len(), q.sole_span_records()), (12.5, Some(12.25)));
+        assert_eq!(q.oldest_ns(), Some(9));
+        q.restore(0.0, None, 9);
+        assert_eq!((q.len(), q.span_count()), (0.0, 0));
+        q.restore(40.0, Some(40.0), 7);
+        assert_eq!((q.len(), q.sole_span_records()), (40.0, Some(40.0)));
+        assert_eq!(q.oldest_ns(), Some(7));
+        assert_eq!(q.push(10, 100.0), 60.0, "space follows the restored total");
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!   paper's reported parallelism ([`NexmarkQuery::reference_parallelism`]).
 //! * **Windows**: Q5 (hopping), Q8 (tumbling) and Q11 (session) mains use
 //!   [`OutputMode::Windowed`] with a seed-drawn period that divides the
-//!   matrix's 10 s policy interval — windowed operators are fast-forward
-//!   ineligible, so these scenarios also pin the tick-by-tick path.
+//!   matrix's 10 s policy interval and is a whole number of its 25 ms
+//!   ticks, so these scenarios fast-forward by whole window cycles
+//!   ([`crate::fastforward`]).
 //! * **Skew**: keyed mains (Q3 seller join, Q5 per-auction counts, Q8
 //!   person join, Q11 per-bidder sessions) accept the workload's hot-key
 //!   fraction as a two-class partition (hot instance + uniform rest);
@@ -578,34 +579,44 @@ mod tests {
         }
     }
 
-    /// A lowered windowed query (here Q5) is fast-forward ineligible end
-    /// to end: an engine built from the spec never probes or replays —
-    /// the matrix runs these scenarios tick-by-tick in both modes, which
-    /// is why FF and `--exact` reports agree trivially for them.
+    /// A lowered windowed query is a cycle of its window period: an
+    /// untagged engine built from the spec arms it and replays most of the
+    /// run, staying bitwise on a twin driven tick by tick.
     #[test]
-    fn windowed_query_engines_never_probe() {
+    fn windowed_query_engines_replay_their_cycles() {
         use crate::engine::{EngineConfig, FluidEngine, InstrumentationConfig};
         for q in [NexmarkQuery::Q5, NexmarkQuery::Q8, NexmarkQuery::Q11] {
             let spec = ScenarioSpec::generate(7, &nexmark_config(q));
-            let mut engine = FluidEngine::new(
-                spec.topology.graph.clone(),
-                spec.profiles.clone(),
-                spec.sources.clone(),
-                spec.initial.clone(),
-                EngineConfig {
-                    instrumentation: InstrumentationConfig::disabled(),
-                    fast_forward: true,
-                    track_record_latency: false,
-                    ..Default::default()
-                },
-            );
-            for _ in 0..1_000 {
-                engine.tick_within(u64::MAX);
+            let mk = || {
+                FluidEngine::new(
+                    spec.topology.graph.clone(),
+                    spec.profiles.clone(),
+                    spec.sources.clone(),
+                    spec.initial.clone(),
+                    EngineConfig {
+                        instrumentation: InstrumentationConfig::disabled(),
+                        fast_forward: true,
+                        track_record_latency: false,
+                        ..Default::default()
+                    },
+                )
+            };
+            let (mut exact, mut fast) = (mk(), mk());
+            for _ in 0..4_000 {
+                exact.tick();
+                fast.tick_within(u64::MAX);
             }
-            let stats = engine.fastforward_stats();
-            assert!(!engine.fastforward_active(), "{q:?} armed replay");
-            assert_eq!(stats.probes, 0, "{q:?} probed: {stats:?}");
-            assert_eq!(stats.replayed_ticks, 0, "{q:?} replayed");
+            let stats = fast.fastforward_stats();
+            assert!(stats.cycle_ticks > 2_000, "{q:?}: {stats:?}");
+            assert_eq!(stats.cycle_ticks, stats.replayed_ticks, "{q:?}");
+            for op in spec.topology.graph.operators() {
+                assert_eq!(
+                    exact.queue_len(op).to_bits(),
+                    fast.queue_len(op).to_bits(),
+                    "{q:?} {op}"
+                );
+            }
+            assert_eq!(exact.collect_snapshot(), fast.collect_snapshot(), "{q:?}");
         }
     }
 

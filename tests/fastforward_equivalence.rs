@@ -91,10 +91,13 @@ fn fastforward_runresults_are_bit_identical_across_scenarios() {
 }
 
 /// The equivalence holds for the nexmark scenario families too, across
-/// every workload shape: the windowed queries (Q5/Q8/Q11) are fast-forward
-/// *ineligible* — the engine must bail to tick-by-tick execution, never
-/// replay — while the stateless queries (Q1/Q2) replay their steady states;
-/// either way the `RunResult` is bitwise identical to `--exact`.
+/// every workload shape: the windowed queries (Q5/Q8/Q11) replay whole
+/// window cycles, with the main operator's input queue drifting when it is
+/// under-provisioned, and the stateless queries (Q1/Q2) their steady and
+/// drift steps; either way the `RunResult` is bitwise identical to
+/// `--exact`. Equality alone cannot tell a cycle that never arms from one
+/// that works, so every windowed query must replay more ticks than it
+/// executes, all of them as cycle ticks or halts.
 #[test]
 fn fastforward_is_exact_for_nexmark_families() {
     for query in NexmarkQuery::ALL {
@@ -119,6 +122,21 @@ fn fastforward_is_exact_for_nexmark_families() {
                 spec.family.name(),
                 spec.workload.shape.name(),
             );
+        }
+        let stats = arena_fast.fastforward_stats();
+        assert!(
+            stats.replayed_ticks > stats.full_ticks,
+            "{query:?} mostly ran in full: {stats:?}"
+        );
+        if query.window_periods().is_empty() {
+            assert_eq!(stats.cycle_ticks, 0, "{query:?}: {stats:?}");
+        } else {
+            assert_eq!(
+                stats.cycle_ticks + stats.halted_ticks,
+                stats.replayed_ticks,
+                "{query:?}: {stats:?}"
+            );
+            assert!(stats.cycle_ticks > stats.full_ticks, "{query:?}: {stats:?}");
         }
     }
 }
