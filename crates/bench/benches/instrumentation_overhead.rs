@@ -1,11 +1,9 @@
 //! The real cost of the §4.1 instrumentation primitives, measured on this
 //! machine: per-record counter updates (the hot path every operator
-//! instance executes) and trace-event aggregation (the Timely path).
+//! instance executes) and the per-window read.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use ds2_core::graph::OperatorId;
 use ds2_metrics::counters::{InstanceCounters, SharedCounters};
-use ds2_metrics::trace::{TraceAggregator, TraceEvent, WorkerId};
 
 fn bench_counters(c: &mut Criterion) {
     let shared = SharedCounters::new();
@@ -38,48 +36,5 @@ fn bench_counters(c: &mut Criterion) {
     });
 }
 
-fn bench_trace(c: &mut Criterion) {
-    c.bench_function("trace_aggregator_schedule_pair", |b| {
-        let mut agg = TraceAggregator::new(0, true);
-        let mut t = 0u64;
-        b.iter(|| {
-            agg.observe(TraceEvent::ScheduleStart {
-                worker: WorkerId(0),
-                operator: OperatorId(1),
-                at_ns: t,
-            });
-            agg.observe(TraceEvent::ScheduleEnd {
-                worker: WorkerId(0),
-                operator: OperatorId(1),
-                at_ns: t + 100,
-                records_in: 10,
-                records_out: 10,
-            });
-            t += 200;
-        })
-    });
-
-    c.bench_function("trace_aggregator_spinning_filtered", |b| {
-        let mut agg = TraceAggregator::new(0, true);
-        let mut t = 0u64;
-        b.iter(|| {
-            agg.observe(TraceEvent::ScheduleStart {
-                worker: WorkerId(0),
-                operator: OperatorId(1),
-                at_ns: t,
-            });
-            // A spinning activation: filtered before it reaches state.
-            agg.observe(TraceEvent::ScheduleEnd {
-                worker: WorkerId(0),
-                operator: OperatorId(1),
-                at_ns: t + 100,
-                records_in: 0,
-                records_out: 0,
-            });
-            t += 200;
-        })
-    });
-}
-
-criterion_group!(benches, bench_counters, bench_trace);
+criterion_group!(benches, bench_counters);
 criterion_main!(benches);

@@ -10,7 +10,8 @@
 //!   operator of a dataflow in a single topological traversal ([`policy`]);
 //! * the **Scaling Manager** of §4.2 — policy interval, warm-up, activation
 //!   time, target-rate ratio, minor-change suppression, rollback and
-//!   decision limiting ([`manager`]);
+//!   decision limiting ([`manager`]) — and a wrapper that hardens it against
+//!   faulty telemetry and lost rescales ([`hardened`]);
 //! * the engine-agnostic **controller interface** shared with the baseline
 //!   controllers ([`controller`]).
 //!
@@ -65,6 +66,7 @@ pub mod controller;
 pub mod deployment;
 pub mod error;
 pub mod graph;
+pub mod hardened;
 pub mod manager;
 pub mod opmap;
 pub mod policy;
@@ -77,7 +79,7 @@ pub mod prelude {
     pub use crate::deployment::{Deployment, ResourceAlloc};
     pub use crate::error::Ds2Error;
     pub use crate::graph::{Edge, GraphBuilder, LogicalGraph, OperatorId};
-    pub use crate::manager::{ActivationCombine, ManagerConfig, ScalingManager};
+    pub use crate::manager::{ManagerConfig, ScalingManager};
     pub use crate::opmap::{OpMap, OpSet};
     pub use crate::policy::{
         Ds2Policy, OperatorEstimate, PolicyConfig, PolicyOutput, PolicyWorkspace, SplitHint,

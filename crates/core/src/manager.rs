@@ -5,59 +5,74 @@
 //! time, activation time, and target-rate ratio — plus the §4.2.2
 //! practicalities: suppression of minor changes, rollback on post-deploy
 //! degradation, and a decision limit that guarantees convergence under data
-//! skew (§4.2.3).
+//! skew (§4.2.3). It trusts its inputs — snapshots are taken as reported
+//! and a requested rescale is waited for until it is acknowledged; wrap it
+//! in [`Hardened`](crate::hardened::Hardened) where they cannot be trusted.
 //!
 //! The per-window path is allocation-conscious: the manager owns one
 //! [`Ds2Policy`] and one [`PolicyWorkspace`] for its whole lifetime, passes
 //! the learned requirement boost as an *argument* to
-//! [`Ds2Policy::evaluate_boosted_into`] (no per-decision config cloning),
-//! and keeps its offered-rate and activation-combining scratch in dense
-//! reusable buffers.
+//! [`Ds2Policy::evaluate_boosted_into`], and keeps its offered-rate and
+//! activation-combining scratch in dense reusable buffers.
 
-use crate::controller::{ControllerFaultStats, ControllerVerdict, ScalingController};
+use std::collections::VecDeque;
+
+use crate::controller::{ControllerVerdict, ScalingController};
 use crate::deployment::Deployment;
 use crate::error::Ds2Error;
-use crate::graph::{LogicalGraph, OperatorId};
+use crate::graph::LogicalGraph;
 use crate::opmap::OpMap;
 use crate::policy::{Ds2Policy, PolicyConfig, PolicyWorkspace};
 use crate::snapshot::MetricsSnapshot;
 
-/// How several consecutive policy decisions are combined before acting
-/// (§4.2.1 "Activation time").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ActivationCombine {
-    /// Per-operator maximum across the pending decisions: robust for
-    /// operators with bursty processing rates such as tumbling windows.
-    Max,
-    /// Per-operator median across the pending decisions: robust to outlier
-    /// intervals.
-    Median,
-}
+/// Slack applied to `target_rate_ratio` comparisons, absorbing measurement
+/// noise.
+const RATIO_TOLERANCE: f64 = 0.02;
+
+/// Fractional degradation of the achieved ratio after a deploy that
+/// triggers a rollback to the previous configuration (§4.2.2).
+const DEGRADATION_TOLERANCE: f64 = 0.1;
+
+/// Fractional change of a source's measured offered rate beyond which the
+/// pre/post-deploy ratio comparison is considered meaningless and the
+/// rollback check is skipped (the degradation is explained by the load,
+/// not the deploy).
+const ROLLBACK_LOAD_SHIFT_TOLERANCE: f64 = 0.1;
+
+/// Intervals the rolled-back-from plan stays suppressed after a rollback.
+/// The ban must expire: when a rollback was actually caused by an exogenous
+/// load change (a spike arriving mid-deploy), the banned plan is the
+/// *correct* one and suppressing it forever would pin the job
+/// under-provisioned. Consecutive rollbacks escalate the ban linearly
+/// (2x, 3x, …) so a plan that degrades performance under *stable* load is
+/// retried ever more rarely instead of cycling redeploy/degrade/rollback at
+/// a fixed cadence.
+const ROLLBACK_BAN_INTERVALS: u32 = 3;
+
+/// Entries the decision log keeps; older ones are evicted, so a controller
+/// that runs for the life of a job does not grow without bound.
+const HISTORY_CAP: usize = 64;
 
 /// Configuration of the [`ScalingManager`].
 #[derive(Debug, Clone)]
 pub struct ManagerConfig {
     /// Policy evaluation cadence in nanoseconds. The manager itself is
-    /// driven externally; this value documents the cadence and is used to
-    /// derive defaults elsewhere (harness, metrics windows).
+    /// driven externally and never reads this; it records the cadence the
+    /// caller drives it at.
     pub policy_interval_ns: u64,
     /// Number of consecutive policy intervals ignored after a scaling action
     /// (and at startup), while rate measurements stabilise.
     pub warmup_intervals: u32,
-    /// Number of consecutive policy decisions combined before a scaling
-    /// command is issued. `1` applies each decision immediately.
+    /// Number of consecutive policy decisions combined (per-operator upper
+    /// median) before a scaling command is issued. `1` applies each
+    /// decision immediately.
     pub activation_intervals: u32,
-    /// How pending decisions are combined when `activation_intervals > 1`.
-    pub activation_combine: ActivationCombine,
     /// Maximum allowed shortfall of achieved vs. target source rate, as a
     /// fraction in `(0, 1]`. With `1.0` the achieved rate must match the
-    /// target exactly (up to `ratio_tolerance`); when it does not and the
+    /// target exactly (up to a 2% tolerance); when it does not and the
     /// policy sees no further scaling need, the manager boosts requirements
     /// by `target/achieved` — compensating for uncaptured overheads.
     pub target_rate_ratio: f64,
-    /// Slack applied to `target_rate_ratio` comparisons (default 2%), absorbing
-    /// measurement noise.
-    pub ratio_tolerance: f64,
     /// Per-operator parallelism changes up to this magnitude are ignored
     /// *while the job keeps up with its target rate* (noise suppression,
     /// §4.2.2). Changes are never suppressed when the target is missed.
@@ -65,25 +80,6 @@ pub struct ManagerConfig {
     /// Hard cap on the number of scaling actions; `None` for unlimited.
     /// §4.2.3 relies on this to guarantee convergence under skew.
     pub max_decisions: Option<u32>,
-    /// Roll back to the previous configuration if the achieved source-rate
-    /// ratio degrades by more than `degradation_tolerance` after a deploy.
-    pub rollback_on_degradation: bool,
-    /// Fractional degradation of the achieved ratio that triggers rollback.
-    pub degradation_tolerance: f64,
-    /// Intervals the rolled-back-from plan stays suppressed after a
-    /// rollback. The ban must expire: when a rollback was actually caused
-    /// by an exogenous load change (a spike arriving mid-deploy), the
-    /// banned plan is the *correct* one and suppressing it forever would
-    /// pin the job under-provisioned. Consecutive rollbacks escalate the
-    /// ban linearly (2x, 3x, …) so a plan that degrades performance under
-    /// *stable* load is retried ever more rarely instead of cycling
-    /// redeploy/degrade/rollback at a fixed cadence.
-    pub rollback_ban_intervals: u32,
-    /// Fractional change of the measured offered rate beyond which the
-    /// pre/post-deploy ratio comparison is considered meaningless and the
-    /// rollback check is skipped (the degradation is explained by the load,
-    /// not the deploy).
-    pub rollback_load_shift_tolerance: f64,
     /// Per-instance state budget in bytes, the state axis of the resource
     /// model. When finite, operators whose reported state exceeds the
     /// budget get a parallelism *floor* of `ceil(total_state / budget)` —
@@ -91,32 +87,7 @@ pub struct ManagerConfig {
     /// layered on top of the rate-driven Eq. 7 prescription. `∞` (default)
     /// disables the axis entirely.
     pub state_budget_per_instance: f64,
-    /// Hardening: validate each snapshot against the graph and current
-    /// deployment, repairing operators with missing or implausible slots
-    /// from the last fully-valid snapshot. `false` (default) trusts the
-    /// snapshot as-is, which is the paper's clean-instrumentation setting.
-    pub validate_snapshots: bool,
-    /// Maximum age, in policy intervals, of the last-good snapshot used for
-    /// repairs when `validate_snapshots` is on. Beyond this window a broken
-    /// operator stays broken and the policy defers on it instead.
-    pub max_stale_windows: u32,
-    /// Hardening: replace per-instance samples whose true processing rate is
-    /// further than `outlier_factor`× from the operator median with the
-    /// median instance's sample (stragglers, noisy counters).
-    pub outlier_rejection: bool,
-    /// Multiplicative distance from the per-operator median rate beyond
-    /// which an instance sample counts as an outlier.
-    pub outlier_factor: f64,
-    /// Hardening: policy intervals to wait for a deploy acknowledgement
-    /// before verifying the live deployment and re-issuing the rescale.
-    /// `0` (default) waits forever — the vanilla manager's behaviour, which
-    /// wedges permanently when an acknowledgement is lost.
-    pub rescale_timeout_intervals: u32,
-    /// Retry cap for re-issued rescales. Once exhausted the manager
-    /// abandons the plan, holds the current deployment, and bans the
-    /// abandoned plan with an escalating cool-off.
-    pub max_rescale_retries: u32,
-    /// Underlying policy knobs (min/max parallelism, source scaling).
+    /// Underlying policy knobs (maximum parallelism, split detection).
     pub policy: PolicyConfig,
 }
 
@@ -126,22 +97,10 @@ impl Default for ManagerConfig {
             policy_interval_ns: 10_000_000_000, // 10 s, the Flink setting in §5.3
             warmup_intervals: 0,
             activation_intervals: 1,
-            activation_combine: ActivationCombine::Median,
             target_rate_ratio: 1.0,
-            ratio_tolerance: 0.02,
             min_change: 2,
             max_decisions: None,
-            rollback_on_degradation: true,
-            degradation_tolerance: 0.1,
-            rollback_ban_intervals: 3,
-            rollback_load_shift_tolerance: 0.1,
             state_budget_per_instance: f64::INFINITY,
-            validate_snapshots: false,
-            max_stale_windows: 3,
-            outlier_rejection: false,
-            outlier_factor: 3.0,
-            rescale_timeout_intervals: 0,
-            max_rescale_retries: 3,
             policy: PolicyConfig::default(),
         }
     }
@@ -172,8 +131,7 @@ pub struct DecisionRecord {
 pub struct ScalingManager {
     graph: LogicalGraph,
     config: ManagerConfig,
-    /// The policy, built once from `config.policy`; the learned boost is
-    /// passed per evaluation instead of cloning a tweaked config.
+    /// The policy, built once from `config.policy`.
     policy: Ds2Policy,
     /// Dense evaluation scratch, reused every window (and reusable across
     /// manager instances via [`ScalingManager::with_workspace`]).
@@ -207,28 +165,8 @@ pub struct ScalingManager {
     /// them — would undo the correction and the deployment would flap
     /// between the raw and the corrected plan.
     sticky_boost: f64,
-    history: Vec<DecisionRecord>,
+    history: VecDeque<DecisionRecord>,
     consecutive_stable: u32,
-    /// Last snapshot that validated cleanly, for hardened repairs.
-    last_good: MetricsSnapshot,
-    /// Policy intervals since `last_good` was captured; `u32::MAX` until a
-    /// first valid snapshot is seen.
-    last_good_age: u32,
-    /// Sanitized copy of the incoming snapshot (hardened path scratch).
-    sanitize_buf: MetricsSnapshot,
-    /// `(rate, instance index)` sorting scratch for outlier rejection.
-    rate_scratch: Vec<(f64, usize)>,
-    /// The plan whose deploy acknowledgement is outstanding (hardened).
-    requested_plan: Option<Deployment>,
-    /// Intervals spent waiting for the outstanding acknowledgement.
-    awaiting_intervals: u32,
-    /// Retries already spent on the outstanding plan.
-    retries_used: u32,
-    /// Intervals left before the next retry may fire (exponential backoff).
-    backoff_remaining: u32,
-    /// Consecutive abandoned rescales, scaling the post-give-up ban.
-    failed_deploy_streak: u32,
-    fault_stats: ControllerFaultStats,
 }
 
 impl ScalingManager {
@@ -265,18 +203,8 @@ impl ScalingManager {
             rollback_ban_remaining: 0,
             consecutive_rollbacks: 0,
             sticky_boost: 1.0,
-            history: Vec::new(),
+            history: VecDeque::new(),
             consecutive_stable: 0,
-            last_good: MetricsSnapshot::new(),
-            last_good_age: u32::MAX,
-            sanitize_buf: MetricsSnapshot::new(),
-            rate_scratch: Vec::new(),
-            requested_plan: None,
-            awaiting_intervals: 0,
-            retries_used: 0,
-            backoff_remaining: 0,
-            failed_deploy_streak: 0,
-            fault_stats: ControllerFaultStats::default(),
         }
     }
 
@@ -296,9 +224,50 @@ impl ScalingManager {
         &self.config
     }
 
-    /// Decision log (one entry per `on_metrics` call that got past warm-up).
-    pub fn history(&self) -> &[DecisionRecord] {
+    /// The dataflow this manager controls.
+    pub fn graph(&self) -> &LogicalGraph {
+        &self.graph
+    }
+
+    /// Decision log: the most recent entries, oldest first, one per
+    /// `on_metrics` call that got past warm-up.
+    pub fn history(&self) -> &VecDeque<DecisionRecord> {
         &self.history
+    }
+
+    /// Appends an entry to the decision log, evicting the oldest one once
+    /// the log is full. Public so that a wrapping controller can log the
+    /// intervals it handles itself.
+    pub fn record(&mut self, record: DecisionRecord) {
+        if self.history.len() == HISTORY_CAP {
+            self.history.pop_front();
+        }
+        self.history.push_back(record);
+    }
+
+    /// Whether the next metrics window will be discarded as warm-up.
+    pub fn is_warming_up(&self) -> bool {
+        self.warmup_remaining > 0
+    }
+
+    /// Gives up on `plan`, a requested rescale that never landed: stops
+    /// waiting for its acknowledgement, forgets the rollback baseline taken
+    /// when it was issued, and bans the plan for `strikes` ×
+    /// `ROLLBACK_BAN_INTERVALS` intervals so that the next evaluation does
+    /// not re-open it immediately.
+    pub fn abandon_plan(&mut self, plan: Deployment, strikes: u32) {
+        self.rollback_ban_remaining = ROLLBACK_BAN_INTERVALS.saturating_mul(strikes);
+        self.rolled_back_from = Some(plan);
+        self.awaiting_deploy = false;
+        self.forget_rollback_baseline();
+    }
+
+    /// Drops what was measured before the most recent rescale; without it
+    /// the rollback check has nothing to compare against.
+    fn forget_rollback_baseline(&mut self) {
+        self.previous_deployment = None;
+        self.pre_deploy_ratio = None;
+        self.pre_deploy_offered = None;
     }
 
     /// Number of scaling commands issued so far.
@@ -346,7 +315,10 @@ impl ScalingManager {
         any
     }
 
-    /// Combines pending decisions per `activation_combine`.
+    /// Combines pending decisions into their per-operator upper median
+    /// (§4.2.1 "Activation time"): robust to outlier intervals, and for an
+    /// even count preferring the larger value — erring towards keeping up
+    /// rather than under-provisioning.
     ///
     /// # Errors
     ///
@@ -354,236 +326,21 @@ impl ScalingManager {
     /// decisions to combine — a malformed-input condition that must defer
     /// the interval, never panic the controller.
     fn combine_pending(&mut self) -> Result<Deployment, Ds2Error> {
+        if self.pending.is_empty() {
+            return Err(Ds2Error::InvalidMetrics(
+                "no pending decisions to combine".into(),
+            ));
+        }
         let mut combined = Deployment::with_len(self.graph.len());
         let mut values = std::mem::take(&mut self.combine_values);
-        let mut error = None;
         for op in self.graph.operators() {
             values.clear();
             values.extend(self.pending.iter().map(|d| d.parallelism(op)));
             values.sort_unstable();
-            let v = match (self.config.activation_combine, values.last()) {
-                (ActivationCombine::Max, Some(&max)) => max,
-                // Upper median: for an even count prefer the larger value,
-                // erring towards keeping up rather than under-provisioning.
-                (ActivationCombine::Median, Some(_)) => values[values.len() / 2],
-                (_, None) => {
-                    error = Some(Ds2Error::InvalidMetrics(format!(
-                        "no pending decisions to combine for {op}"
-                    )));
-                    break;
-                }
-            };
-            combined.set(op, v);
+            combined.set(op, values[values.len() / 2]);
         }
         self.combine_values = values;
-        match error {
-            Some(e) => Err(e),
-            None => Ok(combined),
-        }
-    }
-
-    /// Returns whether one operator's reported slots are plausible: present,
-    /// matching the deployed parallelism, individually valid, and (for
-    /// sources) accompanied by a finite offered rate.
-    fn slot_ok(snap: &MetricsSnapshot, graph: &LogicalGraph, op: OperatorId, p: usize) -> bool {
-        let Some(m) = snap.operator(op) else {
-            return false;
-        };
-        if m.instances.len() != p || m.instances.iter().any(|i| i.validate().is_err()) {
-            return false;
-        }
-        if graph.is_source(op) {
-            return matches!(snap.source_rate(op), Some(r) if r.is_finite() && r >= 0.0);
-        }
-        true
-    }
-
-    /// Copies `snapshot` into `buf`, repairing implausible operators from
-    /// the last-good snapshot (bounded staleness) and rejecting per-instance
-    /// rate outliers.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Ds2Error::DegradedTelemetry`] when a majority of operators
-    /// is invalid before repair — such a window must be held, not acted on.
-    fn sanitize_snapshot(
-        &mut self,
-        buf: &mut MetricsSnapshot,
-        snapshot: &MetricsSnapshot,
-        current: &Deployment,
-    ) -> Result<(), Ds2Error> {
-        buf.clone_from(snapshot);
-        if self.config.validate_snapshots {
-            let mut invalid = 0usize;
-            let mut repaired_any = false;
-            let total = self.graph.len();
-            let fresh_enough = self.last_good_age != u32::MAX
-                && self.last_good_age <= self.config.max_stale_windows;
-            for op in self.graph.operators() {
-                let p = current.parallelism(op);
-                if Self::slot_ok(buf, &self.graph, op, p) {
-                    continue;
-                }
-                invalid += 1;
-                if !fresh_enough {
-                    continue;
-                }
-                // Fall back to the operator's last-good slots, but only when
-                // they still describe the deployed parallelism.
-                if let Some(good) = self.last_good.operator(op) {
-                    if good.instances.len() == p
-                        && good.instances.iter().all(|i| i.validate().is_ok())
-                    {
-                        buf.insert_instances(op, good.instances.clone());
-                        if self.graph.is_source(op) {
-                            if let Some(r) = self.last_good.source_rate(op) {
-                                if r.is_finite() && r >= 0.0 {
-                                    buf.set_source_rate(op, r);
-                                }
-                            }
-                        }
-                        repaired_any = true;
-                    }
-                }
-            }
-            if invalid == 0 {
-                self.last_good.clone_from(snapshot);
-                self.last_good_age = 0;
-            } else if self.last_good_age != u32::MAX {
-                self.last_good_age = self.last_good_age.saturating_add(1);
-            }
-            if repaired_any {
-                self.fault_stats.repaired_windows += 1;
-            }
-            if invalid * 2 > total {
-                return Err(Ds2Error::DegradedTelemetry { invalid, total });
-            }
-        }
-        if self.config.outlier_rejection {
-            self.reject_outliers(buf);
-        }
-        Ok(())
-    }
-
-    /// Replaces instance samples whose true processing rate is further than
-    /// `outlier_factor`× from the operator median with the median instance's
-    /// sample. This extends the §4.2.1 median idea from the activation axis
-    /// to the instance axis: one straggler with inflated useful time (or a
-    /// noisy counter) otherwise drags the whole aggregate capacity estimate.
-    fn reject_outliers(&mut self, buf: &mut MetricsSnapshot) {
-        let factor = self.config.outlier_factor.max(1.0);
-        let mut scratch = std::mem::take(&mut self.rate_scratch);
-        for op in self.graph.operators() {
-            let Some(m) = buf.operator_mut(op) else {
-                continue;
-            };
-            if m.instances.len() < 3 {
-                continue;
-            }
-            scratch.clear();
-            for (k, i) in m.instances.iter().enumerate() {
-                if let Some(r) = i.true_processing_rate() {
-                    if r.is_finite() && r > 0.0 {
-                        scratch.push((r, k));
-                    }
-                }
-            }
-            if scratch.len() < 3 {
-                scratch.clear();
-                continue;
-            }
-            scratch.sort_unstable_by(|a, b| a.0.total_cmp(&b.0));
-            let (median_rate, median_idx) = scratch[scratch.len() / 2];
-            let median_sample = m.instances[median_idx];
-            for &(r, k) in scratch.iter() {
-                if r > median_rate * factor || r * factor < median_rate {
-                    m.instances[k] = median_sample;
-                    self.fault_stats.outliers_rejected += 1;
-                }
-            }
-            scratch.clear();
-        }
-        self.rate_scratch = scratch;
-    }
-
-    /// Handles an interval that arrives while a deploy acknowledgement is
-    /// outstanding. Vanilla behaviour (timeout disabled) is to wait forever;
-    /// hardened behaviour verifies the live deployment after the timeout and
-    /// re-issues the plan with exponential backoff, up to the retry cap.
-    fn handle_awaiting(&mut self, now_ns: u64, current: &Deployment) -> ControllerVerdict {
-        let timeout = self.config.rescale_timeout_intervals;
-        if timeout == 0 {
-            return ControllerVerdict::NoAction;
-        }
-        self.awaiting_intervals = self.awaiting_intervals.saturating_add(1);
-        if self.awaiting_intervals < timeout {
-            return ControllerVerdict::NoAction;
-        }
-        let Some(requested) = self.requested_plan.clone() else {
-            // Nothing tracked for this wait (cannot normally happen):
-            // release the latch rather than wedge.
-            self.awaiting_deploy = false;
-            self.awaiting_intervals = 0;
-            return ControllerVerdict::NoAction;
-        };
-        if *current == requested {
-            // The rescale landed but its acknowledgement was lost: verify
-            // succeeded, acknowledge it ourselves.
-            self.on_deployed(now_ns, &requested);
-            return ControllerVerdict::NoAction;
-        }
-        if self.backoff_remaining > 0 {
-            self.backoff_remaining -= 1;
-            return ControllerVerdict::NoAction;
-        }
-        if self.retries_used < self.config.max_rescale_retries {
-            self.retries_used += 1;
-            self.fault_stats.retries += 1;
-            // 1, 2, 4, ... intervals between successive retries.
-            self.backoff_remaining = 1u32 << (self.retries_used - 1).min(16);
-            self.history.push(DecisionRecord {
-                at_ns: now_ns,
-                plan: Some(requested.clone()),
-                achieved_ratio: None,
-                boost: 1.0,
-                acted: true,
-                error: Some(Ds2Error::RescaleTimedOut(format!(
-                    "deploy unacknowledged after {} intervals (retry {} of {})",
-                    self.awaiting_intervals, self.retries_used, self.config.max_rescale_retries
-                ))),
-            });
-            return ControllerVerdict::Rescale(requested);
-        }
-        // Retry cap exhausted: abandon the plan, hold the deployment that is
-        // actually running, and ban the abandoned plan with an escalating
-        // cool-off so the next evaluation does not restart the cycle
-        // immediately.
-        let retries = self.retries_used;
-        self.fault_stats.abandoned_rescales += 1;
-        self.failed_deploy_streak = self.failed_deploy_streak.saturating_add(1);
-        self.rollback_ban_remaining = self
-            .config
-            .rollback_ban_intervals
-            .max(1)
-            .saturating_mul(self.failed_deploy_streak);
-        self.rolled_back_from = Some(requested);
-        self.requested_plan = None;
-        self.awaiting_deploy = false;
-        self.awaiting_intervals = 0;
-        self.retries_used = 0;
-        self.backoff_remaining = 0;
-        self.previous_deployment = None;
-        self.pre_deploy_ratio = None;
-        self.pre_deploy_offered = None;
-        self.history.push(DecisionRecord {
-            at_ns: now_ns,
-            plan: None,
-            achieved_ratio: None,
-            boost: 1.0,
-            acted: false,
-            error: Some(Ds2Error::RescaleRetriesExhausted { retries }),
-        });
-        ControllerVerdict::NoAction
+        Ok(combined)
     }
 
     /// Folds the non-parallelism axes into a freshly combined plan.
@@ -664,81 +421,27 @@ impl ScalingController for ScalingManager {
         current: &Deployment,
     ) -> ControllerVerdict {
         if self.awaiting_deploy {
-            return self.handle_awaiting(now_ns, current);
+            // A requested rescale is in flight: wait for `on_deployed`,
+            // however long it takes.
+            return ControllerVerdict::NoAction;
         }
         if self.warmup_remaining > 0 {
             self.warmup_remaining -= 1;
             return ControllerVerdict::NoAction;
         }
-        // Hardened telemetry path: sanitize into the scratch snapshot and
-        // decide on that; vanilla decides on the raw snapshot directly.
-        let verdict = if self.config.validate_snapshots || self.config.outlier_rejection {
-            let mut buf = std::mem::take(&mut self.sanitize_buf);
-            let verdict = match self.sanitize_snapshot(&mut buf, snapshot, current) {
-                Ok(()) => self.decide(now_ns, &buf, current),
-                Err(e) => {
-                    // Majority-invalid telemetry: hold the last-good
-                    // deployment, never act on this window.
-                    self.fault_stats.vetoed_windows += 1;
-                    self.history.push(DecisionRecord {
-                        at_ns: now_ns,
-                        plan: None,
-                        achieved_ratio: None,
-                        boost: 1.0,
-                        acted: false,
-                        error: Some(e),
-                    });
-                    ControllerVerdict::NoAction
-                }
-            };
-            self.sanitize_buf = buf;
-            verdict
-        } else {
-            self.decide(now_ns, snapshot, current)
-        };
-        if self.config.rescale_timeout_intervals > 0 {
-            if let ControllerVerdict::Rescale(plan) = &verdict {
-                self.requested_plan = Some(plan.clone());
-                self.awaiting_intervals = 0;
-                self.retries_used = 0;
-                self.backoff_remaining = 0;
-            }
-        }
-        verdict
+        self.decide(now_ns, snapshot, current)
     }
 
-    fn on_deployed(&mut self, _now_ns: u64, deployment: &Deployment) {
-        if self.config.rescale_timeout_intervals > 0 {
-            if let Some(requested) = &self.requested_plan {
-                if deployment != requested {
-                    // Partial landing: something deployed, but not the plan
-                    // that was asked for. Keep waiting; the timeout path
-                    // verifies the live deployment and re-issues the plan.
-                    self.awaiting_intervals = self
-                        .awaiting_intervals
-                        .max(self.config.rescale_timeout_intervals);
-                    return;
-                }
-            }
-            self.requested_plan = None;
-            self.awaiting_intervals = 0;
-            self.retries_used = 0;
-            self.backoff_remaining = 0;
-            self.failed_deploy_streak = 0;
-        }
+    fn on_deployed(&mut self, _now_ns: u64, _deployment: &Deployment) {
         self.awaiting_deploy = false;
         self.warmup_remaining = self.config.warmup_intervals;
         self.decisions_made += 1;
         self.pending.clear();
     }
-
-    fn fault_stats(&self) -> ControllerFaultStats {
-        self.fault_stats
-    }
 }
 
 impl ScalingManager {
-    /// One policy-interval decision on an (already sanitized) snapshot:
+    /// One policy-interval decision:
     /// rollback check, policy evaluation, target-rate-ratio boost,
     /// activation combining, and the significance gates of §4.2.2.
     fn decide(
@@ -752,7 +455,7 @@ impl ScalingManager {
 
         // Expire the post-rollback suppression: the banned plan may be
         // exactly what a changed workload needs (see
-        // `ManagerConfig::rollback_ban_intervals`).
+        // `ROLLBACK_BAN_INTERVALS`).
         if self.rolled_back_from.is_some() {
             if self.rollback_ban_remaining == 0 {
                 self.rolled_back_from = None;
@@ -767,54 +470,46 @@ impl ScalingManager {
         // measurement: a rate change between the two windows explains the
         // degradation exogenously, and rolling back would punish a correct
         // plan.
-        if self.config.rollback_on_degradation {
-            let load_shifted = match &self.pre_deploy_offered {
-                Some(before) if have_offered => self.graph.sources().iter().any(|&src| {
-                    match (before.get(src), self.offered_scratch.get(src)) {
-                        (Some(&b), Some(&n)) => {
-                            (n - b).abs() > self.config.rollback_load_shift_tolerance * b.max(1e-9)
-                        }
-                        // A source appearing or vanishing from the metrics
-                        // is itself a load shift.
-                        (b, n) => b.is_some() != n.is_some(),
+        let load_shifted = match &self.pre_deploy_offered {
+            Some(before) if have_offered => self.graph.sources().iter().any(|&src| {
+                match (before.get(src), self.offered_scratch.get(src)) {
+                    (Some(&b), Some(&n)) => {
+                        (n - b).abs() > ROLLBACK_LOAD_SHIFT_TOLERANCE * b.max(1e-9)
                     }
-                }),
-                _ => false,
-            };
-            if load_shifted {
-                self.previous_deployment = None;
-                self.pre_deploy_ratio = None;
-                self.pre_deploy_offered = None;
-            } else if let (Some(prev), Some(pre), Some(post)) = (
-                self.previous_deployment.clone(),
-                self.pre_deploy_ratio,
-                achieved_ratio,
-            ) {
-                if post < pre * (1.0 - self.config.degradation_tolerance) && prev != *current {
-                    self.history.push(DecisionRecord {
-                        at_ns: now_ns,
-                        plan: Some(prev.clone()),
-                        achieved_ratio,
-                        boost: 1.0,
-                        acted: true,
-                        error: None,
-                    });
-                    self.rolled_back_from = Some(current.clone());
-                    self.consecutive_rollbacks = self.consecutive_rollbacks.saturating_add(1);
-                    self.rollback_ban_remaining = self
-                        .config
-                        .rollback_ban_intervals
-                        .saturating_mul(self.consecutive_rollbacks);
-                    // The rolled-back plan may have been a boost artefact;
-                    // drop the learned correction and re-learn from scratch.
-                    self.sticky_boost = 1.0;
-                    self.previous_deployment = None;
-                    self.pre_deploy_ratio = None;
-                    self.pre_deploy_offered = None;
-                    self.pending.clear();
-                    self.awaiting_deploy = true;
-                    return ControllerVerdict::Rescale(prev);
+                    // A source appearing or vanishing from the metrics
+                    // is itself a load shift.
+                    (b, n) => b.is_some() != n.is_some(),
                 }
+            }),
+            _ => false,
+        };
+        if load_shifted {
+            self.forget_rollback_baseline();
+        } else if let (Some(prev), Some(pre), Some(post)) = (
+            self.previous_deployment.clone(),
+            self.pre_deploy_ratio,
+            achieved_ratio,
+        ) {
+            if post < pre * (1.0 - DEGRADATION_TOLERANCE) && prev != *current {
+                self.record(DecisionRecord {
+                    at_ns: now_ns,
+                    plan: Some(prev.clone()),
+                    achieved_ratio,
+                    boost: 1.0,
+                    acted: true,
+                    error: None,
+                });
+                self.rolled_back_from = Some(current.clone());
+                self.consecutive_rollbacks = self.consecutive_rollbacks.saturating_add(1);
+                self.rollback_ban_remaining =
+                    ROLLBACK_BAN_INTERVALS.saturating_mul(self.consecutive_rollbacks);
+                // The rolled-back plan may have been a boost artefact;
+                // drop the learned correction and re-learn from scratch.
+                self.sticky_boost = 1.0;
+                self.forget_rollback_baseline();
+                self.pending.clear();
+                self.awaiting_deploy = true;
+                return ControllerVerdict::Rescale(prev);
             }
         }
         // A deploy that did not degrade performance clears rollback state
@@ -824,8 +519,7 @@ impl ScalingManager {
         }
 
         // Evaluate the policy with the boost learned so far (1.0 until a
-        // correction fires), passed as an argument — the config is never
-        // cloned on this path.
+        // correction fires).
         if let Err(e) = self.policy.evaluate_boosted_into(
             &self.graph,
             snapshot,
@@ -835,7 +529,7 @@ impl ScalingManager {
         ) {
             // Rates undefined this interval (e.g. an operator saw no
             // input yet): defer, as warm-up would, recording why.
-            self.history.push(DecisionRecord {
+            self.record(DecisionRecord {
                 at_ns: now_ns,
                 plan: None,
                 achieved_ratio,
@@ -852,8 +546,8 @@ impl ScalingManager {
         // the target — overheads invisible to instrumentation are consuming
         // capacity. Estimate the extra resources from the achieved/target
         // ratio, on top of what previous corrections already learned.
+        let threshold = self.config.target_rate_ratio - RATIO_TOLERANCE;
         if let Some(ratio) = achieved_ratio {
-            let threshold = self.config.target_rate_ratio - self.config.ratio_tolerance;
             let no_increase = {
                 let plan = &self.workspace.output().plan;
                 self.graph
@@ -893,8 +587,7 @@ impl ScalingManager {
             self.pending.remove(0);
         }
 
-        let keeping_up = achieved_ratio
-            .is_some_and(|r| r >= self.config.target_rate_ratio - self.config.ratio_tolerance);
+        let keeping_up = achieved_ratio.is_some_and(|r| r >= threshold);
 
         let mut acted = false;
         let mut verdict = ControllerVerdict::NoAction;
@@ -902,7 +595,7 @@ impl ScalingManager {
             let mut combined = match self.combine_pending() {
                 Ok(combined) => combined,
                 Err(e) => {
-                    self.history.push(DecisionRecord {
+                    self.record(DecisionRecord {
                         at_ns: now_ns,
                         plan: Some(plan),
                         achieved_ratio,
@@ -964,7 +657,7 @@ impl ScalingManager {
             }
         }
 
-        self.history.push(DecisionRecord {
+        self.record(DecisionRecord {
             at_ns: now_ns,
             plan: Some(plan),
             achieved_ratio,
@@ -979,7 +672,9 @@ impl ScalingManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::controller::ControllerFaultStats;
     use crate::graph::{GraphBuilder, OperatorId};
+    use crate::hardened::Hardened;
     use crate::rates::InstanceMetrics;
 
     fn inst(capacity: f64, selectivity: f64, util: f64) -> InstanceMetrics {
@@ -1145,12 +840,12 @@ mod tests {
         // Boost = 1/0.8 = 1.25: flat_map 400*1.25/100 = 5, count 10.
         assert_eq!(plan.parallelism(f), 5);
         assert_eq!(plan.parallelism(c), 10);
-        let last = mgr.history().last().unwrap();
+        let last = mgr.history().back().unwrap();
         assert!(last.boost > 1.2 && last.boost < 1.3);
     }
 
-    /// The boost-as-argument path must behave exactly like the historical
-    /// clone-the-config-and-tweak-`requirement_boost` path.
+    /// The plan a boosted decision issues is the policy's own evaluation at
+    /// the boost the decision log reports.
     #[test]
     fn boost_path_matches_cloned_config_evaluation() {
         let (g, s, f, c) = wordcount();
@@ -1166,15 +861,11 @@ mod tests {
         let v = mgr.on_metrics(0, &snap, &current);
         let plan = v.rescale().expect("boost must trigger a rescale").clone();
 
-        // Reference: the old behaviour, a full config clone with the boost
-        // folded into `requirement_boost`.
-        let boost = mgr.history().last().unwrap().boost;
-        let reference = Ds2Policy::with_config(PolicyConfig {
-            requirement_boost: boost,
-            ..ManagerConfig::default().policy
-        })
-        .evaluate(&g, &snap, &current)
-        .unwrap();
+        let boost = mgr.history().back().unwrap().boost;
+        let mut ws = PolicyWorkspace::new();
+        let reference = Ds2Policy::new()
+            .evaluate_boosted_into(&g, &snap, &current, boost, &mut ws)
+            .unwrap();
         assert_eq!(plan, reference.plan, "decision output changed");
     }
 
@@ -1205,8 +896,6 @@ mod tests {
         let mut mgr = ScalingManager::new(
             g,
             ManagerConfig {
-                rollback_on_degradation: true,
-                degradation_tolerance: 0.1,
                 min_change: 0,
                 ..Default::default()
             },
@@ -1268,7 +957,7 @@ mod tests {
         );
         let v = mgr.on_metrics(0, &snap, &current);
         assert!(!v.is_rescale());
-        assert!(mgr.history().last().unwrap().plan.is_none());
+        assert!(mgr.history().back().unwrap().plan.is_none());
     }
 
     /// src(1000/s) -> op at p=4, each op instance fully utilized at
@@ -1391,17 +1080,14 @@ mod tests {
         assert_eq!(plan.state_budget(o), 4e8);
     }
 
+    // The `Hardened` wrapper's unit tests live here because they share this
+    // module's word-count fixtures.
+
     #[test]
     fn hardened_repairs_broken_operator_from_last_good() {
         let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                validate_snapshots: true,
-                ..Default::default()
-            },
-        );
-        let mut current = Deployment::uniform(&mgr.graph, 1);
+        let mut current = Deployment::uniform(&g, 1);
+        let mut mgr = Hardened::new(ScalingManager::with_defaults(g));
         current.set(f, 4);
         current.set(c, 8);
         // A healthy window captures the last-good snapshot.
@@ -1412,7 +1098,7 @@ mod tests {
         let mut broken = snap_ok.clone();
         broken.remove_operator(f);
         assert!(!mgr.on_metrics(1, &broken, &current).is_rescale());
-        let last = mgr.history().last().unwrap();
+        let last = mgr.manager().history().back().unwrap();
         assert!(last.plan.is_some(), "repaired window must evaluate");
         assert!(last.error.is_none());
         assert_eq!(mgr.fault_stats().repaired_windows, 1);
@@ -1421,14 +1107,8 @@ mod tests {
     #[test]
     fn hardened_vetoes_majority_invalid_snapshot() {
         let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                validate_snapshots: true,
-                ..Default::default()
-            },
-        );
-        let current = Deployment::uniform(&mgr.graph, 1);
+        let current = Deployment::uniform(&g, 1);
+        let mut mgr = Hardened::new(ScalingManager::with_defaults(g));
         let mut snap = snapshot((s, f, c), &current, 0.25);
         snap.remove_operator(f);
         snap.remove_operator(c);
@@ -1436,7 +1116,7 @@ mod tests {
         assert!(!mgr.on_metrics(0, &snap, &current).is_rescale());
         assert_eq!(mgr.fault_stats().vetoed_windows, 1);
         assert!(matches!(
-            mgr.history().last().unwrap().error,
+            mgr.manager().history().back().unwrap().error,
             Some(Ds2Error::DegradedTelemetry {
                 invalid: 2,
                 total: 3
@@ -1444,19 +1124,35 @@ mod tests {
         ));
     }
 
+    /// A window the manager discards as warm-up passes through the wrapper
+    /// untouched: however broken, it is neither vetoed nor counted.
+    #[test]
+    fn hardened_ignores_broken_snapshot_during_warmup() {
+        let (g, s, f, c) = wordcount();
+        let current = Deployment::uniform(&g, 1);
+        let mut mgr = Hardened::new(ScalingManager::new(
+            g,
+            ManagerConfig {
+                warmup_intervals: 1,
+                ..Default::default()
+            },
+        ));
+        let mut snap = snapshot((s, f, c), &current, 0.25);
+        snap.remove_operator(f);
+        snap.remove_operator(c);
+        assert!(!mgr.on_metrics(0, &snap, &current).is_rescale());
+        assert_eq!(mgr.fault_stats(), ControllerFaultStats::default());
+        assert!(mgr.manager().history().is_empty());
+        // The same window after warm-up is vetoed.
+        assert!(!mgr.on_metrics(1, &snap, &current).is_rescale());
+        assert_eq!(mgr.fault_stats().vetoed_windows, 1);
+    }
+
     #[test]
     fn hardened_retries_unacknowledged_rescale_and_gives_up_at_cap() {
         let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                rescale_timeout_intervals: 1,
-                max_rescale_retries: 2,
-                rollback_ban_intervals: 100,
-                ..Default::default()
-            },
-        );
-        let current = Deployment::uniform(&mgr.graph, 1);
+        let current = Deployment::uniform(&g, 1);
+        let mut mgr = Hardened::new(ScalingManager::with_defaults(g));
         let snap = snapshot((s, f, c), &current, 0.25);
         let plan = mgr
             .on_metrics(0, &snap, &current)
@@ -1464,39 +1160,34 @@ mod tests {
             .expect("must act")
             .clone();
         // The acknowledgement never arrives and the deployment never
-        // changes: the manager may retry up to the cap, always with the
-        // same plan, then must give up and go quiet (the abandoned plan
-        // stays banned).
+        // changes: the manager may retry up to the cap (after 1, 2 and 4
+        // intervals of back-off), always with the same plan, then must give
+        // up and stay quiet while the abandoned plan is banned.
         let mut issued = 0;
-        for t in 1..40 {
+        for t in 1..=14 {
             if let Some(p) = mgr.on_metrics(t, &snap, &current).rescale() {
                 assert_eq!(p, &plan, "retries must re-issue the same plan");
                 issued += 1;
             }
         }
-        assert_eq!(issued, 2, "retry cap bounds re-issues");
-        assert_eq!(mgr.fault_stats().retries, 2);
+        assert_eq!(issued, 3, "retry cap bounds re-issues");
+        assert_eq!(mgr.fault_stats().retries, 3);
         assert_eq!(mgr.fault_stats().abandoned_rescales, 1);
         assert!(matches!(
-            mgr.history()
+            mgr.manager()
+                .history()
                 .iter()
                 .filter_map(|r| r.error.as_ref())
                 .next_back(),
-            Some(Ds2Error::RescaleRetriesExhausted { retries: 2 })
+            Some(Ds2Error::RescaleRetriesExhausted { retries: 3 })
         ));
     }
 
     #[test]
     fn hardened_self_acknowledges_landed_rescale() {
         let (g, s, f, c) = wordcount();
-        let mut mgr = ScalingManager::new(
-            g,
-            ManagerConfig {
-                rescale_timeout_intervals: 2,
-                ..Default::default()
-            },
-        );
-        let current = Deployment::uniform(&mgr.graph, 1);
+        let current = Deployment::uniform(&g, 1);
+        let mut mgr = Hardened::new(ScalingManager::with_defaults(g));
         let snap = snapshot((s, f, c), &current, 0.25);
         let plan = mgr
             .on_metrics(0, &snap, &current)
@@ -1509,7 +1200,7 @@ mod tests {
         let snap2 = snapshot((s, f, c), &plan, 1.0);
         assert!(!mgr.on_metrics(1, &snap2, &plan).is_rescale());
         assert!(!mgr.on_metrics(2, &snap2, &plan).is_rescale());
-        assert_eq!(mgr.decisions_made(), 1);
+        assert_eq!(mgr.manager().decisions_made(), 1);
         assert_eq!(mgr.fault_stats().retries, 0);
     }
 
@@ -1523,21 +1214,12 @@ mod tests {
         // rate 20x below its siblings (a straggler / broken counter).
         let mut snap = snapshot((s, f, c), &current, 1.0);
         snap.operator_mut(f).unwrap().instances[0].records_in = 5;
-        let mut vanilla = ScalingManager::new(
-            g.clone(),
-            ManagerConfig {
-                min_change: 0,
-                ..Default::default()
-            },
-        );
-        let mut hardened = ScalingManager::new(
-            g,
-            ManagerConfig {
-                min_change: 0,
-                outlier_rejection: true,
-                ..Default::default()
-            },
-        );
+        let config = ManagerConfig {
+            min_change: 0,
+            ..Default::default()
+        };
+        let mut vanilla = ScalingManager::new(g.clone(), config.clone());
+        let mut hardened = Hardened::new(ScalingManager::new(g, config));
         assert!(
             vanilla.on_metrics(0, &snap, &current).is_rescale(),
             "the straggler drags vanilla's capacity estimate into churn"
@@ -1547,6 +1229,21 @@ mod tests {
             "median rejection must neutralize the straggler"
         );
         assert!(hardened.fault_stats().outliers_rejected >= 1);
+    }
+
+    #[test]
+    fn history_keeps_only_the_most_recent_entries() {
+        let (g, s, f, c) = wordcount();
+        let mut mgr = ScalingManager::with_defaults(g);
+        let mut current = Deployment::uniform(&mgr.graph, 1);
+        current.set(f, 4);
+        current.set(c, 8);
+        let snap = snapshot((s, f, c), &current, 1.0);
+        for t in 0..1_000 {
+            mgr.on_metrics(t, &snap, &current);
+        }
+        assert_eq!(mgr.history().len(), HISTORY_CAP);
+        assert_eq!(mgr.history().back().unwrap().at_ns, 999);
     }
 
     #[test]

@@ -31,31 +31,21 @@ use crate::snapshot::MetricsSnapshot;
 /// despite floating-point rounding.
 const CEIL_EPSILON: f64 = 1e-9;
 
+/// Lower bound on prescribed parallelism.
+const MIN_PARALLELISM: usize = 1;
+
+/// A requirement boost applies only to operators whose *unaccounted* window
+/// fraction (time outside useful work and measured waits) is at or above
+/// this threshold. Uncaptured overheads reveal themselves as exactly such a
+/// gap; boosting every operator indiscriminately would also bump healthy
+/// ones whose requirement merely sits close to a ceiling boundary.
+const BOOST_UNACCOUNTED_THRESHOLD: f64 = 0.05;
+
 /// Configuration of the DS2 policy.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct PolicyConfig {
-    /// Lower bound on prescribed parallelism (default 1).
-    pub min_parallelism: usize,
     /// Upper bound on prescribed parallelism (e.g. available slots), if any.
     pub max_parallelism: Option<usize>,
-    /// Whether to prescribe parallelism for source operators too.
-    ///
-    /// Eq. 7 covers non-sources only (`n <= i < m`); when enabled, sources
-    /// are scaled by the analogous rule `ceil(λsrc / (o[λo]/p))` so that they
-    /// have enough capacity to generate the offered rate. When disabled
-    /// (paper behaviour) sources keep their current parallelism.
-    pub scale_sources: bool,
-    /// Multiplier applied to computed instance requirements before the
-    /// ceiling, used by the Scaling Manager's target-rate-ratio correction
-    /// (§4.2.1) to compensate for overheads invisible to instrumentation.
-    pub requirement_boost: f64,
-    /// When set, the boost applies only to operators whose *unaccounted*
-    /// window fraction (time outside useful work and measured waits) is at
-    /// or above this threshold. Uncaptured overheads reveal themselves as
-    /// exactly such a gap; boosting every operator indiscriminately would
-    /// also bump healthy ones whose requirement merely sits close to a
-    /// ceiling boundary.
-    pub boost_unaccounted_threshold: Option<f64>,
     /// Per-class true-rate pass: when enabled, the policy inspects the
     /// per-instance input shares of every loaded operator and emits a
     /// [`SplitHint`] when the hottest instance's share exceeds what *any*
@@ -63,19 +53,6 @@ pub struct PolicyConfig {
     /// prescribing more instances while the hot share pins one of them.
     /// Default off: the classic parallelism-only policy.
     pub detect_splits: bool,
-}
-
-impl Default for PolicyConfig {
-    fn default() -> Self {
-        Self {
-            min_parallelism: 1,
-            max_parallelism: None,
-            scale_sources: false,
-            requirement_boost: 1.0,
-            boost_unaccounted_threshold: Some(0.05),
-            detect_splits: false,
-        }
-    }
 }
 
 /// A policy recommendation to split an operator's hottest key class across
@@ -249,16 +226,16 @@ impl Ds2Policy {
         current: &Deployment,
         ws: &'ws mut PolicyWorkspace,
     ) -> Result<&'ws PolicyOutput, Ds2Error> {
-        self.evaluate_boosted_into(graph, snapshot, current, self.config.requirement_boost, ws)
+        self.evaluate_boosted_into(graph, snapshot, current, 1.0, ws)
     }
 
-    /// [`Ds2Policy::evaluate_into`] with the requirement boost supplied as a
-    /// parameter, overriding `config.requirement_boost`.
+    /// [`Ds2Policy::evaluate_into`] with computed instance requirements
+    /// multiplied by `boost` before the ceiling.
     ///
     /// This is the Scaling Manager's target-rate-ratio correction path
     /// (§4.2.1): the manager re-runs the policy with a boost learned from
-    /// the achieved/target ratio without rebuilding (or cloning) the policy
-    /// configuration per decision.
+    /// the achieved/target ratio, compensating for overheads invisible to
+    /// instrumentation.
     pub fn evaluate_boosted_into<'ws>(
         &self,
         graph: &LogicalGraph,
@@ -286,18 +263,18 @@ impl Ds2Policy {
                     )));
                 }
                 // Base case of Eq. 8: a source's optimal output rate is the
-                // externally offered rate λsrc.
+                // externally offered rate λsrc. Eq. 7 covers non-sources
+                // only (`n <= i < m`): sources keep their parallelism.
                 ws.optimal_output[op.index()] = rate;
-                let (parallelism, capacity, raw) =
-                    self.source_parallelism(op, rate, boost, snapshot, current)?;
+                let parallelism = current.parallelism(op).max(1);
                 ws.out.estimates.insert(
                     op,
                     OperatorEstimate {
                         target_rate: rate,
-                        capacity_per_instance: capacity,
+                        capacity_per_instance: 0.0,
                         selectivity: 1.0,
                         optimal_output_rate: rate,
-                        raw_requirement: raw,
+                        raw_requirement: parallelism as f64,
                         parallelism,
                     },
                 );
@@ -316,7 +293,7 @@ impl Ds2Policy {
             if target_rate <= 0.0 {
                 // No load will ever reach this operator under the optimal
                 // plan; the minimum deployment suffices and it emits nothing.
-                let parallelism = self.clamp(self.config.min_parallelism as f64);
+                let parallelism = self.clamp(MIN_PARALLELISM as f64);
                 ws.optimal_output[op.index()] = 0.0;
                 ws.out.estimates.insert(
                     op,
@@ -325,7 +302,7 @@ impl Ds2Policy {
                         capacity_per_instance: 0.0,
                         selectivity: 0.0,
                         optimal_output_rate: 0.0,
-                        raw_requirement: self.config.min_parallelism as f64,
+                        raw_requirement: MIN_PARALLELISM as f64,
                         parallelism,
                     },
                 );
@@ -358,17 +335,16 @@ impl Ds2Policy {
 
             // Eq. 7: π = ceil( rt / (o[λp]/p) ), with the manager's boost
             // folded into the requirement before the ceiling. The boost is
-            // targeted at operators exhibiting uninstrumented overheads
-            // when a threshold is set. With no boost in effect the gate's
-            // outcome is 1.0 either way, so the unaccounted-fraction pass
-            // over the instances is skipped entirely.
-            let op_boost = if boost == 1.0 {
+            // targeted at operators exhibiting uninstrumented overheads.
+            // With no boost in effect the gate's outcome is 1.0 either way,
+            // so the unaccounted-fraction pass over the instances is
+            // skipped entirely.
+            let op_boost = if boost == 1.0
+                || metrics.mean_unaccounted_fraction() < BOOST_UNACCOUNTED_THRESHOLD
+            {
                 1.0
             } else {
-                match self.config.boost_unaccounted_threshold {
-                    Some(t) if metrics.mean_unaccounted_fraction() < t => 1.0,
-                    _ => boost,
-                }
+                boost
             };
             let capacity_per_instance = agg_lp / p as f64;
             let raw_requirement = op_boost * target_rate / capacity_per_instance;
@@ -427,38 +403,10 @@ impl Ds2Policy {
         Ok(&ws.out)
     }
 
-    /// Parallelism for a source: either kept as-is (paper behaviour) or
-    /// scaled so the source has capacity to generate the offered rate.
-    fn source_parallelism(
-        &self,
-        op: OperatorId,
-        offered: f64,
-        boost: f64,
-        snapshot: &MetricsSnapshot,
-        current: &Deployment,
-    ) -> Result<(usize, f64, f64), Ds2Error> {
-        let current_p = current.parallelism(op).max(1);
-        if !self.config.scale_sources {
-            return Ok((current_p, 0.0, current_p as f64));
-        }
-        let metrics = snapshot.operator(op).ok_or(Ds2Error::MissingMetrics(op))?;
-        let p = metrics.parallelism().max(current_p);
-        let agg_lo = metrics
-            .aggregate_true_output_rate()
-            .ok_or(Ds2Error::UndefinedRates(op))?;
-        if agg_lo <= 0.0 {
-            return Err(Ds2Error::UndefinedRates(op));
-        }
-        let capacity = agg_lo / p as f64;
-        let raw = boost * offered / capacity;
-        Ok((self.clamp(raw), capacity, raw))
-    }
-
     fn clamp(&self, raw: f64) -> usize {
         let ceiled = (raw - CEIL_EPSILON).ceil().max(0.0) as usize;
-        let lo = self.config.min_parallelism.max(1);
         let hi = self.config.max_parallelism.unwrap_or(usize::MAX);
-        ceiled.clamp(lo, hi)
+        ceiled.clamp(MIN_PARALLELISM, hi)
     }
 }
 
@@ -556,7 +504,7 @@ mod tests {
         let out = Ds2Policy::new().evaluate(&g, &snap, &current).unwrap();
         assert_eq!(out.plan.parallelism(fm), 10);
         assert_eq!(out.plan.parallelism(cnt), 20);
-        // Source keeps its parallelism (scale_sources = false).
+        // Source keeps its parallelism.
         assert_eq!(out.plan.parallelism(src), 1);
     }
 
@@ -764,60 +712,12 @@ mod tests {
         // 80% useful, no measured waits: a 20% unaccounted gap marks the
         // operator as suffering uninstrumented overheads, so it is boosted.
         snap.insert_instances(op, vec![inst(250.0, 1.0, 0.8)]);
-        let policy = Ds2Policy::with_config(PolicyConfig {
-            requirement_boost: 1.25,
-            ..Default::default()
-        });
-        let out = policy
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
+        let mut ws = PolicyWorkspace::new();
+        let out = Ds2Policy::new()
+            .evaluate_boosted_into(&g, &snap, &Deployment::uniform(&g, 1), 1.25, &mut ws)
             .unwrap();
         // 4.0 raw requirement boosted to 5.0.
         assert_eq!(out.plan.parallelism(op), 5);
-    }
-
-    #[test]
-    fn boost_parameter_equals_boosted_config() {
-        // The manager's no-clone path: `evaluate_boosted_into(…, b, …)` on a
-        // boost-1.0 config must produce exactly what a config carrying
-        // `requirement_boost = b` produces.
-        let mut b = GraphBuilder::new();
-        let src = b.operator("src");
-        let op = b.operator("op");
-        let op2 = b.operator("op2");
-        b.connect(src, op);
-        b.connect(op, op2);
-        let g = b.build().unwrap();
-        let mut snap = MetricsSnapshot::new();
-        snap.set_source_rate(src, 1000.0);
-        snap.insert_instances(src, vec![inst(1000.0, 1.0, 0.5)]);
-        snap.insert_instances(op, vec![inst(250.0, 1.5, 0.8)]);
-        snap.insert_instances(op2, vec![inst(400.0, 1.0, 0.9)]);
-        let current = Deployment::uniform(&g, 1);
-
-        for boost in [1.0, 1.25, 2.0, 3.7] {
-            let via_config = Ds2Policy::with_config(PolicyConfig {
-                requirement_boost: boost,
-                scale_sources: true,
-                ..Default::default()
-            })
-            .evaluate(&g, &snap, &current)
-            .unwrap();
-            let base = Ds2Policy::with_config(PolicyConfig {
-                scale_sources: true,
-                ..Default::default()
-            });
-            let mut ws = PolicyWorkspace::new();
-            let via_param = base
-                .evaluate_boosted_into(&g, &snap, &current, boost, &mut ws)
-                .unwrap();
-            assert_eq!(via_config.plan, via_param.plan, "boost {boost}");
-            for o in g.operators() {
-                assert_eq!(
-                    via_config.estimates[&o], via_param.estimates[&o],
-                    "boost {boost}: {o}"
-                );
-            }
-        }
     }
 
     #[test]
@@ -868,37 +768,11 @@ mod tests {
         let mut m = inst(250.0, 1.0, 0.8);
         m.wait_input_ns = m.window_ns - m.useful_ns;
         snap.insert_instances(op, vec![m]);
-        let policy = Ds2Policy::with_config(PolicyConfig {
-            requirement_boost: 1.25,
-            ..Default::default()
-        });
-        let out = policy
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
+        let mut ws = PolicyWorkspace::new();
+        let out = Ds2Policy::new()
+            .evaluate_boosted_into(&g, &snap, &Deployment::uniform(&g, 1), 1.25, &mut ws)
             .unwrap();
         assert_eq!(out.plan.parallelism(op), 4, "boost must not apply");
-    }
-
-    #[test]
-    fn scale_sources_prescribes_source_capacity() {
-        let mut b = GraphBuilder::new();
-        let src = b.operator("src");
-        let op = b.operator("op");
-        b.connect(src, op);
-        let g = b.build().unwrap();
-        let mut snap = MetricsSnapshot::new();
-        snap.set_source_rate(src, 1000.0);
-        // Source instance can only generate 400/s of useful output.
-        snap.insert_instances(src, vec![inst(400.0, 1.0, 1.0)]);
-        snap.insert_instances(op, vec![inst(500.0, 1.0, 1.0)]);
-        let policy = Ds2Policy::with_config(PolicyConfig {
-            scale_sources: true,
-            ..Default::default()
-        });
-        let out = policy
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
-        assert_eq!(out.plan.parallelism(src), 3); // ceil(1000/400)
-        assert_eq!(out.plan.parallelism(op), 2); // ceil(1000/500)
     }
 
     #[test]

@@ -177,32 +177,42 @@ impl MetricsSnapshot {
     }
 
     /// Validates the snapshot against a graph and deployment: every operator
-    /// must report, instance counts must match deployed parallelism, every
-    /// source must have an offered rate, and all counters must satisfy the
-    /// `Wu <= W` model invariant.
+    /// must pass [`MetricsSnapshot::validate_operator`] at its deployed
+    /// parallelism.
     pub fn validate(&self, graph: &LogicalGraph, deployment: &Deployment) -> Result<(), Ds2Error> {
-        for op in graph.operators() {
-            let metrics = self.operators.get(op).ok_or(Ds2Error::MissingMetrics(op))?;
-            let p = deployment.parallelism(op);
-            if metrics.parallelism() != p {
-                return Err(Ds2Error::InvalidMetrics(format!(
-                    "{op} reports {} instances but {} are deployed",
-                    metrics.parallelism(),
-                    p
-                )));
-            }
-            for inst in &metrics.instances {
-                inst.validate()?;
-            }
+        graph
+            .operators()
+            .try_for_each(|op| self.validate_operator(graph, op, deployment.parallelism(op)))
+    }
+
+    /// Validates one operator's report: it must be present with exactly `p`
+    /// instances whose counters satisfy the `Wu <= W` model invariant, and
+    /// a source must also carry a finite, non-negative offered rate.
+    pub fn validate_operator(
+        &self,
+        graph: &LogicalGraph,
+        op: OperatorId,
+        p: usize,
+    ) -> Result<(), Ds2Error> {
+        let metrics = self.operators.get(op).ok_or(Ds2Error::MissingMetrics(op))?;
+        if metrics.parallelism() != p {
+            return Err(Ds2Error::InvalidMetrics(format!(
+                "{op} reports {} instances but {} are deployed",
+                metrics.parallelism(),
+                p
+            )));
         }
-        for &src in graph.sources() {
+        for inst in &metrics.instances {
+            inst.validate()?;
+        }
+        if graph.is_source(op) {
             let rate = self
                 .source_rates
-                .get(src)
-                .ok_or(Ds2Error::MissingMetrics(src))?;
+                .get(op)
+                .ok_or(Ds2Error::MissingMetrics(op))?;
             if !rate.is_finite() || *rate < 0.0 {
                 return Err(Ds2Error::InvalidMetrics(format!(
-                    "source {src} has invalid offered rate {rate}"
+                    "source {op} has invalid offered rate {rate}"
                 )));
             }
         }

@@ -1,14 +1,15 @@
-//! Property-based tests of the hardened Scaling Manager's fault paths.
+//! Property-based tests of the [`Hardened`] Scaling Manager's fault paths.
 //!
 //! The robustness contract, stated as properties over randomly generated
 //! jobs and fault patterns:
 //!
 //! 1. **Bounded retries, no oscillation.** Under a *persistent* actuation
 //!    failure (rescales are issued but never land and never acknowledge),
-//!    the manager issues at most `1 + max_rescale_retries` scaling
-//!    commands, every one of them for the *same* plan, and after giving up
-//!    it goes quiet — it never cycles between plans or re-opens the
-//!    abandoned one while the ban holds.
+//!    the manager issues one scaling command plus at most `RETRY_CAP`
+//!    retries per attempt, every one of them for the *same* plan, and after
+//!    giving up for the `k`-th time it goes quiet for `k` ban periods — it
+//!    never cycles between plans and re-opens the abandoned one ever more
+//!    rarely.
 //! 2. **Convergence once faults clear.** A job whose telemetry is degraded
 //!    for an arbitrary prefix of windows must not be acted on blindly; once
 //!    clean snapshots resume and deploys acknowledge normally, the manager
@@ -18,8 +19,14 @@
 //! These mirror, at the unit level, what the faulted scenario matrix
 //! (`tests/scenario_matrix.rs` in the workspace root) measures end to end.
 
+use ds2_core::hardened::Hardened;
 use ds2_core::prelude::*;
 use proptest::prelude::*;
+
+/// `Hardened`'s retry cap and the manager's base ban, both private
+/// constants of `ds2-core`.
+const RETRY_CAP: usize = 3;
+const BAN_INTERVALS: u64 = 3;
 
 /// A random two-stage job: `src -> flat_map -> count`, with per-instance
 /// capacities and an offered rate chosen so the optimum stays small.
@@ -103,57 +110,50 @@ proptest! {
 
     /// Property 1: persistent actuation failure. The acknowledgement never
     /// arrives and the live deployment never changes; across any horizon
-    /// the manager issues at most `1 + cap` commands, all identical, stays
-    /// within the retry cap, and is silent after giving up.
+    /// every command is for the same plan, each attempt stays within the
+    /// retry cap, and the `k`-th give-up is followed by `k` ban periods of
+    /// silence.
     #[test]
-    fn persistent_actuation_failure_is_bounded_and_stable(
-        job in job_strategy(),
-        timeout in 1u32..=3,
-        cap in 0u32..=4,
-    ) {
+    fn persistent_actuation_failure_is_bounded_and_stable(job in job_strategy()) {
         let (g, s, f, c) = wordcount();
         prop_assume!(job.needed(job.cap_f).max(job.needed(job.cap_c)) > 3);
-        let mut mgr = ScalingManager::new(
-            g.clone(),
-            ManagerConfig {
-                rescale_timeout_intervals: timeout,
-                max_rescale_retries: cap,
-                // A ban far longer than the horizon: "never oscillate"
-                // must hold for the whole post-give-up quiet period.
-                rollback_ban_intervals: 10_000,
-                ..Default::default()
-            },
-        );
+        let mut mgr = Hardened::new(ScalingManager::with_defaults(g.clone()));
         // Permanently under-provisioned at p=1 and the rescale never lands.
         let current = Deployment::uniform(&g, 1);
         let snap = snapshot(&job, (s, f, c), &current);
 
         let mut issued: Vec<Deployment> = Vec::new();
-        let mut gave_up_at: Option<usize> = None;
+        // Commands since the last give-up, give-ups so far, and the interval
+        // until which the latest one bans the plan.
+        let mut attempt = 0usize;
+        let mut gave_up = 0u32;
+        let mut quiet_until: Option<u64> = None;
         for t in 0..120u64 {
             if let Some(plan) = mgr.on_metrics(t, &snap, &current).rescale() {
+                prop_assert!(
+                    quiet_until.is_none_or(|q| t > q),
+                    "rescale at {t}, banned until {quiet_until:?} by give-up {gave_up}"
+                );
                 issued.push(plan.clone());
-                if gave_up_at.is_some() {
-                    prop_assert!(false, "rescale issued after giving up at {t}");
-                }
+                attempt += 1;
             }
-            if gave_up_at.is_none()
-                && mgr.fault_stats().abandoned_rescales > 0
-            {
-                gave_up_at = Some(t as usize);
+            if mgr.fault_stats().abandoned_rescales > gave_up {
+                prop_assert!(
+                    attempt <= 1 + RETRY_CAP,
+                    "{attempt} commands in one attempt, cap allows {}", 1 + RETRY_CAP
+                );
+                gave_up += 1;
+                attempt = 0;
+                quiet_until = Some(t + BAN_INTERVALS * gave_up as u64);
             }
         }
         prop_assert!(!issued.is_empty(), "an under-provisioned job must be acted on");
         prop_assert!(
-            issued.len() as u32 <= 1 + cap,
-            "{} commands issued, cap allows {}", issued.len(), 1 + cap
-        );
-        prop_assert!(
             issued.iter().all(|p| p == &issued[0]),
             "retries must re-issue the identical plan"
         );
-        prop_assert!(mgr.fault_stats().retries <= cap);
-        prop_assert_eq!(mgr.fault_stats().abandoned_rescales, 1);
+        prop_assert!(gave_up >= 2, "120 intervals hold more than one attempt");
+        prop_assert!(mgr.fault_stats().retries as usize <= RETRY_CAP * (gave_up as usize + 1));
     }
 
     /// Property 2: convergence once faults clear. An arbitrary prefix of
@@ -170,16 +170,7 @@ proptest! {
         // Meaningful only when p=1 is genuinely under-provisioned (beyond
         // the default min_change suppression).
         prop_assume!(job.needed(job.cap_f).max(job.needed(job.cap_c)) > 3);
-        let mut mgr = ScalingManager::new(
-            g.clone(),
-            ManagerConfig {
-                validate_snapshots: true,
-                outlier_rejection: true,
-                rescale_timeout_intervals: 1,
-                max_rescale_retries: 3,
-                ..Default::default()
-            },
-        );
+        let mut mgr = Hardened::new(ScalingManager::with_defaults(g.clone()));
         let mut current = Deployment::uniform(&g, 1);
         let mut t = 0u64;
 
@@ -226,6 +217,6 @@ proptest! {
             prop_assert!(!mgr.on_metrics(t, &snap, &current).is_rescale());
             t += 1;
         }
-        prop_assert!(mgr.is_converged());
+        prop_assert!(mgr.manager().is_converged());
     }
 }

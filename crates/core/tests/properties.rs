@@ -12,6 +12,7 @@
 //! capacity the policy measures is bit-for-bit identical across snapshots
 //! and the properties are checked against exactly what the policy saw.
 
+use ds2_core::hardened::Hardened;
 use ds2_core::prelude::*;
 use proptest::prelude::*;
 
@@ -372,5 +373,58 @@ proptest! {
             prop_assert!((b - a * k as f64).abs() <= (a * k as f64).abs() * 1e-9 + 1e-9,
                 "target for {} not linear: {} vs {}x{}", op, b, a, k);
         }
+    }
+
+    /// Fault-free `Hardened` ≡ bare `ScalingManager`: over any sequence of
+    /// valid snapshots — load changes, achieved-rate dips that provoke
+    /// boosts and rollbacks — with every rescale landing and acknowledged
+    /// before the next interval, both emit the identical verdict sequence
+    /// and the wrapper counts no fault. Sequences cross warm-up, the
+    /// awaiting state and activation windows, which pins the wrapper's
+    /// ordering: nothing is sanitised, aged or vetoed on a window the
+    /// manager would not have decided on.
+    #[test]
+    fn fault_free_hardened_equals_bare_manager(
+        sc in scenario_strategy(),
+        warmup_intervals in 0u32..=2,
+        activation_intervals in 1u32..=3,
+        min_change in 0usize..=2,
+        steps in proptest::collection::vec((0.25f64..4.0, 0.3f64..1.0), 30),
+    ) {
+        let (graph, ids) = build_graph(&sc);
+        let config = ManagerConfig {
+            warmup_intervals,
+            activation_intervals,
+            min_change,
+            policy: PolicyConfig { max_parallelism: Some(64), ..Default::default() },
+            ..Default::default()
+        };
+        let mut bare = ScalingManager::new(graph.clone(), config.clone());
+        let mut hardened = Hardened::new(ScalingManager::new(graph.clone(), config));
+        let mut current = Deployment::uniform(&graph, sc.initial_parallelism);
+
+        for (t, &(load, achieved)) in steps.iter().enumerate() {
+            let mut step = sc.clone();
+            step.source_rate *= load;
+            let mut snap = build_snapshot(&step, &graph, &ids, &current);
+            for &src in graph.sources() {
+                for inst in &mut snap.operator_mut(src).unwrap().instances {
+                    inst.records_out = (inst.records_out as f64 * achieved) as u64;
+                }
+            }
+            prop_assert!(snap.validate(&graph, &current).is_ok());
+
+            let t = t as u64;
+            let verdict = bare.on_metrics(t, &snap, &current);
+            prop_assert_eq!(&hardened.on_metrics(t, &snap, &current), &verdict, "interval {}", t);
+            if let ControllerVerdict::Rescale(plan) = verdict {
+                current = plan;
+                bare.on_deployed(t, &current);
+                hardened.on_deployed(t, &current);
+            }
+        }
+        prop_assert_eq!(hardened.fault_stats(), ControllerFaultStats::default());
+        prop_assert_eq!(hardened.manager().decisions_made(), bare.decisions_made());
+        prop_assert_eq!(hardened.manager().is_converged(), bare.is_converged());
     }
 }

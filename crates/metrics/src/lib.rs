@@ -7,9 +7,7 @@
 //!
 //! * [`counters`] — per-instance local counters, both single-threaded
 //!   ([`counters::InstanceCounters`]) and lock-free shared
-//!   ([`counters::SharedCounters`]) variants;
-//! * [`trace`] — Timely-style raw event traces with the paper's
-//!   "useful scheduling events only" filtering.
+//!   ([`counters::SharedCounters`]) variants.
 //!
 //! Gathering and reporting in intervals — the paper's metrics manager and
 //! repository (Fig. 5) — is the engine's `collect_snapshot` feeding the
@@ -19,7 +17,5 @@
 #![warn(missing_docs)]
 
 pub mod counters;
-pub mod trace;
 
 pub use counters::{CounterTotals, InstanceCounters, SharedCounters, UsefulTime};
-pub use trace::{TraceAggregator, TraceEvent, TraceStats, WorkerId};

@@ -1,6 +1,6 @@
-//! The live control loop: a [`ScalingController`] driving a
-//! [`RunningJob`](crate::engine::RunningJob) over wall-clock time — the
-//! real-system counterpart of the simulator harness (paper Fig. 5).
+//! The live control loop: a [`ScalingController`] driving a [`RunningJob`]
+//! over wall-clock time — the real-system counterpart of the simulator
+//! harness (paper Fig. 5).
 //!
 //! The loop is *self-healing*: a failed rescale (wedged worker blowing the
 //! halt deadline) or a worker panic no longer ends the run. Failures are

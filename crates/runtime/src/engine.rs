@@ -1279,8 +1279,8 @@ mod tests {
     use crate::chaos::ChaosSpec;
     use crate::logic::{CostedLogic, FnLogic, StateValue};
     use ds2_core::graph::GraphBuilder;
-    use parking_lot::Mutex;
     use std::collections::HashMap;
+    use std::sync::Mutex;
 
     type Shared = Arc<Mutex<HashMap<u64, u64>>>;
 
@@ -1293,7 +1293,7 @@ mod tests {
     impl Logic<u64> for CountLogic {
         fn process(&mut self, record: u64, _out: &mut Vec<u64>) {
             *self.counts.entry(record).or_insert(0) += 1;
-            *self.sink.lock().entry(record).or_insert(0) += 1;
+            *self.sink.lock().unwrap().entry(record).or_insert(0) += 1;
         }
 
         fn drain_state(&mut self) -> Vec<StateEntry> {
@@ -1354,7 +1354,7 @@ mod tests {
         std::thread::sleep(Duration::from_millis(600));
         let snap = job.collect_snapshot();
         let state = job.shutdown();
-        let total: u64 = sink.lock().values().sum();
+        let total: u64 = sink.lock().unwrap().values().sum();
         assert!(total > 5_000, "only {total} records reached the sink");
         // The doubling operator emits 2 records per input.
         let m_metrics = snap.operator(m).unwrap();
@@ -1402,7 +1402,7 @@ mod tests {
         let mut state = job.shutdown();
         // Every record that reached the sink is still accounted for in the
         // migrated state: aggregate drained counts equal sink totals.
-        let sink_total: u64 = sink.lock().values().sum();
+        let sink_total: u64 = sink.lock().unwrap().values().sum();
         let mut drained_total = 0u64;
         for (_k, v) in state.remove(&c).unwrap_or_default() {
             drained_total += *v.into_any().downcast::<u64>().unwrap();
@@ -1447,7 +1447,7 @@ mod tests {
         for (k, v) in state.remove(&c).unwrap_or_default() {
             *drained.entry(k).or_insert(0) += *v.into_any().downcast::<u64>().unwrap();
         }
-        let sink_counts = sink.lock().clone();
+        let sink_counts = sink.lock().unwrap().clone();
         assert!(
             sink_counts.keys().len() > 32,
             "expected a wide key space, got {}",
@@ -1532,7 +1532,7 @@ mod tests {
         }
         assert_eq!(
             drained,
-            sink.lock().clone(),
+            sink.lock().unwrap().clone(),
             "state salvaged across the aborted rescale diverged from sink totals"
         );
     }
@@ -1564,7 +1564,7 @@ mod tests {
             let drained: u64 = (job.shutdown().remove(&c).unwrap_or_default().into_iter())
                 .map(|(_, v)| *v.into_any().downcast::<u64>().unwrap())
                 .sum();
-            assert_eq!(drained, sink.lock().values().sum::<u64>());
+            assert_eq!(drained, sink.lock().unwrap().values().sum::<u64>());
         }
     }
 
@@ -1712,7 +1712,7 @@ mod tests {
         }
         assert_eq!(
             drained,
-            sink.lock().clone(),
+            sink.lock().unwrap().clone(),
             "salvage lost across the panic"
         );
     }
@@ -1891,7 +1891,7 @@ mod tests {
             fn process_batch(&mut self, batch: &mut Vec<u64>, _out: &mut Vec<u64>) {
                 let now = self.0.elapsed().as_nanos() as u64;
                 let newest = batch.drain(..).max().expect("never an empty batch");
-                self.1.lock().push(now.saturating_sub(newest));
+                self.1.lock().unwrap().push(now.saturating_sub(newest));
             }
         }
         let mut b = GraphBuilder::new();
@@ -1915,7 +1915,7 @@ mod tests {
         let job = RunningJob::deploy(spec, Deployment::uniform(&g, 1));
         std::thread::sleep(Duration::from_millis(400));
         job.shutdown();
-        let delays = delays.lock();
+        let delays = delays.lock().unwrap();
         assert!(delays.len() > 20, "only {} batches arrived", delays.len());
         delays.iter().filter(|&&d| d < 1_000_000).count() as f64 / delays.len() as f64
     }
@@ -1968,7 +1968,7 @@ mod tests {
             .map(|(_, v)| *v.into_any().downcast::<u64>().unwrap())
             .sum();
         assert!(drained > 1_000, "only {drained} records reached the sink");
-        assert_eq!(drained, sink.lock().values().sum::<u64>());
+        assert_eq!(drained, sink.lock().unwrap().values().sum::<u64>());
     }
 
     /// Power-of-two downstream parallelism routes through the bitmask path;
@@ -2125,7 +2125,7 @@ mod tests {
         }
         assert_eq!(
             drained,
-            sink.lock().clone(),
+            sink.lock().unwrap().clone(),
             "salvage-restored state diverged from sink totals"
         );
     }
@@ -2153,6 +2153,6 @@ mod tests {
         for (k, v) in state.remove(&c).unwrap_or_default() {
             *drained.entry(k).or_insert(0) += *v.into_any().downcast::<u64>().unwrap();
         }
-        assert_eq!(drained, sink.lock().clone());
+        assert_eq!(drained, sink.lock().unwrap().clone());
     }
 }

@@ -6,19 +6,19 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use ds2_core::controller::{ControllerVerdict, ScalingController};
 use ds2_core::deployment::Deployment;
 use ds2_core::error::Ds2Error;
 use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
+use ds2_core::hardened::Hardened;
 use ds2_core::manager::{ManagerConfig, ScalingManager};
 use ds2_core::snapshot::MetricsSnapshot;
 use ds2_runtime::{
     run_control_loop, ChaosSpec, ControlConfig, JobSpec, Logic, RunningJob, StateEntry, StateValue,
 };
-use parking_lot::Mutex;
 
 type Shared = Arc<Mutex<HashMap<u64, u64>>>;
 
@@ -38,7 +38,7 @@ impl Logic<u64> for CountLogic {
             std::thread::sleep(cost);
         }
         *self.counts.entry(record).or_insert(0) += 1;
-        *self.sink.lock().entry(record).or_insert(0) += 1;
+        *self.sink.lock().unwrap().entry(record).or_insert(0) += 1;
     }
 
     fn drain_state(&mut self) -> Vec<StateEntry> {
@@ -160,7 +160,7 @@ fn survives_crashes_with_zero_state_loss() {
     let drained = drained_counts(&mut state);
     assert_eq!(
         drained,
-        sink.lock().clone(),
+        sink.lock().unwrap().clone(),
         "keyed state diverged from sink totals after 3 crash recoveries"
     );
 }
@@ -197,7 +197,7 @@ fn chaos_with_rescale_converges_and_conserves() {
         let final_p = job.deployment().parallelism(COUNT);
         let mut state = job.shutdown();
         let drained = drained_counts(&mut state);
-        let sunk = sink.lock().clone();
+        let sunk = sink.lock().unwrap().clone();
         (events, final_p, drained, sunk)
     };
 
@@ -267,11 +267,11 @@ fn wedge_detected_and_replaced_from_checkpoint() {
         "the loop must survive the wedge"
     );
 
-    let sink_before_shutdown: u64 = sink.lock().values().sum();
+    let sink_before_shutdown: u64 = sink.lock().unwrap().values().sum();
     let mut state = job.shutdown();
     let drained = drained_counts(&mut state);
     let drained_total: u64 = drained.values().sum();
-    let sink_total: u64 = sink.lock().values().sum();
+    let sink_total: u64 = sink.lock().unwrap().values().sum();
     // Flow resumed after the replacement: far more records than the 1000
     // that preceded the wedge.
     assert!(
@@ -337,16 +337,14 @@ fn failed_rescale_self_heals() {
     spec.chaos = ChaosSpec::new().wedge(OperatorId(1), 0, 450);
 
     let mut job = RunningJob::deploy(spec, Deployment::uniform(&g, 2));
-    let mut manager = ScalingManager::new(
+    let mut manager = Hardened::new(ScalingManager::new(
         g,
         ManagerConfig {
             warmup_intervals: 1,
             min_change: 0,
-            rescale_timeout_intervals: 2,
-            max_rescale_retries: 3,
             ..Default::default()
         },
-    );
+    ));
     let config = ControlConfig {
         interval: Duration::from_millis(500),
         duration: Duration::from_secs(8),
@@ -414,6 +412,10 @@ fn seeded_chaos_is_deterministic_and_survivable() {
         );
         let mut state = job.shutdown();
         let drained = drained_counts(&mut state);
-        assert_eq!(drained, sink.lock().clone(), "seed {seed} lost keyed state");
+        assert_eq!(
+            drained,
+            sink.lock().unwrap().clone(),
+            "seed {seed} lost keyed state"
+        );
     }
 }

@@ -3,7 +3,7 @@
 //!
 //! The engine advances in fixed ticks. Each tick, operator instances drain
 //! their input queues subject to (a) per-instance service capacity derived
-//! from their [`OperatorProfile`](crate::profile::OperatorProfile), (b)
+//! from their [`OperatorProfile`], (b)
 //! skewed key partitioning across instances, and (c) the execution-model
 //! personality:
 //!
@@ -106,10 +106,6 @@ pub struct EngineConfig {
     /// Per-instance queue capacity in records for Heron mode (the paper's
     /// 100 MiB operator queues).
     pub heron_per_instance_queue: f64,
-    /// Queue fill fraction at which Heron pauses the sources.
-    pub heron_high_watermark: f64,
-    /// Queue fill fraction below which Heron resumes the sources.
-    pub heron_low_watermark: f64,
     /// Stop-the-world redeployment latency in nanoseconds.
     pub reconfig_latency_ns: u64,
     /// RNG seed for service-noise sampling.
@@ -146,8 +142,6 @@ impl Default for EngineConfig {
             tick_ns: 10_000_000, // 10 ms
             per_instance_queue: 5_000.0,
             heron_per_instance_queue: 1_000_000.0,
-            heron_high_watermark: 0.9,
-            heron_low_watermark: 0.3,
             reconfig_latency_ns: 30_000_000_000, // 30 s, the §5.3 Flink savepoint time
             seed: 42,
             service_noise: 0.0,
@@ -1048,9 +1042,7 @@ impl FluidEngine {
         let mut qi = 0usize;
         let mut si = 0usize;
         for (i, st) in self.states.iter().enumerate() {
-            // Windowed engines only: one-tick cycles arm as they always did.
-            if self.has_windowed && !fp.class_tags_settled(log, drift_capable, qi, st.classes.len())
-            {
+            if !fp.class_tags_settled(log, drift_capable, qi, st.classes.len()) {
                 return false;
             }
             for (k, c) in st.classes.iter().enumerate() {
@@ -1483,6 +1475,10 @@ impl FluidEngine {
         // Heron spout-pausing signal update: driven by the fullest partition
         // anywhere in the dataflow.
         if self.cfg.mode == EngineMode::Heron {
+            // Queue fill fractions at which Heron pauses the sources and
+            // below which it resumes them.
+            const HERON_HIGH_WATERMARK: f64 = 0.9;
+            const HERON_LOW_WATERMARK: f64 = 0.3;
             let max_fill = self
                 .states
                 .iter()
@@ -1490,10 +1486,10 @@ impl FluidEngine {
                 .map(|c| c.queue.fill_fraction())
                 .fold(0.0f64, f64::max);
             if self.heron_backpressure {
-                if max_fill < self.cfg.heron_low_watermark {
+                if max_fill < HERON_LOW_WATERMARK {
                     self.heron_backpressure = false;
                 }
-            } else if max_fill > self.cfg.heron_high_watermark {
+            } else if max_fill > HERON_HIGH_WATERMARK {
                 self.heron_backpressure = true;
             }
         }
@@ -3047,6 +3043,62 @@ mod tests {
             "steady state re-armed after the exit"
         );
         assert_lockstep(&mut exact, &mut fast, &ids, 500);
+        assert_engines_agree(&mut exact, &mut fast, &ids);
+    }
+
+    /// An operator merges the spans it drains from its class queues iff
+    /// their tags agree, so a one-tick probe that starts with the hot
+    /// class holding an older span than the cold one — and re-creates both
+    /// together — records a tick no later tick repeats, although every
+    /// queue mark is back where it was. The probe must refuse, run the tick
+    /// in full, and arm on a later tick whose tags stand.
+    #[test]
+    fn one_tick_probe_refuses_class_tags_that_have_not_settled() {
+        let mk = || {
+            // The operator is the sink: what it drains reaches no other
+            // queue, so merged or not, every mark repeats.
+            let (graph, ids) = chain(&[(600.0, 0.7)]);
+            let mut profiles = ProfileMap::new();
+            profiles.insert(
+                ids[1],
+                OperatorProfile::with_capacity(600.0, 0.7).with_skew(0.4),
+            );
+            let mut sources = BTreeMap::new();
+            sources.insert(ids[0], SourceSpec::constant(1_000.0));
+            let mut d = Deployment::uniform(&graph, 1);
+            d.set(ids[1], 4);
+            let cfg = untagged(EngineConfig {
+                instrumentation: InstrumentationConfig::disabled(),
+                ..Default::default()
+            });
+            (FluidEngine::new(graph, profiles, sources, d, cfg), ids)
+        };
+        let (mut exact, ids) = mk();
+        let (mut fast, _) = mk();
+        // Both classes are drained whole and re-created by the same push
+        // every tick: their tags agree and the fixed point arms.
+        assert_lockstep(&mut exact, &mut fast, &ids, 50);
+        assert!(fast.fastforward_active());
+
+        // The same float state with an older span left in the hot class.
+        for engine in [&mut exact, &mut fast] {
+            let classes = &mut engine.states[ids[1].index()].classes;
+            assert_eq!(classes.len(), 2, "a hot class and a cold one");
+            let hot = &mut classes[0].queue;
+            let tag = hot.oldest_ns().expect("holds this tick's push");
+            hot.restore(hot.len(), hot.sole_span_records(), tag - 1);
+        }
+        fast.ff.invalidate();
+        let before = fast.fastforward_stats();
+        assert_lockstep(&mut exact, &mut fast, &ids, 1);
+        let after = fast.fastforward_stats();
+        assert_eq!(after.probes, before.probes + 1, "the tick was a probe");
+        assert_eq!(after.probe_failures, before.probe_failures + 1);
+        assert_eq!(after.full_ticks, before.full_ticks + 1);
+        assert!(!fast.fastforward_active(), "unsettled tags must not arm");
+
+        assert_lockstep(&mut exact, &mut fast, &ids, 50);
+        assert!(fast.fastforward_active(), "re-armed once the tags agree");
         assert_engines_agree(&mut exact, &mut fast, &ids);
     }
 

@@ -44,10 +44,13 @@
 //!   Untagged marks hold no tags, yet one thing a tick does depends on
 //!   them: the spans an operator drains from its *class* queues are merged
 //!   before routing iff their tags agree, and a push of `a + b` rounds
-//!   differently from two. Cycles re-create queues in bursts, so a float
-//!   state can repeat before those relations have settled;
-//!   `Fingerprint::class_tags_settled` refuses such a cycle, and replay
-//!   restores each row's tags along with its marks.
+//!   differently from two. A float state can repeat before those relations
+//!   have settled — a window flush re-creates queues in bursts, and a span
+//!   can outlive a drain by less than the next push rounds away — so
+//!   `Fingerprint::class_tags_settled` refuses such a cycle, whatever its
+//!   length. Replay of a longer cycle restores each row's tags along with
+//!   its marks; a one-tick cycle keeps the tags its probe ended with, which
+//!   stand to each other as those of every later tick would.
 //!
 //! * **Constant `TickStats`.** The sources must have offered and emitted
 //!   bitwise the same, and the backpressure flag read the same, in all `k`

@@ -9,6 +9,7 @@
 //! bit-for-bit.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 
 use ds2_core::deployment::Deployment;
 use ds2_core::graph::OperatorId;
@@ -43,17 +44,6 @@ pub struct GeneratorConfig {
     pub operators: (usize, usize),
     /// Offered-rate range in records/second.
     pub rate_range: (f64, f64),
-    /// Per-instance capacity range in records/second.
-    pub capacity_range: (f64, f64),
-    /// Per-operator selectivity range (clamped so the cumulative product
-    /// along any path stays within [0.2, 4]).
-    pub selectivity_range: (f64, f64),
-    /// Probability that an operator's cost grows with parallelism
-    /// (saturating or sigmoid curve) rather than scaling perfectly.
-    pub nonlinear_probability: f64,
-    /// Probability that an operator carries hidden (uninstrumented)
-    /// overhead, the paper's third-step driver.
-    pub hidden_probability: f64,
     /// Initial parallelism range for non-source operators.
     pub initial_parallelism: (usize, usize),
     /// Run length the workload schedule is laid out over.
@@ -68,15 +58,26 @@ impl Default for GeneratorConfig {
             workloads: WorkloadShape::ALL.to_vec(),
             operators: (2, 12),
             rate_range: (600.0, 4_000.0),
-            capacity_range: (400.0, 2_500.0),
-            selectivity_range: (0.3, 2.0),
-            nonlinear_probability: 0.3,
-            hidden_probability: 0.25,
             initial_parallelism: (1, 8),
             run_duration_ns: 300_000_000_000,
         }
     }
 }
+
+/// Per-instance capacity range in records/second.
+const CAPACITY_RANGE: Range<f64> = 400.0..2_500.0;
+
+/// Per-operator selectivity range (clamped so the cumulative product along
+/// any path stays within [0.2, 4]).
+const SELECTIVITY_RANGE: Range<f64> = 0.3..2.0;
+
+/// Probability that an operator's cost grows with parallelism (saturating
+/// or sigmoid curve) rather than scaling perfectly.
+const NONLINEAR_PROBABILITY: f64 = 0.3;
+
+/// Probability that an operator carries hidden (uninstrumented) overhead,
+/// the paper's third-step driver.
+const HIDDEN_PROBABILITY: f64 = 0.25;
 
 /// Seed salt of the family-draw RNG stream (distinct from every scenario
 /// body stream).
@@ -189,20 +190,19 @@ impl ScenarioSpec {
                 .map(|e| cum_sel[&e.from])
                 .sum::<f64>()
                 .max(1e-6);
-            let (slo, shi) = config.selectivity_range;
             // Keep every operator's output flow within [0.25, 2] source
             // rates: fan-in sums and deep chains must not drive target
             // rates (hence optimal parallelism and simulation cost) beyond
             // the matrix budget.
             let sel = rng
-                .gen_range(slo..shi)
+                .gen_range(SELECTIVITY_RANGE)
                 .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
                 .clamp(0.05, 8.0);
             cum_sel.insert(op, upstream_cum * sel);
 
-            let capacity = rng.gen_range(config.capacity_range.0..config.capacity_range.1);
+            let capacity = rng.gen_range(CAPACITY_RANGE);
             let mut profile = OperatorProfile::with_capacity(capacity, sel);
-            if rng.gen_bool(config.nonlinear_probability) {
+            if rng.gen_bool(NONLINEAR_PROBABILITY) {
                 profile = profile.with_scaling(if rng.gen_bool(0.5) {
                     ScalingCurve::Saturating {
                         alpha: rng.gen_range(0.05..0.3),
@@ -216,7 +216,7 @@ impl ScenarioSpec {
                     }
                 });
             }
-            if rng.gen_bool(config.hidden_probability) {
+            if rng.gen_bool(HIDDEN_PROBABILITY) {
                 // Hidden overhead up to 15% of the instrumented cost.
                 let hidden = profile.instrumented_cost_ns(1) * rng.gen_range(0.03..0.15);
                 profile = profile.with_hidden(hidden, ScalingCurve::Linear);
@@ -296,9 +296,8 @@ impl ScenarioSpec {
                 .map(|e| cum_sel[&e.from])
                 .sum::<f64>()
                 .max(1e-6);
-            let (slo, shi) = config.selectivity_range;
             let sel = rng
-                .gen_range(slo..shi)
+                .gen_range(SELECTIVITY_RANGE)
                 .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
                 .clamp(0.05, 8.0);
             cum_sel.insert(op, upstream_cum * sel);
@@ -311,7 +310,7 @@ impl ScenarioSpec {
                 let capacity = (hot * target / overload).max(30.0);
                 OperatorProfile::with_capacity(capacity, sel).with_splittable_skew(hot)
             } else {
-                let capacity = rng.gen_range(config.capacity_range.0..config.capacity_range.1);
+                let capacity = rng.gen_range(CAPACITY_RANGE);
                 OperatorProfile::with_capacity(capacity, sel)
             };
             profiles.insert(op, profile);
@@ -392,9 +391,8 @@ impl ScenarioSpec {
                 .map(|e| cum_sel[&e.from])
                 .sum::<f64>()
                 .max(1e-6);
-            let (slo, shi) = config.selectivity_range;
             let sel = rng
-                .gen_range(slo..shi)
+                .gen_range(SELECTIVITY_RANGE)
                 .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
                 .clamp(0.05, 8.0);
             cum_sel.insert(op, upstream_cum * sel);
@@ -412,7 +410,7 @@ impl ScenarioSpec {
                     budget_per_instance_bytes: budget,
                 })
             } else {
-                let capacity = rng.gen_range(config.capacity_range.0..config.capacity_range.1);
+                let capacity = rng.gen_range(CAPACITY_RANGE);
                 OperatorProfile::with_capacity(capacity, sel)
             };
             profiles.insert(op, profile);

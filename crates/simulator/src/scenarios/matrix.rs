@@ -39,6 +39,7 @@ use ds2_baselines::{
 };
 use ds2_core::controller::ScalingController;
 use ds2_core::deployment::Deployment;
+use ds2_core::hardened::Hardened;
 use ds2_core::manager::{ManagerConfig, ScalingManager};
 use ds2_core::policy::{PolicyConfig, PolicyWorkspace};
 use ds2_core::snapshot::MetricsSnapshot;
@@ -94,9 +95,10 @@ pub enum ControllerKind {
     Threshold,
     /// M/M/c queueing-theory provisioning.
     Queueing,
-    /// The DS2 manager with the robustness hardening switched on: snapshot
-    /// validation with last-good repair, median outlier rejection, and
-    /// verify-then-retry on unacknowledged rescales. Not in
+    /// The DS2 manager behind the [`Hardened`] wrapper: snapshot validation
+    /// with last-good repair, median outlier rejection, and
+    /// verify-then-retry on unacknowledged rescales. On a fault-free matrix
+    /// it decides identically to vanilla. Not in
     /// [`ControllerKind::ALL`] — the headline matrix stays vanilla; this
     /// kind is opted into by the robustness comparison runs.
     Ds2Hardened,
@@ -781,7 +783,6 @@ impl ScenarioMatrix {
             ControllerKind::Ds2 | ControllerKind::Ds2Hardened | ControllerKind::Ds2MultiDim => {
                 let config = match kind {
                     ControllerKind::Ds2MultiDim => self.ds2_multidim_config(spec),
-                    ControllerKind::Ds2Hardened => self.ds2_hardened_config(),
                     _ => self.ds2_config(),
                 };
                 // Thread the arena's policy workspace through the manager
@@ -791,7 +792,12 @@ impl ScenarioMatrix {
                     config,
                     std::mem::take(&mut arena.policy_ws),
                 );
-                let (result, mut manager) = drive(engine, manager, harness, arena);
+                let (result, mut manager) = if kind == ControllerKind::Ds2Hardened {
+                    let (result, hardened) = drive(engine, Hardened::new(manager), harness, arena);
+                    (result, hardened.into_inner())
+                } else {
+                    drive(engine, manager, harness, arena)
+                };
                 arena.policy_ws = manager.take_workspace();
                 result
             }
@@ -845,23 +851,6 @@ impl ScenarioMatrix {
             },
             ..Default::default()
         }
-    }
-
-    /// The hardened DS2 configuration: [`ds2_config`] plus the robustness
-    /// knobs — snapshot validation with last-good repair, median outlier
-    /// rejection, and a one-interval rescale timeout with verify-then-retry.
-    /// On a fault-free matrix the hardened manager decides identically to
-    /// vanilla (the knobs only change behavior when telemetry is invalid or
-    /// a rescale goes unacknowledged).
-    ///
-    /// [`ds2_config`]: ScenarioMatrix::ds2_config
-    pub fn ds2_hardened_config(&self) -> ManagerConfig {
-        let mut config = self.ds2_config();
-        config.validate_snapshots = true;
-        config.outlier_rejection = true;
-        config.rescale_timeout_intervals = 1;
-        config.max_rescale_retries = 3;
-        config
     }
 
     /// The multi-dimensional DS2 configuration: [`ds2_config`] plus

@@ -26,10 +26,10 @@
 //!   workload's final rate lands on `p*`, a seed-drawn scaling of the
 //!   paper's reported parallelism ([`NexmarkQuery::reference_parallelism`]).
 //! * **Windows**: Q5 (hopping), Q8 (tumbling) and Q11 (session) mains use
-//!   [`OutputMode::Windowed`] with a seed-drawn period that divides the
-//!   matrix's 10 s policy interval and is a whole number of its 25 ms
-//!   ticks, so these scenarios fast-forward by whole window cycles
-//!   ([`crate::fastforward`]).
+//!   [`OutputMode::Windowed`](crate::profile::OutputMode::Windowed) with a
+//!   seed-drawn period that divides the matrix's 10 s policy interval and
+//!   is a whole number of its 25 ms ticks, so these scenarios fast-forward
+//!   by whole window cycles ([`crate::fastforward`]).
 //! * **Skew**: keyed mains (Q3 seller join, Q5 per-auction counts, Q8
 //!   person join, Q11 per-bidder sessions) accept the workload's hot-key
 //!   fraction as a two-class partition (hot instance + uniform rest);

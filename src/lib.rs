@@ -8,17 +8,17 @@
 //!
 //! ## Crates
 //!
-//! * [`core`](ds2_core) — the DS2 model and controller: true rates, the
+//! * [`core`] — the DS2 model and controller: true rates, the
 //!   Eq. 7–8 policy, and the Scaling Manager;
-//! * [`metrics`](ds2_metrics) — §4.1 instrumentation: per-instance
-//!   counters and Timely-style traces;
-//! * [`simulator`](ds2_simulator) — a deterministic fluid queueing
+//! * [`metrics`] — §4.1 instrumentation: per-instance
+//!   counters;
+//! * [`simulator`] — a deterministic fluid queueing
 //!   simulation of the Flink / Heron / Timely execution models;
-//! * [`nexmark`](ds2_nexmark) — the Nexmark workload: generator, the six
+//! * [`nexmark`] — the Nexmark workload: generator, the six
 //!   evaluated queries, calibrated simulator profiles;
-//! * [`runtime`](ds2_runtime) — a real threaded mini streaming engine under
+//! * [`runtime`] — a real threaded mini streaming engine under
 //!   live DS2 control;
-//! * [`baselines`](ds2_baselines) — Dhalion-style, threshold, and
+//! * [`baselines`] — Dhalion-style, threshold, and
 //!   queueing-theory controllers.
 //!
 //! ## Quick start
