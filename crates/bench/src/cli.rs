@@ -1,8 +1,18 @@
-//! Runs the scenario matrix across DS2 and every baseline and prints the
-//! comparison table (steps-to-convergence, provisioning accuracy,
-//! SASO-style stability).
+//! The `ds2-bench` command line: one subcommand per paper experiment, the
+//! scenario matrix, and `all`.
 //!
-//! Usage: `scenario_matrix [FLAGS] [controllers...]`
+//! Usage: `ds2-bench <SUBCOMMAND> [ARGS]`
+//!
+//! ```text
+//!   matrix [FLAGS] [controllers...]   the scenario matrix (flags below)
+//!   fig1 fig6 fig7 table4 fig8 fig9 fig10 skew ablations
+//!                                     one experiment (see the crate docs)
+//!   all                               every experiment, in paper order
+//! ```
+//!
+//! `matrix` runs the scenario matrix across DS2 and every baseline and
+//! prints the comparison table (steps-to-convergence, provisioning
+//! accuracy, SASO-style stability):
 //!
 //! ```text
 //!   --scenarios N     number of scenarios (default 40; the library default
@@ -32,16 +42,6 @@
 //!                     and the report grows `faultw`/`vetoed`/`retries`
 //!                     columns. Pair with `ds2_hardened` to compare the
 //!                     hardened controller against vanilla DS2
-//!   --bench-json P    run the throughput baseline (1/4/8 threads with
-//!                     fast-forward, plus a 1-thread exact row — each for
-//!                     the synthetic family — 1/4-thread nexmark-family
-//!                     rows, a 1-thread hotkey+state_pressure row under
-//!                     ds2_multidim, and a 1-thread harsh-faults row under
-//!                     ds2_hardened; rows asking for more threads than the
-//!                     machine has CPUs are skipped) and write it to P as
-//!                     JSON, then exit. Each row's timing line on stderr
-//!                     ends with the share of engine ticks that ran in
-//!                     full and that were replayed, by kind
 //!   controllers       any of ds2/dhalion/threshold/queueing/ds2_multidim/
 //!                     ds2_hardened (default: ds2 + the three baselines).
 //!                     `ds2_multidim` runs DS2 on the multi-dimensional
@@ -61,9 +61,9 @@
 //! the classic format.
 //!
 //! The report table goes to stdout; timing, the tick breakdown (full vs
-//! replayed steady/drift/halted) and progress go to stderr, so two runs with
-//! different `--threads` — or with and without `--exact` — can be `diff`ed
-//! directly (CI does).
+//! replayed steady/drift/halted/cycle) and progress go to stderr, so two
+//! runs with different `--threads` — or with and without `--exact` — can be
+//! `diff`ed directly (CI does).
 //!
 //! Environment: `DS2_MATRIX_SEED` (same as `--seed`),
 //! `DS2_MATRIX_WORKLOADS` (comma-separated family names),
@@ -77,15 +77,66 @@ use ds2_simulator::scenarios::{
 };
 use ds2_simulator::FastForwardStats;
 
+use crate::experiments::{ablations, accuracy, flink_dynamic, heron, overhead, skew, table4};
+
+/// A paper experiment: its subcommand and a runner returning the report.
+type Experiment = (&'static str, fn() -> String);
+
+/// Every experiment in paper order, with the simulated durations the
+/// reported numbers are taken at.
+const EXPERIMENTS: [Experiment; 9] = [
+    ("fig1", || heron::figure1(3_000_000_000_000).1),
+    ("fig6", || heron::figure6(3_000_000_000_000).2),
+    ("fig7", || flink_dynamic::figure7(1_600_000_000_000).1),
+    ("table4", || {
+        table4::report(&table4::run_table(600_000_000_000))
+    }),
+    ("fig8", || accuracy::figure8(120_000_000_000)),
+    ("fig9", || accuracy::figure9(120_000_000_000)),
+    ("fig10", || overhead::figure10(120_000_000_000).2),
+    ("skew", || skew::skew_experiment(300_000_000_000).1),
+    ("ablations", || {
+        format!(
+            "{}\n\n{}\n\n{}\n\n{}",
+            ablations::linear_scaling_ablation(600_000_000_000).1,
+            ablations::heron_queue_ablation(1_200_000_000_000).1,
+            ablations::controller_shootout(400_000_000_000),
+            ablations::timely_rule_ablation(60_000_000_000),
+        )
+    }),
+];
+
 fn usage_exit(msg: &str) -> ! {
     eprintln!("{msg}");
     eprintln!(
-        "usage: scenario_matrix [--scenarios N] [--threads N] [--seed S] \
+        "usage: ds2-bench all|fig1|fig6|fig7|table4|fig8|fig9|fig10|skew|ablations\n       \
+         ds2-bench matrix [--scenarios N] [--threads N] [--seed S] \
          [--family synthetic|nexmark|nexmark_qN|hotkey|state_pressure|mixed|list] \
-         [--exact] [--faults none|mild|harsh] [--bench-json PATH] \
+         [--exact] [--faults none|mild|harsh] \
          [ds2|dhalion|threshold|queueing|ds2_multidim|ds2_hardened ...]"
     );
     std::process::exit(2);
+}
+
+/// Runs the subcommand named by the first of `args` (the program name
+/// already stripped) with the rest as its arguments.
+pub fn run(args: Vec<String>) {
+    let mut args = args.into_iter();
+    match args.next().as_deref() {
+        Some("matrix") => run_matrix(args),
+        Some("all") => {
+            let t0 = Instant::now();
+            for (_, experiment) in EXPERIMENTS {
+                println!("{}", experiment());
+            }
+            println!("full suite wall time: {:.1}s", t0.elapsed().as_secs_f64());
+        }
+        Some(name) => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+            Some((_, experiment)) => println!("{}", experiment()),
+            None => usage_exit(&format!("unknown subcommand '{name}'")),
+        },
+        None => usage_exit("missing subcommand"),
+    }
 }
 
 /// Every family the generator knows, in report order.
@@ -170,7 +221,7 @@ fn tick_breakdown(stats: FastForwardStats) -> String {
     )
 }
 
-fn parse_flag<T: std::str::FromStr>(args: &mut std::vec::IntoIter<String>, flag: &str) -> T {
+fn parse_flag<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, flag: &str) -> T {
     let Some(v) = args.next() else {
         usage_exit(&format!("{flag} needs a value"));
     };
@@ -178,18 +229,17 @@ fn parse_flag<T: std::str::FromStr>(args: &mut std::vec::IntoIter<String>, flag:
         .unwrap_or_else(|_| usage_exit(&format!("{flag}: cannot parse '{v}'")))
 }
 
-fn main() {
+/// The `matrix` subcommand.
+fn run_matrix(mut args: impl Iterator<Item = String>) {
     let mut scenarios: usize = 40;
     let mut threads: usize = 0;
     let mut seed: Option<u64> = None;
-    let mut bench_json: Option<String> = None;
     let mut fast_forward = true;
     let mut faults = FaultProfile::None;
     let mut families: Option<Vec<ScenarioFamily>> = None;
     let mut list_requested = false;
     let mut controllers: Vec<ControllerKind> = Vec::new();
 
-    let mut args = std::env::args().skip(1).collect::<Vec<_>>().into_iter();
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scenarios" => scenarios = parse_flag(&mut args, "--scenarios"),
@@ -209,7 +259,6 @@ fn main() {
                 faults = FaultProfile::from_name(&value)
                     .unwrap_or_else(|| usage_exit(&format!("--faults: unknown profile '{value}'")));
             }
-            "--bench-json" => bench_json = args.next().or_else(|| usage_exit("--bench-json")),
             "ds2" => controllers.push(ControllerKind::Ds2),
             "dhalion" => controllers.push(ControllerKind::Dhalion),
             "threshold" => controllers.push(ControllerKind::Threshold),
@@ -273,11 +322,6 @@ fn main() {
         list_families(&config);
     }
 
-    if let Some(path) = bench_json {
-        run_throughput_baseline(&path, &config);
-        return;
-    }
-
     let verbose = std::env::var("DS2_MATRIX_VERBOSE").is_ok();
     let matrix = ScenarioMatrix::new(config.clone());
     let t0 = Instant::now();
@@ -331,148 +375,4 @@ fn main() {
             );
         }
     }
-}
-
-/// Measures matrix throughput (scenarios/second) per scenario family at
-/// the standard thread counts — the synthetic family at 1/4/8 threads with
-/// fast-forward plus a 1-thread `--exact` row quantifying the macro-tick
-/// speedup, the nexmark family (all six queries, mostly windowed and
-/// therefore tick-by-tick) at 1/4 threads, the multi-dimensional
-/// stress families (hotkey + state_pressure under the `ds2_multidim`
-/// controller, exercising class splits and spill accounting) at 1 thread,
-/// and a harsh-faults synthetic row under `ds2_hardened` (injection plus
-/// sanitize/verify/retry overhead) at 1 thread — writing one JSON entry
-/// per configuration so the committed baseline captures single-thread
-/// data-plane speed, parallel scaling, the fast-forward ratio, the
-/// real-query-dataflow cost, the multi-dim overhead and the hardening
-/// overhead. Rows asking for more threads than the host has CPUs are
-/// skipped: an over-subscribed run measures the scheduler, not parallel
-/// scaling, and must not be committed as a baseline. Every written row
-/// records its `threads` and the host's `cpus`.
-fn run_throughput_baseline(path: &str, base: &MatrixConfig) {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let scenarios = base.scenarios.clamp(8, 512);
-    let mut entries = Vec::new();
-    // (family-suffix, families, threads, fast_forward, controller): the
-    // synthetic rows keep their historical names (no suffix) so the CI
-    // bench_guard gate and baseline trajectories stay comparable across
-    // PRs.
-    let stress = vec![ScenarioFamily::HotKey, ScenarioFamily::StatePressure];
-    let synthetic = vec![ScenarioFamily::Synthetic];
-    type Run = (
-        &'static str,
-        Vec<ScenarioFamily>,
-        usize,
-        bool,
-        ControllerKind,
-        FaultProfile,
-    );
-    let runs: [Run; 8] = [
-        (
-            "",
-            synthetic.clone(),
-            1,
-            true,
-            ControllerKind::Ds2,
-            FaultProfile::None,
-        ),
-        (
-            "",
-            synthetic.clone(),
-            4,
-            true,
-            ControllerKind::Ds2,
-            FaultProfile::None,
-        ),
-        (
-            "",
-            synthetic.clone(),
-            8,
-            true,
-            ControllerKind::Ds2,
-            FaultProfile::None,
-        ),
-        (
-            "",
-            synthetic.clone(),
-            1,
-            false,
-            ControllerKind::Ds2,
-            FaultProfile::None,
-        ),
-        (
-            "_nexmark",
-            ScenarioFamily::ALL_NEXMARK.to_vec(),
-            1,
-            true,
-            ControllerKind::Ds2,
-            FaultProfile::None,
-        ),
-        (
-            "_nexmark",
-            ScenarioFamily::ALL_NEXMARK.to_vec(),
-            4,
-            true,
-            ControllerKind::Ds2,
-            FaultProfile::None,
-        ),
-        (
-            "_multidim",
-            stress,
-            1,
-            true,
-            ControllerKind::Ds2MultiDim,
-            FaultProfile::None,
-        ),
-        (
-            "_faulted",
-            synthetic,
-            1,
-            true,
-            ControllerKind::Ds2Hardened,
-            FaultProfile::Harsh,
-        ),
-    ];
-    for (family_suffix, families, threads, fast_forward, controller, faults) in runs {
-        if threads > cpus {
-            eprintln!("bench: skipping the {threads}-thread{family_suffix} row on {cpus} cpu(s)");
-            continue;
-        }
-        let mut config = MatrixConfig {
-            scenarios,
-            threads,
-            controllers: vec![controller],
-            fast_forward,
-            faults,
-            ..base.clone()
-        };
-        config.generator.families = families;
-        let matrix = ScenarioMatrix::new(config);
-        let t0 = Instant::now();
-        let (report, ff_stats) = matrix.run_with_stats(|_, _| {});
-        let elapsed = t0.elapsed().as_secs_f64();
-        let per_s = scenarios as f64 / elapsed;
-        let suffix = format!(
-            "{}{family_suffix}",
-            if fast_forward { "" } else { "_exact" }
-        );
-        eprintln!(
-            "bench: {scenarios}{family_suffix} scenarios on {threads} thread(s){}: {elapsed:.2}s \
-             ({per_s:.2} scenarios/s, {} outcomes; {})",
-            if fast_forward { "" } else { " [exact]" },
-            report.outcomes.len(),
-            tick_breakdown(ff_stats),
-        );
-        entries.push(format!(
-            "  {{\"name\": \"scenario_matrix/ds2_{threads}threads{suffix}\", \
-             \"threads\": {threads}, \
-             \"cpus\": {cpus}, \"scenarios\": {scenarios}, \"elapsed_s\": {elapsed:.3}, \
-             \"scenarios_per_s\": {per_s:.3}}}"
-        ));
-    }
-    let json = format!("[\n{}\n]\n", entries.join(",\n"));
-    std::fs::write(path, &json).expect("write bench json");
-    println!("{json}");
 }

@@ -18,7 +18,8 @@ use ds2_baselines::dhalion::{DhalionConfig, DhalionController};
 use ds2_baselines::queueing::QueueingController;
 use ds2_baselines::threshold::ThresholdController;
 use ds2_core::deployment::Deployment;
-use ds2_core::policy::Ds2Policy;
+use ds2_core::policy::{Ds2Policy, PolicyWorkspace};
+use ds2_core::snapshot::MetricsSnapshot;
 use ds2_nexmark::profiles::{setup, QueryId, Target};
 use ds2_simulator::engine::{EngineConfig, EngineMode, FluidEngine, InstrumentationConfig};
 use ds2_simulator::profile::ScalingCurve;
@@ -216,11 +217,13 @@ pub fn timely_rule_ablation(duration_ns: u64) -> String {
             cfg,
         );
         engine.run_for(10_000_000_000);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         engine.run_for(20_000_000_000);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
+        let mut ws = PolicyWorkspace::new();
         let out = Ds2Policy::new()
-            .evaluate(&graph, &snap, &engine.current_deployment())
+            .evaluate_into(&graph, &snap, engine.deployment(), &mut ws)
             .expect("policy evaluates");
         let sum_rule = out.timely_total_workers(&graph);
         let max_rule = graph

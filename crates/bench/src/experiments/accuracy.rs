@@ -10,7 +10,8 @@
 //! latency CDFs against the 1-second target.
 
 use ds2_core::deployment::Deployment;
-use ds2_core::policy::Ds2Policy;
+use ds2_core::policy::{Ds2Policy, PolicyWorkspace};
+use ds2_core::snapshot::MetricsSnapshot;
 use ds2_nexmark::profiles::{setup, QueryId, Target};
 use ds2_simulator::engine::{EngineConfig, EngineMode, FluidEngine};
 
@@ -59,11 +60,12 @@ pub fn figure8_query(query: QueryId, duration_ns: u64) -> (Vec<Fig8Point>, usize
         let mut engine = FluidEngine::new(s.graph, s.profiles, s.sources, deployment, cfg);
         // Warm up, then measure the steady state.
         engine.run_for(duration_ns / 3);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         let offered: f64 = engine.last_tick().offered.values().sum::<f64>()
             / (engine.config().tick_ns as f64 / 1e9);
         engine.run_for(duration_ns * 2 / 3);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
         let observed: f64 = snap
             .source_rates()
             .filter_map(|(src, _)| snap.observed_source_rate(src))
@@ -94,17 +96,19 @@ pub fn indicated_plan(query: QueryId) -> Deployment {
     let graph = s.graph.clone();
     let mut engine = FluidEngine::new(s.graph, s.profiles, s.sources, deployment.clone(), cfg);
     engine.run_for(20_000_000_000);
-    let _ = engine.collect_snapshot();
+    let mut snap = MetricsSnapshot::new();
+    engine.collect_snapshot_into(&mut snap);
     engine.run_for(30_000_000_000);
-    let snap = engine.collect_snapshot();
+    engine.collect_snapshot_into(&mut snap);
     let policy = Ds2Policy::with_config(ds2_core::policy::PolicyConfig {
         max_parallelism: Some(36),
         ..Default::default()
     });
     policy
-        .evaluate(&graph, &snap, &deployment)
+        .evaluate_into(&graph, &snap, &deployment, &mut PolicyWorkspace::new())
         .expect("policy evaluates")
         .plan
+        .clone()
 }
 
 /// Runs Figure 8 for all queries, writing one CSV per query.
@@ -210,13 +214,19 @@ pub fn indicated_timely_workers(query: QueryId) -> usize {
     let main_graph = graph.clone();
     let mut engine = FluidEngine::new(s.graph, s.profiles, s.sources, deployment, cfg);
     engine.run_for(10_000_000_000);
-    let _ = engine.collect_snapshot();
+    let mut snap = MetricsSnapshot::new();
+    engine.collect_snapshot_into(&mut snap);
     engine.run_for(20_000_000_000);
-    let snap = engine.collect_snapshot();
-    let out = Ds2Policy::new()
-        .evaluate(&graph, &snap, &engine.current_deployment())
-        .expect("policy evaluates");
-    out.timely_total_workers(&main_graph)
+    engine.collect_snapshot_into(&mut snap);
+    Ds2Policy::new()
+        .evaluate_into(
+            &graph,
+            &snap,
+            engine.deployment(),
+            &mut PolicyWorkspace::new(),
+        )
+        .expect("policy evaluates")
+        .timely_total_workers(&main_graph)
 }
 
 /// Runs Figure 9 for the queries the paper plots (Q3, Q5, Q11).

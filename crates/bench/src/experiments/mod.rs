@@ -1,9 +1,9 @@
 //! One module per paper table/figure, plus ablations.
 //!
 //! Each module exposes a `run`-style function taking a simulated duration
-//! and returning structured results plus a printable report, so the thin
-//! `src/bin/*` wrappers, the `run_all` binary, and the integration tests
-//! can all share the same code paths (tests use shortened durations).
+//! and returning structured results plus a printable report, so the
+//! `ds2-bench` subcommands and the integration tests share the same code
+//! paths (tests use shortened durations).
 
 pub mod ablations;
 pub mod accuracy;

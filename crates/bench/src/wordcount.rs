@@ -185,11 +185,12 @@ pub fn skewed_flink_benchmark(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ds2_core::snapshot::MetricsSnapshot;
 
     #[test]
     fn heron_benchmark_builds() {
         let (engine, ops) = heron_benchmark((1, 1));
-        assert_eq!(engine.current_deployment().parallelism(ops.flat_map), 1);
+        assert_eq!(engine.deployment().parallelism(ops.flat_map), 1);
         assert!(engine.graph().is_source(ops.source));
     }
 
@@ -197,10 +198,11 @@ mod tests {
     fn flink_benchmark_phases() {
         let (mut engine, ops) = flink_dynamic_benchmark((10, 5), 5_000_000_000);
         engine.run_for(1_000_000_000);
-        let snap = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         assert_eq!(snap.source_rate(ops.source), Some(2_000_000.0));
         engine.run_for(5_000_000_000);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
         assert_eq!(snap.source_rate(ops.source), Some(1_000_000.0));
     }
 
@@ -209,9 +211,10 @@ mod tests {
         // (19, 11) must be backpressure-free at 2 M/s.
         let (mut engine, ops) = flink_dynamic_benchmark((19, 11), u64::MAX);
         engine.run_for(30_000_000_000);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         engine.run_for(10_000_000_000);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
         let obs = snap
             .operator(ops.source)
             .unwrap()
@@ -226,9 +229,10 @@ mod tests {
         // hot instance caps the job well below target.
         let (mut engine, ops) = skewed_flink_benchmark(0.5, (10, 16));
         engine.run_for(60_000_000_000);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         engine.run_for(10_000_000_000);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
         let obs = snap
             .operator(ops.source)
             .unwrap()

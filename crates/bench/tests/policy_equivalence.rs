@@ -1,16 +1,17 @@
-//! Refactor-equivalence guard for the dense data plane: on metrics windows
-//! produced by real simulated runs of generated scenarios, the workspace
-//! path (`evaluate_into`) must produce **bit-identical** plans and
-//! estimates to the allocating `evaluate` path — same floats, same
-//! ceilings, same errors — with ONE workspace recycled across all of them.
+//! Workspace-reuse guard for the dense policy: on metrics windows produced
+//! by real simulated runs of generated scenarios, `evaluate_into` with ONE
+//! workspace recycled across all of them must produce **bit-identical**
+//! plans and estimates to a fresh workspace per window — same floats, same
+//! ceilings, same errors.
 
 use ds2_core::deployment::Deployment;
 use ds2_core::policy::{Ds2Policy, PolicyConfig, PolicyWorkspace};
+use ds2_core::snapshot::MetricsSnapshot;
 use ds2_simulator::engine::{EngineConfig, FluidEngine, InstrumentationConfig};
 use ds2_simulator::scenarios::{GeneratorConfig, ScenarioSpec};
 
 #[test]
-fn evaluate_into_matches_evaluate_on_generated_scenarios() {
+fn reused_workspace_matches_a_fresh_one_on_generated_scenarios() {
     let generator = GeneratorConfig::default();
     let policy = Ds2Policy::with_config(PolicyConfig {
         max_parallelism: Some(64),
@@ -38,15 +39,17 @@ fn evaluate_into_matches_evaluate_on_generated_scenarios() {
         );
         // Two windows: the first warms rates up, the second is evaluated.
         engine.run_for(10_000_000_000);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         engine.run_for(10_000_000_000);
-        let snap = engine.collect_snapshot();
-        let current: Deployment = engine.current_deployment();
+        engine.collect_snapshot_into(&mut snap);
+        let current: &Deployment = engine.deployment();
 
-        let old_path = policy.evaluate(&graph, &snap, &current);
-        let dense_path = policy.evaluate_into(&graph, &snap, &current, &mut ws);
+        let mut fresh_ws = PolicyWorkspace::new();
+        let fresh = policy.evaluate_into(&graph, &snap, current, &mut fresh_ws);
+        let reused = policy.evaluate_into(&graph, &snap, current, &mut ws);
 
-        match (old_path, dense_path) {
+        match (fresh, reused) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(a.plan, b.plan, "seed {seed}: plans diverged");
                 for op in graph.operators() {
@@ -61,7 +64,7 @@ fn evaluate_into_matches_evaluate_on_generated_scenarios() {
                 evaluated += 1;
             }
             (Err(a), Err(b)) => assert_eq!(a, b, "seed {seed}: errors diverged"),
-            (a, b) => panic!("seed {seed}: one path failed: {a:?} vs {b:?}"),
+            (a, b) => panic!("seed {seed}: one workspace failed: {a:?} vs {b:?}"),
         }
     }
     assert!(

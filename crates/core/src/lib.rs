@@ -54,7 +54,10 @@
 //! }]);
 //!
 //! let current = Deployment::uniform(&graph, 1);
-//! let out = Ds2Policy::new().evaluate(&graph, &snap, &current).unwrap();
+//! let mut ws = PolicyWorkspace::new();
+//! let out = Ds2Policy::new()
+//!     .evaluate_into(&graph, &snap, &current, &mut ws)
+//!     .unwrap();
 //! assert_eq!(out.plan.parallelism(fm), 10); // 1000 / 100
 //! assert_eq!(out.plan.parallelism(cnt), 14); // 2000 / 150, ceiled
 //! ```

@@ -17,8 +17,6 @@
 //! dense per-operator buffers (indexed by [`OperatorId::index`]) are cleared
 //! by epoch-stamping and reused across windows, so an evaluation performs
 //! **zero heap allocations** once the workspace has warmed up on a graph.
-//! [`Ds2Policy::evaluate`] remains as a convenience wrapper that allocates a
-//! fresh workspace per call.
 
 use crate::deployment::Deployment;
 use crate::error::Ds2Error;
@@ -159,11 +157,6 @@ impl PolicyWorkspace {
     pub fn output(&self) -> &PolicyOutput {
         &self.out
     }
-
-    /// Consumes the workspace, yielding the most recent evaluation result.
-    pub fn into_output(self) -> PolicyOutput {
-        self.out
-    }
 }
 
 /// The DS2 scaling policy (Eq. 7–8).
@@ -184,15 +177,19 @@ impl Ds2Policy {
         Self { config }
     }
 
-    /// Computes the optimal provisioning plan for one metrics window.
+    /// Computes the optimal provisioning plan for one metrics window into a
+    /// caller-owned [`PolicyWorkspace`] and returns a reference to it.
     ///
     /// Runs in `O(V + E)`: a single traversal of the graph in topological
     /// order, which is the property that lets DS2 configure *all* operators
     /// in the same scaling decision (§3.2).
     ///
-    /// Convenience wrapper over [`Ds2Policy::evaluate_into`] that allocates
-    /// a fresh [`PolicyWorkspace`] per call; callers evaluating every
-    /// metrics window should hold a workspace and use `evaluate_into`.
+    /// After the workspace has warmed up on a graph (one evaluation), this
+    /// performs no heap allocation: the dense per-operator buffers are
+    /// cleared by epoch-stamping and overwritten in place, which is what
+    /// keeps the decision latency negligible relative to the metrics window
+    /// on large dataflows. A caller wanting an owned result clones it
+    /// (`.cloned()`).
     ///
     /// # Errors
     ///
@@ -200,25 +197,6 @@ impl Ds2Policy {
     /// target rate has reported no metrics, [`Ds2Error::UndefinedRates`] when
     /// such an operator reported no useful time (so Eq. 1–2 are undefined),
     /// and [`Ds2Error::InvalidMetrics`] for non-finite inputs.
-    pub fn evaluate(
-        &self,
-        graph: &LogicalGraph,
-        snapshot: &MetricsSnapshot,
-        current: &Deployment,
-    ) -> Result<PolicyOutput, Ds2Error> {
-        let mut ws = PolicyWorkspace::new();
-        self.evaluate_into(graph, snapshot, current, &mut ws)?;
-        Ok(ws.into_output())
-    }
-
-    /// Like [`Ds2Policy::evaluate`], but writes the result into a
-    /// caller-owned [`PolicyWorkspace`] and returns a reference to it.
-    ///
-    /// After the workspace has warmed up on a graph (one evaluation), this
-    /// performs no heap allocation: the dense per-operator buffers are
-    /// cleared by epoch-stamping and overwritten in place, which is what
-    /// keeps the decision latency negligible relative to the metrics window
-    /// on large dataflows.
     pub fn evaluate_into<'ws>(
         &self,
         graph: &LogicalGraph,
@@ -433,6 +411,18 @@ mod tests {
         }
     }
 
+    /// One evaluation in a fresh workspace, the result cloned out.
+    fn evaluate(
+        policy: &Ds2Policy,
+        g: &LogicalGraph,
+        snap: &MetricsSnapshot,
+        current: &Deployment,
+    ) -> Result<PolicyOutput, Ds2Error> {
+        policy
+            .evaluate_into(g, snap, current, &mut PolicyWorkspace::new())
+            .cloned()
+    }
+
     /// The paper's Figure 2 dataflow: src -> o1 -> o2, target 40 rec/s.
     /// o1 is a bottleneck processing 10 rec/s at full utilization; o2
     /// processes the observed 10 rec/s in 5% of its time (true rate 200/s).
@@ -457,7 +447,7 @@ mod tests {
         snap.insert_instances(o2, vec![inst(200.0, 1.0, 0.5)]);
 
         let current = Deployment::uniform(&g, 1);
-        let out = Ds2Policy::new().evaluate(&g, &snap, &current).unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &current).unwrap();
 
         // o1 must scale 4x to handle 40 rec/s at 10 rec/s true rate.
         assert_eq!(out.plan.parallelism(o1), 4);
@@ -501,7 +491,7 @@ mod tests {
         snap.insert_instances(cnt, vec![over_minute(1_000_000, 1_000_000, 1.0)]);
 
         let current = Deployment::uniform(&g, 1);
-        let out = Ds2Policy::new().evaluate(&g, &snap, &current).unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &current).unwrap();
         assert_eq!(out.plan.parallelism(fm), 10);
         assert_eq!(out.plan.parallelism(cnt), 20);
         // Source keeps its parallelism.
@@ -520,9 +510,7 @@ mod tests {
         snap.insert_instances(src, vec![inst(1000.0, 1.0, 0.5)]);
         // Capacity exactly 250/s per instance: 1000/250 = 4.0 -> 4, not 5.
         snap.insert_instances(op, vec![inst(250.0, 1.0, 1.0)]);
-        let out = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap();
         assert_eq!(out.plan.parallelism(op), 4);
     }
 
@@ -542,9 +530,7 @@ mod tests {
         snap.insert_instances(s1, vec![inst(300.0, 1.0, 0.3)]);
         snap.insert_instances(s2, vec![inst(200.0, 1.0, 0.2)]);
         snap.insert_instances(j, vec![inst(100.0, 0.5, 1.0)]);
-        let out = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap();
         let e = out.estimates[&j];
         assert!((e.target_rate - 500.0).abs() < 1e-9);
         assert_eq!(out.plan.parallelism(j), 5);
@@ -568,9 +554,7 @@ mod tests {
         snap.insert_instances(src, vec![inst(100.0, 1.0, 0.1)]);
         snap.insert_instances(a, vec![inst(50.0, 2.0, 1.0)]);
         snap.insert_instances(c, vec![inst(100.0, 1.0, 1.0)]);
-        let out = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap();
         assert_eq!(out.plan.parallelism(a), 2);
         assert_eq!(out.plan.parallelism(c), 2);
     }
@@ -591,7 +575,7 @@ mod tests {
         snap.insert_instances(op, vec![inst(50.0, 1.0, 0.4); 8]);
         let mut current = Deployment::uniform(&g, 1);
         current.set(op, 8);
-        let out = Ds2Policy::new().evaluate(&g, &snap, &current).unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &current).unwrap();
         assert_eq!(out.plan.parallelism(op), 2);
     }
 
@@ -609,9 +593,7 @@ mod tests {
         snap.insert_instances(src, vec![inst(400.0, 1.0, 0.4)]);
         snap.insert_instances(l, vec![inst(50.0, 1.0, 1.0)]);
         snap.insert_instances(r, vec![inst(50.0, 1.0, 1.0)]);
-        let out = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap();
         assert_eq!(out.plan.parallelism(l), 2); // 100 / 50
         assert_eq!(out.plan.parallelism(r), 6); // 300 / 50
     }
@@ -633,7 +615,7 @@ mod tests {
         // Downstream has no metrics at all: must still work since rt = 0.
         let mut current = Deployment::uniform(&g, 1);
         current.set(d, 5);
-        let out = Ds2Policy::new().evaluate(&g, &snap, &current).unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &current).unwrap();
         assert_eq!(out.plan.parallelism(d), 1);
         assert_eq!(out.estimates[&d].target_rate, 0.0);
     }
@@ -656,9 +638,7 @@ mod tests {
                 ..Default::default()
             }],
         );
-        let err = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap_err();
+        let err = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap_err();
         assert_eq!(err, Ds2Error::UndefinedRates(op));
     }
 
@@ -672,9 +652,7 @@ mod tests {
         let mut snap = MetricsSnapshot::new();
         snap.set_source_rate(src, 100.0);
         snap.insert_instances(src, vec![inst(100.0, 1.0, 0.1)]);
-        let err = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap_err();
+        let err = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap_err();
         assert_eq!(err, Ds2Error::MissingMetrics(op));
     }
 
@@ -693,9 +671,7 @@ mod tests {
             max_parallelism: Some(36),
             ..Default::default()
         });
-        let out = policy
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
+        let out = evaluate(&policy, &g, &snap, &Deployment::uniform(&g, 1)).unwrap();
         assert_eq!(out.plan.parallelism(op), 36);
     }
 
@@ -723,7 +699,7 @@ mod tests {
     #[test]
     fn workspace_reuse_matches_fresh_evaluation() {
         // Same workspace driven across two different graphs and repeated
-        // windows: every call must match a fresh `evaluate`.
+        // windows: every call must match one in a fresh workspace.
         let mut ws = PolicyWorkspace::new();
         let policy = Ds2Policy::new();
         for n in [5usize, 3, 8] {
@@ -744,7 +720,7 @@ mod tests {
                 snap.insert_instances(op, vec![inst(300.0, 1.0, 0.9)]);
             }
             let current = Deployment::uniform(&g, 2);
-            let fresh = policy.evaluate(&g, &snap, &current).unwrap();
+            let fresh = evaluate(&policy, &g, &snap, &current).unwrap();
             let reused = policy.evaluate_into(&g, &snap, &current, &mut ws).unwrap();
             assert_eq!(fresh.plan, reused.plan);
             for op in g.operators() {
@@ -789,9 +765,7 @@ mod tests {
         snap.insert_instances(src, vec![inst(100.0, 1.0, 0.1)]);
         snap.insert_instances(a, vec![inst(50.0, 1.0, 1.0)]);
         snap.insert_instances(c, vec![inst(25.0, 1.0, 1.0)]);
-        let out = Ds2Policy::new()
-            .evaluate(&g, &snap, &Deployment::uniform(&g, 1))
-            .unwrap();
+        let out = evaluate(&Ds2Policy::new(), &g, &snap, &Deployment::uniform(&g, 1)).unwrap();
         // a needs 2, b needs 4 -> 6 total workers.
         assert_eq!(out.timely_total_workers(&g), 6);
     }
@@ -829,7 +803,7 @@ mod tests {
             detect_splits: true,
             ..Default::default()
         });
-        let out = policy.evaluate(&g, &snap, &current).unwrap();
+        let out = evaluate(&policy, &g, &snap, &current).unwrap();
         // hot_share 0.7 > 1.5/4 and hot rate 700/s > 250/s capacity:
         // the hot class must spread over ceil(700/250) = 3 instances.
         assert_eq!(out.splits.len(), 1);
@@ -842,14 +816,13 @@ mod tests {
     #[test]
     fn split_hint_off_by_default_and_plan_unchanged() {
         let (g, snap, current, _) = skewed_setup(700);
-        let default_out = Ds2Policy::new().evaluate(&g, &snap, &current).unwrap();
+        let default_out = evaluate(&Ds2Policy::new(), &g, &snap, &current).unwrap();
         assert!(default_out.splits.is_empty(), "detect_splits defaults off");
-        let split_out = Ds2Policy::with_config(PolicyConfig {
+        let split_policy = Ds2Policy::with_config(PolicyConfig {
             detect_splits: true,
             ..Default::default()
-        })
-        .evaluate(&g, &snap, &current)
-        .unwrap();
+        });
+        let split_out = evaluate(&split_policy, &g, &snap, &current).unwrap();
         // Detection is purely additive: the Eq. 7 plan is untouched.
         assert_eq!(default_out.plan, split_out.plan);
     }
@@ -862,8 +835,7 @@ mod tests {
             detect_splits: true,
             ..Default::default()
         });
-        assert!(policy
-            .evaluate(&g, &snap, &current)
+        assert!(evaluate(&policy, &g, &snap, &current)
             .unwrap()
             .splits
             .is_empty());
@@ -879,8 +851,7 @@ mod tests {
             ..Default::default()
         };
         snap.insert_instances(op, vec![mk(70), mk(10), mk(10), mk(10)]);
-        assert!(policy
-            .evaluate(&g, &snap, &current)
+        assert!(evaluate(&policy, &g, &snap, &current)
             .unwrap()
             .splits
             .is_empty());

@@ -159,6 +159,14 @@ fn build_snapshot(
     snap
 }
 
+/// The default policy's plan for one window, in a fresh workspace.
+fn evaluate(graph: &LogicalGraph, snap: &MetricsSnapshot, current: &Deployment) -> PolicyOutput {
+    Ds2Policy::new()
+        .evaluate_into(graph, snap, current, &mut PolicyWorkspace::new())
+        .unwrap()
+        .clone()
+}
+
 const TOL: f64 = 1e-6;
 
 proptest! {
@@ -171,7 +179,7 @@ proptest! {
         let (graph, ids) = build_graph(&sc);
         let deployment = Deployment::uniform(&graph, sc.initial_parallelism);
         let snap = build_snapshot(&sc, &graph, &ids, &deployment);
-        let out = Ds2Policy::new().evaluate(&graph, &snap, &deployment).unwrap();
+        let out = evaluate(&graph, &snap, &deployment);
         let targets = ground_truth_targets(&sc, &graph, &ids);
 
         for (idx, &op) in ids.iter().enumerate() {
@@ -206,10 +214,10 @@ proptest! {
         let (graph, ids) = build_graph(&sc);
         let deployment = Deployment::uniform(&graph, sc.initial_parallelism);
         let snap = build_snapshot(&sc, &graph, &ids, &deployment);
-        let first = Ds2Policy::new().evaluate(&graph, &snap, &deployment).unwrap();
+        let first = evaluate(&graph, &snap, &deployment);
 
         let snap2 = build_snapshot(&sc, &graph, &ids, &first.plan);
-        let second = Ds2Policy::new().evaluate(&graph, &snap2, &first.plan).unwrap();
+        let second = evaluate(&graph, &snap2, &first.plan);
 
         for &op in &ids {
             if graph.is_source(op) { continue; }
@@ -229,11 +237,11 @@ proptest! {
         let (graph, ids) = build_graph(&sc);
         let d1 = Deployment::uniform(&graph, 1);
         let snap1 = build_snapshot(&sc, &graph, &ids, &d1);
-        let from_below = Ds2Policy::new().evaluate(&graph, &snap1, &d1).unwrap();
+        let from_below = evaluate(&graph, &snap1, &d1);
 
         let d_big = Deployment::uniform(&graph, 64);
         let snap_big = build_snapshot(&sc, &graph, &ids, &d_big);
-        let from_above = Ds2Policy::new().evaluate(&graph, &snap_big, &d_big).unwrap();
+        let from_above = evaluate(&graph, &snap_big, &d_big);
 
         for &op in &ids {
             if graph.is_source(op) { continue; }
@@ -305,12 +313,10 @@ proptest! {
         let (graph, ids) = build_graph(&sc);
         let start = Deployment::uniform(&graph, sc.initial_parallelism);
         let snap = build_snapshot(&sc, &graph, &ids, &start);
-        let converged = Ds2Policy::new().evaluate(&graph, &snap, &start).unwrap().plan;
+        let converged = evaluate(&graph, &snap, &start).plan;
 
         let snap_at = build_snapshot(&sc, &graph, &ids, &converged);
-        let again = Ds2Policy::new()
-            .evaluate(&graph, &snap_at, &converged)
-            .unwrap()
+        let again = evaluate(&graph, &snap_at, &converged)
             .plan;
         for &op in &ids {
             if graph.is_source(op) { continue; }
@@ -333,12 +339,12 @@ proptest! {
         let (graph, ids) = build_graph(&sc);
         let deployment = Deployment::uniform(&graph, sc.initial_parallelism);
         let snap = build_snapshot(&sc, &graph, &ids, &deployment);
-        let base = Ds2Policy::new().evaluate(&graph, &snap, &deployment).unwrap();
+        let base = evaluate(&graph, &snap, &deployment);
 
         let mut boosted_sc = sc.clone();
         boosted_sc.source_rate *= factor;
         let snap_hi = build_snapshot(&boosted_sc, &graph, &ids, &deployment);
-        let boosted = Ds2Policy::new().evaluate(&graph, &snap_hi, &deployment).unwrap();
+        let boosted = evaluate(&graph, &snap_hi, &deployment);
 
         for &op in &ids {
             if graph.is_source(op) { continue; }
@@ -359,12 +365,12 @@ proptest! {
         let (graph, ids) = build_graph(&sc);
         let deployment = Deployment::uniform(&graph, sc.initial_parallelism);
         let snap = build_snapshot(&sc, &graph, &ids, &deployment);
-        let base = Ds2Policy::new().evaluate(&graph, &snap, &deployment).unwrap();
+        let base = evaluate(&graph, &snap, &deployment);
 
         let mut scaled = sc.clone();
         scaled.source_rate *= k as f64;
         let snap_k = build_snapshot(&scaled, &graph, &ids, &deployment);
-        let boosted = Ds2Policy::new().evaluate(&graph, &snap_k, &deployment).unwrap();
+        let boosted = evaluate(&graph, &snap_k, &deployment);
 
         for &op in &ids {
             if graph.is_source(op) { continue; }

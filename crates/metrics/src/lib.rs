@@ -10,7 +10,7 @@
 //!   ([`counters::SharedCounters`]) variants.
 //!
 //! Gathering and reporting in intervals — the paper's metrics manager and
-//! repository (Fig. 5) — is the engine's `collect_snapshot` feeding the
+//! repository (Fig. 5) — is the engine's `collect_snapshot_into` feeding the
 //! Scaling Manager directly.
 
 #![forbid(unsafe_code)]

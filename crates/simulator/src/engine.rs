@@ -755,10 +755,9 @@ impl FluidEngine {
         &self.graph
     }
 
-    /// Borrowing view of the current deployment — the allocation-free
-    /// counterpart of [`FluidEngine::current_deployment`] for hot loops
-    /// (the closed-loop harness reads the deployment every policy interval
-    /// and every timeline sample). In Timely mode this lends a cached
+    /// The current deployment, borrowed (the closed-loop harness reads it
+    /// every policy interval and every timeline sample; a caller wanting
+    /// its own copy clones it). In Timely mode this lends a cached
     /// deployment where every operator's parallelism is the worker-pool
     /// size (each worker runs every operator).
     pub fn deployment(&self) -> &Deployment {
@@ -766,12 +765,6 @@ impl FluidEngine {
             EngineMode::Timely => &self.timely_deployment,
             _ => &self.deployment,
         }
-    }
-
-    /// The current deployment, cloned. In Timely mode every operator's
-    /// parallelism reads as the worker-pool size.
-    pub fn current_deployment(&self) -> Deployment {
-        self.deployment().clone()
     }
 
     /// Current Timely worker count.
@@ -1460,7 +1453,7 @@ impl FluidEngine {
             self.rebuild_timely_deployment();
             self.apply_new_partitioning();
             self.heron_backpressure = false;
-            events.deployed = Some(self.current_deployment());
+            events.deployed = Some(self.deployment().clone());
             self.now_ns = tick_end;
             stats.halted = true;
             self.last_tick = stats;
@@ -2079,15 +2072,6 @@ impl FluidEngine {
         }
     }
 
-    /// Closes the instrumentation window into a fresh snapshot. Allocates;
-    /// control loops that close a window every policy interval should hold
-    /// a snapshot buffer and use [`FluidEngine::collect_snapshot_into`].
-    pub fn collect_snapshot(&mut self) -> MetricsSnapshot {
-        let mut snap = MetricsSnapshot::with_len(self.graph.len());
-        self.collect_snapshot_into(&mut snap);
-        snap
-    }
-
     /// Closes the instrumentation window into `snap` (cleared first):
     /// per-instance metrics since the previous snapshot, plus the offered
     /// rate of every source. Reusing one snapshot buffer across windows
@@ -2228,7 +2212,8 @@ mod tests {
             engine_with(&[(2_000.0, 1.0)], 1_000.0, &[1, 1], EngineConfig::default());
         e.run_for(10_000_000_000);
         assert!(e.queue_len(ids[1]) < 100.0);
-        let snap = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         let m = snap.operator(ids[1]).unwrap();
         let rate = m.aggregate_observed_processing_rate().unwrap();
         assert!((rate - 1_000.0).abs() < 50.0, "observed {rate}");
@@ -2243,9 +2228,10 @@ mod tests {
         // source to ~400/s once queues fill.
         let (mut e, ids) = engine_with(&[(400.0, 1.0)], 1_000.0, &[1, 1], EngineConfig::default());
         e.run_for(60_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let src = snap.operator(ids[0]).unwrap();
         let obs = src.aggregate_observed_output_rate().unwrap();
         assert!((obs - 400.0).abs() < 40.0, "observed source rate {obs}");
@@ -2266,9 +2252,10 @@ mod tests {
             EngineConfig::default(),
         );
         e.run_for(60_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let m = snap.operator(ids[2]).unwrap();
         let obs = m.aggregate_observed_processing_rate().unwrap();
         let true_rate = m.aggregate_true_processing_rate().unwrap();
@@ -2281,9 +2268,10 @@ mod tests {
         // op capacity 400/s but 3 instances: sustains 1000/s.
         let (mut e, ids) = engine_with(&[(400.0, 1.0)], 1_000.0, &[1, 3], EngineConfig::default());
         e.run_for(20_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let src = snap.operator(ids[0]).unwrap();
         let obs = src.aggregate_observed_output_rate().unwrap();
         assert!((obs - 1_000.0).abs() < 50.0, "observed source rate {obs}");
@@ -2299,9 +2287,10 @@ mod tests {
         };
         let (mut e, ids) = engine_with(&[(1_000.0, 5.0), (300.0, 1.0)], 100.0, &[1, 1, 1], cfg);
         e.run_for(120_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(20_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let src = snap.operator(ids[0]).unwrap();
         let obs = src.aggregate_observed_output_rate().unwrap();
         assert!((obs - 60.0).abs() < 10.0, "observed source rate {obs}");
@@ -2331,7 +2320,8 @@ mod tests {
         assert!(paused_ticks > 100, "spout never paused");
         assert!(running_ticks > 100, "spout never resumed");
         // Long-run throughput still matches the bottleneck capacity.
-        let snap = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         let m = snap.operator(ids[1]).unwrap();
         let obs = m.aggregate_observed_processing_rate().unwrap();
         assert!((obs - 400.0).abs() < 60.0, "observed {obs}");
@@ -2352,7 +2342,8 @@ mod tests {
             "queue should grow unboundedly"
         );
         // Source was never throttled.
-        let snap = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         let src = snap.operator(ids[0]).unwrap();
         let obs = src.aggregate_observed_output_rate().unwrap();
         assert!(
@@ -2385,7 +2376,7 @@ mod tests {
         };
         let (mut e, ids) = engine_with(&[(400.0, 1.0)], 1_000.0, &[1, 1], cfg);
         e.run_for(2_000_000_000);
-        let mut plan = e.current_deployment();
+        let mut plan = e.deployment().clone();
         plan.set(ids[1], 3);
         e.request_rescale(plan.clone());
         assert!(e.is_halted());
@@ -2400,7 +2391,7 @@ mod tests {
         let d = deployed.expect("deploy completes");
         assert_eq!(d.parallelism(ids[1]), 3);
         assert!(!e.is_halted());
-        assert_eq!(e.current_deployment().parallelism(ids[1]), 3);
+        assert_eq!(e.deployment().parallelism(ids[1]), 3);
     }
 
     #[test]
@@ -2415,7 +2406,7 @@ mod tests {
         e.run_for(5_000_000_000);
         let before = e.queue_len(ids[1]);
         assert!(before > 1_000.0);
-        let mut plan = e.current_deployment();
+        let mut plan = e.deployment().clone();
         plan.set(ids[1], 4);
         e.request_rescale(plan);
         for _ in 0..100 {
@@ -2497,9 +2488,10 @@ mod tests {
         };
         let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
         e.run_for(60_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let src = snap.operator(ids[0]).unwrap();
         let obs = src.aggregate_observed_output_rate().unwrap();
         assert!((obs - 600.0).abs() < 60.0, "skew-limited rate {obs}");
@@ -2535,9 +2527,10 @@ mod tests {
         };
         let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
         e.run_for(60_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let obs = snap
             .operator(ids[0])
             .unwrap()
@@ -2569,10 +2562,11 @@ mod tests {
         };
         let mut e = FluidEngine::new(graph, profiles, sources, d.clone(), cfg);
         e.run_for(30_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let before = e
-            .collect_snapshot()
+        e.collect_snapshot_into(&mut snap);
+        let before = snap
             .operator(ids[0])
             .unwrap()
             .aggregate_observed_output_rate()
@@ -2585,10 +2579,11 @@ mod tests {
         e.request_rescale(plan.clone());
         e.run_for(30_000_000_000);
         assert_eq!(e.deployment().key_classes(ids[1]), 2);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let after = e
-            .collect_snapshot()
+        e.collect_snapshot_into(&mut snap);
+        let after = snap
             .operator(ids[0])
             .unwrap()
             .aggregate_observed_output_rate()
@@ -2624,9 +2619,10 @@ mod tests {
         };
         let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
         e.run_for(30_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let obs = snap
             .operator(ids[0])
             .unwrap()
@@ -2637,13 +2633,14 @@ mod tests {
 
         // Four instances bring per-instance state to 2e8 = budget (not
         // over): no spill, and the offered 800/s flows.
-        let mut plan = e.current_deployment();
+        let mut plan = e.deployment().clone();
         plan.set(ids[1], 4);
         e.request_rescale(plan);
         e.run_for(30_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let obs = snap
             .operator(ids[0])
             .unwrap()
@@ -2687,8 +2684,10 @@ mod tests {
         let (mut b, _) = build(true);
         a.run_for(20_000_000_000);
         b.run_for(20_000_000_000);
-        let sa = a.collect_snapshot();
-        let sb = b.collect_snapshot();
+        let mut sa = MetricsSnapshot::new();
+        a.collect_snapshot_into(&mut sa);
+        let mut sb = MetricsSnapshot::new();
+        b.collect_snapshot_into(&mut sb);
         for &op in &ids {
             assert_eq!(
                 sa.operator(op),
@@ -2775,14 +2774,16 @@ mod tests {
         };
         let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
         e.run_for(5_000_000_000);
-        let snap = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         let obs1 = snap
             .operator(ids[0])
             .unwrap()
             .aggregate_observed_output_rate()
             .unwrap();
         e.run_for(5_000_000_000);
-        let snap = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         let obs2 = snap
             .operator(ids[0])
             .unwrap()
@@ -2813,9 +2814,10 @@ mod tests {
         };
         let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
         e.run_for(30_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let m = snap.operator(ids[1]).unwrap();
         let true_rate = m.aggregate_true_processing_rate().unwrap();
         let obs = m.aggregate_observed_processing_rate().unwrap();
@@ -2839,8 +2841,10 @@ mod tests {
         assert_eq!(a.latency().samples().len(), b.latency().samples().len());
         assert_eq!(a.latency(), b.latency());
         assert_eq!(a.epochs().completed(), b.epochs().completed());
-        let sa = a.collect_snapshot();
-        let sb = b.collect_snapshot();
+        let mut sa = MetricsSnapshot::new();
+        a.collect_snapshot_into(&mut sa);
+        let mut sb = MetricsSnapshot::new();
+        b.collect_snapshot_into(&mut sb);
         assert_eq!(sa, sb, "snapshots diverged");
     }
 
@@ -2884,7 +2888,7 @@ mod tests {
             fast.tick_within(u64::MAX);
         }
         assert!(fast.fastforward_active(), "steady state should be armed");
-        let mut plan = fast.current_deployment();
+        let mut plan = fast.deployment().clone();
         plan.set(ids[1], 4);
         fast.request_rescale(plan.clone());
         exact.request_rescale(plan);
@@ -2900,7 +2904,7 @@ mod tests {
             deployed |= eb.deployed.is_some();
         }
         assert!(deployed, "redeploy completed");
-        assert_eq!(fast.current_deployment().parallelism(ids[1]), 4);
+        assert_eq!(fast.deployment().parallelism(ids[1]), 4);
         assert_engines_agree(&mut exact, &mut fast, &ids);
     }
 
@@ -3021,7 +3025,7 @@ mod tests {
         // Under-provisioned: the queue fills to its 5000-record capacity.
         assert_lockstep(&mut exact, &mut fast, &ids, 1_500);
         assert!(exact.queue_len(ids[1]) > 4_900.0, "queue filled");
-        let mut plan = fast.current_deployment();
+        let mut plan = fast.deployment().clone();
         plan.set(ids[1], 2);
         exact.request_rescale(plan.clone());
         fast.request_rescale(plan);
@@ -3164,7 +3168,7 @@ mod tests {
             let (mut exact, ids) = mk();
             let (mut fast, _) = mk();
             assert_lockstep(&mut exact, &mut fast, &ids, 1_500);
-            let mut plan = fast.current_deployment();
+            let mut plan = fast.deployment().clone();
             plan.set(ids[1], 2);
             exact.request_rescale(plan.clone());
             fast.request_rescale(plan);
@@ -3210,7 +3214,7 @@ mod tests {
             let (mut exact, ids) = mk();
             let (mut fast, _) = mk();
             assert_lockstep(&mut exact, &mut fast, &ids, halt_at_tick);
-            let mut plan = fast.current_deployment();
+            let mut plan = fast.deployment().clone();
             plan.set(ids[1], 2);
             exact.request_rescale(plan.clone());
             fast.request_rescale(plan);
@@ -3556,18 +3560,23 @@ mod tests {
         };
         run(&mut exact, &mut fast, &mut undisturbed, 250);
         assert!(fast.ff.probing(), "third probe under way");
-        assert_eq!(exact.collect_snapshot(), fast.collect_snapshot());
+        let (mut sa, mut sb) = (MetricsSnapshot::new(), MetricsSnapshot::new());
+        exact.collect_snapshot_into(&mut sa);
+        fast.collect_snapshot_into(&mut sb);
+        assert_eq!(&sa, &sb);
         assert!(fast.ff.probing(), "a snapshot leaves the probe alone");
         run(&mut exact, &mut fast, &mut undisturbed, 100);
         assert!(fast.fastforward_active());
-        assert_eq!(exact.collect_snapshot(), fast.collect_snapshot());
+        exact.collect_snapshot_into(&mut sa);
+        fast.collect_snapshot_into(&mut sb);
+        assert_eq!(&sa, &sb);
 
         // Drop the armed cycle, then cancel the probe that follows it.
         fast.ff.invalidate();
         assert_lockstep(&mut exact, &mut fast, &ids, 30);
         assert!(fast.ff.probing());
         let failures = fast.fastforward_stats().probe_failures;
-        let mut plan = fast.current_deployment();
+        let mut plan = fast.deployment().clone();
         plan.set(ids[1], 2);
         exact.request_rescale(plan.clone());
         fast.request_rescale(plan);
@@ -3643,9 +3652,10 @@ mod tests {
         // which would flip ceil(1000/100) from 10 to 11.
         let (mut e, ids) = engine_with(&[(100.0, 1.0)], 1_000.0, &[1, 30], EngineConfig::default());
         e.run_for(10_000_000_000);
-        let _ = e.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        e.collect_snapshot_into(&mut snap);
         e.run_for(10_000_000_000);
-        let snap = e.collect_snapshot();
+        e.collect_snapshot_into(&mut snap);
         let m = snap.operator(ids[1]).unwrap();
         let avg = m.average_true_processing_rate().unwrap();
         let requirement = (1_000.0 / avg - 1e-9).ceil() as usize;

@@ -385,7 +385,7 @@ impl<C: ScalingController> ClosedLoop<C> {
         RunResult {
             timeline,
             decisions,
-            final_deployment: self.engine.current_deployment(),
+            final_deployment: self.engine.deployment().clone(),
             final_workers: self.engine.timely_workers(),
             latency: self.engine.latency().clone(),
             epochs: self.engine.epochs().completed().to_vec(),

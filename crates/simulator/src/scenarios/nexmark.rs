@@ -476,6 +476,7 @@ fn main_input_rate(spec: &ScenarioSpec, query: NexmarkQuery) -> f64 {
 mod tests {
     use super::*;
     use crate::profile::OutputMode;
+    use ds2_core::snapshot::MetricsSnapshot;
 
     fn nexmark_config(query: NexmarkQuery) -> GeneratorConfig {
         GeneratorConfig {
@@ -616,7 +617,10 @@ mod tests {
                     "{q:?} {op}"
                 );
             }
-            assert_eq!(exact.collect_snapshot(), fast.collect_snapshot(), "{q:?}");
+            let (mut sa, mut sb) = (MetricsSnapshot::new(), MetricsSnapshot::new());
+            exact.collect_snapshot_into(&mut sa);
+            fast.collect_snapshot_into(&mut sb);
+            assert_eq!(sa, sb, "{q:?}");
         }
     }
 

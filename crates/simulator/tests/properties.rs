@@ -7,6 +7,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use ds2_core::deployment::Deployment;
 use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
+use ds2_core::snapshot::MetricsSnapshot;
 use ds2_simulator::engine::{EngineConfig, FluidEngine, InstrumentationConfig};
 use ds2_simulator::profile::{OperatorProfile, ProfileMap};
 use ds2_simulator::queue::EpochQueue;
@@ -83,7 +84,8 @@ proptest! {
             engine.tick();
             emitted_total += engine.last_tick().emitted.values().sum::<f64>();
         }
-        let snap = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         let first = snap.operator(ids[1]).unwrap();
         let processed = first.total_records_in() as f64;
         let queued = engine.queue_len(ids[1]);
@@ -102,7 +104,8 @@ proptest! {
         prop_assume!(sc.stages.len() >= 2);
         let (mut engine, _graph, ids) = build(&sc);
         engine.run_for(20_000_000_000);
-        let snap = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         let up = snap.operator(ids[1]).unwrap();
         let down = snap.operator(ids[2]).unwrap();
         let produced = up.total_records_out() as f64;
@@ -121,9 +124,10 @@ proptest! {
         let (mut engine, _graph, ids) = build(&sc);
         // Long warm-up so queues reach steady state.
         engine.run_for(120_000_000_000);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         engine.run_for(20_000_000_000);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
         let obs = snap
             .operator(ids[0])
             .unwrap()
@@ -152,10 +156,11 @@ proptest! {
     fn more_parallelism_never_hurts(sc in chain_strategy(), extra in 1usize..=3) {
         let (mut base_engine, _g, ids) = build(&sc);
         base_engine.run_for(90_000_000_000);
-        let _ = base_engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        base_engine.collect_snapshot_into(&mut snap);
         base_engine.run_for(20_000_000_000);
-        let base_obs = base_engine
-            .collect_snapshot()
+        base_engine.collect_snapshot_into(&mut snap);
+        let base_obs = snap
             .operator(ids[0])
             .unwrap()
             .aggregate_observed_output_rate()
@@ -167,10 +172,10 @@ proptest! {
         }
         let (mut boosted_engine, _g, ids2) = build(&boosted);
         boosted_engine.run_for(90_000_000_000);
-        let _ = boosted_engine.collect_snapshot();
+        boosted_engine.collect_snapshot_into(&mut snap);
         boosted_engine.run_for(20_000_000_000);
-        let boosted_obs = boosted_engine
-            .collect_snapshot()
+        boosted_engine.collect_snapshot_into(&mut snap);
+        let boosted_obs = snap
             .operator(ids2[0])
             .unwrap()
             .aggregate_observed_output_rate()
@@ -187,9 +192,10 @@ proptest! {
     #[test]
     fn snapshots_always_valid(sc in chain_strategy()) {
         let (mut engine, graph, _ids) = build(&sc);
+        let mut snap = MetricsSnapshot::new();
         for _ in 0..5 {
             engine.run_for(7_000_000_000);
-            let snap = engine.collect_snapshot();
+            engine.collect_snapshot_into(&mut snap);
             for op in graph.operators() {
                 let m = snap.operator(op).unwrap();
                 for inst in &m.instances {
@@ -441,10 +447,11 @@ static CYCLE: AtomicU64 = AtomicU64::new(0);
 fn lockstep_edge(sc: &EdgeScenario) -> Result<FastForwardStats, TestCaseError> {
     let (mut exact, ids) = build_edge(sc, false);
     let (mut fast, _) = build_edge(sc, true);
+    let (mut sa, mut sb) = (MetricsSnapshot::new(), MetricsSnapshot::new());
     for tick in 0..4_000usize {
         for &(at, op, p) in &sc.rescales {
             if at == tick && !exact.is_halted() {
-                let mut plan = exact.current_deployment();
+                let mut plan = exact.deployment().clone();
                 plan.set(ids[1 + op % sc.ops.len()], p);
                 exact.request_rescale(plan.clone());
                 fast.request_rescale(plan);
@@ -479,7 +486,9 @@ fn lockstep_edge(sc: &EdgeScenario) -> Result<FastForwardStats, TestCaseError> {
         }
         // A metrics window closes every 100 ticks, probe or no probe.
         if tick % 100 == 99 {
-            prop_assert_eq!(exact.collect_snapshot(), fast.collect_snapshot());
+            exact.collect_snapshot_into(&mut sa);
+            fast.collect_snapshot_into(&mut sb);
+            prop_assert_eq!(&sa, &sb);
         }
     }
     Ok(fast.fastforward_stats())

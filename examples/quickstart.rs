@@ -58,8 +58,9 @@ fn main() {
     );
 
     let current = Deployment::uniform(&graph, 1);
+    let mut ws = PolicyWorkspace::new();
     let out = Ds2Policy::new()
-        .evaluate(&graph, &snap, &current)
+        .evaluate_into(&graph, &snap, &current, &mut ws)
         .expect("metrics are complete");
 
     println!("observed vs true rates:");

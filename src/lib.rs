@@ -56,8 +56,9 @@
 //! }]);
 //!
 //! // One traversal gives the optimal parallelism for every operator.
+//! let mut ws = PolicyWorkspace::new();
 //! let out = Ds2Policy::new()
-//!     .evaluate(&graph, &snap, &Deployment::uniform(&graph, 1))
+//!     .evaluate_into(&graph, &snap, &Deployment::uniform(&graph, 1), &mut ws)
 //!     .unwrap();
 //! assert_eq!(out.plan.parallelism(fm), 10);
 //! assert_eq!(out.plan.parallelism(cnt), 14);

@@ -4,6 +4,7 @@
 use std::collections::BTreeMap;
 
 use ds2::prelude::*;
+use ds2_bench::experiments::heron::{run_dhalion_heron, run_ds2_heron};
 use ds2_core::manager::{ManagerConfig, ScalingManager};
 use ds2_core::policy::PolicyConfig;
 use ds2_nexmark::profiles::{expected_flink_parallelism, setup};
@@ -169,7 +170,8 @@ fn skew_converges_without_overprovisioning() {
 #[test]
 fn ds2_dominates_dhalion_on_heron() {
     let duration = 2_400_000_000_000;
-    let (dhalion, ds2, _report) = ds2_bench_stub::figure6(duration);
+    let dhalion = run_dhalion_heron(duration);
+    let ds2 = run_ds2_heron(duration);
     assert_eq!(ds2.steps(), 1, "DS2 must decide once");
     assert_eq!(
         ds2.final_config(),
@@ -187,124 +189,4 @@ fn ds2_dominates_dhalion_on_heron() {
         ds2.convergence_seconds(),
         dhalion.convergence_seconds()
     );
-}
-
-/// Thin re-export so the integration test can reuse the bench experiment
-/// code without making `ds2-bench` a dependency of the root crate.
-mod ds2_bench_stub {
-    use super::*;
-    use ds2::baselines::{DhalionConfig, DhalionController};
-
-    pub struct HeronRun {
-        pub result: RunResult,
-        fm: ds2::core::graph::OperatorId,
-        cnt: ds2::core::graph::OperatorId,
-    }
-
-    impl HeronRun {
-        pub fn steps(&self) -> usize {
-            self.result.decisions.len()
-        }
-        pub fn final_config(&self) -> (usize, usize) {
-            (
-                self.result.final_deployment.parallelism(self.fm),
-                self.result.final_deployment.parallelism(self.cnt),
-            )
-        }
-        pub fn convergence_seconds(&self) -> f64 {
-            self.result.last_decision_ns().unwrap_or(0) as f64 / 1e9
-        }
-    }
-
-    fn heron_engine() -> (
-        FluidEngine,
-        ds2::core::graph::OperatorId,
-        ds2::core::graph::OperatorId,
-    ) {
-        let mut b = GraphBuilder::new();
-        let src = b.operator("source");
-        let fm = b.operator("flat_map");
-        let cnt = b.operator("count");
-        b.connect(src, fm);
-        b.connect(fm, cnt);
-        let graph = b.build().unwrap();
-        let per_sec = 1.0 / 60.0;
-        let mut profiles = BTreeMap::new();
-        profiles.insert(
-            fm,
-            OperatorProfile::with_capacity(100_000.0 * per_sec, 20.0),
-        );
-        profiles.insert(
-            cnt,
-            OperatorProfile::with_capacity(1_000_000.0 * per_sec, 1.0),
-        );
-        let mut sources = BTreeMap::new();
-        sources.insert(src, SourceSpec::constant(1_000_000.0 * per_sec));
-        let engine = FluidEngine::new(
-            graph,
-            profiles,
-            sources,
-            Deployment::from_map([(src, 1), (fm, 1), (cnt, 1)].into()),
-            EngineConfig {
-                mode: EngineMode::Heron,
-                heron_per_instance_queue: 150_000.0,
-                reconfig_latency_ns: 40_000_000_000,
-                tick_ns: 50_000_000,
-                // Heron gathers the required metrics by default: no added
-                // instrumentation cost (§5.6).
-                instrumentation: ds2_simulator::InstrumentationConfig::disabled(),
-                ..Default::default()
-            },
-        );
-        (engine, fm, cnt)
-    }
-
-    pub fn figure6(duration_ns: u64) -> (HeronRun, HeronRun, ()) {
-        let (engine, fm, cnt) = heron_engine();
-        let controller = DhalionController::new(engine.graph().clone(), DhalionConfig::default());
-        let mut the_loop = ClosedLoop::new(
-            engine,
-            controller,
-            HarnessConfig {
-                policy_interval_ns: 60_000_000_000,
-                run_duration_ns: duration_ns,
-                ..Default::default()
-            },
-        );
-        let dhalion = the_loop.run();
-
-        let (engine, fm2, cnt2) = heron_engine();
-        let manager = ScalingManager::new(
-            engine.graph().clone(),
-            ManagerConfig {
-                policy_interval_ns: 60_000_000_000,
-                warmup_intervals: 0,
-                min_change: 1,
-                ..Default::default()
-            },
-        );
-        let mut the_loop = ClosedLoop::new(
-            engine,
-            manager,
-            HarnessConfig {
-                policy_interval_ns: 60_000_000_000,
-                run_duration_ns: duration_ns,
-                ..Default::default()
-            },
-        );
-        let ds2 = the_loop.run();
-        (
-            HeronRun {
-                result: dhalion,
-                fm,
-                cnt,
-            },
-            HeronRun {
-                result: ds2,
-                fm: fm2,
-                cnt: cnt2,
-            },
-            (),
-        )
-    }
 }

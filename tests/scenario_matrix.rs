@@ -15,7 +15,7 @@
 //! ```text
 //! DS2_MATRIX_WORKLOADS=constant,step,spike,sawtooth,flash_crowd \
 //! DS2_MATRIX_DURATION_S=200 \
-//! cargo run --release -p ds2-bench --bin scenario_matrix -- \
+//! cargo run --release -p ds2-bench -- matrix \
 //!   --seed <seed> --scenarios 1 --family <family> ds2
 //! ```
 //!

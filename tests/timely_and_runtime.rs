@@ -33,11 +33,13 @@ fn timely_indicates_four_workers_everywhere() {
             },
         );
         engine.run_for(10_000_000_000);
-        let _ = engine.collect_snapshot();
+        let mut snap = MetricsSnapshot::new();
+        engine.collect_snapshot_into(&mut snap);
         engine.run_for(20_000_000_000);
-        let snap = engine.collect_snapshot();
+        engine.collect_snapshot_into(&mut snap);
+        let mut ws = PolicyWorkspace::new();
         let out = Ds2Policy::new()
-            .evaluate(&graph, &snap, &engine.current_deployment())
+            .evaluate_into(&graph, &snap, engine.deployment(), &mut ws)
             .unwrap();
         assert_eq!(
             out.timely_total_workers(&graph),
@@ -210,9 +212,10 @@ fn simulator_measurements_match_profiles() {
         },
     );
     engine.run_for(10_000_000_000);
-    let _ = engine.collect_snapshot();
+    let mut snap = MetricsSnapshot::new();
+    engine.collect_snapshot_into(&mut snap);
     engine.run_for(10_000_000_000);
-    let snap = engine.collect_snapshot();
+    engine.collect_snapshot_into(&mut snap);
     let m = snap.operator(OperatorId(1)).unwrap();
     let avg = m.average_true_processing_rate().unwrap();
     assert!(
