@@ -53,7 +53,7 @@ pub fn linear_scaling_ablation(duration_ns: u64) -> (Vec<(QueryId, usize, usize)
                 ..Default::default()
             };
             let engine = FluidEngine::new(s.graph, profiles, s.sources, deployment, cfg);
-            let result = run_ds2(engine, convergence_manager_config(), duration_ns, false);
+            let result = run_ds2(engine, convergence_manager_config(), duration_ns);
             let steps = result.parallelism_steps(s.main_operator, init).len() - 1;
             rows.push((q, init, steps));
         }
@@ -142,7 +142,7 @@ pub fn controller_shootout(duration_ns: u64) -> String {
             min_change: 1,
             ..Default::default()
         };
-        let result = run_ds2(engine, cfg, duration_ns, false);
+        let result = run_ds2(engine, cfg, duration_ns);
         rows.push(vec![
             "ds2".to_string(),
             result.decisions.len().to_string(),

@@ -180,7 +180,6 @@ pub fn figure9_query(query: QueryId, duration_ns: u64) -> (Vec<Fig9Point>, usize
             mode: EngineMode::Timely,
             timely_workers: workers,
             tick_ns: 10_000_000,
-            epoch_ns: 1_000_000_000,
             service_noise: 0.05,
             ..Default::default()
         };

@@ -51,7 +51,7 @@ impl Fig7Run {
 /// Runs the Figure 7 experiment and writes `fig7_timeline.csv`.
 pub fn figure7(duration_ns: u64) -> (Fig7Run, String) {
     let (engine, ops) = flink_dynamic_benchmark((10, 5), PHASE2_AT_NS);
-    let result = run_ds2(engine, flink_dynamic_manager_config(), duration_ns, false);
+    let result = run_ds2(engine, flink_dynamic_manager_config(), duration_ns);
     let run = Fig7Run { result, ops };
 
     let rows: Vec<Vec<String>> = run

@@ -58,7 +58,7 @@ pub fn run_dhalion_heron(duration_ns: u64) -> HeronRun {
 /// Runs DS2 on the same benchmark (Figure 6, §5.2 settings).
 pub fn run_ds2_heron(duration_ns: u64) -> HeronRun {
     let (engine, ops) = heron_benchmark((1, 1));
-    let result = run_ds2(engine, heron_manager_config(), duration_ns, false);
+    let result = run_ds2(engine, heron_manager_config(), duration_ns);
     HeronRun {
         controller: "ds2",
         result,

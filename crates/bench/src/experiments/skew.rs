@@ -47,7 +47,7 @@ pub fn skew_experiment(duration_ns: u64) -> (Vec<SkewOutcome>, String) {
             ..Default::default()
         };
         let ops_count = ops.count;
-        let result = run_ds2(engine, manager_cfg, duration_ns, false);
+        let result = run_ds2(engine, manager_cfg, duration_ns);
         outcomes.push(SkewOutcome {
             skew,
             steps: result.decisions.len(),

@@ -77,7 +77,7 @@ pub fn query_engine(query: QueryId, initial: usize) -> (FluidEngine, ds2_core::g
 /// Runs one Table 4 cell.
 pub fn run_cell(query: QueryId, initial: usize, duration_ns: u64) -> Cell {
     let (engine, main) = query_engine(query, initial);
-    let result = run_ds2(engine, convergence_manager_config(), duration_ns, false);
+    let result = run_ds2(engine, convergence_manager_config(), duration_ns);
     let sequence = result.parallelism_steps(main, initial);
     Cell {
         query,

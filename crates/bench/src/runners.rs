@@ -60,26 +60,10 @@ pub fn convergence_manager_config() -> ManagerConfig {
 }
 
 /// Runs DS2 (the Scaling Manager) against an engine.
-pub fn run_ds2(
-    engine: FluidEngine,
-    manager_config: ManagerConfig,
-    duration_ns: u64,
-    timely: bool,
-) -> RunResult {
+pub fn run_ds2(engine: FluidEngine, manager_config: ManagerConfig, duration_ns: u64) -> RunResult {
     let interval = manager_config.policy_interval_ns;
     let manager = ScalingManager::new(engine.graph().clone(), manager_config);
-    let mut the_loop = ClosedLoop::new(
-        engine,
-        manager,
-        HarnessConfig {
-            policy_interval_ns: interval,
-            run_duration_ns: duration_ns,
-            timeline_resolution_ns: 1_000_000_000,
-            timely,
-            faults: None,
-        },
-    );
-    the_loop.run()
+    run_controller(engine, manager, interval, duration_ns)
 }
 
 /// Runs an arbitrary controller against an engine.
@@ -95,8 +79,6 @@ pub fn run_controller<C: ScalingController>(
         HarnessConfig {
             policy_interval_ns: interval_ns,
             run_duration_ns: duration_ns,
-            timeline_resolution_ns: 1_000_000_000,
-            timely: false,
             faults: None,
         },
     );

@@ -46,7 +46,6 @@ use rand::{Rng, SeedableRng};
 
 use crate::fastforward::{
     cycle_length, DriftQueue, FastForward, FastForwardStats, OpMark, QueueLog, QueueMark,
-    MAX_FINGERPRINT_SPANS,
 };
 use crate::latency::{EpochTracker, LatencyRecorder};
 use crate::profile::{OperatorProfile, OutputMode, ProfileMap};
@@ -114,8 +113,6 @@ pub struct EngineConfig {
     pub service_noise: f64,
     /// Instrumentation cost model.
     pub instrumentation: InstrumentationConfig,
-    /// Epoch length for completion-latency tracking (Timely experiments).
-    pub epoch_ns: u64,
     /// Initial worker count in Timely mode.
     pub timely_workers: usize,
     /// Macro-tick fast-forward: when the engine can prove that ticks
@@ -125,13 +122,14 @@ pub struct EngineConfig {
     /// ticks. Results are bitwise identical to exact execution; disable
     /// (the `--exact` escape hatch) to force tick-by-tick execution.
     pub fast_forward: bool,
-    /// Per-record latency and epoch tracking. When disabled, queues run
-    /// *untagged* (one merged span, no emission times): the fluid dynamics
-    /// — drains, spaces, backpressure, rates, every policy observable —
-    /// are unchanged, but [`FluidEngine::latency`] and
-    /// [`FluidEngine::epochs`] stay empty. The scenario matrix disables
-    /// this (its report never reads latency), which removes the span
-    /// bookkeeping from the hot path.
+    /// Per-record latency and epoch tracking. A tracking engine never
+    /// starts a fast-forward probe: it executes every tick except those of
+    /// a halt. When disabled, queues run *untagged* (one merged span, no
+    /// emission times) and [`FluidEngine::latency`] and
+    /// [`FluidEngine::epochs`] stay empty. Untagged is a model of its own,
+    /// not a free switch: it equals the tagged dynamics only up to rounding
+    /// (a tagged drain subtracts span by span), so every output is defined
+    /// on the mode it runs in. The scenario matrix runs untagged.
     pub track_record_latency: bool,
 }
 
@@ -146,13 +144,16 @@ impl Default for EngineConfig {
             seed: 42,
             service_noise: 0.0,
             instrumentation: InstrumentationConfig::default(),
-            epoch_ns: 1_000_000_000,
             timely_workers: 1,
             fast_forward: true,
             track_record_latency: true,
         }
     }
 }
+
+/// Epoch length for completion-latency tracking: the paper's 1 s of data
+/// per epoch (§5.5).
+const EPOCH_NS: u64 = 1_000_000_000;
 
 /// Per-instance accumulation between snapshots (virtual-time counters).
 /// Also the unit of fast-forward delta capture: a probe tick runs with the
@@ -381,18 +382,13 @@ pub struct FluidEngine {
     noise_scratch: Vec<f64>,
     /// Macro-tick fast-forward state machine (probe/replay bookkeeping).
     ff: FastForward,
-    /// Tag shift accumulated by replayed ticks and not yet applied to the
-    /// queued spans; materialized lazily before the next full tick.
-    pending_tag_shift: u64,
-    /// Epoch frontier computed by the most recent full tick.
-    last_frontier: Option<u64>,
     /// Whether any operator uses windowed output (window firings are tied
     /// to absolute time, so replay must carry `next_fire_ns` along).
     has_windowed: bool,
     /// Length in ticks of the cycle a fast-forward probe records — the
     /// least common multiple of the window periods, `1` without windows —
-    /// or `0` when no repetition is provable: service noise, Timely mode,
-    /// or windows that are tagged, off the tick grid or too long a cycle.
+    /// or `0` when the engine never probes: tagged queues, service noise,
+    /// Timely mode, or windows off the tick grid or too long a cycle.
     probe_cycle: u32,
     /// Whether any operator carries a [`StateProfile`]. Gates the whole
     /// spill path: stateless dataflows never compute spill factors and take
@@ -492,12 +488,11 @@ impl FluidEngine {
             })
             .collect();
         let timely_workers = cfg.timely_workers.max(1);
-        let epoch_ns = cfg.epoch_ns;
         let seed = cfg.seed;
         let has_windowed = window_periods.iter().any(|w| w.is_some());
         let probe_cycle = if cfg.mode == EngineMode::Timely
             || cfg.service_noise > 0.0
-            || (has_windowed && cfg.track_record_latency)
+            || cfg.track_record_latency
         {
             0
         } else {
@@ -523,7 +518,7 @@ impl FluidEngine {
             pending_rescale: None,
             heron_backpressure: false,
             latency: LatencyRecorder::new(),
-            epochs: EpochTracker::new(epoch_ns),
+            epochs: EpochTracker::new(EPOCH_NS),
             last_tick: TickStats::default(),
             reverse_topo,
             non_source_topo,
@@ -536,8 +531,6 @@ impl FluidEngine {
             eligible_scratch: vec![0.0; m],
             noise_scratch: vec![0.0; m],
             ff: FastForward::default(),
-            pending_tag_shift: 0,
-            last_frontier: None,
             has_windowed,
             probe_cycle,
             has_state,
@@ -866,10 +859,11 @@ impl FluidEngine {
     ///
     /// The outcome is bitwise identical to calling [`FluidEngine::tick`]
     /// in a loop: a replayed tick performs the same queue, accumulator and
-    /// backlog arithmetic, latency samples and epoch advances the full tick
-    /// would, and anything the engine cannot prove keeps executing in
-    /// full. See
-    /// [`crate::fastforward`] for the proof obligations.
+    /// backlog arithmetic the full tick would, and anything the engine
+    /// cannot prove keeps executing in full. Replay records no latency
+    /// samples and advances no epochs: only untagged engines probe, and a
+    /// halted tick does neither. See [`crate::fastforward`] for the proof
+    /// obligations.
     pub fn tick_within(&mut self, horizon_ns: u64) -> TickEvents {
         if !self.cfg.fast_forward {
             return self.full_tick();
@@ -915,12 +909,11 @@ impl FluidEngine {
                 .is_none_or(|c| self.now_ns + (self.probe_cycle as u64 + 1) * tick_ns <= c)
     }
 
-    /// Whether this engine can accept drifting queues: untagged queues hold
-    /// one span whatever they receive, and only Flink mode reads queue
-    /// lengths in nothing but the guarded comparisons (see
+    /// Whether this engine can accept drifting queues: only Flink mode reads
+    /// queue lengths in nothing but the guarded comparisons (see
     /// [`crate::fastforward`]).
     fn drift_capable(&self) -> bool {
-        !self.cfg.track_record_latency && self.cfg.mode == EngineMode::Flink
+        self.cfg.mode == EngineMode::Flink
     }
 
     /// The earliest source-schedule rate change strictly after `now`.
@@ -931,34 +924,11 @@ impl FluidEngine {
             .min()
     }
 
-    /// Applies the deferred tag shift accumulated by replayed ticks.
-    fn materialize_tag_shift(&mut self) {
-        if self.pending_tag_shift == 0 {
-            return;
-        }
-        let shift = self.pending_tag_shift;
-        self.pending_tag_shift = 0;
-        for st in &mut self.states {
-            for c in &mut st.classes {
-                c.queue.shift_tags(shift);
-            }
-            if let Some(oldest) = st.window_pending_oldest.as_mut() {
-                *oldest += shift;
-            }
-        }
-    }
-
     /// Appends one row of the structural fluid state to the fingerprint.
     /// The `first` row of a probe also lays the queue log out in the same
-    /// walk order and, on tagged engines, copies the span lists; it returns
-    /// `false` (probe abandoned) when the total span count exceeds the
-    /// fingerprint budget.
-    ///
-    /// Untagged engines skip the span lists entirely: tags then have no
-    /// observable effect (no latency, no epochs), so a queue's mark fully
-    /// determines its future behaviour.
-    fn capture_state(&mut self, first: bool) -> bool {
-        let spans = first && self.cfg.track_record_latency;
+    /// walk order. Only untagged engines probe, so a queue's mark — at most
+    /// one span — fully determines its future behaviour.
+    fn capture_state(&mut self, first: bool) {
         let FastForward {
             fingerprint: fp,
             log,
@@ -983,37 +953,24 @@ impl FluidEngine {
             if first {
                 log.class_base.push(fp.queues.len() as u32);
             }
-            for c in &st.classes {
-                let q = &c.queue;
-                fp.queues.push(QueueMark::of(q));
-                if spans {
-                    if fp.spans.len() + q.span_count() > MAX_FINGERPRINT_SPANS {
-                        return false;
-                    }
-                    fp.spans.extend(q.spans().copied());
-                }
-            }
+            fp.queues
+                .extend(st.classes.iter().map(|c| QueueMark::of(&c.queue)));
         }
         fp.width = fp.queues.len() - row;
-        true
     }
 
     /// Whether the cycle a probe just finished recording repeats.
     ///
     /// It does when the last fingerprint row equals the first — queue and
-    /// operator marks bitwise, firing times by their distance from now,
-    /// and on tagged engines (whose probes are one tick long) every span
-    /// tag advanced by exactly one tick: the fixed-point test, lifted to
-    /// the map of the whole cycle. On a `drift_capable` engine a queue
-    /// whose mark did change is accepted if every tick's logged operations
-    /// keep it inside its linear regime from the state before that tick,
-    /// and the first tick's from the state after the last; such queues and
-    /// their per-phase operations are left in `ff.drifting` / `ff.drift`.
-    /// All comparisons are bitwise: fast-forward replays only what it can
-    /// prove exactly.
+    /// operator marks bitwise, firing times by their distance from now:
+    /// the fixed-point test, lifted to the map of the whole cycle. On a
+    /// `drift_capable` engine a queue whose mark did change is accepted if
+    /// every tick's logged operations keep it inside its linear regime from
+    /// the state before that tick, and the first tick's from the state
+    /// after the last; such queues and their per-phase operations are left
+    /// in `ff.drifting` / `ff.drift`. All comparisons are bitwise:
+    /// fast-forward replays only what it can prove exactly.
     fn confirm_cycle(&mut self, drift_capable: bool) -> bool {
-        let track = self.cfg.track_record_latency;
-        let tick_ns = self.cfg.tick_ns;
         let FastForward {
             fingerprint: fp,
             log,
@@ -1033,31 +990,20 @@ impl FluidEngine {
             return false;
         }
         let mut qi = 0usize;
-        let mut si = 0usize;
         for (i, st) in self.states.iter().enumerate() {
             if !fp.class_tags_settled(log, drift_capable, qi, st.classes.len()) {
                 return false;
             }
-            for (k, c) in st.classes.iter().enumerate() {
+            for k in 0..st.classes.len() {
                 let index = qi;
                 qi += 1;
                 if fp.queues[index].same(&fp.queues[cycle * width + index]) {
-                    if track {
-                        for span in c.queue.spans() {
-                            let prev = fp.spans[si];
-                            si += 1;
-                            if span.records.to_bits() != prev.records.to_bits()
-                                || span.emitted_ns != prev.emitted_ns + tick_ns
-                            {
-                                return false;
-                            }
-                        }
-                    }
-                } else if drift_capable {
-                    drifting.push((index as u32, i as u32, k as u32));
-                } else {
+                    continue;
+                }
+                if !drift_capable {
                     return false;
                 }
+                drifting.push((index as u32, i as u32, k as u32));
             }
         }
         for phase in 0..cycle {
@@ -1113,15 +1059,11 @@ impl FluidEngine {
     #[cold]
     #[inline(never)]
     fn probe_tick(&mut self) -> TickEvents {
-        self.materialize_tag_shift();
         self.ff.stats.full_ticks += 1;
         let first = self.ff.pos == 0;
         if first {
             self.ff.stats.probes += 1;
-            if !self.capture_state(true) {
-                self.ff.probe_failed();
-                return self.tick_core::<false>();
-            }
+            self.capture_state(true);
             self.ff.cycle = self.probe_cycle;
             self.ff.deltas.clear();
         }
@@ -1133,7 +1075,6 @@ impl FluidEngine {
                 saved.push(std::mem::take(&mut class.acc));
             }
         }
-        let latency_mark = self.latency.len();
 
         let drift_capable = self.drift_capable();
         self.ff.log.begin_tick(self.ff.fingerprint.width);
@@ -1164,10 +1105,6 @@ impl FluidEngine {
             self.ff.probe_failed();
         } else if self.ff.pos == self.ff.cycle {
             if self.confirm_cycle(drift_capable) {
-                let samples = self.latency.samples();
-                self.ff.latency.clear();
-                self.ff.latency.extend_from_slice(&samples[latency_mark..]);
-                self.ff.frontier_offset = self.last_frontier.map(|f| self.now_ns - f);
                 // No rate changed during the probe, so this is the phase
                 // boundary that was next when it started.
                 self.ff
@@ -1283,16 +1220,16 @@ impl FluidEngine {
     /// Replays the armed transition for up to `ticks` ticks from the
     /// current phase of its cycle and returns how many it replayed: per
     /// tick the recorded queue drift and that phase's accumulator and
-    /// backlog additions, sink latency samples and epoch advances the full
-    /// ticks would perform — and nothing else; the state that merely cycles
-    /// is set once, to what the probe recorded after the last replayed
-    /// phase. A drift guard that fails ends the replay before the tick it
-    /// refused and drops the transition (that tick then runs in full). Span
-    /// tags shift lazily via `pending_tag_shift`. Sums are built by
-    /// repeated addition of the recorded addends — the exact float
-    /// operations of tick-by-tick execution, not a multiplied approximation
-    /// — with the five per-instance fields interleaved so the dependency
-    /// chains pipeline.
+    /// backlog additions the full ticks would perform — and nothing else
+    /// (no latency samples, no epoch advances: replayed engines are
+    /// untagged or halted); the state that merely cycles is set once, to
+    /// what the probe recorded after the last replayed phase. A drift guard
+    /// that fails ends the replay before the tick it refused and drops the
+    /// transition (that tick then runs in full). Sums are built by repeated
+    /// addition of the recorded addends — the exact float operations of
+    /// tick-by-tick execution, not a multiplied approximation — with the
+    /// five per-instance fields interleaved so the dependency chains
+    /// pipeline.
     #[inline(never)]
     fn replay_batch(&mut self, requested: u64) -> u64 {
         if requested == 0 {
@@ -1304,7 +1241,6 @@ impl FluidEngine {
             self.ff.invalidate();
             return 0;
         }
-        let tick_ns = self.cfg.tick_ns;
         let cycle = self.ff.cycle as usize;
 
         let deltas = &self.ff.deltas;
@@ -1346,33 +1282,7 @@ impl FluidEngine {
                 self.backlog[i] += offered;
             }
         }
-        // Halted ticks return before the epoch bookkeeping and leave queued
-        // tags alone (the records age while the job is down).
-        if self.cfg.track_record_latency && !self.ff.halted {
-            if !self.ff.latency.is_empty() {
-                for _ in 0..ticks {
-                    for i in 0..self.ff.latency.len() {
-                        let (latency_ns, weight) = self.ff.latency[i];
-                        self.latency.record(latency_ns, weight);
-                    }
-                }
-            }
-            match self.ff.frontier_offset {
-                Some(offset) => {
-                    for i in 1..=ticks {
-                        let now = self.now_ns + i * tick_ns;
-                        self.epochs.advance(now, Some(now - offset));
-                    }
-                }
-                None => {
-                    for i in 1..=ticks {
-                        self.epochs.advance(self.now_ns + i * tick_ns, None);
-                    }
-                }
-            }
-            self.pending_tag_shift += ticks * tick_ns;
-        }
-        self.now_ns += ticks * tick_ns;
+        self.now_ns += ticks * self.cfg.tick_ns;
         if self.has_windowed && !self.ff.halted {
             // Row `p + 1` holds the state after phase `p`.
             self.restore_cycling_state(if phase == 0 { cycle } else { phase });
@@ -1414,9 +1324,8 @@ impl FluidEngine {
         }
     }
 
-    /// A fully executed tick (tag shift materialized first).
+    /// A fully executed tick.
     fn full_tick(&mut self) -> TickEvents {
-        self.materialize_tag_shift();
         self.ff.stats.full_ticks += 1;
         self.tick_core::<false>()
     }
@@ -1492,7 +1401,7 @@ impl FluidEngine {
 
         // Epoch tracking: the frontier is the oldest source tag still queued
         // or buffered anywhere. Untagged engines have no meaningful tags,
-        // so they skip epoch accounting entirely (replay does the same).
+        // so they skip epoch accounting entirely.
         if self.cfg.track_record_latency {
             let mut frontier: Option<u64> = None;
             for st in &self.states {
@@ -1505,7 +1414,6 @@ impl FluidEngine {
                     frontier = Some(frontier.map_or(c, |f: u64| f.min(c)));
                 }
             }
-            self.last_frontier = frontier;
             self.epochs.advance(self.now_ns, frontier);
         }
 
@@ -2838,8 +2746,7 @@ mod tests {
             );
             assert_eq!(a.backlog(op).to_bits(), b.backlog(op).to_bits());
         }
-        assert_eq!(a.latency().samples().len(), b.latency().samples().len());
-        assert_eq!(a.latency(), b.latency());
+        assert_eq!(a.latency().samples(), b.latency().samples());
         assert_eq!(a.epochs().completed(), b.epochs().completed());
         let mut sa = MetricsSnapshot::new();
         a.collect_snapshot_into(&mut sa);
@@ -2855,7 +2762,7 @@ mod tests {
                 &[(2_000.0, 1.3), (4_000.0, 1.0)],
                 1_000.0,
                 &[1, 1, 1],
-                EngineConfig::default(),
+                untagged(EngineConfig::default()),
             )
         };
         let (mut exact, ids) = mk();
@@ -2876,10 +2783,10 @@ mod tests {
     /// and the halt + redeploy + recovery still match exact execution.
     #[test]
     fn request_rescale_cancels_fastforward() {
-        let cfg = EngineConfig {
+        let cfg = untagged(EngineConfig {
             reconfig_latency_ns: 1_000_000_000,
             ..Default::default()
-        };
+        });
         let mk = || engine_with(&[(600.0, 1.0)], 1_000.0, &[1, 2], cfg.clone());
         let (mut exact, ids) = mk();
         let (mut fast, _) = mk();
@@ -2927,10 +2834,10 @@ mod tests {
                 ])),
             );
             let d = Deployment::uniform(&graph, 1);
-            let cfg = EngineConfig {
+            let cfg = untagged(EngineConfig {
                 instrumentation: InstrumentationConfig::disabled(),
                 ..Default::default()
-            };
+            });
             (FluidEngine::new(graph, profiles, sources, d, cfg), ids)
         };
         let (mut exact, ids) = mk();
@@ -3146,10 +3053,10 @@ mod tests {
         assert_engines_agree(&mut exact, &mut fast, &ids);
     }
 
-    /// Tagged engines (a drifting tagged queue grows a span per tick) and
-    /// Heron mode (its watermark comparisons read the fill level) keep the
-    /// fixed-point test: the same post-rescale drain never arms a drift
-    /// step there, and still matches tick-by-tick execution.
+    /// Tagged engines (which never probe) and Heron mode (its watermark
+    /// comparisons read the fill level) never arm a drift step: the same
+    /// post-rescale drain runs in full there, halts still replay, and it
+    /// all matches tick-by-tick execution.
     #[test]
     fn tagged_and_heron_engines_never_drift() {
         for (mode, track) in [
@@ -3479,14 +3386,13 @@ mod tests {
     }
 
     /// What a probe cannot prove, it does not start: a window period off the
-    /// tick grid, tagged queues under a window (a tagged cycle would have to
-    /// replay per-phase latency samples), Timely mode and service noise all
-    /// keep executing full ticks.
+    /// tick grid, tagged queues with or without a window, Timely mode and
+    /// service noise all keep executing full ticks.
     #[test]
     fn unprovable_engines_never_start_a_probe() {
-        let windowed = |period_ns: u64, cfg: EngineConfig| {
+        let windowed = |period_ns: Option<u64>, cfg: EngineConfig| {
             windowed_chain(
-                &[(10_000.0, Some(period_ns)), (10_000.0, None)],
+                &[(10_000.0, period_ns), (10_000.0, None)],
                 SourceSpec::constant(1_000.0),
                 cfg,
             )
@@ -3494,12 +3400,19 @@ mod tests {
         };
         let flink = untagged(EngineConfig::default());
         let engines = [
-            ("off-grid period", windowed(1_005 * MS, flink.clone())),
-            ("tagged", windowed(1_000 * MS, EngineConfig::default())),
+            ("off-grid period", windowed(Some(1_005 * MS), flink.clone())),
+            (
+                "tagged",
+                windowed(Some(1_000 * MS), EngineConfig::default()),
+            ),
+            (
+                "tagged, non-windowed Flink",
+                windowed(None, EngineConfig::default()),
+            ),
             (
                 "timely",
                 windowed(
-                    1_000 * MS,
+                    Some(1_000 * MS),
                     EngineConfig {
                         mode: EngineMode::Timely,
                         timely_workers: 4,
@@ -3510,7 +3423,7 @@ mod tests {
             (
                 "noisy",
                 windowed(
-                    1_000 * MS,
+                    Some(1_000 * MS),
                     EngineConfig {
                         service_noise: 0.05,
                         ..flink

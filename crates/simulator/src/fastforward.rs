@@ -8,11 +8,16 @@
 //! has proved that, and from then on replays only the operations whose
 //! results accumulate. One armed transition is a **cycle** of `k` recorded
 //! ticks — per phase the accumulator addends and the drifting queues'
-//! operations, plus sink latency samples, the epoch-frontier offset and
-//! backlog addends — and one function replays all of it. `k` is the least
-//! common multiple of the window periods in ticks; a dataflow without
-//! windows is the case `k = 1`, a fixed point the case with no queue
-//! operations, a halted stretch the case with nothing but waits.
+//! operations, plus backlog addends — and one function replays all of it.
+//! `k` is the least common multiple of the window periods in ticks; a
+//! dataflow without windows is the case `k = 1`, a fixed point the case
+//! with no queue operations, a halted stretch the case with nothing but
+//! waits.
+//!
+//! Only untagged engines probe: an engine that tracks record latency
+//! executes every tick except those of a halt, so every probed queue holds
+//! at most one span and replay never records a latency sample or advances
+//! an epoch.
 //!
 //! # Proof obligations
 //!
@@ -31,15 +36,11 @@
 //!   last row equals the first, the `k`-tick map has a fixed point there:
 //!   the inputs are time-invariant, so the trajectory repeats tick for
 //!   tick, phase `j` of every later cycle doing what probe tick `j` did.
-//!   "Equals" means: every queue's span count, `total` and sole span's
-//!   `records`, every backlog and window buffer bitwise; every window's
-//!   firing time by its distance from now (`next_fire_ns - now_ns`, which
-//!   is why a window period must be a whole number of ticks); whether a
-//!   window buffer carries a tag; and on tagged engines — which have no
-//!   windows to cycle with, so `k = 1` — every queued span with its tag
-//!   advanced by one tick (the tick function is shift-equivariant).
-//!   Windowed engines are untagged: a tagged cycle would have to replay
-//!   per-phase latency samples.
+//!   "Equals" means: every queue's `total` and sole span's `records` (or
+//!   its lack of one), every backlog and window buffer bitwise; every
+//!   window's firing time by its distance from now (`next_fire_ns -
+//!   now_ns`, which is why a window period must be a whole number of
+//!   ticks); and whether a window buffer carries a tag.
 //!
 //!   Untagged marks hold no tags, yet one thing a tick does depends on
 //!   them: the spans an operator drains from its *class* queues are merged
@@ -58,7 +59,7 @@
 //!   but callers aggregate per tick from [`last_tick`] and read it once
 //!   per replayed batch, and that contract is kept rather than widened.
 //!
-//! * **Drifting queues** (untagged Flink-mode engines). Everything cycles
+//! * **Drifting queues** (Flink-mode engines). Everything cycles
 //!   *except* the lengths of some queues. A tick reads a queue's length in
 //!   exactly these places:
 //!   1. the drain `len.min(cap_inst)` and `amount.min(total)` in
@@ -92,8 +93,7 @@
 //!   tick-by-tick execution; there is no closed-form horizon and no
 //!   rounding argument. The first failing guard ends the replay — in the
 //!   middle of a cycle if need be — and the tick it refused runs in full.
-//!   Tagged engines stay on the fixed-point test (a tagged drifting queue
-//!   grows a span per tick), as does Heron mode (its watermark comparisons
+//!   Heron mode stays on the fixed-point test (its watermark comparisons
 //!   read the fill level too).
 //!
 //! * **Marks per batch, drift per tick.** What cycles is a function of the
@@ -131,7 +131,7 @@
 //! [`last_tick`]: crate::engine::FluidEngine::last_tick
 
 use crate::engine::InstanceAcc;
-use crate::queue::{EpochQueue, Span};
+use crate::queue::EpochQueue;
 
 /// Counters describing how much work fast-forward saved (and spent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -167,14 +167,14 @@ impl std::ops::AddAssign for FastForwardStats {
     }
 }
 
-/// One queue's structural state at a tick boundary.
+/// One untagged queue's structural state at a tick boundary: such a queue
+/// holds at most one span.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct QueueMark {
-    pub(crate) spans: u32,
     pub(crate) total: f64,
-    /// Records of the only span (`None` unless the queue held exactly one).
+    /// Records of the span (`None` when the queue held none).
     pub(crate) sole_records: Option<f64>,
-    /// Tag of the oldest span (`0` when empty). Not compared — untagged
+    /// Tag of the span (`0` when empty). Not compared — untagged
     /// engines report nothing that depends on a tag's value — but restored
     /// with the rest: see [`Fingerprint::class_tags_settled`].
     pub(crate) tag: u64,
@@ -183,7 +183,6 @@ pub(crate) struct QueueMark {
 impl QueueMark {
     pub(crate) fn of(queue: &EpochQueue) -> Self {
         Self {
-            spans: queue.span_count() as u32,
             total: queue.len(),
             sole_records: queue.sole_span_records(),
             tag: queue.oldest_ns().unwrap_or(0),
@@ -194,8 +193,7 @@ impl QueueMark {
     /// `total` to the capacity while the span accumulates `records`, so the
     /// two can part ways, and `pop_into` branches on `records`.
     pub(crate) fn same(&self, other: &Self) -> bool {
-        self.spans == other.spans
-            && self.total.to_bits() == other.total.to_bits()
+        self.total.to_bits() == other.total.to_bits()
             && self.sole_records.map(f64::to_bits) == other.sole_records.map(f64::to_bits)
     }
 }
@@ -240,8 +238,6 @@ pub(crate) struct Fingerprint {
     pub(crate) queues: Vec<QueueMark>,
     /// Queues per row.
     pub(crate) width: usize,
-    /// Row 0's spans, concatenated in the same walk order (tagged engines).
-    pub(crate) spans: Vec<Span>,
     /// One mark per operator id, row after row.
     pub(crate) ops: Vec<OpMark>,
     /// Heron spout-pausing signal before the probe.
@@ -251,7 +247,6 @@ pub(crate) struct Fingerprint {
 impl Fingerprint {
     pub(crate) fn clear(&mut self) {
         self.queues.clear();
-        self.spans.clear();
         self.ops.clear();
     }
 
@@ -289,7 +284,7 @@ impl Fingerprint {
                 let (mut agree, mut c_older, mut d_older) = (true, true, true);
                 for row in 0..rows {
                     let (a, b) = (mark(row, c), mark(row, d));
-                    if a.spans > 0 && b.spans > 0 {
+                    if a.sole_records.is_some() && b.sole_records.is_some() {
                         agree &= a.tag == b.tag;
                         c_older &= a.tag < b.tag;
                         d_older &= b.tag < a.tag;
@@ -424,14 +419,6 @@ impl DriftQueue {
     }
 }
 
-/// Total-span budget for one fingerprint: a capture walking more spans
-/// than this aborts. Well-provisioned fixed points keep one span per
-/// upstream path; *saturated* fixed points (a permanently backpressured
-/// queue in equilibrium pops exactly one span per tick and appends one) sit
-/// at the queue's 256-span merge bound, so the budget must admit a few
-/// full queues while still bounding the cost of hopeless probes.
-pub(crate) const MAX_FINGERPRINT_SPANS: usize = 8_192;
-
 /// Failed probes back off exponentially up to this many ticks, bounding
 /// detection overhead during transients to a few percent while costing at
 /// most this many full ticks of missed replay once a steady state forms.
@@ -469,8 +456,7 @@ pub(crate) fn cycle_length(tick_ns: u64, periods: impl Iterator<Item = u64>) -> 
 pub(crate) struct FastForward {
     /// `true` when a transition has been confirmed and not yet invalidated.
     armed: bool,
-    /// Whether the armed transition is a halted step (no epoch advance, no
-    /// cycling state).
+    /// Whether the armed transition is a halted step (no cycling state).
     pub(crate) halted: bool,
     /// First tick *start* time at which the armed transition no longer
     /// applies (the next source-schedule phase boundary, or one tick before
@@ -487,12 +473,6 @@ pub(crate) struct FastForward {
     pub(crate) deltas: Vec<InstanceAcc>,
     /// Accumulator values saved while a probe tick runs from zero.
     pub(crate) saved: Vec<InstanceAcc>,
-    /// Latency samples the probe tick appended (one tick's worth).
-    pub(crate) latency: Vec<(u64, f64)>,
-    /// `now - frontier` at the probe tick's end; `None` when the dataflow
-    /// was fully drained. The offset is shift-invariant, so the replayed
-    /// frontier is `now - offset` each tick.
-    pub(crate) frontier_offset: Option<u64>,
     /// Durable-backlog addends `(operator id index, records)`; non-empty
     /// only for a halted step.
     pub(crate) backlog_addends: Vec<(usize, f64)>,
@@ -702,7 +682,7 @@ mod tests {
         q.pop_into(705.92, &mut Vec::new());
         q.push(0, 5_000.0);
         let after = QueueMark::of(&q);
-        assert_eq!((before.spans, after.spans), (1, 1));
+        assert!(before.sole_records.is_some() && after.sole_records.is_some());
         assert_eq!(before.total.to_bits(), after.total.to_bits());
         assert_ne!(
             before.sole_records.map(f64::to_bits),
@@ -767,7 +747,6 @@ mod tests {
                 .iter()
                 .flatten()
                 .map(|&(records, tag)| QueueMark {
-                    spans: (records > 0.0) as u32,
                     total: records,
                     sole_records: (records > 0.0).then_some(records),
                     tag,

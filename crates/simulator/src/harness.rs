@@ -13,9 +13,8 @@ use ds2_core::deployment::Deployment;
 use ds2_core::graph::OperatorId;
 use ds2_core::snapshot::MetricsSnapshot;
 
-use crate::engine::FluidEngine;
+use crate::engine::{EngineMode, FluidEngine};
 use crate::faults::{ActuationOutcome, FaultInjector, FaultPlan, FaultTally};
-use crate::latency::LatencyRecorder;
 
 /// Harness configuration.
 #[derive(Debug, Clone)]
@@ -24,11 +23,6 @@ pub struct HarnessConfig {
     pub policy_interval_ns: u64,
     /// Total simulated run time.
     pub run_duration_ns: u64,
-    /// Timeline sampling resolution (offered/observed rates etc.).
-    pub timeline_resolution_ns: u64,
-    /// Timely mode: convert per-operator plans into a global worker count
-    /// (the §4.3 summation rule) and rescale the worker pool instead.
-    pub timely: bool,
     /// Deterministic fault plan injected into metric snapshots and rescale
     /// actuation; `None` (default) runs the loop fault-free.
     pub faults: Option<FaultPlan>,
@@ -39,12 +33,14 @@ impl Default for HarnessConfig {
         Self {
             policy_interval_ns: 10_000_000_000,
             run_duration_ns: 600_000_000_000,
-            timeline_resolution_ns: 1_000_000_000,
-            timely: false,
             faults: None,
         }
     }
 }
+
+/// Timeline sampling resolution: one [`TimelinePoint`] per simulated
+/// second (scorers count timeline points as seconds).
+const TIMELINE_RESOLUTION_NS: u64 = 1_000_000_000;
 
 /// One timeline sample.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,10 +91,6 @@ pub struct RunResult {
     pub final_deployment: Deployment,
     /// Worker-pool size at the end of the run (Timely mode).
     pub final_workers: usize,
-    /// Record latency distribution across the whole run.
-    pub latency: LatencyRecorder,
-    /// Completed epochs `(index, latency_ns)`.
-    pub epochs: Vec<(u64, u64)>,
     /// Faults injected into the run (all-zero for fault-free runs).
     pub faults: FaultTally,
     /// The controller's degraded-input counters (all-zero for controllers
@@ -193,7 +185,11 @@ impl<C: ScalingController> ClosedLoop<C> {
     /// and refilled each policy interval, so a loop driven this way closes
     /// windows without heap allocation — and matrix runners can recycle one
     /// buffer across many runs.
+    ///
+    /// On a Timely engine a per-operator plan becomes one global worker
+    /// count (the §4.3 summation rule) and rescales the worker pool.
     pub fn run_reusing(&mut self, snapshot: &mut MetricsSnapshot) -> RunResult {
+        let timely = self.engine.config().mode == EngineMode::Timely;
         let mut timeline = Vec::new();
         let mut decisions = Vec::new();
         let mut injector = self
@@ -204,7 +200,7 @@ impl<C: ScalingController> ClosedLoop<C> {
         let start = self.engine.now_ns();
         let end = start + self.cfg.run_duration_ns;
         let mut next_policy = start + self.cfg.policy_interval_ns;
-        let mut next_sample = start + self.cfg.timeline_resolution_ns;
+        let mut next_sample = start + TIMELINE_RESOLUTION_NS;
         let mut bucket_offered = 0.0f64;
         let mut bucket_emitted = 0.0f64;
         let mut bucket_start = start;
@@ -293,7 +289,7 @@ impl<C: ScalingController> ClosedLoop<C> {
                 bucket_offered = 0.0;
                 bucket_emitted = 0.0;
                 bucket_start = now;
-                next_sample += self.cfg.timeline_resolution_ns;
+                next_sample += TIMELINE_RESOLUTION_NS;
             }
 
             if now >= next_policy && !self.engine.is_halted() {
@@ -317,7 +313,7 @@ impl<C: ScalingController> ClosedLoop<C> {
                 match verdict {
                     ControllerVerdict::NoAction => {}
                     ControllerVerdict::Rescale(plan) => {
-                        if self.cfg.timely {
+                        if timely {
                             let workers: usize = self
                                 .engine
                                 .graph()
@@ -387,8 +383,6 @@ impl<C: ScalingController> ClosedLoop<C> {
             decisions,
             final_deployment: self.engine.deployment().clone(),
             final_workers: self.engine.timely_workers(),
-            latency: self.engine.latency().clone(),
-            epochs: self.engine.epochs().completed().to_vec(),
             faults: injector.map(|i| i.tally()).unwrap_or_default(),
             controller_faults: self.controller.fault_stats(),
         }
@@ -556,7 +550,6 @@ mod tests {
             HarnessConfig {
                 policy_interval_ns: 10_000_000_000,
                 run_duration_ns: 120_000_000_000,
-                timely: true,
                 ..Default::default()
             },
         );
@@ -569,7 +562,9 @@ mod tests {
     }
     /// Runs DS2 over an under-provisioned word count whose converged
     /// capacity sits 3 % above the offered rate (so the backlog a rescale
-    /// leaves behind drains slowly), with fast-forward on and off.
+    /// leaves behind drains slowly), with fast-forward on and off, and
+    /// checks that both engines recorded the same latency samples and
+    /// epochs.
     fn run_fast_and_exact(
         source: SourceSpec,
         cfg: EngineConfig,
@@ -589,12 +584,15 @@ mod tests {
                 },
             );
             let mut the_loop = ClosedLoop::new(engine, manager, harness.clone());
-            let result = the_loop.run();
-            (result, the_loop.engine().fastforward_stats())
+            (the_loop.run(), the_loop)
         };
-        let (fast, stats) = run(true);
-        let (exact, _) = run(false);
-        (fast, exact, stats)
+        let (fast, fast_loop) = run(true);
+        let (exact, exact_loop) = run(false);
+        let (a, b) = (fast_loop.engine(), exact_loop.engine());
+        assert_eq!(a.latency().is_empty(), !cfg.track_record_latency);
+        assert_eq!(a.latency().samples(), b.latency().samples());
+        assert_eq!(a.epochs().completed(), b.epochs().completed());
+        (fast, exact, a.fastforward_stats())
     }
 
     /// A redeployment longer than the policy interval: policy ticks come
@@ -634,10 +632,10 @@ mod tests {
         );
     }
 
-    /// Tagged engines and Heron mode keep the fixed-point test: the slow
-    /// post-rescale drain that untagged Flink replays as drift never arms a
-    /// drift step there, and the whole `RunResult` — latency samples and
-    /// epochs included — still equals tick-by-tick execution.
+    /// Tagged engines never probe: the slow post-rescale drain that
+    /// untagged Flink replays as drift runs tick by tick there, in Flink
+    /// and Heron mode alike, and only the halts replay. The `RunResult`,
+    /// the latency samples and the epochs equal tick-by-tick execution.
     #[test]
     fn tagged_and_heron_runs_never_drift_and_match_exact() {
         let harness = HarnessConfig {
@@ -664,13 +662,12 @@ mod tests {
                 !fast.decisions.is_empty(),
                 "{mode:?}/{track} never rescaled"
             );
-            assert!(stats.replayed_ticks > 0, "{mode:?}/{track}: {stats:?}");
-            if mode == EngineMode::Flink && !track {
+            if track {
+                assert_eq!(stats.probes, 0, "{mode:?}: {stats:?}");
+                assert!(stats.halted_ticks > 0, "{mode:?}: {stats:?}");
+            } else {
                 // The control: this run does have a drain to replay.
                 assert!(stats.drift_ticks > 1_000, "untagged Flink: {stats:?}");
-            } else {
-                assert_eq!(stats.drift_ticks, 0, "{mode:?}/{track}: {stats:?}");
-                assert!(!fast.latency.is_empty(), "tagged runs record latency");
             }
         }
     }

@@ -35,20 +35,6 @@ impl Clone for LatencyRecorder {
     }
 }
 
-/// Two recorders are equal when they hold the same samples in the same
-/// order (the sort cache is derived state). This is deliberately exact —
-/// the fast-forward equivalence tests compare whole run results bitwise.
-impl PartialEq for LatencyRecorder {
-    fn eq(&self, other: &Self) -> bool {
-        self.samples.len() == other.samples.len()
-            && self
-                .samples
-                .iter()
-                .zip(&other.samples)
-                .all(|(a, b)| a.0 == b.0 && a.1.to_bits() == b.1.to_bits())
-    }
-}
-
 impl LatencyRecorder {
     /// Creates an empty recorder.
     pub fn new() -> Self {
@@ -80,10 +66,7 @@ impl LatencyRecorder {
         self.samples.len()
     }
 
-    /// The raw `(latency_ns, weight)` samples in recording order. The
-    /// fast-forward probe captures one tick's worth (everything recorded
-    /// past a remembered length) so replayed ticks can append the exact
-    /// same samples a full tick would.
+    /// The raw `(latency_ns, weight)` samples in recording order.
     pub fn samples(&self) -> &[(u64, f64)] {
         &self.samples
     }

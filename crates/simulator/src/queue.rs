@@ -23,12 +23,12 @@ pub struct EpochQueue {
     total: f64,
     capacity: f64,
     /// When `true` the queue does not track emission times: every push
-    /// merges into a single span whose tag is frozen at the first push.
-    /// The fluid dynamics (lengths, spaces, drains) are driven purely by
-    /// record totals, so they are unaffected — only per-record latency and
-    /// epoch accounting lose meaning. The scenario matrix runs untagged
+    /// merges into a single span whose tag is frozen at the first push, so
+    /// per-record latency and epoch accounting lose meaning. Lengths equal
+    /// a tagged queue's only up to rounding: a tagged drain subtracts span
+    /// by span, an untagged one once. The scenario matrix runs untagged
     /// (it never reads latency), which removes the span bookkeeping from
-    /// its hot path.
+    /// its hot path and is what lets fast-forward prove its ticks.
     untagged: bool,
 }
 
@@ -55,9 +55,9 @@ impl EpochQueue {
         }
     }
 
-    /// Creates an *untagged* queue: record totals evolve exactly as in a
-    /// tagged queue, but all queued records share one span (no emission
-    /// times, no per-record latency).
+    /// Creates an *untagged* queue: all queued records share one span (no
+    /// emission times, no per-record latency), and record totals equal a
+    /// tagged queue's up to rounding.
     pub fn new_untagged(capacity: f64) -> Self {
         Self {
             spans: VecDeque::new(),
@@ -104,21 +104,6 @@ impl EpochQueue {
     /// Number of spans currently tracked (bounded by `MAX_SPANS`).
     pub fn span_count(&self) -> usize {
         self.spans.len()
-    }
-
-    /// Iterates the queued spans oldest-first (fast-forward fingerprinting
-    /// compares them bitwise against the previous tick's state).
-    pub fn spans(&self) -> impl Iterator<Item = &Span> + '_ {
-        self.spans.iter()
-    }
-
-    /// Advances every span's emission tag by `delta_ns` — the batched
-    /// materialization of the time shift that fast-forwarded ticks defer
-    /// instead of rewriting tags tick by tick.
-    pub fn shift_tags(&mut self, delta_ns: u64) {
-        for s in &mut self.spans {
-            s.emitted_ns += delta_ns;
-        }
     }
 
     /// Pushes records tagged `emitted_ns`, clamped to available space.

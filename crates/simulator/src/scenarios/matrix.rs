@@ -472,55 +472,7 @@ impl MatrixReport {
     /// mean instance-hours of budgeted stateful operators (the state
     /// bill).
     pub fn render(&self, controllers: &[ControllerKind]) -> String {
-        let multidim = self.is_multidim();
-        let faulted = self.is_faulted();
-        // Faulted reports widen the name column for `ds2_hardened`;
-        // fault-free reports keep the classic widths byte-for-byte.
-        let name_w = if faulted { 12 } else { 10 };
-        let mut out = format!(
-            "{:<w$}  runs  conv  <=3steps  frac    mean_steps  max  over    under  reversals  decisions",
-            "controller",
-            w = name_w,
-        );
-        if multidim {
-            out.push_str("  inst_hrs  state_hrs");
-        }
-        if faulted {
-            out.push_str("  faultw  vetoed  retries");
-        }
-        out.push('\n');
-        for &kind in controllers {
-            let s = self.summary(kind);
-            out.push_str(&format!(
-                "{:<w$}  {:>4}  {:>4}  {:>8}  {:>5.2}  {:>10.2}  {:>3}  {:>6.2}  {:>5}  {:>9.2}  {:>9}",
-                s.controller,
-                s.runs,
-                s.converged,
-                s.within_three_steps,
-                s.fraction_within_three,
-                s.mean_steps,
-                s.max_steps,
-                s.mean_overprovision,
-                s.underprovisioned_runs,
-                s.mean_reversals,
-                s.total_decisions,
-                w = name_w,
-            ));
-            if multidim {
-                out.push_str(&format!(
-                    "  {:>8.3}  {:>9.3}",
-                    s.mean_instance_hours, s.mean_state_budget_hours,
-                ));
-            }
-            if faulted {
-                out.push_str(&format!(
-                    "  {:>6.1}  {:>6}  {:>7}",
-                    s.mean_fault_windows, s.total_vetoed, s.total_retries,
-                ));
-            }
-            out.push('\n');
-        }
-        out
+        self.render_table(controllers, None)
     }
 
     /// Renders the per-family breakdown: one row per scenario family ×
@@ -528,14 +480,26 @@ impl MatrixReport {
     /// thread count (the report is). Multi-dimensional reports grow the
     /// same per-dimension resource columns as [`render`](Self::render).
     pub fn render_families(&self, controllers: &[ControllerKind]) -> String {
+        self.render_table(controllers, Some(&self.families()))
+    }
+
+    /// The table both renderers print: a row per controller, or with
+    /// `families` a family column and a row per family × controller.
+    fn render_table(&self, controllers: &[ControllerKind], families: Option<&[&str]>) -> String {
         let multidim = self.is_multidim();
         let faulted = self.is_faulted();
-        let name_w = if faulted { 12 } else { 10 };
-        let mut out = format!(
-            "family       {:<w$}  runs  conv  <=3steps  frac    mean_steps  max  over    under  reversals  decisions",
+        // Faulted reports widen the name column for `ds2_hardened`;
+        // fault-free reports keep the classic widths byte-for-byte.
+        let w = if faulted { 12 } else { 10 };
+        let mut out = String::from(if families.is_some() {
+            "family       "
+        } else {
+            ""
+        });
+        out.push_str(&format!(
+            "{:<w$}  runs  conv  <=3steps  frac    mean_steps  max  over    under  reversals  decisions",
             "controller",
-            w = name_w,
-        );
+        ));
         if multidim {
             out.push_str("  inst_hrs  state_hrs");
         }
@@ -543,12 +507,18 @@ impl MatrixReport {
             out.push_str("  faultw  vetoed  retries");
         }
         out.push('\n');
-        for family in self.families() {
+        let rows: Vec<Option<&str>> = match families {
+            Some(families) => families.iter().copied().map(Some).collect(),
+            None => vec![None],
+        };
+        for family in rows {
             for &kind in controllers {
-                let s = self.summary_for_family(kind, family);
+                let s = self.summarize(kind, family);
+                if let Some(family) = family {
+                    out.push_str(&format!("{family:<11}  "));
+                }
                 out.push_str(&format!(
-                    "{:<11}  {:<w$}  {:>4}  {:>4}  {:>8}  {:>5.2}  {:>10.2}  {:>3}  {:>6.2}  {:>5}  {:>9.2}  {:>9}",
-                    family,
+                    "{:<w$}  {:>4}  {:>4}  {:>8}  {:>5.2}  {:>10.2}  {:>3}  {:>6.2}  {:>5}  {:>9.2}  {:>9}",
                     s.controller,
                     s.runs,
                     s.converged,
@@ -560,7 +530,6 @@ impl MatrixReport {
                     s.underprovisioned_runs,
                     s.mean_reversals,
                     s.total_decisions,
-                    w = name_w,
                 ));
                 if multidim {
                     out.push_str(&format!(
@@ -759,7 +728,7 @@ impl ScenarioMatrix {
     }
 
     /// Runs one scenario under one controller and returns the raw
-    /// [`RunResult`] (timeline, decisions, latency, epochs) without
+    /// [`RunResult`] (timeline, decisions, final deployment, faults) without
     /// scoring it — the substrate of the fast-forward equivalence tests,
     /// which compare whole results bitwise between engine modes.
     pub fn run_one_raw(
@@ -772,8 +741,6 @@ impl ScenarioMatrix {
         let harness = HarnessConfig {
             policy_interval_ns: self.config.policy_interval_ns,
             run_duration_ns: self.config.generator.run_duration_ns,
-            timeline_resolution_ns: 1_000_000_000,
-            timely: false,
             // Fault draws are keyed on the scenario seed alone, so every
             // controller in a cell row faces the *same* fault sequence.
             faults: FaultPlan::new(spec.seed, self.config.faults),
@@ -882,9 +849,10 @@ impl ScenarioMatrix {
                 instrumentation: InstrumentationConfig::disabled(),
                 fast_forward: self.config.fast_forward,
                 // The matrix report never reads per-record latency or
-                // epochs, so the engines run untagged — queue dynamics are
-                // identical, and the span/latency bookkeeping disappears
-                // from the hot path.
+                // epochs, so the engines run untagged: no span/latency
+                // bookkeeping on the hot path, and fast-forward may probe.
+                // Untagged is the matrix's model — equal to tagged only up
+                // to rounding — and its reports are defined on it.
                 track_record_latency: false,
                 ..Default::default()
             },

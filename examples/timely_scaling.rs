@@ -49,7 +49,6 @@ fn main() {
         HarnessConfig {
             policy_interval_ns: 10_000_000_000,
             run_duration_ns: 180_000_000_000,
-            timely: true,
             ..Default::default()
         },
     );
@@ -66,19 +65,13 @@ fn main() {
     println!("final workers: {} (paper: 4)", result.final_workers);
 
     // Epoch completion before/after scaling.
-    let early: Vec<u64> = result
-        .epochs
+    let epochs = closed_loop.engine().epochs().completed();
+    let early: Vec<u64> = epochs
         .iter()
         .filter(|&&(i, _)| i < 20)
         .map(|&(_, l)| l)
         .collect();
-    let late: Vec<u64> = result
-        .epochs
-        .iter()
-        .rev()
-        .take(20)
-        .map(|&(_, l)| l)
-        .collect();
+    let late: Vec<u64> = epochs.iter().rev().take(20).map(|&(_, l)| l).collect();
     let mean = |v: &[u64]| v.iter().sum::<u64>() as f64 / v.len().max(1) as f64 / 1e9;
     println!(
         "mean epoch latency: first 20 epochs {:.2}s (under-provisioned, queues growing) \

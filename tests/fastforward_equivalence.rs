@@ -1,9 +1,10 @@
 //! The fast-forward equivalence guarantee, end to end: a closed-loop run
 //! with macro-tick fast-forward enabled produces a `RunResult` — timeline,
-//! decisions, final deployment, latency samples, epochs — **equal** (and
-//! for every float, bitwise equal: `RunResult::eq` compares latency
-//! weights by bits and the timeline's rates with exact `f64` equality) to
-//! the same run executed tick by tick.
+//! decisions, final deployment, faults — **equal** (every float with exact
+//! `f64` equality) to the same run executed tick by tick. The matrix runs
+//! untagged engines, the only ones that probe; tagged engines replay
+//! nothing but halts, and the harness's own tests compare their latency
+//! samples and epochs.
 //!
 //! Fast-forward only ever replays transitions it *proved* repeat exactly
 //! (see `ds2_simulator::fastforward`), so any divergence here is a bug in

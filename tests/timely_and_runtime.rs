@@ -107,7 +107,6 @@ fn timely_closed_loop_converges() {
         HarnessConfig {
             policy_interval_ns: 10_000_000_000,
             run_duration_ns: 150_000_000_000,
-            timely: true,
             ..Default::default()
         },
     );
