@@ -163,7 +163,7 @@ pub fn report(cells: &[Cell]) -> String {
                 } else {
                     "START-DEPENDENT!"
                 },
-                ds2_nexmark::profiles::expected_flink_parallelism(q)
+                q.reference_parallelism()
             )
         })
         .collect();

@@ -8,10 +8,12 @@
 //! * [`model`] — the Person/Auction/Bid event model;
 //! * [`generator`] — a deterministic event generator with Beam's 1:3:46
 //!   person:auction:bid proportions and hot-key biases;
-//! * [`queries`] — executable operator logic for all six queries (runs on
-//!   the threaded mini-runtime and in correctness tests);
-//! * [`profiles`] — calibrated simulator setups reproducing the paper's
-//!   Table 3 rates and Table 4 / Figures 8–9 optimal configurations.
+//! * [`queries`] — executable operator logic for all six queries: state
+//!   machines checked by the correctness tests, not yet run on
+//!   `ds2-runtime`;
+//! * [`profiles`] — calibrated simulator setups, built from the scenario
+//!   matrix's one plan per query, reproducing the paper's Table 3 rates
+//!   and Table 4 / Figures 8–9 optimal configurations.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

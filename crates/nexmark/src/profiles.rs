@@ -1,4 +1,5 @@
-//! Simulator setups for the Nexmark queries: topology, cost profiles and
+//! Simulator setups for the Nexmark queries: each query's one plan
+//! ([`QueryId::plan`], shared with the scenario matrix), cost profiles and
 //! Table 3 source rates, calibrated so that the optimal main-operator
 //! parallelism at the paper's rates matches the paper's reported
 //! configurations (Table 4 / Figure 8 for Flink, Figure 9 for Timely).
@@ -6,9 +7,9 @@
 //! ## Calibration scheme
 //!
 //! The main operator's per-instance capacity at the optimal parallelism
-//! `p*` is set to `rate / (p* - MARGIN)`, so Eq. 7 lands exactly on `p*`
-//! with a small safety margin. Its instrumented cost follows a
-//! [`ScalingCurve::Sigmoid`] (overhead step around `0.6 p*`, the
+//! `p*` is set to `rate / (p* - margin)` ([`safety_margin`]), so Eq. 7
+//! lands exactly on `p*` with a small safety margin. Its instrumented cost
+//! follows a [`ScalingCurve::Sigmoid`] (overhead step around `0.6 p*`, the
 //! machine-boundary knee), which reproduces the paper's §5.4 behaviour:
 //! one step when starting near the optimum, two to three steps from
 //! far-below starts, and a single step from over-provisioned starts (the
@@ -18,50 +19,12 @@
 
 use std::collections::BTreeMap;
 
-use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
+use ds2_core::graph::{LogicalGraph, OperatorId};
 use ds2_simulator::profile::{OperatorProfile, ProfileMap, ScalingCurve};
+use ds2_simulator::scenarios::nexmark::{safety_margin, QueryPlan};
 use ds2_simulator::source::SourceSpec;
 
-/// The six queries the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum QueryId {
-    /// Currency conversion (stateless map).
-    Q1,
-    /// Selection (stateless filter).
-    Q2,
-    /// Local item suggestion (incremental two-input join).
-    Q3,
-    /// Hot items (sliding window).
-    Q5,
-    /// Monitor new users (tumbling window join).
-    Q8,
-    /// User sessions (session window).
-    Q11,
-}
-
-impl QueryId {
-    /// All evaluated queries, in paper order.
-    pub const ALL: [QueryId; 6] = [
-        QueryId::Q1,
-        QueryId::Q2,
-        QueryId::Q3,
-        QueryId::Q5,
-        QueryId::Q8,
-        QueryId::Q11,
-    ];
-
-    /// Display name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            QueryId::Q1 => "Q1",
-            QueryId::Q2 => "Q2",
-            QueryId::Q3 => "Q3",
-            QueryId::Q5 => "Q5",
-            QueryId::Q8 => "Q8",
-            QueryId::Q11 => "Q11",
-        }
-    }
-}
+pub use ds2_simulator::scenarios::NexmarkQuery as QueryId;
 
 /// Reference system the setup targets (Table 3 has separate rate columns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,66 +53,26 @@ pub struct QuerySetup {
     pub expected: usize,
 }
 
-/// Safety margin in instances: capacity is set so the requirement lands at
-/// `p* - margin`. Proportional to `p*` so the relative headroom always
-/// covers the hidden overhead, but below one instance so the ceiling still
-/// lands exactly on `p*`.
-fn margin(p_star: usize) -> f64 {
-    (0.04 * p_star as f64).clamp(0.3, 0.75)
-}
-
 /// Asymptotic overhead fraction of the main-operator sigmoid curve.
 const ALPHA: f64 = 0.35;
 
 /// Hidden (uninstrumented) overhead as a fraction of instrumented cost.
 const HIDDEN_FRACTION: f64 = 0.015;
 
-/// Table 3 — target source rates (records/s) per query and system.
-pub mod rates {
-    /// Q1 bids rate on Flink.
-    pub const Q1_FLINK_BIDS: f64 = 4_000_000.0;
-    /// Q1 bids rate on Timely.
-    pub const Q1_TIMELY_BIDS: f64 = 5_000_000.0;
-    /// Q2 bids rate on Flink.
-    pub const Q2_FLINK_BIDS: f64 = 4_000_000.0;
-    /// Q2 bids rate on Timely.
-    pub const Q2_TIMELY_BIDS: f64 = 5_000_000.0;
-    /// Q3 auctions rate on Flink.
-    pub const Q3_FLINK_AUCTIONS: f64 = 500_000.0;
-    /// Q3 persons rate on Flink.
-    pub const Q3_FLINK_PERSONS: f64 = 100_000.0;
-    /// Q3 auctions rate on Timely.
-    pub const Q3_TIMELY_AUCTIONS: f64 = 3_000_000.0;
-    /// Q3 persons rate on Timely.
-    pub const Q3_TIMELY_PERSONS: f64 = 800_000.0;
-    /// Q5 bids rate on Flink.
-    pub const Q5_FLINK_BIDS: f64 = 500_000.0;
-    /// Q5 bids rate on Timely.
-    pub const Q5_TIMELY_BIDS: f64 = 2_000_000.0;
-    /// Q8 auctions rate on Flink.
-    pub const Q8_FLINK_AUCTIONS: f64 = 420_000.0;
-    /// Q8 persons rate on Flink.
-    pub const Q8_FLINK_PERSONS: f64 = 120_000.0;
-    /// Q8 auctions rate on Timely.
-    pub const Q8_TIMELY_AUCTIONS: f64 = 4_000_000.0;
-    /// Q8 persons rate on Timely.
-    pub const Q8_TIMELY_PERSONS: f64 = 4_000_000.0;
-    /// Q11 bids rate on Flink.
-    pub const Q11_FLINK_BIDS: f64 = 1_000_000.0;
-    /// Q11 bids rate on Timely.
-    pub const Q11_TIMELY_BIDS: f64 = 9_000_000.0;
-}
-
-/// The paper's indicated optimal parallelism for each query's main operator
-/// on Flink (Fig. 8 captions / Table 4 finals).
-pub fn expected_flink_parallelism(q: QueryId) -> usize {
-    match q {
-        QueryId::Q1 => 16,
-        QueryId::Q2 => 14,
-        QueryId::Q3 => 20,
-        QueryId::Q5 => 16,
-        QueryId::Q8 => 10,
-        QueryId::Q11 => 28,
+/// Table 3 — target source rates (records/s) of `query` on `target`, one
+/// per feed in plan order.
+pub fn table3_rates(query: QueryId, target: Target) -> &'static [f64] {
+    match (query, target) {
+        (QueryId::Q1 | QueryId::Q2, Target::Flink) => &[4_000_000.0],
+        (QueryId::Q1 | QueryId::Q2, Target::Timely) => &[5_000_000.0],
+        (QueryId::Q3, Target::Flink) => &[500_000.0, 100_000.0],
+        (QueryId::Q3, Target::Timely) => &[3_000_000.0, 800_000.0],
+        (QueryId::Q5, Target::Flink) => &[500_000.0],
+        (QueryId::Q5, Target::Timely) => &[2_000_000.0],
+        (QueryId::Q8, Target::Flink) => &[420_000.0, 120_000.0],
+        (QueryId::Q8, Target::Timely) => &[4_000_000.0, 4_000_000.0],
+        (QueryId::Q11, Target::Flink) => &[1_000_000.0],
+        (QueryId::Q11, Target::Timely) => &[9_000_000.0],
     }
 }
 
@@ -166,7 +89,7 @@ fn main_profile(rate: f64, p_star: usize, selectivity: f64) -> OperatorProfile {
         knee: 0.6 * p,
         width: (0.075 * p).max(0.5),
     };
-    let cap_at_star = rate / (p - margin(p_star));
+    let cap_at_star = rate / (p - safety_margin(p_star));
     let cost_at_star = 1e9 / cap_at_star;
     let base_cost = cost_at_star / curve.multiplier(p_star);
     OperatorProfile::simple(base_cost, selectivity)
@@ -174,336 +97,82 @@ fn main_profile(rate: f64, p_star: usize, selectivity: f64) -> OperatorProfile {
         .with_hidden(base_cost * HIDDEN_FRACTION, ScalingCurve::Linear)
 }
 
-/// A light supporting operator (filter/sink) with linear scaling sized for
-/// `per_instance_capacity` records/s.
-fn light_profile(per_instance_capacity: f64, selectivity: f64) -> OperatorProfile {
-    OperatorProfile::with_capacity(per_instance_capacity, selectivity)
-}
-
-/// A Timely operator costing `cost_us` microseconds per record.
-fn timely_profile(cost_us: f64, selectivity: f64) -> OperatorProfile {
-    OperatorProfile::simple(cost_us * 1_000.0, selectivity)
-}
-
 /// Builds the simulator setup for `query` on `target` at Table 3 rates.
 pub fn setup(query: QueryId, target: Target) -> QuerySetup {
-    match target {
-        Target::Flink => flink_setup(query),
-        Target::Timely => timely_setup(query),
+    let QueryPlan { graph, ids, main } = query.plan();
+    let rates = table3_rates(query, target);
+    let (feeds, operators) = ids.split_at(rates.len());
+    let mut profiles = ProfileMap::new();
+    let (expected, window_ns) = match target {
+        Target::Flink => {
+            let p_star = query.reference_parallelism();
+            let rate = query.main_input_fraction() * rates.iter().sum::<f64>();
+            profiles.insert(main, main_profile(rate, p_star, query.main_selectivity()));
+            // Light supporting operators with linear scaling: per-instance
+            // capacity (records/s) of the sink, or of Q3's two filters.
+            let (capacities, selectivity): (&[f64], f64) = match query {
+                QueryId::Q1 => (&[rates[0] / 6.0], 0.0),
+                QueryId::Q2 => (&[50_000.0], 0.0),
+                QueryId::Q3 => (
+                    &[rates[0] / 3.0, rates[1] / 1.5],
+                    QueryId::Q3_FILTER_SELECTIVITY,
+                ),
+                QueryId::Q5 => (&[20_000.0], 0.0),
+                QueryId::Q8 => (&[], 0.0),
+                QueryId::Q11 => (&[10_000.0], 0.0),
+            };
+            let support = operators.iter().filter(|&&op| op != main);
+            for (&op, &capacity) in support.zip(capacities) {
+                profiles.insert(op, OperatorProfile::with_capacity(capacity, selectivity));
+            }
+            let window_ns = match query {
+                QueryId::Q5 => Some(2_000_000_000),
+                QueryId::Q8 | QueryId::Q11 => Some(1_000_000_000),
+                _ => None,
+            };
+            (p_star, window_ns)
+        }
+        Target::Timely => {
+            // Timely per-record costs are far lower than the JVM engine's;
+            // the worker demands below are calibrated so the per-operator
+            // requirements sum to 4 (Fig. 9: optimal p = 4 for every
+            // query). Per operator in plan order: (µs/record, selectivity).
+            let (costs, window_ns): (&[(f64, f64)], _) = match query {
+                // 5M/s × 0.52 µs = 2.6 workers -> 3; sink 5M × 0.14 µs = 0.7 -> 1.
+                QueryId::Q1 => (&[(0.52, 1.0), (0.14, 0.0)], None),
+                // 5M × 0.52 µs = 2.6 -> 3; sink: 0.5M × 1.0 µs = 0.5 -> 1.
+                QueryId::Q2 => (&[(0.52, 0.1), (1.0, 0.0)], None),
+                // fa: 3M × 0.266 µs = 0.8 -> 1; fp: 0.8M × 0.625 µs = 0.5 -> 1;
+                // join: 0.25×(3M + 0.8M) = 950K × 1.79 µs = 1.7 -> 2. Σ = 4.
+                QueryId::Q3 => (&[(0.266, 0.25), (0.625, 0.25), (1.79, 0.2)], None),
+                // win: 2M × 1.3 µs = 2.6 -> 3; sink: 20K × 40 µs = 0.8 -> 1.
+                QueryId::Q5 => (&[(1.3, 0.01), (40.0, 0.0)], Some(900_000_000)),
+                // 8M × 0.45 µs = 3.6 -> 4. Σ = 4.
+                QueryId::Q8 => (&[(0.45, 0.05)], Some(900_000_000)),
+                // sess: 9M × 0.3 µs = 2.7 -> 3; sink: 180K × 2.8 µs = 0.5 -> 1.
+                QueryId::Q11 => (&[(0.3, 0.02), (2.8, 0.0)], Some(450_000_000)),
+            };
+            for (&op, &(cost_us, selectivity)) in operators.iter().zip(costs) {
+                profiles.insert(op, OperatorProfile::simple(cost_us * 1_000.0, selectivity));
+            }
+            (EXPECTED_TIMELY_WORKERS, window_ns)
+        }
+    };
+    if let Some(period_ns) = window_ns {
+        let windowed = profiles[&main].clone().windowed(period_ns);
+        profiles.insert(main, windowed);
     }
-}
-
-fn flink_setup(query: QueryId) -> QuerySetup {
-    let p_star = expected_flink_parallelism(query);
-    match query {
-        QueryId::Q1 => {
-            // bids -> currency map (main) -> sink.
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let map = b.operator("currency_map");
-            let sink = b.operator("sink");
-            b.connect(src, map);
-            b.connect(map, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q1_FLINK_BIDS;
-            let mut profiles = ProfileMap::new();
-            profiles.insert(map, main_profile(rate, p_star, 1.0));
-            profiles.insert(sink, light_profile(rate / 6.0, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: map,
-                expected: p_star,
-            }
-        }
-        QueryId::Q2 => {
-            // bids -> filter (main, selectivity ~1/123) -> sink.
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let filter = b.operator("filter");
-            let sink = b.operator("sink");
-            b.connect(src, filter);
-            b.connect(filter, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q2_FLINK_BIDS;
-            let mut profiles = ProfileMap::new();
-            profiles.insert(filter, main_profile(rate, p_star, 1.0 / 123.0));
-            profiles.insert(sink, light_profile(50_000.0, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: filter,
-                expected: p_star,
-            }
-        }
-        QueryId::Q3 => {
-            // auctions -> filter_a; persons -> filter_p; both -> join (main).
-            let mut b = GraphBuilder::new();
-            let auctions = b.operator("auctions");
-            let persons = b.operator("persons");
-            let fa = b.operator("filter_auctions");
-            let fp = b.operator("filter_persons");
-            let join = b.operator("incremental_join");
-            b.connect(auctions, fa);
-            b.connect(persons, fp);
-            b.connect(fa, join);
-            b.connect(fp, join);
-            let graph = b.build().unwrap();
-            let (ra, rp) = (rates::Q3_FLINK_AUCTIONS, rates::Q3_FLINK_PERSONS);
-            let sel = 0.25;
-            let join_target = sel * ra + sel * rp;
-            let mut profiles = ProfileMap::new();
-            profiles.insert(fa, light_profile(ra / 3.0, sel));
-            profiles.insert(fp, light_profile(rp / 1.5, sel));
-            profiles.insert(join, main_profile(join_target, p_star, 0.2));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [
-                    (auctions, SourceSpec::constant(ra)),
-                    (persons, SourceSpec::constant(rp)),
-                ]
-                .into(),
-                main_operator: join,
-                expected: p_star,
-            }
-        }
-        QueryId::Q5 => {
-            // bids -> hopping-window hot items (main, bursty) -> sink.
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let win = b.operator("hot_items_window");
-            let sink = b.operator("sink");
-            b.connect(src, win);
-            b.connect(win, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q5_FLINK_BIDS;
-            let mut profiles = ProfileMap::new();
-            profiles.insert(
-                win,
-                main_profile(rate, p_star, 0.01).windowed(2_000_000_000),
-            );
-            profiles.insert(sink, light_profile(20_000.0, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: win,
-                expected: p_star,
-            }
-        }
-        QueryId::Q8 => {
-            // persons + auctions -> tumbling window join (main, sink).
-            let mut b = GraphBuilder::new();
-            let auctions = b.operator("auctions");
-            let persons = b.operator("persons");
-            let join = b.operator("window_join");
-            b.connect(auctions, join);
-            b.connect(persons, join);
-            let graph = b.build().unwrap();
-            let (ra, rp) = (rates::Q8_FLINK_AUCTIONS, rates::Q8_FLINK_PERSONS);
-            let mut profiles = ProfileMap::new();
-            profiles.insert(
-                join,
-                main_profile(ra + rp, p_star, 0.05).windowed(1_000_000_000),
-            );
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [
-                    (auctions, SourceSpec::constant(ra)),
-                    (persons, SourceSpec::constant(rp)),
-                ]
-                .into(),
-                main_operator: join,
-                expected: p_star,
-            }
-        }
-        QueryId::Q11 => {
-            // bids -> session window (main) -> sink.
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let sess = b.operator("session_window");
-            let sink = b.operator("sink");
-            b.connect(src, sess);
-            b.connect(sess, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q11_FLINK_BIDS;
-            let mut profiles = ProfileMap::new();
-            profiles.insert(
-                sess,
-                main_profile(rate, p_star, 0.02).windowed(1_000_000_000),
-            );
-            profiles.insert(sink, light_profile(10_000.0, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: sess,
-                expected: p_star,
-            }
-        }
-    }
-}
-
-fn timely_setup(query: QueryId) -> QuerySetup {
-    // Timely per-record costs are far lower than the JVM engine's; the
-    // worker demands below are calibrated so the per-operator requirements
-    // sum to 4 (Fig. 9: optimal p = 4 for every query).
-    match query {
-        QueryId::Q1 => {
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let map = b.operator("currency_map");
-            let sink = b.operator("sink");
-            b.connect(src, map);
-            b.connect(map, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q1_TIMELY_BIDS;
-            let mut profiles = ProfileMap::new();
-            // 5M/s × 0.52 µs = 2.6 workers -> 3; sink 5M × 0.14 µs = 0.7 -> 1.
-            profiles.insert(map, timely_profile(0.52, 1.0));
-            profiles.insert(sink, timely_profile(0.14, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: map,
-                expected: EXPECTED_TIMELY_WORKERS,
-            }
-        }
-        QueryId::Q2 => {
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let filter = b.operator("filter");
-            let sink = b.operator("sink");
-            b.connect(src, filter);
-            b.connect(filter, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q2_TIMELY_BIDS;
-            let mut profiles = ProfileMap::new();
-            // 5M × 0.52 µs = 2.6 -> 3; sink: 0.5M × 1.0 µs = 0.5 -> 1.
-            profiles.insert(filter, timely_profile(0.52, 0.1));
-            profiles.insert(sink, timely_profile(1.0, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: filter,
-                expected: EXPECTED_TIMELY_WORKERS,
-            }
-        }
-        QueryId::Q3 => {
-            let mut b = GraphBuilder::new();
-            let auctions = b.operator("auctions");
-            let persons = b.operator("persons");
-            let fa = b.operator("filter_auctions");
-            let fp = b.operator("filter_persons");
-            let join = b.operator("incremental_join");
-            b.connect(auctions, fa);
-            b.connect(persons, fp);
-            b.connect(fa, join);
-            b.connect(fp, join);
-            let graph = b.build().unwrap();
-            let (ra, rp) = (rates::Q3_TIMELY_AUCTIONS, rates::Q3_TIMELY_PERSONS);
-            let mut profiles = ProfileMap::new();
-            // fa: 3M × 0.266 µs = 0.8 -> 1; fp: 0.8M × 0.625 µs = 0.5 -> 1;
-            // join: 0.25×(3M + 0.8M) = 950K × 1.79 µs = 1.7 -> 2. Σ = 4.
-            profiles.insert(fa, timely_profile(0.266, 0.25));
-            profiles.insert(fp, timely_profile(0.625, 0.25));
-            profiles.insert(join, timely_profile(1.79, 0.2));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [
-                    (auctions, SourceSpec::constant(ra)),
-                    (persons, SourceSpec::constant(rp)),
-                ]
-                .into(),
-                main_operator: join,
-                expected: EXPECTED_TIMELY_WORKERS,
-            }
-        }
-        QueryId::Q5 => {
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let win = b.operator("hot_items_window");
-            let sink = b.operator("sink");
-            b.connect(src, win);
-            b.connect(win, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q5_TIMELY_BIDS;
-            let mut profiles = ProfileMap::new();
-            // win: 2M × 1.3 µs = 2.6 -> 3; sink: 20K × 40 µs = 0.8 -> 1.
-            profiles.insert(win, timely_profile(1.3, 0.01).windowed(900_000_000));
-            profiles.insert(sink, timely_profile(40.0, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: win,
-                expected: EXPECTED_TIMELY_WORKERS,
-            }
-        }
-        QueryId::Q8 => {
-            let mut b = GraphBuilder::new();
-            let auctions = b.operator("auctions");
-            let persons = b.operator("persons");
-            let join = b.operator("window_join");
-            b.connect(auctions, join);
-            b.connect(persons, join);
-            let graph = b.build().unwrap();
-            let (ra, rp) = (rates::Q8_TIMELY_AUCTIONS, rates::Q8_TIMELY_PERSONS);
-            let mut profiles = ProfileMap::new();
-            // 8M × 0.45 µs = 3.6 -> 4. Σ = 4.
-            profiles.insert(join, timely_profile(0.45, 0.05).windowed(900_000_000));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [
-                    (auctions, SourceSpec::constant(ra)),
-                    (persons, SourceSpec::constant(rp)),
-                ]
-                .into(),
-                main_operator: join,
-                expected: EXPECTED_TIMELY_WORKERS,
-            }
-        }
-        QueryId::Q11 => {
-            let mut b = GraphBuilder::new();
-            let src = b.operator("bids");
-            let sess = b.operator("session_window");
-            let sink = b.operator("sink");
-            b.connect(src, sess);
-            b.connect(sess, sink);
-            let graph = b.build().unwrap();
-            let rate = rates::Q11_TIMELY_BIDS;
-            let mut profiles = ProfileMap::new();
-            // sess: 9M × 0.3 µs = 2.7 -> 3; sink: 180K × 2.8 µs = 0.5 -> 1.
-            profiles.insert(sess, timely_profile(0.3, 0.02).windowed(450_000_000));
-            profiles.insert(sink, timely_profile(2.8, 0.0));
-            QuerySetup {
-                query,
-                graph,
-                profiles,
-                sources: [(src, SourceSpec::constant(rate))].into(),
-                main_operator: sess,
-                expected: EXPECTED_TIMELY_WORKERS,
-            }
-        }
+    QuerySetup {
+        query,
+        graph,
+        profiles,
+        sources: feeds
+            .iter()
+            .zip(rates)
+            .map(|(&src, &rate)| (src, SourceSpec::constant(rate)))
+            .collect(),
+        main_operator: main,
+        expected,
     }
 }
 
@@ -521,7 +190,7 @@ mod tests {
             for src in s.graph.sources() {
                 assert!(s.sources.contains_key(src), "{q:?} missing source spec");
             }
-            assert_eq!(s.expected, expected_flink_parallelism(q));
+            assert_eq!(s.expected, q.reference_parallelism());
         }
     }
 
@@ -530,6 +199,36 @@ mod tests {
         for q in QueryId::ALL {
             let s = setup(q, Target::Timely);
             assert_eq!(s.expected, EXPECTED_TIMELY_WORKERS);
+        }
+    }
+
+    /// Every setup, graph, profiles and rates included, pinned bit for bit:
+    /// `Debug` prints each f64 in shortest round-trip form and the setup
+    /// holds only ordered maps, so the FNV-1a hash of the `Debug` form
+    /// changes whenever any calibrated number does.
+    #[test]
+    fn setups_are_pinned_bit_for_bit() {
+        let pinned: [(QueryId, Target, u64); 12] = [
+            (QueryId::Q1, Target::Flink, 0xf162_e798_f73a_9c9a),
+            (QueryId::Q2, Target::Flink, 0xd296_409c_81a9_3bc1),
+            (QueryId::Q3, Target::Flink, 0x666c_4f4c_92cd_7dc8),
+            (QueryId::Q5, Target::Flink, 0xf471_3a72_22e3_c2e9),
+            (QueryId::Q8, Target::Flink, 0x5856_0f2e_f8d3_37b2),
+            (QueryId::Q11, Target::Flink, 0x4ab4_dbd8_9b54_ae76),
+            (QueryId::Q1, Target::Timely, 0x5c35_64dd_3652_b672),
+            (QueryId::Q2, Target::Timely, 0x5402_3d16_cfe1_93df),
+            (QueryId::Q3, Target::Timely, 0x52e5_1326_7156_977b),
+            (QueryId::Q5, Target::Timely, 0xd5b8_8039_d50d_d549),
+            (QueryId::Q8, Target::Timely, 0x30ef_3460_90eb_f598),
+            (QueryId::Q11, Target::Timely, 0x677d_8fef_7c3d_57f3),
+        ];
+        for (q, t, expected) in pinned {
+            let hash = format!("{:?}", setup(q, t))
+                .bytes()
+                .fold(0xcbf2_9ce4_8422_2325u64, |h, b| {
+                    (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+                });
+            assert_eq!(hash, expected, "{q:?} on {t:?}: {hash:#018x}");
         }
     }
 

@@ -11,17 +11,16 @@
 //!
 //! ## Lowering rules
 //!
-//! * **Topology** mirrors `ds2-nexmark`'s Flink query plans operator for
-//!   operator (same names, same edges): `tests/nexmark_matrix.rs` pins the
-//!   two against each other. Single-input queries are `chain`-shaped;
-//!   Q3/Q8 ingest two feeds (auctions + persons) and are labelled
-//!   `multi_source`.
+//! * **Topology** is the query's one plan, [`NexmarkQuery::plan`], which
+//!   `ds2-nexmark`'s Flink and Timely setups build from too. Single-input
+//!   queries are `chain`-shaped; Q3/Q8 ingest two feeds (auctions +
+//!   persons) and are labelled `multi_source`.
 //! * **Workload**: the scenario draws one of the matrix workload shapes
 //!   (constant, step, spike, …) for the *total* offered rate; multi-source
 //!   queries split every phase of the schedule across their feeds at the
 //!   paper's Table 3 rate ratios (Q3 auctions:persons = 5:1, Q8 = 7:2).
-//! * **Main operator**: calibrated exactly like `ds2-nexmark::profiles` —
-//!   a sigmoid scaling curve (machine-boundary knee at `0.6 p*`) plus a
+//! * **Main operator**: calibrated like `ds2-nexmark::profiles` — a
+//!   sigmoid scaling curve (machine-boundary knee at `0.6 p*`) plus a
 //!   small hidden overhead, sized so the analytic optimum at the
 //!   workload's final rate lands on `p*`, a seed-drawn scaling of the
 //!   paper's reported parallelism ([`NexmarkQuery::reference_parallelism`]).
@@ -42,7 +41,7 @@
 use std::collections::BTreeMap;
 
 use ds2_core::deployment::Deployment;
-use ds2_core::graph::{GraphBuilder, OperatorId};
+use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -55,9 +54,8 @@ use super::workload::{Workload, WorkloadShape};
 
 /// The six queries the paper evaluates, as matrix scenario families.
 ///
-/// This mirrors `ds2_nexmark::QueryId` (the crates cannot share the type:
-/// `ds2-nexmark` depends on this crate); `tests/nexmark_matrix.rs` pins the
-/// 1:1 correspondence.
+/// `ds2_nexmark` re-exports this type as `QueryId`: its setups and the
+/// matrix lowering share one query list and one [`plan`](Self::plan).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NexmarkQuery {
     /// Currency conversion (stateless map).
@@ -85,23 +83,21 @@ impl NexmarkQuery {
         NexmarkQuery::Q11,
     ];
 
-    /// Short lowercase name (`q1` … `q11`).
+    /// The paper's label (`Q1` … `Q11`).
     pub fn name(&self) -> &'static str {
         match self {
-            NexmarkQuery::Q1 => "q1",
-            NexmarkQuery::Q2 => "q2",
-            NexmarkQuery::Q3 => "q3",
-            NexmarkQuery::Q5 => "q5",
-            NexmarkQuery::Q8 => "q8",
-            NexmarkQuery::Q11 => "q11",
+            NexmarkQuery::Q1 => "Q1",
+            NexmarkQuery::Q2 => "Q2",
+            NexmarkQuery::Q3 => "Q3",
+            NexmarkQuery::Q5 => "Q5",
+            NexmarkQuery::Q8 => "Q8",
+            NexmarkQuery::Q11 => "Q11",
         }
     }
 
     /// The paper's reported optimal Flink parallelism for the query's main
-    /// operator (Fig. 8 / Table 4) — the reference point scenario
-    /// calibration scales around. Pinned against
-    /// `ds2_nexmark::profiles::expected_flink_parallelism` by
-    /// `tests/nexmark_matrix.rs`.
+    /// operator (Fig. 8 captions / Table 4 finals): the Flink setups'
+    /// optimum and the reference point matrix calibration scales around.
     pub fn reference_parallelism(&self) -> usize {
         match self {
             NexmarkQuery::Q1 => 16,
@@ -167,13 +163,13 @@ impl NexmarkQuery {
 
     /// Selectivity of the Q3 pre-join filters (auction category / person
     /// state predicates).
-    const Q3_FILTER_SELECTIVITY: f64 = 0.25;
+    pub const Q3_FILTER_SELECTIVITY: f64 = 0.25;
 
     /// The main operator's aggregate input rate as a fraction of the total
     /// offered rate, under optimally provisioned upstreams: 1 for every
     /// query whose main consumes the feeds directly, the filter
     /// selectivity for Q3 (both feeds pass a selectivity-0.25 filter).
-    fn main_input_fraction(&self) -> f64 {
+    pub fn main_input_fraction(&self) -> f64 {
         match self {
             NexmarkQuery::Q3 => Self::Q3_FILTER_SELECTIVITY,
             _ => 1.0,
@@ -181,7 +177,7 @@ impl NexmarkQuery {
     }
 
     /// Average selectivity of the main operator (outputs per input record).
-    fn main_selectivity(&self) -> f64 {
+    pub fn main_selectivity(&self) -> f64 {
         match self {
             NexmarkQuery::Q1 => 1.0,
             NexmarkQuery::Q2 => 1.0 / 123.0,
@@ -191,6 +187,74 @@ impl NexmarkQuery {
             NexmarkQuery::Q11 => 0.02,
         }
     }
+
+    /// The query's dataflow. Operators are created feeds first (in
+    /// [`source_shares`](Self::source_shares) order), then Q3's
+    /// `filter_auctions`, `filter_persons` and join, Q8's window join, or
+    /// every other query's main and `sink`; ids follow that order. Ids
+    /// set map iteration order and topological tie-breaks, so reordering
+    /// the creation changes every generated scenario and setup.
+    pub fn plan(&self) -> QueryPlan {
+        let mut b = GraphBuilder::new();
+        let mut ids: Vec<OperatorId> = self
+            .source_shares()
+            .iter()
+            .map(|&(feed, _)| b.operator(feed))
+            .collect();
+        let main = match self {
+            NexmarkQuery::Q3 => {
+                // auctions -> filter_auctions -> join <- filter_persons <- persons.
+                let fa = b.operator("filter_auctions");
+                let fp = b.operator("filter_persons");
+                let join = b.operator(self.main_operator_name());
+                b.connect(ids[0], fa);
+                b.connect(ids[1], fp);
+                b.connect(fa, join);
+                b.connect(fp, join);
+                ids.extend([fa, fp, join]);
+                join
+            }
+            NexmarkQuery::Q8 => {
+                // auctions + persons -> window_join (also the sink).
+                let join = b.operator(self.main_operator_name());
+                b.connect(ids[0], join);
+                b.connect(ids[1], join);
+                ids.push(join);
+                join
+            }
+            _ => {
+                // bids -> main -> sink.
+                let main = b.operator(self.main_operator_name());
+                let sink = b.operator("sink");
+                b.connect(ids[0], main);
+                b.connect(main, sink);
+                ids.extend([main, sink]);
+                main
+            }
+        };
+        let graph = b.build().expect("nexmark query plans are valid DAGs");
+        QueryPlan { graph, ids, main }
+    }
+}
+
+/// One query's dataflow: the single definition the matrix lowering and
+/// `ds2-nexmark`'s setups build from.
+#[derive(Debug)]
+pub struct QueryPlan {
+    /// The logical dataflow.
+    pub graph: LogicalGraph,
+    /// All operators in creation order, feeds first.
+    pub ids: Vec<OperatorId>,
+    /// The operator whose parallelism the paper reports.
+    pub main: OperatorId,
+}
+
+/// Safety margin in instances of a main operator calibrated for optimum
+/// `p_star`: capacity is set so the requirement lands at `p* - margin`.
+/// Proportional to `p*` so the relative headroom covers hidden overhead,
+/// but below one instance so the ceiling still lands exactly on `p*`.
+pub fn safety_margin(p_star: usize) -> f64 {
+    (0.04 * p_star as f64).clamp(0.3, 0.75)
 }
 
 /// The scenario family axis: the synthetic generator or one Nexmark query.
@@ -304,8 +368,7 @@ fn calibrated_main(
         knee: 0.6 * p,
         width: (0.1 * p).max(0.5),
     };
-    let margin = (0.04 * p).clamp(0.3, 0.75);
-    let real_cost_at_star = 1e9 / (rate / (p - margin));
+    let real_cost_at_star = 1e9 / (rate / (p - safety_margin(p_star)));
     let base_real = real_cost_at_star / curve.multiplier(p_star);
     let hidden_fraction = rng.gen_range(0.01..0.03);
     OperatorProfile::simple(base_real * (1.0 - hidden_fraction), selectivity)
@@ -336,15 +399,17 @@ pub(crate) fn lower(
     BTreeMap<OperatorId, SourceSpec>,
     Deployment,
 ) {
-    let mut b = GraphBuilder::new();
+    let QueryPlan { graph, ids, main } = query.plan();
     let shares = query.source_shares();
-    let mut ids: Vec<OperatorId> = Vec::new();
-    let mut sources = BTreeMap::new();
-    for &(feed, share) in shares {
-        let src = b.operator(feed);
-        ids.push(src);
-        sources.insert(src, workload.spec.scaled(share));
-    }
+    let sources = ids
+        .iter()
+        .zip(shares)
+        .map(|(&src, &(_, share))| (src, workload.spec.scaled(share)))
+        .collect();
+    let shape = match shares.len() {
+        1 => TopologyShape::Chain,
+        _ => TopologyShape::MultiSource,
+    };
 
     // p* scaled around the paper's reported parallelism, bounded well
     // inside the matrix's parallelism budget.
@@ -353,55 +418,25 @@ pub(crate) fn lower(
     let total_rate = workload.final_rate;
     let sel = query.main_selectivity();
 
+    // Size the support operators (the sink, or Q3's filters).
     let mut profiles = ProfileMap::new();
-    let (shape, main, main_input) = match query {
-        NexmarkQuery::Q1 | NexmarkQuery::Q2 => {
-            // bids -> main -> sink.
-            let main = b.operator(query.main_operator_name());
-            let sink = b.operator("sink");
-            b.connect(ids[0], main);
-            b.connect(main, sink);
-            ids.push(main);
-            ids.push(sink);
-            let p_sink = rng.gen_range(1..=4);
-            profiles.insert(sink, support_profile(total_rate * sel, p_sink, 0.0));
-            (TopologyShape::Chain, main, total_rate)
-        }
+    let main_input = match query {
         NexmarkQuery::Q3 => {
-            // auctions -> filter_auctions -> join <- filter_persons <- persons.
-            let fa = b.operator("filter_auctions");
-            let fp = b.operator("filter_persons");
-            let join = b.operator(query.main_operator_name());
-            b.connect(ids[0], fa);
-            b.connect(ids[1], fp);
-            b.connect(fa, join);
-            b.connect(fp, join);
-            ids.extend([fa, fp, join]);
             let filter_sel = NexmarkQuery::Q3_FILTER_SELECTIVITY;
             let (ra, rp) = (total_rate * shares[0].1, total_rate * shares[1].1);
+            let (fa, fp) = (ids[2], ids[3]);
             profiles.insert(fa, support_profile(ra, rng.gen_range(2..=6), filter_sel));
             profiles.insert(fp, support_profile(rp, rng.gen_range(1..=3), filter_sel));
-            (TopologyShape::MultiSource, join, filter_sel * (ra + rp))
+            filter_sel * (ra + rp)
         }
-        NexmarkQuery::Q8 => {
-            // auctions + persons -> window_join (also the sink).
-            let join = b.operator(query.main_operator_name());
-            b.connect(ids[0], join);
-            b.connect(ids[1], join);
-            ids.push(join);
-            (TopologyShape::MultiSource, join, total_rate)
-        }
-        NexmarkQuery::Q5 | NexmarkQuery::Q11 => {
-            // bids -> windowed main -> sink.
-            let main = b.operator(query.main_operator_name());
-            let sink = b.operator("sink");
-            b.connect(ids[0], main);
-            b.connect(main, sink);
-            ids.push(main);
-            ids.push(sink);
-            let p_sink = rng.gen_range(1..=3);
-            profiles.insert(sink, support_profile(total_rate * sel, p_sink, 0.0));
-            (TopologyShape::Chain, main, total_rate)
+        NexmarkQuery::Q8 => total_rate,
+        _ => {
+            let p_sink = match query {
+                NexmarkQuery::Q1 | NexmarkQuery::Q2 => rng.gen_range(1..=4),
+                _ => rng.gen_range(1..=3),
+            };
+            profiles.insert(ids[2], support_profile(total_rate * sel, p_sink, 0.0));
+            total_rate
         }
     };
 
@@ -414,9 +449,6 @@ pub(crate) fn lower(
         main_profile = main_profile.with_skew(hot);
     }
     profiles.insert(main, main_profile);
-
-    let graph = b.build().expect("nexmark query plans are valid DAGs");
-    debug_assert_eq!(graph.sources().len(), shares.len());
 
     let mut initial = Deployment::uniform(&graph, 1);
     let (plo, phi) = config.initial_parallelism;
@@ -493,6 +525,12 @@ mod tests {
                 let a = ScenarioSpec::generate(seed, &cfg);
                 let b = ScenarioSpec::generate(seed, &cfg);
                 assert_eq!(a.family, ScenarioFamily::Nexmark(q));
+                // The feeds lead the creation-order ids, like every topology.
+                assert_eq!(
+                    &a.topology.ids[..q.source_shares().len()],
+                    a.topology.graph.sources(),
+                    "{q:?}"
+                );
                 assert_eq!(a.topology.ids, b.topology.ids, "{q:?}");
                 assert_eq!(a.topology.graph.edges(), b.topology.graph.edges(), "{q:?}");
                 assert_eq!(a.profiles, b.profiles, "{q:?}");

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example nexmark_convergence -- Q5 8`
 //! (defaults to Q3 from parallelism 8).
 
-use ds2::nexmark::profiles::{expected_flink_parallelism, setup};
+use ds2::nexmark::profiles::setup;
 use ds2::prelude::*;
 use ds2_core::deployment::Deployment;
 use ds2_core::manager::{ManagerConfig, ScalingManager};
@@ -14,17 +14,10 @@ use ds2_simulator::harness::{ClosedLoop, HarnessConfig};
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    let query = match args.get(1).map(String::as_str) {
-        Some("Q1") => QueryId::Q1,
-        Some("Q2") => QueryId::Q2,
-        Some("Q3") | None => QueryId::Q3,
-        Some("Q5") => QueryId::Q5,
-        Some("Q8") => QueryId::Q8,
-        Some("Q11") => QueryId::Q11,
-        Some(other) => {
-            eprintln!("unknown query {other}; use Q1, Q2, Q3, Q5, Q8 or Q11");
-            std::process::exit(1);
-        }
+    let name = args.get(1).map_or("Q3", String::as_str);
+    let Some(query) = QueryId::ALL.into_iter().find(|q| q.name() == name) else {
+        eprintln!("unknown query {name}; use Q1, Q2, Q3, Q5, Q8 or Q11");
+        std::process::exit(1);
     };
     let initial: usize = args.get(2).and_then(|s| s.parse().ok()).unwrap_or(8).max(1);
 
@@ -32,7 +25,7 @@ fn main() {
     println!(
         "{} on the Flink personality, initial parallelism {initial}, paper optimum {}",
         query.name(),
-        expected_flink_parallelism(query)
+        query.reference_parallelism()
     );
 
     let engine = FluidEngine::new(

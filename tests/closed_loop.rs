@@ -7,7 +7,7 @@ use ds2::prelude::*;
 use ds2_bench::experiments::heron::{run_dhalion_heron, run_ds2_heron};
 use ds2_core::manager::{ManagerConfig, ScalingManager};
 use ds2_core::policy::PolicyConfig;
-use ds2_nexmark::profiles::{expected_flink_parallelism, setup};
+use ds2_nexmark::profiles::setup;
 use ds2_simulator::harness::{ClosedLoop, HarnessConfig, RunResult};
 
 fn run_query(
@@ -68,7 +68,7 @@ fn all_queries_converge_from_below() {
         );
         assert_eq!(
             *steps.last().unwrap(),
-            expected_flink_parallelism(q),
+            q.reference_parallelism(),
             "{q:?} converged to {steps:?}"
         );
         assert!(
@@ -85,7 +85,7 @@ fn all_queries_converge_from_above() {
     for q in QueryId::ALL {
         let (result, main) = run_query(q, 32, 600_000_000_000);
         let steps = result.parallelism_steps(main, 32);
-        let expected = expected_flink_parallelism(q);
+        let expected = q.reference_parallelism();
         assert_eq!(*steps.last().unwrap(), expected, "{q:?}: {steps:?}");
         // No undershoot at any point.
         for &p in &steps[1..] {

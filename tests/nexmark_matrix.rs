@@ -1,15 +1,12 @@
 //! Golden-shape tests for the nexmark scenario family: the simulator's
-//! lowering (`ds2_simulator::scenarios::nexmark`) is pinned operator by
-//! operator against `ds2_nexmark::profiles` — the two crates cannot share
-//! the types (`ds2-nexmark` depends on `ds2-simulator`), so this root
-//! test is the bridge that keeps them in lockstep — and DS2's converged
-//! parallelism on the reference scenarios must be consistent with the
-//! paper's reported per-query configurations
-//! (`expected_flink_parallelism`).
+//! lowering (`ds2_simulator::scenarios::nexmark`) keeps each query's
+//! windows and hot-key classes, and DS2's converged parallelism on the
+//! reference scenarios is consistent with the paper's reported per-query
+//! configurations (`NexmarkQuery::reference_parallelism`). The lowering
+//! and `ds2_nexmark::profiles::setup` build from the same
+//! `NexmarkQuery::plan`, so their topologies agree by construction.
 
-use std::collections::BTreeSet;
-
-use ds2::nexmark::profiles::{expected_flink_parallelism, setup, QueryId, Target};
+use ds2::nexmark::profiles::{setup, Target};
 use ds2::simulator::profile::OutputMode;
 use ds2::simulator::scenarios::nexmark::reference_spec;
 use ds2::simulator::scenarios::{
@@ -17,84 +14,11 @@ use ds2::simulator::scenarios::{
     ScenarioMatrix, ScenarioSpec, WorkloadShape,
 };
 
-/// The 1:1 correspondence between the simulator's family enum and the
-/// nexmark crate's query ids.
-fn query_id(q: NexmarkQuery) -> QueryId {
-    match q {
-        NexmarkQuery::Q1 => QueryId::Q1,
-        NexmarkQuery::Q2 => QueryId::Q2,
-        NexmarkQuery::Q3 => QueryId::Q3,
-        NexmarkQuery::Q5 => QueryId::Q5,
-        NexmarkQuery::Q8 => QueryId::Q8,
-        NexmarkQuery::Q11 => QueryId::Q11,
-    }
-}
-
 fn family_config(q: NexmarkQuery) -> GeneratorConfig {
     GeneratorConfig {
         families: vec![ScenarioFamily::Nexmark(q)],
         run_duration_ns: 200_000_000_000,
         ..Default::default()
-    }
-}
-
-/// Golden shapes: for every query, the lowered topology matches the
-/// `ds2-nexmark` Flink query plan — same operator names, same edges, same
-/// main operator, and the reference parallelism equals the paper's
-/// reported optimum.
-#[test]
-fn lowered_topologies_match_the_nexmark_crate() {
-    for q in NexmarkQuery::ALL {
-        let reference = setup(query_id(q), Target::Flink);
-        let spec = ScenarioSpec::generate(1, &family_config(q));
-        let lowered = &spec.topology.graph;
-
-        let lowered_ops: BTreeSet<&str> = lowered.operators().map(|op| lowered.name(op)).collect();
-        let reference_ops: BTreeSet<&str> = reference
-            .graph
-            .operators()
-            .map(|op| reference.graph.name(op))
-            .collect();
-        assert_eq!(lowered_ops, reference_ops, "{q:?}: operator sets differ");
-        assert_eq!(lowered.len(), reference.graph.len(), "{q:?}");
-
-        let lowered_edges: BTreeSet<(String, String)> = lowered
-            .edges()
-            .iter()
-            .map(|e| {
-                (
-                    lowered.name(e.from).to_string(),
-                    lowered.name(e.to).to_string(),
-                )
-            })
-            .collect();
-        let reference_edges: BTreeSet<(String, String)> = reference
-            .graph
-            .edges()
-            .iter()
-            .map(|e| {
-                (
-                    reference.graph.name(e.from).to_string(),
-                    reference.graph.name(e.to).to_string(),
-                )
-            })
-            .collect();
-        assert_eq!(lowered_edges, reference_edges, "{q:?}: edges differ");
-
-        assert_eq!(
-            q.main_operator_name(),
-            reference.graph.name(reference.main_operator),
-            "{q:?}: main operator differs"
-        );
-        assert_eq!(
-            q.reference_parallelism(),
-            expected_flink_parallelism(query_id(q)),
-            "{q:?}: reference parallelism off the paper's"
-        );
-        // Sources lead the creation-order id list, like every topology.
-        let n_sources = lowered.sources().len();
-        assert_eq!(&spec.topology.ids[..n_sources], lowered.sources(), "{q:?}");
-        assert_eq!(n_sources, reference.graph.sources().len(), "{q:?}");
     }
 }
 
@@ -120,7 +44,7 @@ fn lowered_windows_and_skew_classes_are_pinned() {
     ];
     for (q, periods) in expected_periods {
         assert_eq!(q.window_periods(), periods, "{q:?}: period set drifted");
-        let reference = setup(query_id(q), Target::Flink);
+        let reference = setup(q, Target::Flink);
         let reference_windowed = matches!(
             reference.profiles[&reference.main_operator].output,
             OutputMode::Windowed { .. }
@@ -186,12 +110,12 @@ fn ds2_convergence_is_consistent_with_expected_flink_ordering() {
         // reported configuration.
         assert_eq!(
             spec.optimal_parallelism()[&main],
-            expected_flink_parallelism(query_id(q)),
+            q.reference_parallelism(),
             "{q:?}: reference optimum off the paper's parallelism"
         );
         let result = matrix.run_one_raw(&spec, ControllerKind::Ds2, &mut arena);
         let p = result.final_deployment.parallelism(main);
-        let expected = expected_flink_parallelism(query_id(q));
+        let expected = q.reference_parallelism();
         assert!(
             (p as i64 - expected as i64).abs() <= 1,
             "{q:?}: converged {p}, paper reports {expected}"
