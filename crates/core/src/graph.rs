@@ -6,7 +6,6 @@
 //! *sinks*. The logical graph is static: scaling decisions change only the
 //! *physical* graph (how many instances run each operator), never `G` itself.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::error::Ds2Error;
@@ -282,15 +281,6 @@ impl LogicalGraph {
     /// Downstream operator ids of `id`.
     pub fn downstream(&self, id: OperatorId) -> Vec<OperatorId> {
         self.downstream_edges(id).map(|e| e.to).collect()
-    }
-
-    /// Builds a map from operator name to id for every operator.
-    pub fn name_map(&self) -> BTreeMap<String, OperatorId> {
-        self.names
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (n.clone(), OperatorId(i)))
-            .collect()
     }
 }
 

@@ -64,11 +64,6 @@ impl MetricsSnapshot {
         self.records_dropped.clear();
     }
 
-    /// Inserts metrics for one operator.
-    pub fn insert_operator(&mut self, op: OperatorId, metrics: OperatorMetrics) {
-        self.operators.insert(op, metrics);
-    }
-
     /// Inserts per-instance metrics for one operator.
     pub fn insert_instances(&mut self, op: OperatorId, instances: Vec<InstanceMetrics>) {
         self.operators.insert(op, OperatorMetrics::new(instances));

@@ -78,11 +78,6 @@ impl EventGenerator {
         })
     }
 
-    /// Number of events generated so far.
-    pub fn events_generated(&self) -> u64 {
-        self.next_event_number
-    }
-
     fn event_timestamp(&self, event_number: u64) -> u64 {
         event_number * self.config.inter_event_gap_us / 1_000
     }

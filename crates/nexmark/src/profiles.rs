@@ -209,18 +209,18 @@ mod tests {
     #[test]
     fn setups_are_pinned_bit_for_bit() {
         let pinned: [(QueryId, Target, u64); 12] = [
-            (QueryId::Q1, Target::Flink, 0xf162_e798_f73a_9c9a),
-            (QueryId::Q2, Target::Flink, 0xd296_409c_81a9_3bc1),
-            (QueryId::Q3, Target::Flink, 0x666c_4f4c_92cd_7dc8),
-            (QueryId::Q5, Target::Flink, 0xf471_3a72_22e3_c2e9),
-            (QueryId::Q8, Target::Flink, 0x5856_0f2e_f8d3_37b2),
-            (QueryId::Q11, Target::Flink, 0x4ab4_dbd8_9b54_ae76),
-            (QueryId::Q1, Target::Timely, 0x5c35_64dd_3652_b672),
-            (QueryId::Q2, Target::Timely, 0x5402_3d16_cfe1_93df),
-            (QueryId::Q3, Target::Timely, 0x52e5_1326_7156_977b),
-            (QueryId::Q5, Target::Timely, 0xd5b8_8039_d50d_d549),
-            (QueryId::Q8, Target::Timely, 0x30ef_3460_90eb_f598),
-            (QueryId::Q11, Target::Timely, 0x677d_8fef_7c3d_57f3),
+            (QueryId::Q1, Target::Flink, 0x2d02_33c7_56e9_959c),
+            (QueryId::Q2, Target::Flink, 0xbb18_5460_7950_09a1),
+            (QueryId::Q3, Target::Flink, 0x1c1c_7841_fcfe_d060),
+            (QueryId::Q5, Target::Flink, 0xc1cd_a6e3_1e54_4de5),
+            (QueryId::Q8, Target::Flink, 0x2e70_2515_6236_aa92),
+            (QueryId::Q11, Target::Flink, 0x0e6d_3cd5_2ed8_6c56),
+            (QueryId::Q1, Target::Timely, 0x4005_b817_0747_a0b2),
+            (QueryId::Q2, Target::Timely, 0x149f_22cf_40db_a44d),
+            (QueryId::Q3, Target::Timely, 0x252f_75a8_25bd_8db9),
+            (QueryId::Q5, Target::Timely, 0xa245_000d_9f0c_59eb),
+            (QueryId::Q8, Target::Timely, 0x3486_87c7_5434_d572),
+            (QueryId::Q11, Target::Timely, 0xb066_d88b_356c_6c89),
         ];
         for (q, t, expected) in pinned {
             let hash = format!("{:?}", setup(q, t))

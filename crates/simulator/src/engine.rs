@@ -1583,26 +1583,17 @@ impl FluidEngine {
     /// Source emission for one tick (blocking personalities consult
     /// downstream queue space; Timely never blocks).
     fn source_emit<const LOG: bool>(&mut self, op: OperatorId, stats: &mut TickStats, tick_s: f64) {
-        let (offered, generation_cost_ns, durable_backlog) = {
+        let (offered, durable_backlog) = {
             let spec = &self.sources[op];
             (
                 spec.schedule.rate_at(self.now_ns) * tick_s,
-                spec.generation_cost_ns,
                 spec.durable_backlog,
             )
         };
         stats.offered.insert(op, offered);
 
-        let p = self.deployment.parallelism(op).max(1) as f64;
         let tick_ns = self.cfg.tick_ns as f64;
-
         let mut budget = offered + self.backlog[op.index()];
-
-        // Generation capacity of the source instances themselves.
-        if generation_cost_ns > 0.0 {
-            let cap = p * tick_ns / generation_cost_ns;
-            budget = budget.min(cap);
-        }
 
         // Heron: a raised backpressure signal pauses the spout entirely.
         if self.cfg.mode == EngineMode::Heron && self.heron_backpressure {
@@ -1644,18 +1635,14 @@ impl FluidEngine {
         // Source instance counters: emission is useful output work.
         let st = &mut self.states[op.index()];
         let n_inst = st.instances().max(1) as f64;
-        let busy_per_inst = if generation_cost_ns > 0.0 {
-            (emit / n_inst) * generation_cost_ns
+        // Generators are costless: model a nominal utilization proportional
+        // to achieved vs offered so rates stay defined.
+        let frac = if offered > 0.0 {
+            (emit / offered).min(1.0)
         } else {
-            // Costless generators: model a nominal utilization proportional
-            // to achieved vs offered so rates stay defined.
-            let frac = if offered > 0.0 {
-                (emit / offered).min(1.0)
-            } else {
-                0.0
-            };
-            frac * tick_ns * 0.5
+            0.0
         };
+        let busy_per_inst = frac * tick_ns * 0.5;
         for class in &mut st.accs {
             class.acc.records_out += emit / n_inst;
             class.acc.useful_ns += busy_per_inst.min(tick_ns);
@@ -2514,7 +2501,6 @@ mod tests {
                 bytes_per_source_rate: 1e6,
                 spill_cost_multiplier: 2.0,
                 budget_per_instance_bytes: 2e8,
-                ..Default::default()
             }),
         );
         let mut sources = BTreeMap::new();
@@ -2569,8 +2555,7 @@ mod tests {
             let mut p1 = OperatorProfile::with_capacity(500.0, 1.2);
             if stateful {
                 p1 = p1.with_state(StateProfile {
-                    base_bytes: 1e8,
-                    bytes_per_source_rate: 1e4,
+                    bytes_per_source_rate: 1e5,
                     spill_cost_multiplier: 3.0,
                     budget_per_instance_bytes: f64::INFINITY,
                 });
@@ -2604,7 +2589,8 @@ mod tests {
             );
         }
         assert_eq!(sa.state_bytes(ids[1]), None);
-        assert_eq!(sb.state_bytes(ids[1]), Some(5e7 + 4.5e6));
+        // 1e5 B per record/s × 900 records/s, over 2 instances.
+        assert_eq!(sb.state_bytes(ids[1]), Some(4.5e7));
     }
 
     #[test]

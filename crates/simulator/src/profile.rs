@@ -24,11 +24,6 @@ use std::collections::BTreeMap;
 pub enum ScalingCurve {
     /// Perfect scaling: cost independent of parallelism (the model's ideal).
     Linear,
-    /// Cost multiplier `1 + alpha * (p - 1)`: unbounded sub-linear scaling.
-    Sublinear {
-        /// Per-added-instance fractional cost growth.
-        alpha: f64,
-    },
     /// Cost multiplier `1 + alpha * (1 - exp(-(p-1)/knee))`: overhead that
     /// saturates at `1 + alpha`, modelling coordination costs that stop
     /// growing once the communication fabric is saturated.
@@ -62,7 +57,6 @@ impl ScalingCurve {
         let p = p.max(1) as f64;
         match *self {
             ScalingCurve::Linear => 1.0,
-            ScalingCurve::Sublinear { alpha } => 1.0 + alpha * (p - 1.0),
             ScalingCurve::Saturating { alpha, knee } => {
                 1.0 + alpha * (1.0 - (-(p - 1.0) / knee.max(1e-9)).exp())
             }
@@ -107,7 +101,7 @@ impl OutputMode {
 /// the instances carry as a function of the offered source rate, and what
 /// happens when an instance's share exceeds its budget.
 ///
-/// Total operator state is `base_bytes + bytes_per_source_rate × rate`
+/// Total operator state is `bytes_per_source_rate × rate`
 /// (rate = total offered source rate in records/s), divided evenly across
 /// the instances. When the per-instance share exceeds the budget the
 /// operator *spills*: its per-record cost is multiplied by
@@ -115,8 +109,6 @@ impl OutputMode {
 /// a rate-only model cannot see.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StateProfile {
-    /// Rate-independent state, in bytes.
-    pub base_bytes: f64,
     /// Additional state per unit of offered source rate, in bytes per
     /// (record/second). Any dataflow dilution (selectivity of upstream
     /// operators) is folded in by the generator, so the engine only needs
@@ -132,7 +124,6 @@ pub struct StateProfile {
 impl Default for StateProfile {
     fn default() -> Self {
         Self {
-            base_bytes: 0.0,
             bytes_per_source_rate: 0.0,
             spill_cost_multiplier: 1.0,
             budget_per_instance_bytes: f64::INFINITY,
@@ -143,7 +134,7 @@ impl Default for StateProfile {
 impl StateProfile {
     /// Total operator state at offered source rate `rate`, in bytes.
     pub fn total_bytes(&self, rate: f64) -> f64 {
-        self.base_bytes + self.bytes_per_source_rate * rate
+        self.bytes_per_source_rate * rate
     }
 }
 
@@ -380,13 +371,6 @@ mod tests {
     }
 
     #[test]
-    fn sublinear_curve_grows() {
-        let c = ScalingCurve::Sublinear { alpha: 0.1 };
-        assert_eq!(c.multiplier(1), 1.0);
-        assert!((c.multiplier(11) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn saturating_curve_caps() {
         let c = ScalingCurve::Saturating {
             alpha: 0.5,
@@ -435,10 +419,13 @@ mod tests {
 
     #[test]
     fn sublinear_scaling_reduces_measured_capacity() {
-        let p = OperatorProfile::simple(100.0, 1.0)
-            .with_scaling(ScalingCurve::Sublinear { alpha: 0.05 });
+        let p = OperatorProfile::simple(100.0, 1.0).with_scaling(ScalingCurve::Saturating {
+            alpha: 0.5,
+            knee: 4.0,
+        });
         assert!(p.measured_capacity(10) < p.measured_capacity(1));
-        let expected = 1e9 / (100.0 * 1.45);
+        // Multiplier at p = 10: 1 + 0.5 * (1 - e^(-9/4)).
+        let expected = 1e9 / (100.0 * (1.0 + 0.5 * (1.0 - (-2.25f64).exp())));
         assert!((p.measured_capacity(10) - expected).abs() < 1e-6);
     }
 
@@ -528,12 +515,11 @@ mod tests {
     #[test]
     fn state_bytes_divides_across_instances() {
         let p = OperatorProfile::default().with_state(StateProfile {
-            base_bytes: 1e6,
-            bytes_per_source_rate: 1e3,
+            bytes_per_source_rate: 1.5e3,
             spill_cost_multiplier: 3.0,
             budget_per_instance_bytes: f64::INFINITY,
         });
-        // 1e6 + 1e3 * 2000 = 3e6 total, over 4 instances.
+        // 1.5e3 * 2000 = 3e6 total, over 4 instances.
         assert!((p.state_bytes(4, 2_000.0) - 7.5e5).abs() < 1e-6);
         let stateless = OperatorProfile::default();
         assert_eq!(stateless.state_bytes(4, 2_000.0), 0.0);

@@ -229,12 +229,6 @@ impl EpochQueue {
         self.spans.clear();
         self.total = 0.0;
     }
-
-    /// Replaces the capacity, keeping contents (even if above the new cap;
-    /// excess drains naturally).
-    pub fn set_capacity(&mut self, capacity: f64) {
-        self.capacity = capacity;
-    }
 }
 
 #[cfg(test)]

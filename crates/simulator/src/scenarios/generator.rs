@@ -7,12 +7,17 @@
 //! function of the seed, which is what makes the matrix reproducible: a
 //! failing scenario is reported as its seed and can be regenerated
 //! bit-for-bit.
+//!
+//! Every generated family has one skeleton: the family function makes its
+//! own draws first (topology, workload, victim operator, …), then the shared
+//! `assemble` step draws selectivities, calls the family's profile closure
+//! per operator and draws the initial deployment.
 
 use std::collections::BTreeMap;
 use std::ops::Range;
 
 use ds2_core::deployment::Deployment;
-use ds2_core::graph::OperatorId;
+use ds2_core::graph::{LogicalGraph, OperatorId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -36,7 +41,8 @@ pub struct GeneratorConfig {
     /// configs generate bit-identical scenarios to configs predating the
     /// family axis.
     pub families: Vec<ScenarioFamily>,
-    /// Topology families to draw from (synthetic scenarios only).
+    /// Topology families to draw from (synthetic, hot-key and
+    /// state-pressure scenarios; Nexmark queries bring their own plan).
     pub shapes: Vec<TopologyShape>,
     /// Workload families to draw from.
     pub workloads: Vec<WorkloadShape>,
@@ -122,29 +128,10 @@ impl ScenarioSpec {
                 config.families[family_rng.gen_range(0..n)]
             }
         };
-        let mut rng = SmallRng::seed_from_u64(seed ^ family.scenario_salt());
+        let rng = SmallRng::seed_from_u64(seed ^ family.scenario_salt());
         match family {
             ScenarioFamily::Synthetic => Self::generate_synthetic(seed, config, rng),
-            ScenarioFamily::Nexmark(query) => {
-                let workload_shape = config.workloads[rng.gen_range(0..config.workloads.len())];
-                let workload = Workload::generate(
-                    workload_shape,
-                    config.run_duration_ns,
-                    config.rate_range,
-                    &mut rng,
-                );
-                let (topology, profiles, sources, initial) =
-                    nexmark::lower(query, &workload, config, &mut rng);
-                ScenarioSpec {
-                    seed,
-                    family,
-                    topology,
-                    workload,
-                    profiles,
-                    sources,
-                    initial,
-                }
-            }
+            ScenarioFamily::Nexmark(query) => nexmark::lower(seed, query, config, rng),
             ScenarioFamily::HotKey => Self::generate_hot_key(seed, config, rng),
             ScenarioFamily::StatePressure => Self::generate_state_pressure(seed, config, rng),
         }
@@ -163,43 +150,11 @@ impl ScenarioSpec {
             config.rate_range,
             &mut rng,
         );
-
-        // Cumulative flow into/out of each operator as a multiple of the
-        // source rate (fan-in *sums* parent flows, so a max-path bound
-        // would still let flow compound through deep layered graphs), used
-        // to clamp per-operator selectivity so rates neither vanish nor
-        // explode.
-        let mut cum_sel: BTreeMap<OperatorId, f64> = BTreeMap::new();
-        let mut profiles = ProfileMap::new();
-        let graph = &topology.graph;
         // One randomly chosen non-source operator carries the hot key in
         // skewed scenarios (KeySkew, SpikeSkew).
-        let non_source: Vec<OperatorId> = graph
-            .operators()
-            .filter(|&op| !graph.is_source(op))
-            .collect();
-        let skew_victim = non_source[rng.gen_range(0..non_source.len())];
-
-        for op in graph.topological_order().collect::<Vec<_>>() {
-            if graph.is_source(op) {
-                cum_sel.insert(op, 1.0);
-                continue;
-            }
-            let upstream_cum = graph
-                .upstream_edges(op)
-                .map(|e| cum_sel[&e.from])
-                .sum::<f64>()
-                .max(1e-6);
-            // Keep every operator's output flow within [0.25, 2] source
-            // rates: fan-in sums and deep chains must not drive target
-            // rates (hence optimal parallelism and simulation cost) beyond
-            // the matrix budget.
-            let sel = rng
-                .gen_range(SELECTIVITY_RANGE)
-                .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
-                .clamp(0.05, 8.0);
-            cum_sel.insert(op, upstream_cum * sel);
-
+        let skew_victim = pick_victim(&topology, &mut rng);
+        let skew = workload.skew_hot_fraction;
+        let profile = |op, _flow: f64, sel, rng: &mut SmallRng| {
             let capacity = rng.gen_range(CAPACITY_RANGE);
             let mut profile = OperatorProfile::with_capacity(capacity, sel);
             if rng.gen_bool(NONLINEAR_PROBABILITY) {
@@ -221,37 +176,13 @@ impl ScenarioSpec {
                 let hidden = profile.instrumented_cost_ns(1) * rng.gen_range(0.03..0.15);
                 profile = profile.with_hidden(hidden, ScalingCurve::Linear);
             }
-            if let Some(hot) = workload.skew_hot_fraction {
-                if op == skew_victim {
-                    profile = profile.with_skew(hot);
-                }
+            match skew {
+                Some(hot) if op == skew_victim => profile.with_skew(hot),
+                _ => profile,
             }
-            profiles.insert(op, profile);
-        }
-
-        // Every source runs the full workload schedule: a multi-source
-        // topology's merge stage sees `n_sources` times the per-feed rate,
-        // which is exactly what `target_rates` assumes.
-        let mut sources = BTreeMap::new();
-        for &src in graph.sources() {
-            sources.insert(src, workload.spec.clone());
-        }
-
-        let mut initial = Deployment::uniform(graph, 1);
-        let (plo, phi) = config.initial_parallelism;
-        for &op in &non_source {
-            initial.set(op, rng.gen_range(plo..=phi));
-        }
-
-        ScenarioSpec {
-            seed,
-            family: ScenarioFamily::Synthetic,
-            topology,
-            workload,
-            profiles,
-            sources,
-            initial,
-        }
+        };
+        let family = ScenarioFamily::Synthetic;
+        assemble(seed, family, config, topology, workload, rng, profile)
     }
 
     /// Hot-key family: one operator carries a *splittable* hot key class
@@ -265,76 +196,25 @@ impl ScenarioSpec {
         let topology = Topology::generate(shape, n_ops, &mut rng);
         let base = rng.gen_range(config.rate_range.0..config.rate_range.1);
         let hot = rng.gen_range(0.4..0.7);
-        let workload = Workload {
-            shape: WorkloadShape::KeySkew,
-            spec: SourceSpec::constant(base),
-            final_rate: base,
-            peak_rate: base,
-            last_change_ns: 0,
-            skew_hot_fraction: Some(hot),
-        };
-
-        let mut cum_sel: BTreeMap<OperatorId, f64> = BTreeMap::new();
-        let mut profiles = ProfileMap::new();
-        let graph = &topology.graph;
-        let non_source: Vec<OperatorId> = graph
-            .operators()
-            .filter(|&op| !graph.is_source(op))
-            .collect();
-        let victim = non_source[rng.gen_range(0..non_source.len())];
+        let workload =
+            Workload::from_steps(WorkloadShape::KeySkew, vec![(0, base)], base, Some(hot));
+        let victim = pick_victim(&topology, &mut rng);
         // How many single-instance capacities the hot class alone offers:
         // the skew plateau sits this far below the victim's target rate.
         let overload = rng.gen_range(2.0..6.0);
-
-        for op in graph.topological_order().collect::<Vec<_>>() {
-            if graph.is_source(op) {
-                cum_sel.insert(op, 1.0);
-                continue;
-            }
-            let upstream_cum = graph
-                .upstream_edges(op)
-                .map(|e| cum_sel[&e.from])
-                .sum::<f64>()
-                .max(1e-6);
-            let sel = rng
-                .gen_range(SELECTIVITY_RANGE)
-                .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
-                .clamp(0.05, 8.0);
-            cum_sel.insert(op, upstream_cum * sel);
-
-            let profile = if op == victim {
+        let profile = |op, flow: f64, sel, rng: &mut SmallRng| {
+            if op == victim {
                 // Pin the hot class at `overload` instance-capacities of the
                 // victim's target rate; the profile stays linear so the
                 // plateau is purely the key distribution's fault.
-                let target = upstream_cum * base;
-                let capacity = (hot * target / overload).max(30.0);
+                let capacity = (hot * (flow * base) / overload).max(30.0);
                 OperatorProfile::with_capacity(capacity, sel).with_splittable_skew(hot)
             } else {
-                let capacity = rng.gen_range(CAPACITY_RANGE);
-                OperatorProfile::with_capacity(capacity, sel)
-            };
-            profiles.insert(op, profile);
-        }
-
-        let mut sources = BTreeMap::new();
-        for &src in graph.sources() {
-            sources.insert(src, workload.spec.clone());
-        }
-        let mut initial = Deployment::uniform(graph, 1);
-        let (plo, phi) = config.initial_parallelism;
-        for &op in &non_source {
-            initial.set(op, rng.gen_range(plo..=phi));
-        }
-
-        ScenarioSpec {
-            seed,
-            family: ScenarioFamily::HotKey,
-            topology,
-            workload,
-            profiles,
-            sources,
-            initial,
-        }
+                OperatorProfile::with_capacity(rng.gen_range(CAPACITY_RANGE), sel)
+            }
+        };
+        let family = ScenarioFamily::HotKey;
+        assemble(seed, family, config, topology, workload, rng, profile)
     }
 
     /// State-pressure family: one stateful operator's total state grows
@@ -362,15 +242,7 @@ impl ScenarioSpec {
             config.rate_range,
             &mut rng,
         );
-
-        let mut cum_sel: BTreeMap<OperatorId, f64> = BTreeMap::new();
-        let mut profiles = ProfileMap::new();
-        let graph = &topology.graph;
-        let non_source: Vec<OperatorId> = graph
-            .operators()
-            .filter(|&op| !graph.is_source(op))
-            .collect();
-        let victim = non_source[rng.gen_range(0..non_source.len())];
+        let victim = pick_victim(&topology, &mut rng);
         // The victim's rate-optimal parallelism is drawn, not derived:
         // capacity is set so `p_rate` instances exactly sustain the final
         // rate, keeping the state floor (`pressure × p_rate`) under the
@@ -379,62 +251,25 @@ impl ScenarioSpec {
         let pressure = rng.gen_range(1.5..3.0);
         let spill = rng.gen_range(2.0..4.0);
         let budget = rng.gen_range(1.0e8..4.0e8);
-        let total_final: f64 = graph.sources().len() as f64 * workload.final_rate;
-
-        for op in graph.topological_order().collect::<Vec<_>>() {
-            if graph.is_source(op) {
-                cum_sel.insert(op, 1.0);
-                continue;
-            }
-            let upstream_cum = graph
-                .upstream_edges(op)
-                .map(|e| cum_sel[&e.from])
-                .sum::<f64>()
-                .max(1e-6);
-            let sel = rng
-                .gen_range(SELECTIVITY_RANGE)
-                .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
-                .clamp(0.05, 8.0);
-            cum_sel.insert(op, upstream_cum * sel);
-
-            let profile = if op == victim {
-                let target = upstream_cum * workload.final_rate;
-                let capacity = (target / p_rate as f64).max(30.0);
+        let final_rate = workload.final_rate;
+        let total_final = topology.graph.sources().len() as f64 * final_rate;
+        let profile = |op, flow: f64, sel, rng: &mut SmallRng| {
+            if op == victim {
+                let capacity = (flow * final_rate / p_rate as f64).max(30.0);
                 // Total state at the final rate lands `pressure` budgets
                 // above what `p_rate` instances can hold.
                 let total_bytes = budget * p_rate as f64 * pressure;
                 OperatorProfile::with_capacity(capacity, sel).with_state(StateProfile {
-                    base_bytes: 0.0,
                     bytes_per_source_rate: total_bytes / total_final,
                     spill_cost_multiplier: spill,
                     budget_per_instance_bytes: budget,
                 })
             } else {
-                let capacity = rng.gen_range(CAPACITY_RANGE);
-                OperatorProfile::with_capacity(capacity, sel)
-            };
-            profiles.insert(op, profile);
-        }
-
-        let mut sources = BTreeMap::new();
-        for &src in graph.sources() {
-            sources.insert(src, workload.spec.clone());
-        }
-        let mut initial = Deployment::uniform(graph, 1);
-        let (plo, phi) = config.initial_parallelism;
-        for &op in &non_source {
-            initial.set(op, rng.gen_range(plo..=phi));
-        }
-
-        ScenarioSpec {
-            seed,
-            family: ScenarioFamily::StatePressure,
-            topology,
-            workload,
-            profiles,
-            sources,
-            initial,
-        }
+                OperatorProfile::with_capacity(rng.gen_range(CAPACITY_RANGE), sel)
+            }
+        };
+        let family = ScenarioFamily::StatePressure;
+        assemble(seed, family, config, topology, workload, rng, profile)
     }
 
     /// The per-instance state budget this scenario's stateful operators
@@ -455,8 +290,8 @@ impl ScenarioSpec {
     /// Analytic target input rate per operator when every upstream keeps up
     /// with a total workload rate of `source_rate` (the ground truth of
     /// Eq. 8). Each source offers `source_rate` scaled by its share of the
-    /// workload's final rate: synthetic sources all run the full schedule
-    /// (share 1 — the merge stage of a multi-source topology sees the
+    /// workload's final rate: generated sources all run the full schedule
+    /// (share about 1 — the merge stage of a multi-source topology sees the
     /// sum), while nexmark feeds split one schedule at fixed ratios.
     pub fn target_rates(&self, source_rate: f64) -> BTreeMap<OperatorId, f64> {
         let graph = &self.topology.graph;
@@ -464,9 +299,11 @@ impl ScenarioSpec {
         let mut targets = BTreeMap::new();
         for op in graph.topological_order().collect::<Vec<_>>() {
             if graph.is_source(op) {
-                // `share == 1.0` exactly for synthetic sources (their
-                // schedule tail *is* the workload's final rate), keeping
-                // pre-family-axis targets bit-identical.
+                // `share == 1.0` exactly whenever the schedule tail *is*
+                // the workload's final rate, keeping pre-family-axis targets
+                // bit-identical. A `state_ramp` tail, `base + (top - base)`,
+                // can sit one ulp off its final rate `top`, and so can its
+                // share off 1.
                 let share = self.sources[&op].schedule.rate_at(u64::MAX) / self.workload.final_rate;
                 let rate = source_rate * share;
                 out_rate.insert(op, rate);
@@ -550,6 +387,92 @@ impl ScenarioSpec {
         }
         optimal
     }
+}
+
+/// The shared tail of every generated family, after the family's own
+/// draws: per operator in topological order, the selectivity draw and then
+/// `profile(op, upstream_flow, selectivity, rng)`; every source running the
+/// full workload spec; the initial deployment.
+///
+/// `upstream_flow` is the operator's input as a multiple of the per-source
+/// rate. Fan-in *sums* parent flows (a max-path bound would still let flow
+/// compound through deep layered graphs), so selectivity is clamped to keep
+/// every operator's output flow within [0.25, 2] source rates: target rates
+/// (hence optimal parallelism and simulation cost) stay within the matrix
+/// budget. Every source runs the full schedule, so a multi-source
+/// topology's merge stage sees `n_sources` times the per-feed rate, which
+/// is exactly what `target_rates` assumes.
+fn assemble(
+    seed: u64,
+    family: ScenarioFamily,
+    config: &GeneratorConfig,
+    topology: Topology,
+    workload: Workload,
+    mut rng: SmallRng,
+    mut profile: impl FnMut(OperatorId, f64, f64, &mut SmallRng) -> OperatorProfile,
+) -> ScenarioSpec {
+    let graph = &topology.graph;
+    let mut cum_sel: BTreeMap<OperatorId, f64> = BTreeMap::new();
+    let mut profiles = ProfileMap::new();
+    for op in graph.topological_order() {
+        if graph.is_source(op) {
+            cum_sel.insert(op, 1.0);
+            continue;
+        }
+        let upstream_cum = graph
+            .upstream_edges(op)
+            .map(|e| cum_sel[&e.from])
+            .sum::<f64>()
+            .max(1e-6);
+        let sel = rng
+            .gen_range(SELECTIVITY_RANGE)
+            .clamp(0.25 / upstream_cum, 2.0 / upstream_cum)
+            .clamp(0.05, 8.0);
+        cum_sel.insert(op, upstream_cum * sel);
+        profiles.insert(op, profile(op, upstream_cum, sel, &mut rng));
+    }
+    let sources = graph
+        .sources()
+        .iter()
+        .map(|&src| (src, workload.spec.clone()))
+        .collect();
+    let initial = initial_deployment(graph, config, &mut rng);
+    ScenarioSpec {
+        seed,
+        family,
+        topology,
+        workload,
+        profiles,
+        sources,
+        initial,
+    }
+}
+
+/// One uniform draw over the non-source operators, in id order.
+fn pick_victim(topology: &Topology, rng: &mut SmallRng) -> OperatorId {
+    let graph = &topology.graph;
+    let non_source = graph.len() - graph.sources().len();
+    let pick = rng.gen_range(0..non_source);
+    graph
+        .operators()
+        .filter(|&op| !graph.is_source(op))
+        .nth(pick)
+        .expect("pick is below the non-source count")
+}
+
+/// Every source at parallelism 1, every other operator at a parallelism
+/// drawn from `config.initial_parallelism`, in id order.
+pub(crate) fn initial_deployment(
+    graph: &LogicalGraph,
+    config: &GeneratorConfig,
+    rng: &mut SmallRng,
+) -> Deployment {
+    let mut initial = Deployment::uniform(graph, 1);
+    let (plo, phi) = config.initial_parallelism;
+    for op in graph.operators().filter(|&op| !graph.is_source(op)) {
+        initial.set(op, rng.gen_range(plo..=phi));
+    }
+    initial
 }
 
 #[cfg(test)]
@@ -829,6 +752,154 @@ mod tests {
                 "seed {seed}: {op} optimum p={p} cannot sustain the rate"
             );
             assert!(p <= 64, "seed {seed}: optimum {p} above the matrix cap");
+        }
+    }
+
+    /// The configs the spec pin covers: the default and headline mixes,
+    /// every topology × workload pair, each Nexmark query, and the hot-key
+    /// and state-pressure families under each topology shape.
+    fn pinned_configs() -> Vec<GeneratorConfig> {
+        let mut configs = vec![
+            GeneratorConfig::default(),
+            GeneratorConfig {
+                families: ScenarioFamily::headline_mix(),
+                ..Default::default()
+            },
+        ];
+        for shape in TopologyShape::ALL {
+            for workload in WorkloadShape::ALL {
+                configs.push(GeneratorConfig {
+                    shapes: vec![shape],
+                    workloads: vec![workload],
+                    ..Default::default()
+                });
+            }
+        }
+        for family in ScenarioFamily::ALL_NEXMARK {
+            configs.push(GeneratorConfig {
+                families: vec![family],
+                ..Default::default()
+            });
+        }
+        for family in [ScenarioFamily::HotKey, ScenarioFamily::StatePressure] {
+            for shape in TopologyShape::ALL {
+                configs.push(GeneratorConfig {
+                    families: vec![family],
+                    shapes: vec![shape],
+                    ..Default::default()
+                });
+            }
+        }
+        configs
+    }
+
+    /// Every generated spec over seeds 0..50 of each pinned config, bit for
+    /// bit: `Debug` prints each f64 in shortest round-trip form and specs
+    /// hold only ordered maps, so the FNV-1a hash of the `Debug` text
+    /// changes whenever any draw moves.
+    #[test]
+    fn generated_specs_are_pinned_bit_for_bit() {
+        const PINNED: [u64; 68] = [
+            0x89ba_7a1e_4916_8638,
+            0xd90b_9bbc_dd88_d36d,
+            0xf77e_25d2_b2de_650d,
+            0x2fd6_b0ea_6966_095c,
+            0x4109_5e31_3bfe_714f,
+            0x1aa4_226a_5403_42d8,
+            0x90a9_9054_13c2_2b58,
+            0xe864_1319_89b1_2348,
+            0x51b5_4291_903d_e96d,
+            0xc3d0_469e_7512_7218,
+            0x1ca0_e43d_82cc_ff05,
+            0xd2e7_4068_f6e1_15da,
+            0x5323_a49a_81ea_f4da,
+            0x5589_68c3_81d9_ef93,
+            0xccc7_d666_97aa_04af,
+            0x3483_caef_392b_4009,
+            0xa34b_1d67_2d94_80ca,
+            0xb21a_ac57_7f36_1310,
+            0xfd62_8fb2_3f3f_836c,
+            0xeee7_5323_a3ca_0e25,
+            0x8762_af26_d4bc_536c,
+            0x5866_6956_ec6f_b683,
+            0xe82c_c191_fb44_4523,
+            0x7d9b_4b7f_3ab5_1b39,
+            0xa2b7_d067_264f_5c81,
+            0x6ad0_ad51_4f66_3c7e,
+            0x2580_7711_fea7_2b79,
+            0xc742_ff6d_4bc0_9a4d,
+            0xff3e_4b5a_5297_000c,
+            0xdc4d_1ed6_cba7_827d,
+            0x606b_737d_f96b_b847,
+            0xd331_0f7a_7d3e_f6c1,
+            0x5b56_4578_f3ec_e884,
+            0x529b_415e_ad1a_cf9a,
+            0xbe41_25cd_b587_b28e,
+            0x678d_12df_58d6_54fb,
+            0xb694_d710_e1aa_b9e9,
+            0x8200_ac57_2003_0bf2,
+            0x040b_1c35_f2f1_5489,
+            0x3a58_f45f_59d6_01e8,
+            0x3960_8c79_b5af_4314,
+            0xba45_a99f_65cb_91dd,
+            0x97b6_a47d_f1fc_9297,
+            0xf46a_25af_a8fb_ad44,
+            0x2bc3_2ec1_529a_c8ef,
+            0x1719_798c_435e_7f44,
+            0x624f_fb9a_d581_3f20,
+            0x7b08_63fe_9f49_77d0,
+            0xba93_752b_173f_2f50,
+            0x5a84_dd01_9e8b_747e,
+            0xa4fb_8f6e_325c_d6b9,
+            0xf446_9140_8fd7_0233,
+            0x03e2_2ac3_b3ff_889b,
+            0xdacd_afc2_c82d_8a1b,
+            0x54ba_bfa0_2a0e_e588,
+            0x3411_5d20_bc27_4469,
+            0xcd12_f36c_0ad8_f45d,
+            0x5849_3d2c_b189_ff39,
+            0x61c1_5219_ec99_183d,
+            0xba1c_861a_0c32_8d16,
+            0x5401_759f_233b_1941,
+            0xea4d_e231_0627_aa2e,
+            0xffb6_0f41_4878_faa8,
+            0xea13_be73_a75a_707a,
+            0x695a_8c7b_8293_e6c1,
+            0x4582_d49b_3817_4275,
+            0x1f6d_bcdf_4410_a502,
+            0x252b_5106_2b95_f771,
+        ];
+        let configs = pinned_configs();
+        assert_eq!(configs.len(), PINNED.len());
+        for (i, (cfg, expected)) in configs.iter().zip(PINNED).enumerate() {
+            let hash = (0..50).fold(0xcbf2_9ce4_8422_2325u64, |h, seed| {
+                let s = ScenarioSpec::generate(seed, cfg);
+                let w = &s.workload;
+                let text = format!(
+                    "{:?}",
+                    (
+                        s.family,
+                        s.topology.shape,
+                        &s.topology.ids,
+                        &s.topology.graph,
+                        &s.profiles,
+                        &s.sources,
+                        &s.initial,
+                        w.shape,
+                        &w.spec,
+                        w.final_rate,
+                        w.last_change_ns,
+                        w.skew_hot_fraction,
+                    )
+                );
+                text.bytes()
+                    .fold(h, |h, b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+            });
+            assert_eq!(
+                hash, expected,
+                "config {i} ({:?} / {:?} / {:?}): {hash:#018x}",
+                cfg.families, cfg.shapes, cfg.workloads
+            );
         }
     }
 

@@ -31,8 +31,6 @@
 //! fast-forward on or off — `tests/fastforward_equivalence.rs` and the CI
 //! `--exact` report diff enforce it.
 
-use std::collections::BTreeMap;
-
 use ds2_baselines::{
     DhalionConfig, DhalionController, QueueingConfig, QueueingController, ThresholdConfig,
     ThresholdController,
@@ -206,8 +204,6 @@ pub struct ScenarioOutcome {
     /// Scaling commands applied while responding to the final workload
     /// phase (at or after the last rate change).
     pub steps_final_phase: usize,
-    /// `Some(steps_final_phase)` when the run converged; `None` otherwise.
-    pub steps_to_convergence: Option<usize>,
     /// Whether the run settled: no scaling action over the last three
     /// policy intervals *and* the job kept up with the offered rate.
     pub converged: bool,
@@ -706,12 +702,6 @@ impl ScenarioMatrix {
         (report, ff_stats)
     }
 
-    /// Runs one scenario under one controller and scores the result, with a
-    /// fresh arena (reproduction / one-off use).
-    pub fn run_one(&self, spec: &ScenarioSpec, kind: ControllerKind) -> ScenarioOutcome {
-        self.run_one_with(spec, kind, &mut CellArena::new())
-    }
-
     /// Runs one scenario under one controller using `arena`'s recycled
     /// buffers, and scores the result. Outcomes are independent of the
     /// arena's history (buffers are fully cleared between uses); the
@@ -992,7 +982,6 @@ impl ScenarioMatrix {
             operators: graph.len(),
             decisions_total: result.decisions.len(),
             steps_final_phase,
-            steps_to_convergence: converged.then_some(steps_final_phase),
             converged,
             final_achieved_ratio,
             overprovision_factor: if optimal_instances == 0 {
@@ -1028,20 +1017,6 @@ fn plans_equal_non_source(
         .operators()
         .filter(|&op| !graph.is_source(op))
         .all(|op| a.parallelism(op) == b.parallelism(op))
-}
-
-/// Convenience: per-operator parallelism changes of a run as a map, for
-/// rendering sequences like Table 4's `12→16`.
-pub fn parallelism_sequences(
-    graph: &ds2_core::graph::LogicalGraph,
-    initial: &Deployment,
-    result: &RunResult,
-) -> BTreeMap<ds2_core::graph::OperatorId, Vec<usize>> {
-    graph
-        .operators()
-        .filter(|&op| !graph.is_source(op))
-        .map(|op| (op, result.parallelism_steps(op, initial.parallelism(op))))
-        .collect()
 }
 
 #[cfg(test)]

@@ -56,8 +56,8 @@ pub mod workload;
 pub use crate::faults::FaultProfile;
 pub use generator::{GeneratorConfig, ScenarioSpec};
 pub use matrix::{
-    parallelism_sequences, CellArena, ControllerKind, ControllerSummary, MatrixConfig,
-    MatrixReport, ScenarioMatrix, ScenarioOutcome,
+    CellArena, ControllerKind, ControllerSummary, MatrixConfig, MatrixReport, ScenarioMatrix,
+    ScenarioOutcome,
 };
 pub use nexmark::{NexmarkQuery, ScenarioFamily};
 pub use topology::{Topology, TopologyShape};

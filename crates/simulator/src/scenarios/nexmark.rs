@@ -5,7 +5,7 @@
 //! queries on Flink. This module lowers each evaluated query (Q1, Q2, Q3,
 //! Q5, Q8, Q11) into the same substrate the synthetic families use — a
 //! [`Topology`], per-operator [`OperatorProfile`]s and per-source
-//! [`SourceSpec`]s with an analytic ground-truth optimum — so the
+//! [`SourceSpec`](crate::source::SourceSpec)s with an analytic ground-truth optimum — so the
 //! 5000-scenario convergence matrix can score steps-to-convergence and
 //! provisioning accuracy on the paper's own workloads.
 //!
@@ -38,17 +38,13 @@
 //! synthetic generator: a failing nexmark scenario is reported as its seed
 //! and family and regenerates bit-for-bit.
 
-use std::collections::BTreeMap;
-
-use ds2_core::deployment::Deployment;
 use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::profile::{OperatorProfile, ProfileMap, ScalingCurve};
-use crate::source::SourceSpec;
 
-use super::generator::{GeneratorConfig, ScenarioSpec};
+use super::generator::{initial_deployment, GeneratorConfig, ScenarioSpec};
 use super::topology::{Topology, TopologyShape};
 use super::workload::{Workload, WorkloadShape};
 
@@ -383,22 +379,24 @@ fn support_profile(rate: f64, p_opt: usize, selectivity: f64) -> OperatorProfile
     OperatorProfile::with_capacity(capacity, selectivity)
 }
 
-/// Lowers `query` into a complete scenario under the drawn `workload`.
+/// Lowers `query` into a complete scenario.
 ///
 /// Called by [`ScenarioSpec::generate`] with the scenario's seeded RNG;
-/// all randomness (parallelism scale, window period, support-operator
-/// sizing, initial deployment) flows from it.
+/// all randomness (workload, parallelism scale, window period,
+/// support-operator sizing, initial deployment) flows from it.
 pub(crate) fn lower(
+    seed: u64,
     query: NexmarkQuery,
-    workload: &Workload,
     config: &GeneratorConfig,
-    rng: &mut SmallRng,
-) -> (
-    Topology,
-    ProfileMap,
-    BTreeMap<OperatorId, SourceSpec>,
-    Deployment,
-) {
+    mut rng: SmallRng,
+) -> ScenarioSpec {
+    let workload_shape = config.workloads[rng.gen_range(0..config.workloads.len())];
+    let workload = Workload::generate(
+        workload_shape,
+        config.run_duration_ns,
+        config.rate_range,
+        &mut rng,
+    );
     let QueryPlan { graph, ids, main } = query.plan();
     let shares = query.source_shares();
     let sources = ids
@@ -440,7 +438,7 @@ pub(crate) fn lower(
         }
     };
 
-    let mut main_profile = calibrated_main(main_input, p_star, sel, rng);
+    let mut main_profile = calibrated_main(main_input, p_star, sel, &mut rng);
     let periods = query.window_periods();
     if !periods.is_empty() {
         main_profile = main_profile.windowed(periods[rng.gen_range(0..periods.len())]);
@@ -450,15 +448,16 @@ pub(crate) fn lower(
     }
     profiles.insert(main, main_profile);
 
-    let mut initial = Deployment::uniform(&graph, 1);
-    let (plo, phi) = config.initial_parallelism;
-    for op in graph.operators() {
-        if !graph.is_source(op) {
-            initial.set(op, rng.gen_range(plo..=phi));
-        }
+    let initial = initial_deployment(&graph, config, &mut rng);
+    ScenarioSpec {
+        seed,
+        family: ScenarioFamily::Nexmark(query),
+        topology: Topology { shape, graph, ids },
+        workload,
+        profiles,
+        sources,
+        initial,
     }
-
-    (Topology { shape, graph, ids }, profiles, sources, initial)
 }
 
 /// The reference scenario for `query`: the exact paper configuration (no

@@ -86,20 +86,22 @@ impl Topology {
         let mut ids = vec![src];
         let workers = n_ops - 1;
 
-        match shape {
+        // A shape without the operators it needs (a diamond's split, two
+        // branches and join; a second lane, feed or merge) degrades to a
+        // chain, so the requested operator count is honoured exactly.
+        let min_workers = match shape {
+            TopologyShape::Diamond => 4,
+            TopologyShape::FanOut | TopologyShape::FanIn | TopologyShape::MultiSource => 2,
+            TopologyShape::Chain | TopologyShape::Layered => 1,
+        };
+        let arm = if workers < min_workers {
+            TopologyShape::Chain
+        } else {
+            shape
+        };
+
+        match arm {
             TopologyShape::Chain => {
-                let mut prev = src;
-                for i in 0..workers {
-                    let op = b.operator(format!("op{i}"));
-                    b.connect(prev, op);
-                    ids.push(op);
-                    prev = op;
-                }
-            }
-            TopologyShape::Diamond if workers < 4 => {
-                // A diamond needs split + 2 branches + join; below that
-                // budget, degrade to a chain so the requested operator
-                // count is honoured exactly.
                 let mut prev = src;
                 for i in 0..workers {
                     let op = b.operator(format!("op{i}"));
@@ -138,13 +140,6 @@ impl Topology {
                     prev = op;
                 }
             }
-            TopologyShape::FanOut if workers < 2 => {
-                // Not enough operators to fan out; a single worker keeps
-                // the requested count exact.
-                let op = b.operator("op0");
-                b.connect(src, op);
-                ids.push(op);
-            }
             TopologyShape::FanOut => {
                 // src -> head -> {independent chains}
                 let head = b.operator("head");
@@ -161,13 +156,6 @@ impl Topology {
                     ids.push(op);
                     prev[lane] = op;
                 }
-            }
-            TopologyShape::FanIn if workers < 2 => {
-                // Not enough operators to merge; a single worker keeps the
-                // requested count exact.
-                let op = b.operator("op0");
-                b.connect(src, op);
-                ids.push(op);
             }
             TopologyShape::FanIn => {
                 // src -> {parallel chains} -> merge [-> tail]
@@ -187,19 +175,7 @@ impl Topology {
                         b.connect(p, merge);
                     }
                 }
-                // Degenerate case: no chain got an operator (rest < chains
-                // cannot happen, but guard anyway).
-                if prev.iter().all(|&p| p == src) {
-                    b.connect(src, merge);
-                }
                 ids.push(merge);
-            }
-            TopologyShape::MultiSource if workers < 2 => {
-                // Not enough operators for a second source + merge; a chain
-                // keeps the requested count exact.
-                let op = b.operator("op0");
-                b.connect(src, op);
-                ids.push(op);
             }
             TopologyShape::MultiSource => {
                 // {src0, src1[, src2]} -> merge [-> tail…]. Extra sources

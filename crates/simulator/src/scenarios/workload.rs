@@ -101,8 +101,6 @@ pub struct Workload {
     /// The offered rate over the final phase of the run — the rate the
     /// final deployment must sustain.
     pub final_rate: f64,
-    /// The peak offered rate anywhere in the schedule.
-    pub peak_rate: f64,
     /// Start of the last phase: decisions after this point respond to the
     /// final rate (convergence is judged from here).
     pub last_change_ns: u64,
@@ -111,6 +109,24 @@ pub struct Workload {
 }
 
 impl Workload {
+    /// A workload whose schedule is the `(from_ns, rate)` `steps`, given in
+    /// time order: the last step starts the final phase.
+    pub(crate) fn from_steps(
+        shape: WorkloadShape,
+        steps: Vec<(u64, f64)>,
+        final_rate: f64,
+        skew_hot_fraction: Option<f64>,
+    ) -> Workload {
+        let last_change_ns = steps.last().map_or(0, |&(t, _)| t);
+        Workload {
+            shape,
+            spec: SourceSpec::constant(final_rate).with_schedule(RateSchedule::steps(steps)),
+            final_rate,
+            last_change_ns,
+            skew_hot_fraction,
+        }
+    }
+
     /// Generates a workload of the given shape for a run of
     /// `run_duration_ns`, with base rates drawn from `rate_range`.
     pub fn generate(
@@ -121,15 +137,9 @@ impl Workload {
     ) -> Workload {
         let (lo, hi) = rate_range;
         let base = rng.gen_range(lo..hi);
-        match shape {
-            WorkloadShape::Constant => Workload {
-                shape,
-                spec: SourceSpec::constant(base),
-                final_rate: base,
-                peak_rate: base,
-                last_change_ns: 0,
-                skew_hot_fraction: None,
-            },
+        let mut skew_hot_fraction = None;
+        let (steps, final_rate) = match shape {
+            WorkloadShape::Constant => (vec![(0, base)], base),
             WorkloadShape::Step => {
                 // Change between 35% and 65% of the run, by a 1.5–3x factor
                 // in either direction.
@@ -140,15 +150,7 @@ impl Workload {
                 } else {
                     base / factor
                 };
-                let schedule = RateSchedule::steps(vec![(0, base), (at, second)]);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: second,
-                    peak_rate: base.max(second),
-                    last_change_ns: at,
-                    skew_hot_fraction: None,
-                }
+                (vec![(0, base), (at, second)], second)
             }
             WorkloadShape::DiurnalSine => {
                 // One full sine period over the run, piecewise-constant in
@@ -158,55 +160,34 @@ impl Workload {
                 let amplitude = rng.gen_range(0.25..0.6) * base;
                 let phase = rng.gen_range(0.0..std::f64::consts::TAU);
                 let seg_ns = (run_duration_ns / segments).max(1);
-                let mut steps = Vec::with_capacity(segments as usize);
-                let mut final_rate = base;
-                for s in 0..segments {
-                    let x = phase + std::f64::consts::TAU * (s as f64 + 0.5) / segments as f64;
-                    let r = (base + amplitude * x.sin()).max(lo * 0.25);
-                    steps.push((s * seg_ns, r));
-                    final_rate = r;
-                }
-                let last_change_ns = (segments - 1) * seg_ns;
-                let schedule = RateSchedule::steps(steps);
-                let peak = schedule.peak_rate();
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate,
-                    peak_rate: peak,
-                    last_change_ns,
-                    skew_hot_fraction: None,
-                }
+                let steps: Vec<(u64, f64)> = (0..segments)
+                    .map(|s| {
+                        let x = phase + std::f64::consts::TAU * (s as f64 + 0.5) / segments as f64;
+                        (s * seg_ns, (base + amplitude * x.sin()).max(lo * 0.25))
+                    })
+                    .collect();
+                let final_rate = steps[steps.len() - 1].1;
+                (steps, final_rate)
             }
-            WorkloadShape::Spike => {
+            WorkloadShape::Spike | WorkloadShape::SpikeSkew => {
                 // A 2.5–4x burst covering ~12% of the run, ending before the
-                // last third so the controller can settle back down.
+                // last third so the controller can settle back down. The
+                // skewed variant correlates it with a hot key: 25–50% of one
+                // operator's input concentrates on instance 0 for the whole
+                // run, testing the policy under both stresses at once.
                 let start = (run_duration_ns as f64 * rng.gen_range(0.25..0.45)) as u64;
                 let len = (run_duration_ns as f64 * 0.12) as u64;
                 let burst = base * rng.gen_range(2.5..4.0);
-                let schedule =
-                    RateSchedule::steps(vec![(0, base), (start, burst), (start + len, base)]);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: base,
-                    peak_rate: burst,
-                    last_change_ns: start + len,
-                    skew_hot_fraction: None,
+                if shape == WorkloadShape::SpikeSkew {
+                    skew_hot_fraction = Some(rng.gen_range(0.25..0.5));
                 }
+                (vec![(0, base), (start, burst), (start + len, base)], base)
             }
             WorkloadShape::KeySkew => {
                 // Constant rate; the stress comes from a hot key that
                 // concentrates 30–60% of one operator's input on instance 0.
-                let hot = rng.gen_range(0.3..0.6);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base),
-                    final_rate: base,
-                    peak_rate: base,
-                    last_change_ns: 0,
-                    skew_hot_fraction: Some(hot),
-                }
+                skew_hot_fraction = Some(rng.gen_range(0.3..0.6));
+                (vec![(0, base)], base)
             }
             WorkloadShape::Sawtooth => {
                 // 2–3 ramp cycles over the first ~70% of the run: each tooth
@@ -221,7 +202,6 @@ impl Workload {
                 let tooth_ns = (active_ns / teeth).max(1);
                 let seg_ns = (tooth_ns / (ramp_steps + 1)).max(1);
                 let mut steps = Vec::new();
-                let mut last_change_ns = 0;
                 for tooth in 0..teeth {
                     let t0 = tooth * tooth_ns;
                     for s in 0..ramp_steps {
@@ -229,18 +209,9 @@ impl Workload {
                         steps.push((t0 + s * seg_ns, base + (peak - base) * frac));
                     }
                     // Sharp drop back to base.
-                    last_change_ns = t0 + ramp_steps * seg_ns;
-                    steps.push((last_change_ns, base));
+                    steps.push((t0 + ramp_steps * seg_ns, base));
                 }
-                let schedule = RateSchedule::steps(steps);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: base,
-                    peak_rate: peak,
-                    last_change_ns,
-                    skew_hot_fraction: None,
-                }
+                (steps, base)
             }
             WorkloadShape::FlashCrowd => {
                 // Sudden 3–5x jump at 30–50% of the run, a short peak, then
@@ -252,64 +223,28 @@ impl Workload {
                 let peak = (base * factor).min(hi * 3.0);
                 let peak_len = (run_duration_ns as f64 * rng.gen_range(0.08..0.12)) as u64;
                 let plateau = base + (peak - base) * rng.gen_range(0.3..0.5);
-                let last_change_ns = t0 + peak_len;
-                let schedule =
-                    RateSchedule::steps(vec![(0, base), (t0, peak), (last_change_ns, plateau)]);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: plateau,
-                    peak_rate: peak,
-                    last_change_ns,
-                    skew_hot_fraction: None,
-                }
-            }
-            WorkloadShape::SpikeSkew => {
-                // The Spike schedule with a correlated hot key: a 2.5–4x
-                // burst ending before the last third, while 25–50% of one
-                // operator's input concentrates on instance 0 for the whole
-                // run. Tests the policy under both stresses at once.
-                let start = (run_duration_ns as f64 * rng.gen_range(0.25..0.45)) as u64;
-                let len = (run_duration_ns as f64 * 0.12) as u64;
-                let burst = base * rng.gen_range(2.5..4.0);
-                let hot = rng.gen_range(0.25..0.5);
-                let schedule =
-                    RateSchedule::steps(vec![(0, base), (start, burst), (start + len, base)]);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: base,
-                    peak_rate: burst,
-                    last_change_ns: start + len,
-                    skew_hot_fraction: Some(hot),
-                }
+                (
+                    vec![(0, base), (t0, peak), (t0 + peak_len, plateau)],
+                    plateau,
+                )
             }
             WorkloadShape::StateRamp => {
                 // Staircase from base to 2–3x over the first ~60% of the
                 // run, in 5 equal increments that never recede: each step
                 // adds rate-proportional state, so a budget sized for the
-                // base rate starts spilling partway up the stairs.
+                // base rate starts spilling partway up the stairs. The last
+                // stair, `base + (top - base) * 1.0`, can sit one ulp off
+                // `top`, which stays the final rate.
                 let steps_n = 5u64;
                 let top = base * rng.gen_range(2.0..3.0);
                 let active_ns = (run_duration_ns as f64 * 0.6) as u64;
                 let seg_ns = (active_ns / steps_n).max(1);
-                let mut steps = Vec::with_capacity(steps_n as usize + 1);
-                steps.push((0, base));
-                let mut last_change_ns = 0;
+                let mut steps = vec![(0, base)];
                 for s in 1..=steps_n {
                     let frac = s as f64 / steps_n as f64;
-                    last_change_ns = s * seg_ns;
-                    steps.push((last_change_ns, base + (top - base) * frac));
+                    steps.push((s * seg_ns, base + (top - base) * frac));
                 }
-                let schedule = RateSchedule::steps(steps);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: top,
-                    peak_rate: top,
-                    last_change_ns,
-                    skew_hot_fraction: None,
-                }
+                (steps, top)
             }
             WorkloadShape::StateSpike => {
                 // One step to a 2.5–4x rate at 30–50% of the run that
@@ -317,17 +252,10 @@ impl Workload {
                 // comes back down.
                 let at = (run_duration_ns as f64 * rng.gen_range(0.3..0.5)) as u64;
                 let high = (base * rng.gen_range(2.5..4.0)).min(hi * 3.0);
-                let schedule = RateSchedule::steps(vec![(0, base), (at, high)]);
-                Workload {
-                    shape,
-                    spec: SourceSpec::constant(base).with_schedule(schedule),
-                    final_rate: high,
-                    peak_rate: high,
-                    last_change_ns: at,
-                    skew_hot_fraction: None,
-                }
+                (vec![(0, base), (at, high)], high)
             }
-        }
+        };
+        Workload::from_steps(shape, steps, final_rate, skew_hot_fraction)
     }
 }
 
@@ -350,9 +278,11 @@ mod tests {
                     "{shape:?}: tail {tail} != final {}",
                     w.final_rate
                 );
-                assert!(w.peak_rate >= w.final_rate - 1e-9, "{shape:?}");
+                assert!(
+                    w.spec.schedule.peak_rate() >= w.final_rate - 1e-9,
+                    "{shape:?}"
+                );
                 assert!(w.last_change_ns < RUN, "{shape:?}");
-                assert!((w.spec.schedule.peak_rate() - w.peak_rate).abs() < 1e-9);
             }
         }
     }
@@ -373,7 +303,8 @@ mod tests {
         for _ in 0..30 {
             let w = Workload::generate(WorkloadShape::Sawtooth, RUN, (500.0, 5_000.0), &mut rng);
             // Ends back at base with the peak strictly above it.
-            assert!(w.peak_rate > w.final_rate * 1.5, "peak {}", w.peak_rate);
+            let peak = w.spec.schedule.peak_rate();
+            assert!(peak > w.final_rate * 1.5, "peak {peak}");
             // The final drop leaves at least the last 30% of the run to
             // settle.
             assert!(w.last_change_ns <= (RUN as f64 * 0.7) as u64 + 1);
@@ -397,7 +328,10 @@ mod tests {
                 "plateau {} base {base}",
                 w.final_rate
             );
-            assert!(w.peak_rate > w.final_rate * 1.2, "peak not above plateau");
+            assert!(
+                w.spec.schedule.peak_rate() > w.final_rate * 1.2,
+                "peak not above plateau"
+            );
             assert!(w.last_change_ns < (RUN as f64 * 0.7) as u64);
         }
     }
@@ -410,7 +344,7 @@ mod tests {
             let hot = w.skew_hot_fraction.expect("correlated skew present");
             assert!((0.25..0.5).contains(&hot));
             // The burst is transient: the schedule returns to the base rate.
-            assert!(w.peak_rate > w.final_rate * 2.0);
+            assert!(w.spec.schedule.peak_rate() > w.final_rate * 2.0);
             assert!((w.spec.schedule.rate_at(RUN) - w.final_rate).abs() < 1e-9);
         }
     }
@@ -428,7 +362,7 @@ mod tests {
                 // The elevated rate persists to the end of the run.
                 assert!((w.spec.schedule.rate_at(RUN) - w.final_rate).abs() < 1e-9);
                 assert!(w.final_rate > base * 1.5, "rate must stay elevated");
-                assert!((w.peak_rate - w.final_rate).abs() < 1e-9);
+                assert!((w.spec.schedule.peak_rate() - w.final_rate).abs() < 1e-9);
                 assert!(w.last_change_ns < (RUN as f64 * 0.65) as u64);
                 assert!(w.skew_hot_fraction.is_none());
             }

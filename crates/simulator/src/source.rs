@@ -75,9 +75,6 @@ pub struct SourceSpec {
     /// When `false`, unemitted offers are simply lost (a rate-limited
     /// generator, as in the Dhalion benchmark).
     pub durable_backlog: bool,
-    /// Generation cost per record in nanoseconds, bounding the per-instance
-    /// source output capacity (a source is an operator too).
-    pub generation_cost_ns: f64,
 }
 
 impl SourceSpec {
@@ -86,7 +83,6 @@ impl SourceSpec {
         Self {
             schedule: RateSchedule::constant(rate),
             durable_backlog: false,
-            generation_cost_ns: 0.0,
         }
     }
 
@@ -95,7 +91,6 @@ impl SourceSpec {
         Self {
             schedule: RateSchedule::constant(rate),
             durable_backlog: true,
-            generation_cost_ns: 0.0,
         }
     }
 
@@ -105,14 +100,8 @@ impl SourceSpec {
         self
     }
 
-    /// Sets the per-record generation cost.
-    pub fn with_generation_cost(mut self, ns: f64) -> Self {
-        self.generation_cost_ns = ns;
-        self
-    }
-
     /// This spec with every schedule rate multiplied by `factor` (backlog
-    /// semantics and generation cost unchanged).
+    /// semantics unchanged).
     pub fn scaled(&self, factor: f64) -> SourceSpec {
         SourceSpec {
             schedule: self.schedule.scaled(factor),
@@ -154,8 +143,7 @@ mod tests {
     fn spec_builders() {
         let s = SourceSpec::constant(10.0);
         assert!(!s.durable_backlog);
-        let d = SourceSpec::durable(10.0).with_generation_cost(5.0);
+        let d = SourceSpec::durable(10.0);
         assert!(d.durable_backlog);
-        assert_eq!(d.generation_cost_ns, 5.0);
     }
 }
