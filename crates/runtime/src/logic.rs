@@ -119,6 +119,11 @@ impl<R: Send + 'static, F: FnMut(R, &mut Vec<R>) + Send + 'static> Logic<R> for 
 /// same elapsed processing time either way, but sleeping keeps emulated
 /// instances from inflating each other's costs through CPU contention when
 /// many run on few cores. Use [`CostedLogic::busy`] to burn real CPU.
+///
+/// A batch of `n` records waits once, until `start + n × cost`: a sleep
+/// overshoots by the timer slack (tens of microseconds on Linux), so
+/// sleeping per record would inflate a microsecond-scale cost several
+/// times over.
 pub struct CostedLogic<R, F: FnMut(R, &mut Vec<R>) + Send + 'static> {
     cost: std::time::Duration,
     spin: bool,
@@ -143,19 +148,37 @@ impl<R, F: FnMut(R, &mut Vec<R>) + Send + 'static> CostedLogic<R, F> {
             inner: FnLogic::new(f),
         }
     }
+
+    /// Sleeps, or spins, until `deadline`.
+    fn wait_until(&self, deadline: std::time::Instant) {
+        if self.spin {
+            while std::time::Instant::now() < deadline {
+                std::hint::spin_loop();
+            }
+        } else {
+            let left = deadline.saturating_duration_since(std::time::Instant::now());
+            if !left.is_zero() {
+                std::thread::sleep(left);
+            }
+        }
+    }
 }
 
 impl<R: Send + 'static, F: FnMut(R, &mut Vec<R>) + Send + 'static> Logic<R> for CostedLogic<R, F> {
     fn process(&mut self, record: R, out: &mut Vec<R>) {
-        if self.spin {
-            let start = std::time::Instant::now();
-            while start.elapsed() < self.cost {
-                std::hint::spin_loop();
-            }
-        } else {
-            std::thread::sleep(self.cost);
-        }
+        self.wait_until(std::time::Instant::now() + self.cost);
         self.inner.process(record, out);
+    }
+
+    /// Waits once for the whole batch, then applies the closure: as on the
+    /// per-record path, a record's output is produced after its cost is
+    /// paid, so a closure that stamps the time sees the cost behind it.
+    fn process_batch(&mut self, batch: &mut Vec<R>, out: &mut Vec<R>) {
+        let n = u32::try_from(batch.len()).unwrap_or(u32::MAX);
+        self.wait_until(std::time::Instant::now() + self.cost.saturating_mul(n));
+        for r in batch.drain(..) {
+            self.inner.process(r, out);
+        }
     }
 }
 
@@ -246,5 +269,33 @@ mod tests {
         l.process(1, &mut out);
         assert!(t0.elapsed() >= std::time::Duration::from_millis(5));
         assert_eq!(out, vec![1]);
+    }
+
+    /// A batch pays its records' cost once, against a deadline: 1 000
+    /// records at 20 µs take 20 ms plus one sleep's overshoot, where a
+    /// sleep per record pays the overshoot 1 000 times (several times the
+    /// cost itself).
+    #[test]
+    fn costed_logic_sleeps_once_per_batch() {
+        for busy in [false, true] {
+            let cost = std::time::Duration::from_micros(20);
+            let f = |r: u64, out: &mut Vec<u64>| out.push(r);
+            let mut l = if busy {
+                CostedLogic::busy(cost, f)
+            } else {
+                CostedLogic::new(cost, f)
+            };
+            let mut batch: Vec<u64> = (0..1_000).collect();
+            let mut out = Vec::new();
+            let t0 = std::time::Instant::now();
+            l.process_batch(&mut batch, &mut out);
+            let took = t0.elapsed();
+            assert!(batch.is_empty() && out.len() == 1_000);
+            assert!(took >= std::time::Duration::from_millis(20), "{took:?}");
+            assert!(
+                took < std::time::Duration::from_millis(30),
+                "busy {busy}: {took:?}"
+            );
+        }
     }
 }

@@ -20,8 +20,10 @@
 //!   one unbounded queue per operator, no backpressure: when
 //!   under-provisioned the queues simply grow (§5.5).
 //!
-//! Queue entries carry their source emission time, giving exact end-to-end
-//! record latency and epoch-completion tracking. Per-instance §4.1 counters
+//! Each queue holds one run of records stamped with the interval of source
+//! emission times they are taken to be spread over uniformly, which gives
+//! end-to-end record latency and epoch-completion tracking at O(1) per
+//! queue ([`crate::queue`]). Per-instance §4.1 counters
 //! (records in/out, useful time, waits) are maintained in virtual time and
 //! exported as [`MetricsSnapshot`]s.
 //!
@@ -45,7 +47,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::fastforward::{
-    cycle_length, DriftQueue, FastForward, FastForwardStats, OpMark, QueueLog, QueueMark,
+    self, cycle_length, DriftQueue, FastForward, FastForwardStats, OpMark, QueueLog,
 };
 use crate::latency::{EpochTracker, LatencyRecorder};
 use crate::profile::{OperatorProfile, OutputMode, ProfileMap};
@@ -122,14 +124,12 @@ pub struct EngineConfig {
     /// ticks. Results are bitwise identical to exact execution; disable
     /// (the `--exact` escape hatch) to force tick-by-tick execution.
     pub fast_forward: bool,
-    /// Per-record latency and epoch tracking. A tracking engine never
+    /// Per-record latency and epoch recording. A recording engine never
     /// starts a fast-forward probe: it executes every tick except those of
-    /// a halt. When disabled, queues run *untagged* (one merged span, no
-    /// emission times) and [`FluidEngine::latency`] and
-    /// [`FluidEngine::epochs`] stay empty. Untagged is a model of its own,
-    /// not a free switch: it equals the tagged dynamics only up to rounding
-    /// (a tagged drain subtracts span by span), so every output is defined
-    /// on the mode it runs in. The scenario matrix runs untagged.
+    /// a halt. When disabled, [`FluidEngine::latency`] and
+    /// [`FluidEngine::epochs`] stay empty. The queue model is the same
+    /// either way, so the switch changes nothing else the engine reports.
+    /// The scenario matrix runs with it off.
     pub track_record_latency: bool,
 }
 
@@ -220,10 +220,10 @@ struct OpState {
     /// parallel to `classes` (instance k owns partition k); sources and
     /// Timely workers collapse to a single class.
     accs: Vec<AccClass>,
-    /// Buffered output of a windowed operator awaiting the next firing.
-    window_pending: f64,
-    /// Oldest source tag among buffered window output.
-    window_pending_oldest: Option<u64>,
+    /// Buffered output of a windowed operator awaiting the next firing:
+    /// its records, the earliest stamp and the union of the emission
+    /// intervals of the chunks it absorbed (see [`absorb`]).
+    window: Option<Span>,
     /// Time of the next window firing.
     next_fire_ns: u64,
 }
@@ -254,29 +254,37 @@ impl OpState {
         limit
     }
 
-    /// Pushes `records` (tagged `tag`) split across partitions by share:
-    /// one representative push per class.
-    fn push_partitioned(&mut self, tag: u64, records: f64) {
-        self.push_partitioned_with(tag, records, |_, _| {});
+    /// Pushes `chunk` split across partitions by share: one representative
+    /// push per class, each carrying the chunk's stamps.
+    fn push_partitioned(&mut self, chunk: Span) {
+        self.push_partitioned_with(chunk, |_, _| {});
     }
 
     /// [`OpState::push_partitioned`], reporting each `(class index, records)`
     /// to `observe` just before it is pushed (the fast-forward probe logs
     /// them; the plain path passes a no-op that compiles away).
     #[inline]
-    fn push_partitioned_with(
-        &mut self,
-        tag: u64,
-        records: f64,
-        mut observe: impl FnMut(usize, f64),
-    ) {
+    fn push_partitioned_with(&mut self, chunk: Span, mut observe: impl FnMut(usize, f64)) {
         for (k, c) in self.classes.iter_mut().enumerate() {
             if c.share > 0.0 {
-                let x = records * c.share;
-                observe(k, x);
-                c.queue.push(tag, x);
+                let records = chunk.records * c.share;
+                observe(k, records);
+                c.queue.push(Span { records, ..chunk });
             }
         }
+    }
+}
+
+/// Adds `chunk` to a window buffer: the records are summed, the earliest
+/// stamp and the union of the emission intervals kept.
+fn absorb(buffer: &mut Option<Span>, chunk: Span) {
+    match buffer {
+        Some(b) => {
+            b.records += chunk.records;
+            b.born_ns = b.born_ns.min(chunk.born_ns);
+            b.cover(&chunk);
+        }
+        None => *buffer = Some(chunk),
     }
 }
 
@@ -374,7 +382,7 @@ pub struct FluidEngine {
     window_periods: Vec<Option<u64>>,
     /// Per-partition drain scratch (operator_process).
     takes_scratch: Vec<f64>,
-    /// Drained-span scratch shared by the drain paths.
+    /// Drained-chunk scratch of `operator_process` (one per class).
     span_scratch: Vec<Span>,
     /// Timely water-filling scratch: eligible records per operator id.
     eligible_scratch: Vec<f64>,
@@ -387,7 +395,7 @@ pub struct FluidEngine {
     has_windowed: bool,
     /// Length in ticks of the cycle a fast-forward probe records — the
     /// least common multiple of the window periods, `1` without windows —
-    /// or `0` when the engine never probes: tagged queues, service noise,
+    /// or `0` when the engine never probes: latency tracking, service noise,
     /// Timely mode, or windows off the tick grid or too long a cycle.
     probe_cycle: u32,
     /// Whether any operator carries a [`StateProfile`]. Gates the whole
@@ -407,28 +415,22 @@ pub struct FluidEngine {
     timely_deployment: Deployment,
 }
 
-/// Pushes `records` into operator `to`'s partition queues; the `LOG`
+/// Pushes `chunk` into operator `to`'s partition queues; the `LOG`
 /// instantiation also appends every positive per-class push to the probe
 /// log, under the queue's walk-order index.
 #[inline]
-fn route<const LOG: bool>(
-    states: &mut [OpState],
-    log: &mut QueueLog,
-    to: OperatorId,
-    tag: u64,
-    records: f64,
-) {
+fn route<const LOG: bool>(states: &mut [OpState], log: &mut QueueLog, to: OperatorId, chunk: Span) {
     let st = &mut states[to.index()];
     if LOG {
         let base = log.class_base[to.index()];
-        st.push_partitioned_with(tag, records, |k, x| {
+        st.push_partitioned_with(chunk, |k, x| {
             // `push` ignores non-positive amounts.
             if x > 0.0 {
                 log.pushes.push((base + k as u32, x));
             }
         });
     } else {
-        st.push_partitioned(tag, records);
+        st.push_partitioned(chunk);
     }
 }
 
@@ -681,11 +683,7 @@ impl FluidEngine {
                 match classes.last_mut() {
                     Some(c) if c.share.to_bits() == share.to_bits() => c.count += 1,
                     _ => classes.push(PartitionClass {
-                        queue: if self.cfg.track_record_latency {
-                            EpochQueue::new(cap)
-                        } else {
-                            EpochQueue::new_untagged(cap)
-                        },
+                        queue: EpochQueue::new(cap),
                         share,
                         count: 1,
                     }),
@@ -715,8 +713,7 @@ impl FluidEngine {
         OpState {
             classes,
             accs,
-            window_pending: 0.0,
-            window_pending_oldest: None,
+            window: None,
             next_fire_ns: self.window_period(op).map_or(u64::MAX, |p| self.now_ns + p),
         }
     }
@@ -861,9 +858,9 @@ impl FluidEngine {
     /// in a loop: a replayed tick performs the same queue, accumulator and
     /// backlog arithmetic the full tick would, and anything the engine
     /// cannot prove keeps executing in full. Replay records no latency
-    /// samples and advances no epochs: only untagged engines probe, and a
-    /// halted tick does neither. See [`crate::fastforward`] for the proof
-    /// obligations.
+    /// samples and advances no epochs: only engines that record neither
+    /// probe, and a halted tick does neither. See [`crate::fastforward`]
+    /// for the proof obligations.
     pub fn tick_within(&mut self, horizon_ns: u64) -> TickEvents {
         if !self.cfg.fast_forward {
             return self.full_tick();
@@ -926,8 +923,8 @@ impl FluidEngine {
 
     /// Appends one row of the structural fluid state to the fingerprint.
     /// The `first` row of a probe also lays the queue log out in the same
-    /// walk order. Only untagged engines probe, so a queue's mark — at most
-    /// one span — fully determines its future behaviour.
+    /// walk order. A queue's copy — its counts and its run's stamp — fully
+    /// determines what later ticks do with it.
     fn capture_state(&mut self, first: bool) {
         let FastForward {
             fingerprint: fp,
@@ -943,8 +940,7 @@ impl FluidEngine {
         for (i, st) in self.states.iter().enumerate() {
             fp.ops.push(OpMark {
                 backlog: self.backlog[i],
-                window_pending: st.window_pending,
-                window_oldest: st.window_pending_oldest,
+                window: st.window,
                 fire_in: match self.window_periods[i] {
                     Some(_) => st.next_fire_ns.wrapping_sub(self.now_ns),
                     None => 0,
@@ -953,8 +949,7 @@ impl FluidEngine {
             if first {
                 log.class_base.push(fp.queues.len() as u32);
             }
-            fp.queues
-                .extend(st.classes.iter().map(|c| QueueMark::of(&c.queue)));
+            fp.queues.extend(st.classes.iter().map(|c| c.queue));
         }
         fp.width = fp.queues.len() - row;
     }
@@ -997,7 +992,7 @@ impl FluidEngine {
             for k in 0..st.classes.len() {
                 let index = qi;
                 qi += 1;
-                if fp.queues[index].same(&fp.queues[cycle * width + index]) {
+                if fastforward::same(&fp.queues[index], &fp.queues[cycle * width + index]) {
                     continue;
                 }
                 if !drift_capable {
@@ -1015,7 +1010,7 @@ impl FluidEngine {
                     return false;
                 };
                 let before = &fp.queues[phase * width + index as usize];
-                if !d.admits(before.sole_records, before.total) {
+                if !d.admits(before.run.map(|r| r.records), before.len()) {
                     return false;
                 }
                 drift.push(d);
@@ -1024,7 +1019,7 @@ impl FluidEngine {
         // The state the cycle ends in must admit its first tick again.
         drifting.iter().zip(drift.iter()).all(|(&(index, ..), d)| {
             let after = &fp.queues[cycle * width + index as usize];
-            d.admits(after.sole_records, after.total)
+            d.admits(after.run.map(|r| r.records), after.len())
         })
     }
 
@@ -1197,7 +1192,7 @@ impl FluidEngine {
         for done in 0..ticks {
             let admitted = drift.iter().all(|d| {
                 let q = &states[d.op as usize].classes[d.class as usize].queue;
-                d.admits(q.sole_span_records(), q.len())
+                d.admits(q.run.map(|r| r.records), q.len())
             });
             if !admitted {
                 return done;
@@ -1221,9 +1216,9 @@ impl FluidEngine {
     /// current phase of its cycle and returns how many it replayed: per
     /// tick the recorded queue drift and that phase's accumulator and
     /// backlog additions the full ticks would perform — and nothing else
-    /// (no latency samples, no epoch advances: replayed engines are
-    /// untagged or halted); the state that merely cycles is set once, to
-    /// what the probe recorded after the last replayed phase. A drift guard
+    /// (no latency samples, no epoch advances: replayed engines record
+    /// neither, or are halted); the state that merely cycles is set once,
+    /// to what the probe recorded after the last replayed phase. A drift guard
     /// that fails ends the replay before the tick it refused and drops the
     /// transition (that tick then runs in full). Sums are built by repeated
     /// addition of the recorded addends — the exact float operations of
@@ -1309,15 +1304,13 @@ impl FluidEngine {
         for (i, st) in self.states.iter_mut().enumerate() {
             let mark = &op_marks[i];
             self.backlog[i] = mark.backlog;
-            st.window_pending = mark.window_pending;
-            st.window_pending_oldest = mark.window_oldest;
+            st.window = mark.window;
             if self.window_periods[i].is_some() {
                 st.next_fire_ns = now.wrapping_add(mark.fire_in);
             }
             for c in &mut st.classes {
                 if drifting.next_if_eq(&qi).is_none() {
-                    let mark = &queue_marks[qi];
-                    c.queue.restore(mark.total, mark.sole_records, mark.tag);
+                    c.queue = queue_marks[qi];
                 }
                 qi += 1;
             }
@@ -1399,21 +1392,17 @@ impl FluidEngine {
 
         self.now_ns = tick_end;
 
-        // Epoch tracking: the frontier is the oldest source tag still queued
-        // or buffered anywhere. Untagged engines have no meaningful tags,
-        // so they skip epoch accounting entirely.
+        // Epoch tracking: the frontier is the oldest emission time still
+        // queued or buffered anywhere, the head of some run.
         if self.cfg.track_record_latency {
-            let mut frontier: Option<u64> = None;
-            for st in &self.states {
-                let candidates = st
-                    .classes
-                    .iter()
-                    .filter_map(|c| c.queue.oldest_ns())
-                    .chain(st.window_pending_oldest);
-                for c in candidates {
-                    frontier = Some(frontier.map_or(c, |f: u64| f.min(c)));
-                }
-            }
+            let frontier = self
+                .states
+                .iter()
+                .flat_map(|st| {
+                    let queued = st.classes.iter().filter_map(|c| c.queue.oldest_ns());
+                    queued.chain(st.window.map(|w| w.head_ns))
+                })
+                .min();
             self.epochs.advance(self.now_ns, frontier);
         }
 
@@ -1426,27 +1415,24 @@ impl FluidEngine {
         for op in self.graph.operators() {
             let new_state = self.make_op_state(op);
             let old = std::mem::replace(&mut self.states[op.index()], new_state);
-            // Collect old spans (each class's representative queue scaled
-            // by its partition count, oldest first) and repartition them
-            // into the new classes.
-            let mut spans: Vec<Span> = Vec::new();
+            // Collect the old runs (each class's representative queue scaled
+            // by its partition count, oldest stamp first) and repartition
+            // them into the new classes.
+            let mut runs: Vec<Span> = Vec::new();
             for mut class in old.classes {
-                let from = spans.len();
-                class.queue.pop_into(f64::INFINITY, &mut spans);
-                if class.count > 1 {
-                    let mult = class.count as f64;
-                    for s in &mut spans[from..] {
-                        s.records *= mult;
+                if let Some(mut run) = class.queue.pop(f64::INFINITY) {
+                    if class.count > 1 {
+                        run.records *= class.count as f64;
                     }
+                    runs.push(run);
                 }
             }
-            spans.sort_by_key(|s| s.emitted_ns);
+            runs.sort_by_key(|s| s.born_ns);
             let st = &mut self.states[op.index()];
-            st.window_pending = old.window_pending;
-            st.window_pending_oldest = old.window_pending_oldest;
+            st.window = old.window;
             st.next_fire_ns = old.next_fire_ns;
-            for span in spans {
-                st.push_partitioned(span.emitted_ns, span.records);
+            for run in runs {
+                st.push_partitioned(run);
             }
         }
         self.rebuild_cost_cache();
@@ -1618,7 +1604,7 @@ impl FluidEngine {
             let states = &mut self.states;
             let log = &mut self.ff.log;
             for &(to, weight) in edges {
-                route::<LOG>(states, log, to, now, emit * weight);
+                route::<LOG>(states, log, to, Span::at(now, emit * weight));
             }
         }
 
@@ -1720,8 +1706,6 @@ impl FluidEngine {
         let tick_end = self.now_ns + self.cfg.tick_ns;
 
         let mut out_total = 0.0f64;
-        let mut win_buf = 0.0f64;
-        let mut win_oldest: Option<u64> = None;
         let mut drained = std::mem::take(&mut self.span_scratch);
         drained.clear();
         {
@@ -1731,61 +1715,61 @@ impl FluidEngine {
                     continue;
                 }
                 let class = &mut st.classes[k];
-                let from = drained.len();
-                class.queue.pop_into(*take, &mut drained);
-                // The representative queue drained one partition's worth;
-                // routing and latency work on class totals.
-                if class.count > 1 {
-                    let mult = class.count as f64;
-                    for s in &mut drained[from..] {
-                        s.records *= mult;
+                if let Some(mut chunk) = class.queue.pop(*take) {
+                    // The representative queue drained one partition's
+                    // worth; routing and latency work on class totals.
+                    if class.count > 1 {
+                        chunk.records *= class.count as f64;
                     }
+                    drained.push(chunk);
                 }
             }
         }
-        // Coalesce same-tag spans before routing. The p partitions drain
-        // fragments of the same source pushes (identical emission tags);
-        // routing each fragment separately costs p × p' queue pushes per
-        // tick and fragments the receiving queues' span lists in turn.
-        // Sorting by tag and merging makes routing one push per distinct
-        // tag and keeps downstream span lists short — the dominant cost of
-        // large converged deployments. Record weights are preserved, so
-        // latency accounting is unchanged.
+        // Coalesce chunks with equal stamps before routing: the classes
+        // drain fragments of the same pushes, and routing them as one keeps
+        // the pushes per tick at one per distinct stamp. The merged chunk
+        // covers the union of its parts' intervals.
         if drained.len() > 1 {
-            drained.sort_unstable_by_key(|s| s.emitted_ns);
+            drained.sort_unstable_by_key(|s| s.born_ns);
             let mut w = 0usize;
             for r in 1..drained.len() {
-                if drained[r].emitted_ns == drained[w].emitted_ns {
-                    drained[w].records += drained[r].records;
+                let chunk = drained[r];
+                if chunk.born_ns == drained[w].born_ns {
+                    drained[w].records += chunk.records;
+                    drained[w].cover(&chunk);
                 } else {
                     w += 1;
-                    drained[w] = drained[r];
+                    drained[w] = chunk;
                 }
             }
             drained.truncate(w + 1);
         }
+        let mut windowed = None;
         match output {
             OutputMode::PerRecord { selectivity } => {
-                for span in &drained {
+                for chunk in &drained {
                     if is_sink {
                         self.latency
-                            .record(tick_end.saturating_sub(span.emitted_ns), span.records);
+                            .record(tick_end.saturating_sub(chunk.mid_ns()), chunk.records);
                     }
-                    let out = span.records * selectivity;
+                    let out = chunk.records * selectivity;
                     out_total += out;
                     let edges = &self.down_edges[i];
                     let states = &mut self.states;
                     let log = &mut self.ff.log;
                     for &(to, weight) in edges {
-                        route::<LOG>(states, log, to, span.emitted_ns, out * weight);
+                        let routed = Span {
+                            records: out * weight,
+                            ..*chunk
+                        };
+                        route::<LOG>(states, log, to, routed);
                     }
                 }
             }
             OutputMode::Windowed { selectivity, .. } => {
-                for span in &drained {
-                    win_buf += span.records * selectivity;
-                    win_oldest =
-                        Some(win_oldest.map_or(span.emitted_ns, |o: u64| o.min(span.emitted_ns)));
+                for chunk in &drained {
+                    let records = chunk.records * selectivity;
+                    absorb(&mut windowed, Span { records, ..*chunk });
                 }
             }
         }
@@ -1815,12 +1799,8 @@ impl FluidEngine {
                     acc.wait_input_ns += wait;
                 }
             }
-            if win_buf > 0.0 {
-                st.window_pending += win_buf;
-                st.window_pending_oldest = match (st.window_pending_oldest, win_oldest) {
-                    (Some(a), Some(b)) => Some(a.min(b)),
-                    (a, b) => a.or(b),
-                };
+            if let Some(out) = windowed.filter(|w| w.records > 0.0) {
+                absorb(&mut st.window, out);
             }
         }
         self.takes_scratch = takes;
@@ -1834,11 +1814,10 @@ impl FluidEngine {
     fn timely_drain(&mut self, op: OperatorId, n: f64, used_ns: f64) {
         let i = op.index();
         let output = self.output_modes[i].expect("non-source operators have profiles");
-        let mut spans = std::mem::take(&mut self.span_scratch);
-        spans.clear();
-        if let Some(class) = self.states[i].classes.first_mut() {
-            class.queue.pop_into(n, &mut spans);
-        }
+        let chunk = self.states[i]
+            .classes
+            .first_mut()
+            .and_then(|c| c.queue.pop(n));
 
         // Busy time spread over worker-instances; only the instrumented
         // fraction counts as useful.
@@ -1849,7 +1828,7 @@ impl FluidEngine {
         {
             let st = &mut self.states[i];
             let w = st.instances().max(1) as f64;
-            let drained: f64 = spans.iter().map(|s| s.records).sum();
+            let drained = chunk.map_or(0.0, |c| c.records);
             for class in &mut st.accs {
                 class.acc.records_in += drained / w;
                 class.acc.useful_ns += used_ns * instr_fraction / w;
@@ -1862,17 +1841,20 @@ impl FluidEngine {
         match output {
             OutputMode::PerRecord { selectivity } => {
                 let mut out_total = 0.0;
-                for span in &spans {
+                if let Some(chunk) = chunk {
                     if is_sink {
                         self.latency
-                            .record(tick_end.saturating_sub(span.emitted_ns), span.records);
+                            .record(tick_end.saturating_sub(chunk.mid_ns()), chunk.records);
                     }
-                    let out = span.records * selectivity;
+                    let out = chunk.records * selectivity;
                     out_total += out;
                     let edges = &self.down_edges[i];
                     let states = &mut self.states;
                     for &(to, weight) in edges {
-                        states[to.index()].push_partitioned(span.emitted_ns, out * weight);
+                        states[to.index()].push_partitioned(Span {
+                            records: out * weight,
+                            ..chunk
+                        });
                     }
                 }
                 let st = &mut self.states[i];
@@ -1882,17 +1864,12 @@ impl FluidEngine {
                 }
             }
             OutputMode::Windowed { selectivity, .. } => {
-                let st = &mut self.states[i];
-                for span in &spans {
-                    st.window_pending += span.records * selectivity;
-                    st.window_pending_oldest = Some(
-                        st.window_pending_oldest
-                            .map_or(span.emitted_ns, |o| o.min(span.emitted_ns)),
-                    );
+                if let Some(chunk) = chunk {
+                    let records = chunk.records * selectivity;
+                    absorb(&mut self.states[i].window, Span { records, ..chunk });
                 }
             }
         }
-        self.span_scratch = spans;
 
         self.maybe_fire_window::<false>(op);
     }
@@ -1906,30 +1883,27 @@ impl FluidEngine {
         };
         let i = op.index();
         let tick_end = self.now_ns + self.cfg.tick_ns;
-        let (fire, pending, oldest) = {
+        let flushed = {
             let st = &mut self.states[i];
             if st.next_fire_ns == u64::MAX {
                 st.next_fire_ns = tick_end + period;
             }
             if tick_end >= st.next_fire_ns {
                 st.next_fire_ns += period;
-                let p = st.window_pending;
-                let o = st.window_pending_oldest;
-                st.window_pending = 0.0;
-                st.window_pending_oldest = None;
-                (true, p, o)
+                st.window.take()
             } else {
-                (false, 0.0, None)
+                None
             }
         };
-        if !fire || pending <= 0.0 {
+        let Some(flushed) = flushed.filter(|w| w.records > 0.0) else {
             return;
-        }
-        let tag = oldest.unwrap_or(self.now_ns);
+        };
+        let pending = flushed.records;
         let n_inst = self.states[i].instances().max(1) as f64;
         if self.graph.is_sink(op) {
             if self.cfg.track_record_latency {
-                self.latency.record(tick_end.saturating_sub(tag), pending);
+                self.latency
+                    .record(tick_end.saturating_sub(flushed.mid_ns()), pending);
             }
             let st = &mut self.states[i];
             for class in &mut st.accs {
@@ -1947,14 +1921,21 @@ impl FluidEngine {
                 // absorb everything; the spill stays pending for the next tick.
                 let accept = states[to.index()].accept_limit();
                 let send = (pending * weight).min(accept);
-                route::<LOG>(states, log, to, tag, send);
+                let routed = Span {
+                    records: send,
+                    ..flushed
+                };
+                route::<LOG>(states, log, to, routed);
                 spilled = spilled.max(pending - send / weight.max(1e-12));
             }
         }
         if spilled > 0.0 {
             let st = &mut self.states[i];
-            st.window_pending += spilled;
-            st.window_pending_oldest = Some(st.window_pending_oldest.map_or(tag, |o| o.min(tag)));
+            let rest = Span {
+                records: spilled,
+                ..flushed
+            };
+            absorb(&mut st.window, rest);
             // Retry the remainder at the next tick rather than next period.
             st.next_fire_ns = tick_end + self.cfg.tick_ns;
         }
@@ -2098,6 +2079,78 @@ mod tests {
         };
         let e = FluidEngine::new(graph, profiles, sources, d, cfg);
         (e, ids)
+    }
+
+    /// A window buffer sums what it absorbs, keeps the earliest `born_ns`
+    /// stamp (the flush's stamp, which the class-chunk merge downstream
+    /// compares) and widens to the union of the emission intervals.
+    #[test]
+    fn window_buffers_keep_the_earliest_stamp_and_the_union_interval() {
+        let mut buffer = None;
+        absorb(&mut buffer, Span::at(50, 2.0));
+        absorb(
+            &mut buffer,
+            Span {
+                born_ns: 40,
+                head_ns: 45,
+                tail_ns: 60,
+                records: 0.5,
+            },
+        );
+        absorb(&mut buffer, Span::at(70, 1.0));
+        assert_eq!(
+            buffer,
+            Some(Span {
+                born_ns: 40,
+                head_ns: 45,
+                tail_ns: 70,
+                records: 3.5,
+            })
+        );
+    }
+
+    /// Little's law on a backpressured steady Flink chain: a non-durable
+    /// source offers twice what the operator serves, so the operator's
+    /// queue sits full and the sink drains at the operator's capacity. The
+    /// mean sink latency then equals the mean number of queued records
+    /// divided by the sink throughput, up to the discretisation of the tick
+    /// (a record pays up to one tick per hop before the next tick sees it,
+    /// and a sink samples at tick end): within two ticks.
+    #[test]
+    fn sink_latency_obeys_littles_law_on_a_backpressured_chain() {
+        let cfg = EngineConfig::default();
+        let tick_ns = cfg.tick_ns;
+        let (mut e, ids) = engine_with(
+            &[(1_000.0, 1.0), (100_000.0, 1.0)],
+            2_000.0,
+            &[1, 1, 1],
+            cfg,
+        );
+        e.run_for(20_000_000_000);
+        assert!(
+            e.queue_len(ids[1]) > 4_999.0,
+            "the operator's queue is full"
+        );
+        let from = e.latency().samples().len();
+        let (ticks, mut queued) = (2_000u64, 0.0);
+        for _ in 0..ticks {
+            e.tick();
+            queued += ids.iter().map(|&op| e.queue_len(op)).sum::<f64>();
+        }
+        let samples = &e.latency().samples()[from..];
+        let drained: f64 = samples.iter().map(|&(_, w)| w).sum();
+        let latency_ns = samples.iter().map(|&(l, w)| l as f64 * w).sum::<f64>() / drained;
+        let throughput_per_ns = drained / (ticks * tick_ns) as f64;
+        let little_ns = queued / ticks as f64 / throughput_per_ns;
+        assert!(
+            (throughput_per_ns * 1e9 - 1_000.0).abs() < 1.0,
+            "the sink drains at the bottleneck's capacity: {}",
+            throughput_per_ns * 1e9
+        );
+        assert!(
+            (latency_ns - little_ns).abs() <= 2.0 * tick_ns as f64,
+            "mean latency {latency_ns} ns vs queued / throughput {little_ns} ns"
+        );
     }
 
     #[test]
@@ -2748,7 +2801,7 @@ mod tests {
                 &[(2_000.0, 1.3), (4_000.0, 1.0)],
                 1_000.0,
                 &[1, 1, 1],
-                untagged(EngineConfig::default()),
+                untracked(EngineConfig::default()),
             )
         };
         let (mut exact, ids) = mk();
@@ -2769,7 +2822,7 @@ mod tests {
     /// and the halt + redeploy + recovery still match exact execution.
     #[test]
     fn request_rescale_cancels_fastforward() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             reconfig_latency_ns: 1_000_000_000,
             ..Default::default()
         });
@@ -2820,7 +2873,7 @@ mod tests {
                 ])),
             );
             let d = Deployment::uniform(&graph, 1);
-            let cfg = untagged(EngineConfig {
+            let cfg = untracked(EngineConfig {
                 instrumentation: InstrumentationConfig::disabled(),
                 ..Default::default()
             });
@@ -2884,16 +2937,17 @@ mod tests {
                     "backlog {op} diverged at tick {t}"
                 );
                 let (a, b) = (&exact.states[op.index()], &fast.states[op.index()]);
+                let records = |st: &OpState| st.window.map(|w| w.records.to_bits());
                 assert_eq!(
-                    (a.window_pending.to_bits(), a.next_fire_ns),
-                    (b.window_pending.to_bits(), b.next_fire_ns),
+                    (records(a), a.next_fire_ns),
+                    (records(b), b.next_fire_ns),
                     "window of {op} diverged at tick {t}"
                 );
             }
         }
     }
 
-    fn untagged(cfg: EngineConfig) -> EngineConfig {
+    fn untracked(cfg: EngineConfig) -> EngineConfig {
         EngineConfig {
             track_record_latency: false,
             ..cfg
@@ -2908,7 +2962,7 @@ mod tests {
     /// steady state that follows.
     #[test]
     fn drift_replays_post_rescale_drain_through_the_drain_guard() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             reconfig_latency_ns: 1_000_000_000,
             ..Default::default()
         });
@@ -2943,12 +2997,13 @@ mod tests {
         assert_engines_agree(&mut exact, &mut fast, &ids);
     }
 
-    /// An operator merges the spans it drains from its class queues iff
-    /// their tags agree, so a one-tick probe that starts with the hot
-    /// class holding an older span than the cold one — and re-creates both
-    /// together — records a tick no later tick repeats, although every
-    /// queue mark is back where it was. The probe must refuse, run the tick
-    /// in full, and arm on a later tick whose tags stand.
+    /// An operator merges the chunks it drains from its class queues iff
+    /// their `born_ns` stamps agree, so a one-tick probe that starts with
+    /// the hot class holding an older run than the cold one — and
+    /// re-creates both together — records a tick no later tick repeats,
+    /// although every queue's counts are back where they were. The probe
+    /// must refuse, run the tick in full, and arm on a later tick whose
+    /// stamps stand.
     #[test]
     fn one_tick_probe_refuses_class_tags_that_have_not_settled() {
         let mk = || {
@@ -2964,7 +3019,7 @@ mod tests {
             sources.insert(ids[0], SourceSpec::constant(1_000.0));
             let mut d = Deployment::uniform(&graph, 1);
             d.set(ids[1], 4);
-            let cfg = untagged(EngineConfig {
+            let cfg = untracked(EngineConfig {
                 instrumentation: InstrumentationConfig::disabled(),
                 ..Default::default()
             });
@@ -2973,17 +3028,20 @@ mod tests {
         let (mut exact, ids) = mk();
         let (mut fast, _) = mk();
         // Both classes are drained whole and re-created by the same push
-        // every tick: their tags agree and the fixed point arms.
+        // every tick: their stamps agree and the fixed point arms.
         assert_lockstep(&mut exact, &mut fast, &ids, 50);
         assert!(fast.fastforward_active());
 
-        // The same float state with an older span left in the hot class.
+        // The same float state with an older run left in the hot class.
         for engine in [&mut exact, &mut fast] {
             let classes = &mut engine.states[ids[1].index()].classes;
             assert_eq!(classes.len(), 2, "a hot class and a cold one");
-            let hot = &mut classes[0].queue;
-            let tag = hot.oldest_ns().expect("holds this tick's push");
-            hot.restore(hot.len(), hot.sole_span_records(), tag - 1);
+            let hot = classes[0]
+                .queue
+                .run
+                .as_mut()
+                .expect("holds this tick's push");
+            hot.born_ns -= 1;
         }
         fast.ff.invalidate();
         let before = fast.fastforward_stats();
@@ -3006,7 +3064,7 @@ mod tests {
     /// both exits stay bitwise on tick-by-tick execution.
     #[test]
     fn drift_replays_a_filling_queue_up_to_the_space_guard() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             per_instance_queue: 200.0,
             ..Default::default()
         });
@@ -3039,10 +3097,10 @@ mod tests {
         assert_engines_agree(&mut exact, &mut fast, &ids);
     }
 
-    /// Tagged engines (which never probe) and Heron mode (its watermark
-    /// comparisons read the fill level) never arm a drift step: the same
-    /// post-rescale drain runs in full there, halts still replay, and it
-    /// all matches tick-by-tick execution.
+    /// Latency-tracking engines (which never probe) and Heron mode (its
+    /// watermark comparisons read the fill level) never arm a drift step:
+    /// the same post-rescale drain runs in full there, halts still replay,
+    /// and it all matches tick-by-tick execution.
     #[test]
     fn tagged_and_heron_engines_never_drift() {
         for (mode, track) in [
@@ -3167,7 +3225,7 @@ mod tests {
             windowed_chain(
                 &[(10_000.0, Some(1_000 * MS)), (10_000.0, None)],
                 SourceSpec::constant(1_000.0),
-                untagged(EngineConfig::default()),
+                untracked(EngineConfig::default()),
             )
         };
         let (mut exact, ids) = mk();
@@ -3193,7 +3251,7 @@ mod tests {
     /// refused runs in full from the state replay left behind.
     #[test]
     fn cycle_with_a_drifting_queue_ends_mid_cycle_at_the_space_guard() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             per_instance_queue: 300.0,
             ..Default::default()
         });
@@ -3239,7 +3297,7 @@ mod tests {
     /// the replay ends.
     #[test]
     fn a_flush_into_a_drifting_queue_is_replayed_with_its_push() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             per_instance_queue: 300.0,
             ..Default::default()
         });
@@ -3278,7 +3336,7 @@ mod tests {
     /// execution.
     #[test]
     fn a_spilling_flush_and_its_retries_stay_exact() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             per_instance_queue: 300.0,
             ..Default::default()
         });
@@ -3316,7 +3374,7 @@ mod tests {
                         (10_000.0, None),
                     ],
                     SourceSpec::constant(1_000.0),
-                    untagged(EngineConfig::default()),
+                    untracked(EngineConfig::default()),
                 )
             };
             let (mut exact, ids) = mk();
@@ -3343,7 +3401,7 @@ mod tests {
     /// batch would be told the wrong thing, so such a cycle must not arm.
     #[test]
     fn a_cycle_whose_source_statistics_vary_never_arms() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             mode: EngineMode::Heron,
             heron_per_instance_queue: 1_000.0,
             ..Default::default()
@@ -3372,7 +3430,7 @@ mod tests {
     }
 
     /// What a probe cannot prove, it does not start: a window period off the
-    /// tick grid, tagged queues with or without a window, Timely mode and
+    /// tick grid, latency tracking with or without a window, Timely mode and
     /// service noise all keep executing full ticks.
     #[test]
     fn unprovable_engines_never_start_a_probe() {
@@ -3384,15 +3442,15 @@ mod tests {
             )
             .0
         };
-        let flink = untagged(EngineConfig::default());
+        let flink = untracked(EngineConfig::default());
         let engines = [
             ("off-grid period", windowed(Some(1_005 * MS), flink.clone())),
             (
-                "tagged",
+                "tracking",
                 windowed(Some(1_000 * MS), EngineConfig::default()),
             ),
             (
-                "tagged, non-windowed Flink",
+                "tracking, non-windowed Flink",
                 windowed(None, EngineConfig::default()),
             ),
             (
@@ -3436,7 +3494,7 @@ mod tests {
     /// rescale request cancels it, without counting a failure.
     #[test]
     fn a_running_probe_survives_a_snapshot_and_yields_to_a_rescale() {
-        let cfg = untagged(EngineConfig {
+        let cfg = untracked(EngineConfig {
             reconfig_latency_ns: 300 * MS,
             ..Default::default()
         });
@@ -3509,7 +3567,7 @@ mod tests {
                 windowed_chain(
                     &[(10_000.0, Some(1_000 * MS)), (10_000.0, None)],
                     SourceSpec::constant(0.0).with_schedule(schedule),
-                    untagged(EngineConfig::default()),
+                    untracked(EngineConfig::default()),
                 )
             };
             let (mut exact, ids) = mk();

@@ -14,10 +14,10 @@
 //! with no queue operations, a halted stretch the case with nothing but
 //! waits.
 //!
-//! Only untagged engines probe: an engine that tracks record latency
-//! executes every tick except those of a halt, so every probed queue holds
-//! at most one span and replay never records a latency sample or advances
-//! an epoch.
+//! Only engines that record neither latency nor epochs probe: an engine
+//! that records them executes every tick except those of a halt, so replay
+//! never records a latency sample or advances an epoch, and nothing a probed
+//! engine reports reads the emission intervals of its queues' runs.
 //!
 //! # Proof obligations
 //!
@@ -36,22 +36,23 @@
 //!   last row equals the first, the `k`-tick map has a fixed point there:
 //!   the inputs are time-invariant, so the trajectory repeats tick for
 //!   tick, phase `j` of every later cycle doing what probe tick `j` did.
-//!   "Equals" means: every queue's `total` and sole span's `records` (or
-//!   its lack of one), every backlog and window buffer bitwise; every
-//!   window's firing time by its distance from now (`next_fire_ns -
-//!   now_ns`, which is why a window period must be a whole number of
-//!   ticks); and whether a window buffer carries a tag.
+//!   "Equals" means: every queue's `total` and run's `records` (or its
+//!   lack of one), every backlog and window buffer bitwise; every window's
+//!   firing time by its distance from now (`next_fire_ns - now_ns`, which
+//!   is why a window period must be a whole number of ticks); and whether
+//!   a window buffer holds a run.
 //!
-//!   Untagged marks hold no tags, yet one thing a tick does depends on
-//!   them: the spans an operator drains from its *class* queues are merged
-//!   before routing iff their tags agree, and a push of `a + b` rounds
-//!   differently from two. A float state can repeat before those relations
-//!   have settled — a window flush re-creates queues in bursts, and a span
-//!   can outlive a drain by less than the next push rounds away — so
-//!   `Fingerprint::class_tags_settled` refuses such a cycle, whatever its
-//!   length. Replay of a longer cycle restores each row's tags along with
-//!   its marks; a one-tick cycle keeps the tags its probe ended with, which
-//!   stand to each other as those of every later tick would.
+//!   The runs' `born_ns` stamps are not compared, yet one thing a tick
+//!   does depends on them: the chunks an operator drains from its *class*
+//!   queues are merged before routing iff their stamps agree, and a push of
+//!   `a + b` rounds differently from two. A float state can repeat before
+//!   those relations have settled — a window flush re-creates queues in
+//!   bursts, and a run can outlive a drain by less than the next push
+//!   rounds away — so `Fingerprint::class_tags_settled` refuses such a
+//!   cycle, whatever its length. Replay of a longer cycle restores each
+//!   row's queues, stamps included; a one-tick cycle keeps the stamps its
+//!   probe ended with, which stand to each other as those of every later
+//!   tick would.
 //!
 //! * **Constant `TickStats`.** The sources must have offered and emitted
 //!   bitwise the same, and the backpressure flag read the same, in all `k`
@@ -62,11 +63,11 @@
 //! * **Drifting queues** (Flink-mode engines). Everything cycles
 //!   *except* the lengths of some queues. A tick reads a queue's length in
 //!   exactly these places:
-//!   1. the drain `len.min(cap_inst)` and `amount.min(total)` in
-//!      `pop_into` — equal to `cap_inst` resp. the requested amount while
+//!   1. the drain `len.min(cap_inst)` and `amount.min(total)` in `pop` —
+//!      equal to `cap_inst` resp. the requested amount while
 //!      `total > cap_inst`;
-//!   2. the pop branch `front.records <= remaining + 1e-12` — the partial
-//!      branch while the single span's `records > cap_inst >= take`;
+//!   2. the pop branch `run.records <= remaining + 1e-12` — the partial
+//!      branch while the run's `records > cap_inst >= take`;
 //!   3. `space()` in the upstream `emit.min(limit / weight)` /
 //!      `want_total > limit` flow control and in a window flush's
 //!      `(pending * weight).min(accept)` — not the binding term while the
@@ -131,7 +132,7 @@
 //! [`last_tick`]: crate::engine::FluidEngine::last_tick
 
 use crate::engine::InstanceAcc;
-use crate::queue::EpochQueue;
+use crate::queue::{EpochQueue, Span};
 
 /// Counters describing how much work fast-forward saved (and spent).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -167,35 +168,14 @@ impl std::ops::AddAssign for FastForwardStats {
     }
 }
 
-/// One untagged queue's structural state at a tick boundary: such a queue
-/// holds at most one span.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct QueueMark {
-    pub(crate) total: f64,
-    /// Records of the span (`None` when the queue held none).
-    pub(crate) sole_records: Option<f64>,
-    /// Tag of the span (`0` when empty). Not compared — untagged
-    /// engines report nothing that depends on a tag's value — but restored
-    /// with the rest: see [`Fingerprint::class_tags_settled`].
-    pub(crate) tag: u64,
-}
-
-impl QueueMark {
-    pub(crate) fn of(queue: &EpochQueue) -> Self {
-        Self {
-            total: queue.len(),
-            sole_records: queue.sole_span_records(),
-            tag: queue.oldest_ns().unwrap_or(0),
-        }
-    }
-
-    /// Bitwise equality. `total` alone is not enough: a clamped push sets
-    /// `total` to the capacity while the span accumulates `records`, so the
-    /// two can part ways, and `pop_into` branches on `records`.
-    pub(crate) fn same(&self, other: &Self) -> bool {
-        self.total.to_bits() == other.total.to_bits()
-            && self.sole_records.map(f64::to_bits) == other.sole_records.map(f64::to_bits)
-    }
+/// Whether two copies of a queue hold bitwise the same counts. `total`
+/// alone is not enough: a clamped push sets `total` to the capacity while
+/// the run accumulates `records`, so the two can part ways, and `pop`
+/// branches on `records`. The stamps are not compared: see
+/// [`Fingerprint::class_tags_settled`].
+pub(crate) fn same(a: &EpochQueue, b: &EpochQueue) -> bool {
+    let records = |q: &EpochQueue| q.run.map(|r| r.records.to_bits());
+    a.len().to_bits() == b.len().to_bits() && records(a) == records(b)
 }
 
 /// One operator's structural state outside its queues at a tick boundary.
@@ -203,9 +183,8 @@ impl QueueMark {
 pub(crate) struct OpMark {
     /// Durable backlog (sources).
     pub(crate) backlog: f64,
-    /// Buffered window output and its oldest tag.
-    pub(crate) window_pending: f64,
-    pub(crate) window_oldest: Option<u64>,
+    /// Buffered window output.
+    pub(crate) window: Option<Span>,
     /// `next_fire_ns - now_ns`, wrapping (`0` for operators without a
     /// window).
     pub(crate) fire_in: u64,
@@ -214,12 +193,12 @@ pub(crate) struct OpMark {
 impl OpMark {
     /// Whether a tick starting from `later` does what one starting from
     /// `self` did: everything bitwise equal, the firing time by its
-    /// distance from now, the oldest buffered tag by its presence (its
-    /// value only labels what a flush pushes).
+    /// distance from now, the window buffer by its presence and records
+    /// (its stamps only label what a flush pushes).
     pub(crate) fn repeats(&self, later: &Self) -> bool {
+        let window = |m: &Self| m.window.map(|w| w.records.to_bits());
         self.backlog.to_bits() == later.backlog.to_bits()
-            && self.window_pending.to_bits() == later.window_pending.to_bits()
-            && self.window_oldest.is_some() == later.window_oldest.is_some()
+            && window(self) == window(later)
             && self.fire_in == later.fire_in
     }
 }
@@ -234,8 +213,8 @@ impl OpMark {
 /// vectors have grown to the dataflow's size times the cycle length.
 #[derive(Debug, Default)]
 pub(crate) struct Fingerprint {
-    /// One mark per queue, in engine walk order, row after row.
-    pub(crate) queues: Vec<QueueMark>,
+    /// One copy of each queue, in engine walk order, row after row.
+    pub(crate) queues: Vec<EpochQueue>,
     /// Queues per row.
     pub(crate) width: usize,
     /// One mark per operator id, row after row.
@@ -250,16 +229,16 @@ impl Fingerprint {
         self.ops.clear();
     }
 
-    /// Whether the tags of one operator's class queues — `classes` queues
-    /// from walk-order index `first` — stand to each other, in every row,
-    /// in a way every later cycle keeps (a tick merges the spans it drains
-    /// from them iff their tags agree; see the module docs). Two classes do
-    /// when their tags agree in every row where both hold a span (they are
-    /// always re-created together, by the same push), or when the one with
-    /// the smaller tag keeps its span through every tick of the cycle — its
-    /// tag then never changes, and the other's only grows. Whether a span
-    /// survives a tick is read off the `logged` drains; without a log only
-    /// agreement counts.
+    /// Whether the `born_ns` stamps of one operator's class queues —
+    /// `classes` queues from walk-order index `first` — stand to each
+    /// other, in every row, in a way every later cycle keeps (a tick merges
+    /// the chunks it drains from them iff their stamps agree; see the module
+    /// docs). Two classes do when their stamps agree in every row where
+    /// both hold a run (they are always re-created together, by the same
+    /// push), or when the one with the smaller stamp keeps its run through
+    /// every tick of the cycle — its stamp then never changes, and the
+    /// other's only grows. Whether a run survives a tick is read off the
+    /// `logged` drains; without a log only agreement counts.
     pub(crate) fn class_tags_settled(
         &self,
         log: &QueueLog,
@@ -273,21 +252,20 @@ impl Fingerprint {
             logged
                 && (0..rows - 1).all(|phase| {
                     let (_, take) = log.drain(phase, first + class);
-                    // The partial-pop branch of `pop_into`.
+                    // The partial-pop branch of `pop`.
                     mark(phase, class)
-                        .sole_records
-                        .is_some_and(|records| records > take + 1e-12)
+                        .run
+                        .is_some_and(|run| run.records > take + 1e-12)
                 })
         };
         (0..classes).all(|c| {
             (c + 1..classes).all(|d| {
                 let (mut agree, mut c_older, mut d_older) = (true, true, true);
                 for row in 0..rows {
-                    let (a, b) = (mark(row, c), mark(row, d));
-                    if a.sole_records.is_some() && b.sole_records.is_some() {
-                        agree &= a.tag == b.tag;
-                        c_older &= a.tag < b.tag;
-                        d_older &= b.tag < a.tag;
+                    if let (Some(a), Some(b)) = (mark(row, c).run, mark(row, d).run) {
+                        agree &= a.born_ns == b.born_ns;
+                        c_older &= a.born_ns < b.born_ns;
+                        d_older &= b.born_ns < a.born_ns;
                     }
                 }
                 agree
@@ -367,7 +345,7 @@ pub(crate) struct DriftQueue {
     pub(crate) take: f64,
     /// This queue's pushes, as a range of [`FastForward::drift_pushes`].
     pub(crate) pushes: (u32, u32),
-    /// Drain guard: `total` and the span's `records` must exceed this.
+    /// Drain guard: `total` and the run's `records` must exceed this.
     floor: f64,
     /// Space guard: `total` must stay below this.
     ceiling: f64,
@@ -376,7 +354,7 @@ pub(crate) struct DriftQueue {
 impl DriftQueue {
     /// Builds the drift operations of queue `index` from tick `phase` of
     /// the probe log, appending its pushes to `pushes_out`. `None` when the
-    /// logged drain is one `pop_into` might skip as dust.
+    /// logged drain is one `pop` might skip as dust.
     pub(crate) fn from_log(
         log: &QueueLog,
         phase: usize,
@@ -387,7 +365,7 @@ impl DriftQueue {
     ) -> Option<Self> {
         let slack = GUARD_SLACK * capacity;
         let (cap_inst, take) = log.drain(phase, index as usize);
-        // A non-positive take pops nothing; in between, `pop_into`'s own
+        // A non-positive take pops nothing; in between, `pop`'s own
         // dust threshold decides — not a case worth proving.
         let take = if take > 0.0 { take } else { 0.0 };
         if take != 0.0 && take <= slack {
@@ -412,8 +390,9 @@ impl DriftQueue {
         })
     }
 
-    /// Whether a tick starting from the single-span state `(records,
-    /// total)` performs exactly the recorded operations.
+    /// Whether a tick starting from a queue whose run holds `records`
+    /// (`None`: no run) and whose `total` is given performs exactly the
+    /// recorded operations.
     pub(crate) fn admits(&self, records: Option<f64>, total: f64) -> bool {
         records.is_some_and(|r| r > self.floor) && total > self.floor && total < self.ceiling
     }
@@ -653,11 +632,8 @@ mod tests {
         assert_eq!((d.op, d.class, d.take), (3, 1, 600.0));
         assert_eq!(pushes, vec![400.0, 290.0], "only this queue's pushes");
         assert!(d.admits(Some(2_000.0), 2_000.0));
-        assert!(!d.admits(None, 2_000.0), "not a single span");
-        assert!(
-            !d.admits(Some(700.0), 2_000.0),
-            "span at one tick's service"
-        );
+        assert!(!d.admits(None, 2_000.0), "no run");
+        assert!(!d.admits(Some(700.0), 2_000.0), "run at one tick's service");
         assert!(
             !d.admits(Some(2_000.0), 700.0),
             "total at one tick's service"
@@ -670,46 +646,54 @@ mod tests {
     }
 
     /// A saturated queue's `total` returns to the capacity with every
-    /// clamped push while its span's `records` — `records + (capacity -
-    /// total)`, rounded — need not: the marks must differ, or the cycle test
-    /// would call a state repeated that `pop_into` can tell apart.
+    /// clamped push while its run's `records` — `records + (capacity -
+    /// total)`, rounded — need not: the copies must differ, or the cycle
+    /// test would call a state repeated that `pop` can tell apart.
     #[test]
     fn marks_compare_the_span_records_not_only_the_total() {
-        let mut q = EpochQueue::new_untagged(1_742.7);
-        q.push(0, 354.64);
-        q.push(0, 5_000.0);
-        let before = QueueMark::of(&q);
-        q.pop_into(705.92, &mut Vec::new());
-        q.push(0, 5_000.0);
-        let after = QueueMark::of(&q);
-        assert!(before.sole_records.is_some() && after.sole_records.is_some());
-        assert_eq!(before.total.to_bits(), after.total.to_bits());
+        let mut q = EpochQueue::new(1_742.7);
+        q.push(Span::at(0, 354.64));
+        q.push(Span::at(0, 5_000.0));
+        let before = q;
+        q.pop(705.92);
+        q.push(Span::at(0, 5_000.0));
+        let after = q;
+        let records = |q: &EpochQueue| q.run.map(|r| r.records.to_bits());
+        assert!(records(&before).is_some() && records(&after).is_some());
+        assert_eq!(before.len().to_bits(), after.len().to_bits());
         assert_ne!(
-            before.sole_records.map(f64::to_bits),
-            after.sole_records.map(f64::to_bits),
-            "premise: the span drifted off the total"
+            records(&before),
+            records(&after),
+            "premise: the run drifted off the total"
         );
-        assert!(before.same(&before));
-        assert!(!before.same(&after), "the probe must refuse this cycle");
+        assert!(same(&before, &before));
+        assert!(!same(&before, &after), "the probe must refuse this cycle");
     }
 
     /// An operator's state repeats only if its window fires at the same
-    /// distance from now; which tag its buffer carries does not matter,
-    /// whether it carries one does.
+    /// distance from now; which stamps its buffer carries does not matter,
+    /// whether it holds a run does.
     #[test]
     fn operator_marks_compare_firing_distance_and_tag_presence() {
         let mark = OpMark {
             backlog: 3.5,
-            window_pending: 120.0,
-            window_oldest: Some(40),
+            window: Some(Span::at(40, 120.0)),
             fire_in: 70,
         };
         assert!(mark.repeats(&OpMark {
-            window_oldest: Some(1_040),
+            window: Some(Span::at(1_040, 120.0)),
             ..mark
         }));
         assert!(!mark.repeats(&OpMark {
-            window_oldest: None,
+            window: None,
+            ..mark
+        }));
+        let unbuffered = OpMark {
+            window: None,
+            ..mark
+        };
+        assert!(!unbuffered.repeats(&OpMark {
+            window: Some(Span::at(40, 0.0)),
             ..mark
         }));
         assert!(!mark.repeats(&OpMark {
@@ -717,7 +701,7 @@ mod tests {
             ..mark
         }));
         assert!(!mark.repeats(&OpMark {
-            window_pending: 120.00000000000001,
+            window: Some(Span::at(40, 120.00000000000001)),
             ..mark
         }));
         assert!(!mark.repeats(&OpMark {
@@ -726,8 +710,8 @@ mod tests {
         }));
     }
 
-    /// Two class queues keep the relation of their tags when the tags
-    /// agree wherever both hold a span, or when the older one provably
+    /// Two class queues keep the relation of their stamps when the stamps
+    /// agree wherever both hold a run, or when the older one provably
     /// never empties; a cycle that starts with equal tags and ends with
     /// different ones (the younger class was re-created on the way) is the
     /// one whose next round merges differently.
@@ -746,10 +730,10 @@ mod tests {
             queues: rows
                 .iter()
                 .flatten()
-                .map(|&(records, tag)| QueueMark {
-                    total: records,
-                    sole_records: (records > 0.0).then_some(records),
-                    tag,
+                .map(|&(records, tag)| {
+                    let mut q = EpochQueue::new(f64::INFINITY);
+                    q.push(Span::at(tag, records));
+                    q
                 })
                 .collect(),
             width: 2,
@@ -772,7 +756,7 @@ mod tests {
         ];
         assert!(!settled(parted, true));
         // The first holds 50 > 10 records before every tick: it keeps its
-        // span and its older tag for good — if the drains are known.
+        // run and its older stamp for good — if the drains are known.
         let older = [
             [(50.0, 3), (20.0, 7)],
             [(50.0, 3), (20.0, 8)],
@@ -780,7 +764,7 @@ mod tests {
         ];
         assert!(settled(older, true));
         assert!(!settled(older, false), "no log, no proof that it persists");
-        // Down to its last 10 records, the next drain takes the whole span.
+        // Down to its last 10 records, the next drain takes the whole run.
         let drained = [
             [(50.0, 3), (20.0, 7)],
             [(10.0, 3), (20.0, 8)],

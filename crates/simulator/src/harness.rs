@@ -632,12 +632,13 @@ mod tests {
         );
     }
 
-    /// Tagged engines never probe: the slow post-rescale drain that
-    /// untagged Flink replays as drift runs tick by tick there, in Flink
-    /// and Heron mode alike, and only the halts replay. The `RunResult`,
-    /// the latency samples and the epochs equal tick-by-tick execution.
+    /// Latency-tracking engines never probe: the slow post-rescale drain
+    /// that untracked Flink replays as drift runs tick by tick there, in
+    /// Flink and Heron mode alike, and only the halts replay. The
+    /// `RunResult`, the latency samples and the epochs equal tick-by-tick
+    /// execution.
     #[test]
-    fn tagged_and_heron_runs_never_drift_and_match_exact() {
+    fn tracked_and_heron_runs_never_drift_and_match_exact() {
         let harness = HarnessConfig {
             policy_interval_ns: 10_000_000_000,
             run_duration_ns: 150_000_000_000,
@@ -667,7 +668,7 @@ mod tests {
                 assert!(stats.halted_ticks > 0, "{mode:?}: {stats:?}");
             } else {
                 // The control: this run does have a drain to replay.
-                assert!(stats.drift_ticks > 1_000, "untagged Flink: {stats:?}");
+                assert!(stats.drift_ticks > 1_000, "untracked Flink: {stats:?}");
             }
         }
     }

@@ -128,29 +128,6 @@ impl LatencyRecorder {
             .sum();
         above / total
     }
-
-    /// The empirical CDF evaluated at `points` latencies: for each point,
-    /// the fraction of weight at or below it.
-    pub fn cdf(&self, points: &[u64]) -> Vec<(u64, f64)> {
-        let total = self.total_weight();
-        points
-            .iter()
-            .map(|&p| {
-                let below: f64 = self
-                    .samples
-                    .iter()
-                    .filter(|&&(l, _)| l <= p)
-                    .map(|&(_, w)| w)
-                    .sum();
-                (p, if total > 0.0 { below / total } else { 0.0 })
-            })
-            .collect()
-    }
-
-    /// Merges another recorder's samples into this one.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        self.samples.extend_from_slice(&other.samples);
-    }
 }
 
 /// Tracks per-epoch completion latency (Timely-style, §5.5).
@@ -158,8 +135,8 @@ impl LatencyRecorder {
 /// Source time is divided into fixed epochs (1 s of data in the paper).
 /// An epoch completes when every record emitted during it has left the
 /// dataflow; its latency is `completion_time - epoch_end_time`. The tracker
-/// is fed the global *frontier* — the oldest source-emission timestamp still
-/// present in any queue or in flight.
+/// is fed the global *frontier* — the oldest source-emission time still
+/// present in any queue or window buffer (the head of some run).
 #[derive(Debug, Clone)]
 pub struct EpochTracker {
     epoch_ns: u64,
@@ -240,21 +217,6 @@ mod tests {
         assert_eq!(r.median(), None);
         assert_eq!(r.mean(), None);
         assert_eq!(r.fraction_above(0), 0.0);
-        assert_eq!(r.cdf(&[10])[0].1, 0.0);
-    }
-
-    #[test]
-    fn cdf_monotone() {
-        let mut r = LatencyRecorder::new();
-        for l in [10u64, 20, 30, 40, 50] {
-            r.record(l, 1.0);
-        }
-        let cdf = r.cdf(&[5, 10, 25, 50, 100]);
-        assert_eq!(cdf[0].1, 0.0);
-        assert!((cdf[1].1 - 0.2).abs() < 1e-12);
-        assert!((cdf[2].1 - 0.4).abs() < 1e-12);
-        assert!((cdf[3].1 - 1.0).abs() < 1e-12);
-        assert!((cdf[4].1 - 1.0).abs() < 1e-12);
     }
 
     #[test]
@@ -283,17 +245,6 @@ mod tests {
         // Cloning drops the cache but not the samples.
         let c = r.clone();
         assert_eq!(c.median(), r.median());
-    }
-
-    #[test]
-    fn merge_recorders() {
-        let mut a = LatencyRecorder::new();
-        a.record(10, 1.0);
-        let mut b = LatencyRecorder::new();
-        b.record(20, 3.0);
-        a.merge(&b);
-        assert_eq!(a.total_weight(), 4.0);
-        assert_eq!(a.median(), Some(20));
     }
 
     #[test]

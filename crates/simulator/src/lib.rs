@@ -10,7 +10,7 @@
 //!
 //! * [`profile`] — per-operator cost models (instrumented cost, hidden
 //!   overhead, sub-linear scaling curves, skew, windowed output);
-//! * [`queue`] — FIFO fluid queues tagged with source emission time;
+//! * [`queue`] — FIFO fluid queues stamped with source emission intervals;
 //! * [`source`] — offered-rate schedules and source specs;
 //! * [`engine`] — the fluid engine with Flink/Heron/Timely personalities;
 //! * [`fastforward`] — macro-tick steady-state detection and exact replay

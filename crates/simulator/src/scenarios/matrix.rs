@@ -26,8 +26,8 @@
 //! Cell engines run with steady-state fast-forward on by default
 //! ([`MatrixConfig::fast_forward`], see [`crate::fastforward`]): provably
 //! identical ticks between workload phases and control decisions are
-//! replayed instead of re-executed, and queues run untagged (the report
-//! never reads per-record latency). Outcomes are **bit-identical** with
+//! replayed instead of re-executed, and engines record no latency (the
+//! report never reads it). Outcomes are **bit-identical** with
 //! fast-forward on or off — `tests/fastforward_equivalence.rs` and the CI
 //! `--exact` report diff enforce it.
 
@@ -838,10 +838,8 @@ impl ScenarioMatrix {
                 instrumentation: InstrumentationConfig::disabled(),
                 fast_forward: self.config.fast_forward,
                 // The matrix report never reads per-record latency or
-                // epochs, so the engines run untagged: no span/latency
+                // epochs, so the engines record neither: no sample
                 // bookkeeping on the hot path, and fast-forward may probe.
-                // Untagged is the matrix's model — equal to tagged only up
-                // to rounding — and its reports are defined on it.
                 track_record_latency: false,
                 ..Default::default()
             },

@@ -618,7 +618,7 @@ mod tests {
     }
 
     /// A lowered windowed query is a cycle of its window period: an
-    /// untagged engine built from the spec arms it and replays most of the
+    /// engine built from the spec without latency tracking arms it and replays most of the
     /// run, staying bitwise on a twin driven tick by tick.
     #[test]
     fn windowed_query_engines_replay_their_cycles() {

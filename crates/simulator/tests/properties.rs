@@ -10,7 +10,7 @@ use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
 use ds2_core::snapshot::MetricsSnapshot;
 use ds2_simulator::engine::{EngineConfig, FluidEngine, InstrumentationConfig};
 use ds2_simulator::profile::{OperatorProfile, ProfileMap};
-use ds2_simulator::queue::EpochQueue;
+use ds2_simulator::queue::{EpochQueue, Span};
 use ds2_simulator::scenarios::{
     ControllerKind, ControllerSummary, GeneratorConfig, MatrixConfig, NexmarkQuery, ScenarioFamily,
     ScenarioMatrix,
@@ -205,28 +205,39 @@ proptest! {
         }
     }
 
-    /// FIFO queues: pops return spans in non-decreasing tag order and
-    /// conserve mass.
+    /// FIFO queues: a sequence of pops tiles the queued emission interval
+    /// — each chunk starts where the one before it ended, never runs
+    /// backwards and stays inside what was pushed — and conserves mass.
     #[test]
     fn queue_fifo_and_mass(
-        pushes in proptest::collection::vec((0u64..1_000, 0.1f64..100.0), 1..50),
-        pop_fraction in 0.1f64..1.5,
+        pushes in proptest::collection::vec((0u64..1_000, 0u64..500, 0.1f64..100.0), 1..50),
+        pops in proptest::collection::vec(0.0f64..60.0, 1..40),
     ) {
         let mut q = EpochQueue::new(f64::INFINITY);
-        let mut total = 0.0;
-        let mut tag = 0u64;
-        for (dt, records) in pushes {
-            tag += dt;
-            q.push(tag, records);
+        let (mut total, mut t) = (0.0, 0u64);
+        let (mut lo, mut hi) = (u64::MAX, 0u64);
+        for (dt, width, records) in pushes {
+            t += dt;
+            q.push(Span { born_ns: t, head_ns: t, tail_ns: t + width, records });
             total += records;
+            lo = lo.min(t);
+            hi = hi.max(t + width);
         }
-        let spans = q.pop(total * pop_fraction);
-        let popped: f64 = spans.iter().map(|s| s.records).sum();
-        prop_assert!(popped <= total * 1.0000001);
-        prop_assert!((popped + q.len() - total).abs() < 1e-6);
-        for w in spans.windows(2) {
-            prop_assert!(w[0].emitted_ns <= w[1].emitted_ns, "FIFO violated");
+        let (mut popped, mut last_tail) = (0.0, None);
+        for amount in pops.into_iter().chain([f64::INFINITY]) {
+            let Some(chunk) = q.pop(amount) else {
+                continue;
+            };
+            prop_assert!(chunk.head_ns <= chunk.tail_ns, "{chunk:?}");
+            prop_assert!(lo <= chunk.head_ns && chunk.tail_ns <= hi, "{chunk:?} outside [{lo}, {hi}]");
+            if let Some(tail) = last_tail {
+                prop_assert_eq!(chunk.head_ns, tail, "pops must tile the interval");
+            }
+            last_tail = Some(chunk.tail_ns);
+            popped += chunk.records;
         }
+        prop_assert!(q.is_empty(), "popping everything empties the queue");
+        prop_assert!((popped + q.len() - total).abs() < 1e-9 * total);
     }
 }
 

@@ -2,9 +2,9 @@
 //! with macro-tick fast-forward enabled produces a `RunResult` — timeline,
 //! decisions, final deployment, faults — **equal** (every float with exact
 //! `f64` equality) to the same run executed tick by tick. The matrix runs
-//! untagged engines, the only ones that probe; tagged engines replay
-//! nothing but halts, and the harness's own tests compare their latency
-//! samples and epochs.
+//! engines that track no latency, the only ones that probe; tracking
+//! engines replay nothing but halts, and the harness's own tests compare
+//! their latency samples and epochs.
 //!
 //! Fast-forward only ever replays transitions it *proved* repeat exactly
 //! (see `ds2_simulator::fastforward`), so any divergence here is a bug in
