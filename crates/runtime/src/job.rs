@@ -18,8 +18,9 @@ pub type LogicFactory<R> = Arc<dyn Fn() -> Box<dyn Logic<R>> + Send + Sync>;
 /// Key extractor used to partition records among downstream instances.
 pub type KeyFn<R> = Arc<dyn Fn(&R) -> u64 + Send + Sync>;
 
-/// Generator invoked by source instances to produce the next record.
-pub type SourceFn<R> = Arc<dyn Fn(u64) -> R + Send + Sync>;
+/// Generator invoked by source instances once per batch: `generate(n, len,
+/// out)` appends records `n..n + len` of the instance's sequence to `out`.
+pub type SourceFn<R> = Arc<dyn Fn(u64, usize, &mut Vec<R>) + Send + Sync>;
 
 /// Specification of one non-source operator.
 pub struct OperatorSpec<R> {
@@ -40,8 +41,8 @@ impl<R> Clone for OperatorSpec<R> {
 
 /// Specification of one source operator.
 pub struct SourceOpSpec<R> {
-    /// Produces the `n`-th record of an instance (monotone counter per
-    /// instance).
+    /// Appends a batch of an instance's records, numbered by a counter
+    /// per instance that starts at 0 on every deployment and never skips.
     pub generate: SourceFn<R>,
     /// Extracts the partitioning key from a generated record.
     pub key_fn: KeyFn<R>,
@@ -139,7 +140,9 @@ impl<R> JobSpec<R> {
         self
     }
 
-    /// Registers a source driver.
+    /// Registers a source driver; `generate(n)` makes an instance's `n`-th
+    /// record. It is called from a loop over the batch, one virtual call
+    /// per batch, so the per-record call can be inlined.
     pub fn source(
         &mut self,
         op: OperatorId,
@@ -150,7 +153,9 @@ impl<R> JobSpec<R> {
         self.sources.insert(
             op,
             SourceOpSpec {
-                generate: Arc::new(generate),
+                generate: Arc::new(move |n, len, out: &mut Vec<R>| {
+                    out.extend((n..n + len as u64).map(&generate));
+                }),
                 key_fn: Arc::new(key_fn),
                 rate,
             },
