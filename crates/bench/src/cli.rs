@@ -65,8 +65,7 @@
 //! runs with different `--threads` — or with and without `--exact` — can be
 //! `diff`ed directly (CI does).
 //!
-//! Environment: `DS2_MATRIX_SEED` (same as `--seed`),
-//! `DS2_MATRIX_WORKLOADS` (comma-separated family names),
+//! Environment: `DS2_MATRIX_WORKLOADS` (comma-separated family names),
 //! `DS2_MATRIX_DURATION_S`, `DS2_MATRIX_VERBOSE`.
 
 use std::time::Instant;
@@ -289,11 +288,7 @@ fn run_matrix(mut args: impl Iterator<Item = String>) {
     if let Some(families) = families {
         config.generator.families = families;
     }
-    if let Some(seed) = seed.or_else(|| {
-        std::env::var("DS2_MATRIX_SEED")
-            .ok()
-            .and_then(|s| s.parse().ok())
-    }) {
+    if let Some(seed) = seed {
         config.base_seed = seed;
     }
     if let Ok(names) = std::env::var("DS2_MATRIX_WORKLOADS") {

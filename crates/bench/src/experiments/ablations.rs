@@ -97,10 +97,7 @@ pub fn heron_queue_ablation(duration_ns: u64) -> (Vec<(f64, Option<f64>)>, Strin
             heron_per_instance_queue: queue,
             reconfig_latency_ns: 40_000_000_000,
             tick_ns: 50_000_000,
-            instrumentation: InstrumentationConfig {
-                enabled: true,
-                per_record_cost_ns: 0.0,
-            },
+            instrumentation: InstrumentationConfig::disabled(),
             ..Default::default()
         };
         let engine = FluidEngine::new(graph.clone(), profiles, sources, deployment, cfg);

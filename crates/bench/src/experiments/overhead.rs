@@ -49,8 +49,7 @@ fn run_flink(query: QueryId, instrument: bool, duration_ns: u64) -> (u64, u64) {
         per_instance_queue: 20_000.0,
         service_noise: 0.05,
         instrumentation: InstrumentationConfig {
-            enabled: instrument,
-            per_record_cost_ns: main_cost * 0.015,
+            per_record_cost_ns: if instrument { main_cost * 0.015 } else { 0.0 },
         },
         ..Default::default()
     };
@@ -73,8 +72,7 @@ fn run_timely(query: QueryId, instrument: bool, duration_ns: u64) -> (u64, u64) 
         tick_ns: 10_000_000,
         service_noise: 0.05,
         instrumentation: InstrumentationConfig {
-            enabled: instrument,
-            per_record_cost_ns: main_cost * 0.04,
+            per_record_cost_ns: if instrument { main_cost * 0.04 } else { 0.0 },
         },
         ..Default::default()
     };

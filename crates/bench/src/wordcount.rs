@@ -73,7 +73,6 @@ pub fn heron_benchmark(initial: (usize, usize)) -> (FluidEngine, WordCountOps) {
         reconfig_latency_ns: 40_000_000_000,
         tick_ns: 50_000_000,
         instrumentation: InstrumentationConfig {
-            enabled: true,
             per_record_cost_ns: 0.0, // Heron gathers these metrics by default
         },
         ..Default::default()

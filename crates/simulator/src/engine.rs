@@ -34,7 +34,14 @@
 //! *class* scaled by its count — they are bitwise clones of each other,
 //! so a uniform 64-wide operator ticks at the cost of a 1-wide one — and
 //! provably steady ticks are replayed rather than re-executed
-//! ([`crate::fastforward`], [`FluidEngine::tick_within`]).
+//! ([`crate::fastforward`]).
+//!
+//! [`FluidEngine::tick`] executes exactly one tick (the reference
+//! semantics); [`FluidEngine::advance`] takes one step up to the caller's
+//! event horizon — a replayed batch or one full tick — and reports its
+//! ticks. All personalities share one process phase (pop, merge equal
+//! stamps, route or buffer, fire the window) and differ only in how much
+//! each operator drains: per partition, or water-filled from a pool.
 
 use std::collections::BTreeMap;
 
@@ -68,19 +75,17 @@ pub enum EngineMode {
 /// Instrumentation cost model (Fig. 10).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InstrumentationConfig {
-    /// Whether §4.1 instrumentation is active.
-    pub enabled: bool,
-    /// Extra per-record cost of maintaining counters, in nanoseconds. Added
-    /// to the *measured* (and real) processing cost when enabled — the
-    /// counters run inside the instance's processing loop.
+    /// Extra per-record cost of maintaining the §4.1 counters, in
+    /// nanoseconds, added to the *measured* (and real) processing cost —
+    /// the counters run inside the instance's processing loop. Zero is
+    /// instrumentation off.
     pub per_record_cost_ns: f64,
 }
 
 impl InstrumentationConfig {
-    /// Instrumentation disabled (the Fig. 10 "vanilla" baseline).
+    /// Instrumentation off (the Fig. 10 "vanilla" baseline).
     pub fn disabled() -> Self {
         Self {
-            enabled: false,
             per_record_cost_ns: 0.0,
         }
     }
@@ -89,7 +94,6 @@ impl InstrumentationConfig {
 impl Default for InstrumentationConfig {
     fn default() -> Self {
         Self {
-            enabled: true,
             per_record_cost_ns: 25.0,
         }
     }
@@ -255,16 +259,12 @@ impl OpState {
     }
 
     /// Pushes `chunk` split across partitions by share: one representative
-    /// push per class, each carrying the chunk's stamps.
-    fn push_partitioned(&mut self, chunk: Span) {
-        self.push_partitioned_with(chunk, |_, _| {});
-    }
-
-    /// [`OpState::push_partitioned`], reporting each `(class index, records)`
-    /// to `observe` just before it is pushed (the fast-forward probe logs
-    /// them; the plain path passes a no-op that compiles away).
+    /// push per class, each carrying the chunk's stamps. Each `(class index,
+    /// records)` goes to `observe` just before it is pushed (the
+    /// fast-forward probe logs them; other callers pass a no-op that
+    /// compiles away).
     #[inline]
-    fn push_partitioned_with(&mut self, chunk: Span, mut observe: impl FnMut(usize, f64)) {
+    fn push_partitioned(&mut self, chunk: Span, mut observe: impl FnMut(usize, f64)) {
         for (k, c) in self.classes.iter_mut().enumerate() {
             if c.share > 0.0 {
                 let records = chunk.records * c.share;
@@ -325,11 +325,14 @@ impl TickStats {
     }
 }
 
-/// Events produced by a tick.
-#[derive(Debug, Clone, Default)]
+/// Events produced by a step of the engine.
+#[derive(Debug, Clone)]
 pub struct TickEvents {
-    /// A pending rescale finished deploying this tick.
+    /// A pending rescale finished deploying this tick (full ticks only).
     pub deployed: Option<Deployment>,
+    /// Ticks the step advanced: 1 for a full tick, the batch length for a
+    /// replay ([`FluidEngine::advance`]).
+    pub ticks: u64,
 }
 
 /// The fluid queueing engine.
@@ -420,18 +423,12 @@ pub struct FluidEngine {
 /// log, under the queue's walk-order index.
 #[inline]
 fn route<const LOG: bool>(states: &mut [OpState], log: &mut QueueLog, to: OperatorId, chunk: Span) {
-    let st = &mut states[to.index()];
-    if LOG {
-        let base = log.class_base[to.index()];
-        st.push_partitioned_with(chunk, |k, x| {
-            // `push` ignores non-positive amounts.
-            if x > 0.0 {
-                log.pushes.push((base + k as u32, x));
-            }
-        });
-    } else {
-        st.push_partitioned(chunk);
-    }
+    states[to.index()].push_partitioned(chunk, |k, x| {
+        // `push` ignores non-positive amounts.
+        if LOG && x > 0.0 {
+            log.pushes.push((log.class_base[to.index()] + k as u32, x));
+        }
+    });
 }
 
 impl FluidEngine {
@@ -540,7 +537,11 @@ impl FluidEngine {
             spill_total_rate: 0.0,
             timely_deployment: Deployment::with_len(m),
         };
-        engine.init_states();
+        engine.states = engine
+            .graph
+            .operators()
+            .map(|op| engine.make_op_state(op))
+            .collect();
         engine.rebuild_cost_cache();
         engine.refresh_spill();
         engine.rebuild_timely_deployment();
@@ -565,17 +566,14 @@ impl FluidEngine {
                 self.cost_cache[i] = (0.0, 0.0);
                 continue;
             }
-            let p = match self.cfg.mode {
-                EngineMode::Timely => self.timely_workers,
-                _ => self.deployment.parallelism(op).max(1),
-            };
-            let (instr, real) = {
-                let profile = &self.profiles[op];
-                (
-                    self.effective_instr_cost(profile, p),
-                    self.effective_real_cost(profile, p),
-                )
-            };
+            let p = self.instances_of(op);
+            // The instrumentation overhead runs inside the processing loop,
+            // so it is measured as useful time; the hidden cost is not.
+            let profile = &self.profiles[op];
+            let instr = (profile.instrumented_cost_ns(p)
+                + self.cfg.instrumentation.per_record_cost_ns)
+                .max(1e-3);
+            let real = instr + profile.hidden_cost_ns(p);
             // Spill penalty: strictly skipped at factor 1.0 so stateless
             // operators (and stateful ones within budget) keep the exact
             // historical cost bits.
@@ -714,20 +712,8 @@ impl FluidEngine {
             classes,
             accs,
             window: None,
-            next_fire_ns: self.window_period(op).map_or(u64::MAX, |p| self.now_ns + p),
+            next_fire_ns: self.window_periods[op.index()].map_or(u64::MAX, |p| self.now_ns + p),
         }
-    }
-
-    fn init_states(&mut self) {
-        self.states = self
-            .graph
-            .operators()
-            .map(|op| self.make_op_state(op))
-            .collect();
-    }
-
-    fn window_period(&self, op: OperatorId) -> Option<u64> {
-        self.window_periods.get(op.index()).copied().flatten()
     }
 
     /// Current virtual time in nanoseconds.
@@ -833,42 +819,59 @@ impl FluidEngine {
     ///
     /// Drops any fast-forward state first: external tick-by-tick driving is
     /// the exact reference semantics. Harness loops that want macro-tick
-    /// fast-forward call [`FluidEngine::tick_within`] instead.
+    /// fast-forward call [`FluidEngine::advance`] instead.
     pub fn tick(&mut self) -> TickEvents {
         self.ff.invalidate();
         self.full_tick()
     }
 
-    /// Advances the simulation by one tick, replaying an armed transition
-    /// (a cycle of ticks, with or without drifting queues, or a halted
-    /// step) when possible.
+    /// Advances the simulation by one step and reports how many ticks it
+    /// took ([`TickEvents::ticks`]).
+    ///
+    /// With a transition armed (a cycle of ticks, with or without drifting
+    /// queues, or a halted step — see [`crate::fastforward`]) the step
+    /// replays as many of its ticks as end at or before `horizon_ns`, and
+    /// at least one. Otherwise — nothing armed, or a drift guard refused
+    /// the first tick — it runs one tick in full (a probe tick when a probe
+    /// is running or worth starting) and then arms the halted step if the
+    /// job is down.
     ///
     /// `horizon_ns` is the caller's *event horizon*: a promise that no
     /// external interaction (metrics-window close acted upon, rescale
     /// request, workload reconfiguration) happens for ticks ending at or
     /// before it. The engine derives the hard correctness boundaries —
     /// source phase changes, pending redeployments, window firings —
-    /// itself; the horizon only stops it from starting probe work right
-    /// before the caller is going to perturb the dataflow anyway. A probe
-    /// that spans several ticks carries on across horizons: closing a
-    /// metrics window does not disturb it, and a rescale request cancels
-    /// it.
+    /// itself; the horizon only bounds a replay and stops the engine from
+    /// starting probe work right before the caller is going to perturb the
+    /// dataflow anyway. A probe that spans several ticks carries on across
+    /// horizons: closing a metrics window does not disturb it, and a
+    /// rescale request cancels it.
     ///
     /// The outcome is bitwise identical to calling [`FluidEngine::tick`]
-    /// in a loop: a replayed tick performs the same queue, accumulator and
-    /// backlog arithmetic the full tick would, and anything the engine
-    /// cannot prove keeps executing in full. Replay records no latency
-    /// samples and advances no epochs: only engines that record neither
-    /// probe, and a halted tick does neither. See [`crate::fastforward`]
-    /// for the proof obligations.
-    pub fn tick_within(&mut self, horizon_ns: u64) -> TickEvents {
+    /// `ticks` times: a replayed tick performs the same queue, accumulator
+    /// and backlog arithmetic the full tick would, and anything the engine
+    /// cannot prove keeps executing in full. Replayed ticks offer, emit and
+    /// signal bitwise what [`FluidEngine::last_tick`] reports, so callers
+    /// with per-tick aggregation of their own repeat it `ticks` times.
+    /// Only a full tick deploys a pending rescale. Replay records no
+    /// latency samples and advances no epochs: only engines that record
+    /// neither probe, and a halted tick does neither.
+    pub fn advance(&mut self, horizon_ns: u64) -> TickEvents {
         if !self.cfg.fast_forward {
             return self.full_tick();
         }
-        if self.ff.can_replay(self.now_ns) && self.replay_batch(1) == 1 {
-            return TickEvents::default();
-        }
-        if self.ff.is_armed() {
+        if self.ff.can_replay(self.now_ns) {
+            let fit = self
+                .ff
+                .replayable_ticks(self.now_ns, self.cfg.tick_ns, horizon_ns);
+            let ticks = self.replay_batch(fit.max(1));
+            if ticks > 0 {
+                return TickEvents {
+                    deployed: None,
+                    ticks,
+                };
+            }
+        } else if self.ff.is_armed() {
             // Armed but unable to replay: the transition's window ended.
             self.ff.invalidate();
         }
@@ -1154,25 +1157,6 @@ impl FluidEngine {
         ff.arm(true, valid_until);
     }
 
-    /// Replays as many armed ticks as fit before `horizon_ns`, returning
-    /// how many were replayed (zero when no transition is armed or
-    /// fast-forward is disabled; fewer than fit when a drift guard ended
-    /// the replay early). The engine-side effects are bitwise identical to
-    /// calling [`FluidEngine::tick`] that many times; callers with per-tick
-    /// aggregation of their own (the closed-loop harness sums each tick's
-    /// offered/emitted counts into timeline buckets) replicate it for the
-    /// returned count — the per-tick values are constants, read once from
-    /// [`FluidEngine::last_tick`].
-    pub fn replay_steady(&mut self, horizon_ns: u64) -> u64 {
-        if !self.cfg.fast_forward {
-            return 0;
-        }
-        let ticks = self
-            .ff
-            .replayable_ticks(self.now_ns, self.cfg.tick_ns, horizon_ns);
-        self.replay_batch(ticks)
-    }
-
     /// Advances the drifting queues of the armed cycle by up to `ticks`
     /// ticks from the current phase, returning how many were applied.
     /// Before each tick every drifting queue's guards for that phase are
@@ -1227,10 +1211,6 @@ impl FluidEngine {
     /// pipeline.
     #[inline(never)]
     fn replay_batch(&mut self, requested: u64) -> u64 {
-        if requested == 0 {
-            // Nothing armed, or no room before the horizon.
-            return 0;
-        }
         let ticks = self.replay_drift(requested);
         if ticks == 0 {
             self.ff.invalidate();
@@ -1329,7 +1309,10 @@ impl FluidEngine {
     /// instantiation, which carries no logging code at all.
     fn tick_core<const LOG: bool>(&mut self) -> TickEvents {
         self.refresh_spill();
-        let mut events = TickEvents::default();
+        let mut events = TickEvents {
+            deployed: None,
+            ticks: 1,
+        };
         let tick_ns = self.cfg.tick_ns;
         let tick_end = self.now_ns + tick_ns;
         // Recycle last tick's stats buffers (O(1) epoch-stamped clear).
@@ -1339,25 +1322,20 @@ impl FluidEngine {
         // Redeployment window: the job is down. Sources accumulate durable
         // backlog; every instance only waits.
         if let Some(resume_at) = self.pending_rescale.as_ref().map(|p| p.0) {
-            if tick_end < resume_at {
-                self.halted_tick(&mut stats, tick_ns);
-                self.now_ns = tick_end;
-                self.last_tick = stats;
-                return events;
-            }
-            // Deploy now: apply the plan, redistribute queued records into
-            // the new partitioning (the savepoint restored operator state),
-            // resize accumulators.
-            let (_, plan, workers) = self.pending_rescale.take().expect("checked above");
             self.halted_tick(&mut stats, tick_ns);
-            self.deployment = plan;
-            self.timely_workers = workers;
-            self.rebuild_timely_deployment();
-            self.apply_new_partitioning();
-            self.heron_backpressure = false;
-            events.deployed = Some(self.deployment().clone());
+            if tick_end >= resume_at {
+                // Deploy now: apply the plan, redistribute queued records
+                // into the new partitioning (the savepoint restored operator
+                // state), resize accumulators.
+                let (_, plan, workers) = self.pending_rescale.take().expect("checked above");
+                self.deployment = plan;
+                self.timely_workers = workers;
+                self.rebuild_timely_deployment();
+                self.apply_new_partitioning();
+                self.heron_backpressure = false;
+                events.deployed = Some(self.deployment().clone());
+            }
             self.now_ns = tick_end;
-            stats.halted = true;
             self.last_tick = stats;
             return events;
         }
@@ -1432,7 +1410,7 @@ impl FluidEngine {
             st.window = old.window;
             st.next_fire_ns = old.next_fire_ns;
             for run in runs {
-                st.push_partitioned(run);
+                st.push_partitioned(run, |_, _| {});
             }
         }
         self.rebuild_cost_cache();
@@ -1496,9 +1474,6 @@ impl FluidEngine {
         for i in 0..self.non_source_topo.len() {
             let op = self.non_source_topo[i];
             eligible[op.index()] = self.states[op.index()].queued();
-        }
-        for i in 0..self.non_source_topo.len() {
-            let op = self.non_source_topo[i];
             noises[op.index()] = self.noise_factor();
         }
 
@@ -1530,7 +1505,19 @@ impl FluidEngine {
                 let used_ns = n * real_cost;
                 budget -= used_ns;
                 eligible[op.index()] -= n;
-                self.timely_drain(op, n, used_ns);
+                // One shared queue, one class: drain `n` off it and spread
+                // the worker time over the pool; only the instrumented
+                // fraction of it counts as useful.
+                let (drained, out_total) = self.process::<false>(op, &[n]);
+                let (instr, real) = self.cost_cache[op.index()];
+                let useful_ns = used_ns * (instr / real);
+                let st = &mut self.states[op.index()];
+                let w = st.instances().max(1) as f64;
+                for class in &mut st.accs {
+                    class.acc.records_in += drained / w;
+                    class.acc.useful_ns += useful_ns / w;
+                    class.acc.records_out += out_total / w;
+                }
             }
         }
         self.eligible_scratch = eligible;
@@ -1549,21 +1536,6 @@ impl FluidEngine {
                 }
             }
         }
-    }
-
-    /// Effective instrumented cost per record including the instrumentation
-    /// overhead itself.
-    fn effective_instr_cost(&self, profile: &OperatorProfile, p: usize) -> f64 {
-        let mut c = profile.instrumented_cost_ns(p);
-        if self.cfg.instrumentation.enabled {
-            c += self.cfg.instrumentation.per_record_cost_ns;
-        }
-        c.max(1e-3)
-    }
-
-    /// Effective real (wall) cost per record.
-    fn effective_real_cost(&self, profile: &OperatorProfile, p: usize) -> f64 {
-        self.effective_instr_cost(profile, p) + profile.hidden_cost_ns(p)
     }
 
     /// Source emission for one tick (blocking personalities consult
@@ -1589,12 +1561,7 @@ impl FluidEngine {
         // Blocking personalities: cannot emit past downstream queue space.
         let mut emit = budget;
         if self.cfg.mode != EngineMode::Timely {
-            for &(to, weight) in &self.down_edges[op.index()] {
-                let limit = self.states[to.index()].accept_limit();
-                if weight > 0.0 {
-                    emit = emit.min(limit / weight);
-                }
-            }
+            emit = emit.min(self.output_space_limit(op, 1.0));
         }
         emit = emit.max(0.0);
 
@@ -1700,29 +1667,66 @@ impl FluidEngine {
             }
         }
 
-        // Drain each partition and route the output. Sink latency is the
-        // only consumer of `is_sink` here; untracked runs skip it.
+        let (_, out_total) = self.process::<LOG>(op, &takes);
+
+        // Instance accounting: every instance of class k processed
+        // takes[k] (the per-partition drain).
+        let st = &mut self.states[i];
+        let n_inst = st.instances();
+        let n_out_share = if n_inst == 0 {
+            0.0
+        } else {
+            out_total / n_inst as f64
+        };
+        for (k, class) in st.accs.iter_mut().enumerate() {
+            let share = takes.get(k).copied().unwrap_or(0.0);
+            let busy = (share * instr_cost).min(tick_ns as f64);
+            let hidden = share * (real_cost - instr_cost);
+            let wait = (tick_ns as f64 - busy - hidden).max(0.0);
+            let acc = &mut class.acc;
+            acc.records_in += share;
+            acc.records_out += n_out_share;
+            acc.useful_ns += busy;
+            if out_limited {
+                acc.wait_output_ns += wait;
+            } else {
+                acc.wait_input_ns += wait;
+            }
+        }
+        self.takes_scratch = takes;
+    }
+
+    /// The process phase every personality shares: pops `takes[k]` records
+    /// off partition class `k` of operator `op` (a representative's drain,
+    /// scaled by the class count), merges chunks with equal stamps, and
+    /// routes each downstream — recording sink latency — or, for a windowed
+    /// operator, absorbs it into the window buffer, which then fires if its
+    /// period elapsed. Returns the records drained and the records routed.
+    /// The flush adds to the instances' `records_out` before the caller's
+    /// per-record share does: a windowed operator routes nothing itself, so
+    /// that share is `+0.0`, and the order leaves the sums bitwise the same.
+    fn process<const LOG: bool>(&mut self, op: OperatorId, takes: &[f64]) -> (f64, f64) {
+        let i = op.index();
+        let output = self.output_modes[i].expect("non-source operators have profiles");
+        // Sink latency is the only consumer of `is_sink` here; untracked
+        // runs skip it.
         let is_sink = self.graph.is_sink(op) && self.cfg.track_record_latency;
         let tick_end = self.now_ns + self.cfg.tick_ns;
 
-        let mut out_total = 0.0f64;
         let mut drained = std::mem::take(&mut self.span_scratch);
         drained.clear();
-        {
-            let st = &mut self.states[i];
-            for (k, take) in takes.iter().enumerate() {
-                if *take <= 0.0 {
-                    continue;
+        let st = &mut self.states[i];
+        for (class, &take) in st.classes.iter_mut().zip(takes) {
+            if take <= 0.0 {
+                continue;
+            }
+            if let Some(mut chunk) = class.queue.pop(take) {
+                // The representative queue drained one partition's worth;
+                // routing and latency work on class totals.
+                if class.count > 1 {
+                    chunk.records *= class.count as f64;
                 }
-                let class = &mut st.classes[k];
-                if let Some(mut chunk) = class.queue.pop(*take) {
-                    // The representative queue drained one partition's
-                    // worth; routing and latency work on class totals.
-                    if class.count > 1 {
-                        chunk.records *= class.count as f64;
-                    }
-                    drained.push(chunk);
-                }
+                drained.push(chunk);
             }
         }
         // Coalesce chunks with equal stamps before routing: the classes
@@ -1744,20 +1748,22 @@ impl FluidEngine {
             }
             drained.truncate(w + 1);
         }
+        let mut in_total = 0.0f64;
+        let mut out_total = 0.0f64;
         let mut windowed = None;
-        match output {
-            OutputMode::PerRecord { selectivity } => {
-                for chunk in &drained {
+        for chunk in &drained {
+            in_total += chunk.records;
+            match output {
+                OutputMode::PerRecord { selectivity } => {
                     if is_sink {
                         self.latency
                             .record(tick_end.saturating_sub(chunk.mid_ns()), chunk.records);
                     }
                     let out = chunk.records * selectivity;
                     out_total += out;
-                    let edges = &self.down_edges[i];
                     let states = &mut self.states;
                     let log = &mut self.ff.log;
-                    for &(to, weight) in edges {
+                    for &(to, weight) in &self.down_edges[i] {
                         let routed = Span {
                             records: out * weight,
                             ..*chunk
@@ -1765,120 +1771,25 @@ impl FluidEngine {
                         route::<LOG>(states, log, to, routed);
                     }
                 }
-            }
-            OutputMode::Windowed { selectivity, .. } => {
-                for chunk in &drained {
+                OutputMode::Windowed { selectivity, .. } => {
                     let records = chunk.records * selectivity;
                     absorb(&mut windowed, Span { records, ..*chunk });
                 }
             }
         }
-
-        // Instance accounting: every instance of class k processed
-        // takes[k] (the per-partition drain).
-        {
-            let st = &mut self.states[i];
-            let n_inst = st.instances();
-            let n_out_share = if n_inst == 0 {
-                0.0
-            } else {
-                out_total / n_inst as f64
-            };
-            for (k, class) in st.accs.iter_mut().enumerate() {
-                let share = takes.get(k).copied().unwrap_or(0.0);
-                let busy = (share * instr_cost).min(tick_ns as f64);
-                let hidden = share * (real_cost - instr_cost);
-                let wait = (tick_ns as f64 - busy - hidden).max(0.0);
-                let acc = &mut class.acc;
-                acc.records_in += share;
-                acc.records_out += n_out_share;
-                acc.useful_ns += busy;
-                if out_limited {
-                    acc.wait_output_ns += wait;
-                } else {
-                    acc.wait_input_ns += wait;
-                }
-            }
-            if let Some(out) = windowed.filter(|w| w.records > 0.0) {
-                absorb(&mut st.window, out);
-            }
-        }
-        self.takes_scratch = takes;
         self.span_scratch = drained;
-
+        if let Some(out) = windowed.filter(|w| w.records > 0.0) {
+            absorb(&mut self.states[i].window, out);
+        }
         self.maybe_fire_window::<LOG>(op);
-    }
-
-    /// Timely drain path: `n` records off the operator's shared queue,
-    /// `used_ns` of worker time spent.
-    fn timely_drain(&mut self, op: OperatorId, n: f64, used_ns: f64) {
-        let i = op.index();
-        let output = self.output_modes[i].expect("non-source operators have profiles");
-        let chunk = self.states[i]
-            .classes
-            .first_mut()
-            .and_then(|c| c.queue.pop(n));
-
-        // Busy time spread over worker-instances; only the instrumented
-        // fraction counts as useful.
-        let instr_fraction = {
-            let (instr, real) = self.cost_cache[i];
-            instr / real
-        };
-        {
-            let st = &mut self.states[i];
-            let w = st.instances().max(1) as f64;
-            let drained = chunk.map_or(0.0, |c| c.records);
-            for class in &mut st.accs {
-                class.acc.records_in += drained / w;
-                class.acc.useful_ns += used_ns * instr_fraction / w;
-            }
-        }
-
-        let is_sink = self.graph.is_sink(op) && self.cfg.track_record_latency;
-        let tick_end = self.now_ns + self.cfg.tick_ns;
-
-        match output {
-            OutputMode::PerRecord { selectivity } => {
-                let mut out_total = 0.0;
-                if let Some(chunk) = chunk {
-                    if is_sink {
-                        self.latency
-                            .record(tick_end.saturating_sub(chunk.mid_ns()), chunk.records);
-                    }
-                    let out = chunk.records * selectivity;
-                    out_total += out;
-                    let edges = &self.down_edges[i];
-                    let states = &mut self.states;
-                    for &(to, weight) in edges {
-                        states[to.index()].push_partitioned(Span {
-                            records: out * weight,
-                            ..chunk
-                        });
-                    }
-                }
-                let st = &mut self.states[i];
-                let w = st.instances().max(1) as f64;
-                for class in &mut st.accs {
-                    class.acc.records_out += out_total / w;
-                }
-            }
-            OutputMode::Windowed { selectivity, .. } => {
-                if let Some(chunk) = chunk {
-                    let records = chunk.records * selectivity;
-                    absorb(&mut self.states[i].window, Span { records, ..chunk });
-                }
-            }
-        }
-
-        self.maybe_fire_window::<false>(op);
+        (in_total, out_total)
     }
 
     /// Fires a windowed operator's buffered output when its period elapses.
     /// The flush is routed like any other output, so the `LOG` instantiation
     /// records it for the fast-forward probe.
     fn maybe_fire_window<const LOG: bool>(&mut self, op: OperatorId) {
-        let Some(period) = self.window_period(op) else {
+        let Some(period) = self.window_periods[op.index()] else {
             return;
         };
         let i = op.index();
@@ -1900,16 +1811,10 @@ impl FluidEngine {
         };
         let pending = flushed.records;
         let n_inst = self.states[i].instances().max(1) as f64;
-        if self.graph.is_sink(op) {
-            if self.cfg.track_record_latency {
-                self.latency
-                    .record(tick_end.saturating_sub(flushed.mid_ns()), pending);
-            }
-            let st = &mut self.states[i];
-            for class in &mut st.accs {
-                class.acc.records_out += pending / n_inst;
-            }
-            return;
+        // A sink's flush leaves the dataflow: it has no edges to spill at.
+        if self.graph.is_sink(op) && self.cfg.track_record_latency {
+            self.latency
+                .record(tick_end.saturating_sub(flushed.mid_ns()), pending);
         }
         let mut spilled = 0.0f64;
         {
@@ -2038,11 +1943,27 @@ impl FluidEngine {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::profile::StateProfile;
     use crate::source::RateSchedule;
     use ds2_core::graph::GraphBuilder;
+
+    /// One tick through [`FluidEngine::advance`], for lock-step comparisons
+    /// with [`FluidEngine::tick`]: the horizon is one tick out while a
+    /// transition is armed, so a replay takes exactly one tick, and
+    /// unbounded otherwise, so a probe may start (it needs two ticks before
+    /// the horizon).
+    pub(crate) fn advance_one(e: &mut FluidEngine) -> TickEvents {
+        let horizon = if e.fastforward_active() {
+            e.now_ns() + e.cfg.tick_ns
+        } else {
+            u64::MAX
+        };
+        let events = e.advance(horizon);
+        assert_eq!(events.ticks, 1, "a lock-step advance takes one tick");
+        events
+    }
 
     fn chain(caps: &[(f64, f64)]) -> (LogicalGraph, Vec<OperatorId>) {
         let mut b = GraphBuilder::new();
@@ -2808,7 +2729,7 @@ mod tests {
         let (mut fast, _) = mk();
         for _ in 0..4_000 {
             exact.tick();
-            fast.tick_within(u64::MAX);
+            advance_one(&mut fast);
         }
         let stats = fast.fastforward_stats();
         assert!(
@@ -2831,7 +2752,7 @@ mod tests {
         let (mut fast, _) = mk();
         for _ in 0..2_000 {
             exact.tick();
-            fast.tick_within(u64::MAX);
+            advance_one(&mut fast);
         }
         assert!(fast.fastforward_active(), "steady state should be armed");
         let mut plan = fast.deployment().clone();
@@ -2845,7 +2766,7 @@ mod tests {
         let mut deployed = false;
         for _ in 0..2_000 {
             let ea = exact.tick();
-            let eb = fast.tick_within(u64::MAX);
+            let eb = advance_one(&mut fast);
             assert_eq!(ea.deployed.is_some(), eb.deployed.is_some());
             deployed |= eb.deployed.is_some();
         }
@@ -2883,7 +2804,7 @@ mod tests {
         let (mut fast, _) = mk();
         for _ in 0..3_500 {
             exact.tick();
-            fast.tick_within(u64::MAX);
+            advance_one(&mut fast);
         }
         let stats = fast.fastforward_stats();
         assert!(
@@ -2908,7 +2829,7 @@ mod tests {
     ) {
         for t in 0..ticks {
             let ea = exact.tick();
-            let eb = fast.tick_within(u64::MAX);
+            let eb = advance_one(fast);
             assert_eq!(ea.deployed.is_some(), eb.deployed.is_some(), "tick {t}");
             // Replay leaves `last_tick` alone: it must hold what every
             // replayed tick would have reported.
@@ -3477,7 +3398,7 @@ mod tests {
         ];
         for (what, mut e) in engines {
             for _ in 0..500 {
-                e.tick_within(u64::MAX);
+                e.advance(u64::MAX);
             }
             let stats = e.fastforward_stats();
             assert_eq!(
@@ -3511,7 +3432,7 @@ mod tests {
         let run = |exact: &mut FluidEngine, fast: &mut FluidEngine, twin: &mut FluidEngine, n| {
             for _ in 0..n {
                 assert_lockstep(exact, fast, &ids, 1);
-                twin.tick_within(u64::MAX);
+                advance_one(twin);
                 assert_eq!(fast.fastforward_active(), twin.fastforward_active());
             }
         };
@@ -3594,12 +3515,88 @@ mod tests {
         };
         let (mut e, _) = engine_with(&[(2_000.0, 1.0)], 1_000.0, &[1, 1], cfg);
         for _ in 0..200 {
-            e.tick_within(u64::MAX);
+            e.advance(u64::MAX);
         }
         let stats = e.fastforward_stats();
         assert_eq!(stats.replayed_ticks, 0);
         assert_eq!(stats.probes, 0);
         assert_eq!(stats.full_ticks, 200);
+    }
+
+    /// The `advance` contract, over horizons from behind `now` to far
+    /// ahead and through a rescale: a step reports the ticks it advanced; a
+    /// replay ends at or before the horizon, except for the one armed tick
+    /// it always takes; only a full tick deploys. A Flink engine (cycles,
+    /// halted steps) and a Timely engine with a worker rescale (halted
+    /// steps only) stay bitwise on exact twins stepped by `tick()`.
+    #[test]
+    fn advance_reports_its_ticks_and_replays_no_further_than_the_horizon() {
+        let flink = untracked(EngineConfig {
+            reconfig_latency_ns: 2_000 * MS,
+            ..Default::default()
+        });
+        let timely = EngineConfig {
+            mode: EngineMode::Timely,
+            ..flink.clone()
+        };
+        for cfg in [flink, timely] {
+            let mode = cfg.mode;
+            let tick = cfg.tick_ns;
+            let mk = || engine_with(&[(600.0, 1.0)], 1_000.0, &[1, 2], cfg.clone());
+            let (mut exact, ids) = mk();
+            let (mut fast, _) = mk();
+            let (mut longest, mut deploys) = (0, 0);
+            for step in 0..3_000usize {
+                if step == 1_000 {
+                    if mode == EngineMode::Timely {
+                        exact.request_worker_rescale(3);
+                        fast.request_worker_rescale(3);
+                    } else {
+                        let mut plan = fast.deployment().clone();
+                        plan.set(ids[1], 4);
+                        exact.request_rescale(plan.clone());
+                        fast.request_rescale(plan);
+                    }
+                }
+                let before = fast.now_ns();
+                let reach = [0, 1, 2, 3, 6, 41, 301][step % 7];
+                let horizon = (before + reach * tick).saturating_sub(tick);
+                let full_before = fast.fastforward_stats().full_ticks;
+                let events = fast.advance(horizon);
+                let full = fast.fastforward_stats().full_ticks - full_before;
+
+                assert!(events.ticks >= 1, "{mode:?} step {step}");
+                assert_eq!(fast.now_ns(), before + events.ticks * tick);
+                assert!(
+                    fast.now_ns() <= horizon.max(before + tick),
+                    "{mode:?} step {step}: {} ticks past horizon {horizon}",
+                    events.ticks
+                );
+                assert!(full <= 1 && (full == 0 || events.ticks == 1));
+                let mut deployed = false;
+                for _ in 0..events.ticks {
+                    deployed |= exact.tick().deployed.is_some();
+                }
+                assert_eq!(deployed, events.deployed.is_some(), "{mode:?} step {step}");
+                if deployed {
+                    assert_eq!(full, 1, "{mode:?}: only a full tick deploys");
+                    deploys += 1;
+                }
+                longest = longest.max(events.ticks);
+                assert_engines_agree(&mut exact, &mut fast, &ids);
+            }
+            let stats = fast.fastforward_stats();
+            assert_eq!(deploys, 1, "{mode:?}");
+            assert!(longest > 100, "{mode:?}: longest batch {longest}");
+            assert!(stats.halted_ticks > 100, "{mode:?}: {stats:?}");
+            if mode == EngineMode::Timely {
+                assert_eq!(fast.timely_workers(), 3);
+                assert_eq!(stats.probes, 0, "Timely never probes: {stats:?}");
+            } else {
+                assert_eq!(fast.deployment().parallelism(ids[1]), 4);
+                assert!(stats.replayed_ticks > 10 * stats.halted_ticks, "{stats:?}");
+            }
+        }
     }
 
     #[test]

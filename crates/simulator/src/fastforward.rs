@@ -14,6 +14,11 @@
 //! with no queue operations, a halted stretch the case with nothing but
 //! waits.
 //!
+//! One call takes every decision,
+//! [`FluidEngine::advance`](crate::engine::FluidEngine::advance): it
+//! replays an armed transition up to the caller's horizon (at least one
+//! tick), or else runs one full or probe tick and arms a halted step.
+//!
 //! Only engines that record neither latency nor epochs probe: an engine
 //! that records them executes every tick except those of a halt, so replay
 //! never records a latency sample or advances an epoch, and nothing a probed

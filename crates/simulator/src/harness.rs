@@ -5,6 +5,10 @@
 //! requested rescale through the engine's redeployment mechanism. All paper
 //! experiments (Figures 1, 6, 7 and Tables 3–4) are runs of this loop with
 //! different controllers, engine personalities and workloads.
+//!
+//! The loop steps the engine with [`FluidEngine::advance`] up to its next
+//! interaction (timeline sample or policy tick) and adds the step's source
+//! statistics once per tick advanced, as tick-by-tick driving would.
 
 use std::sync::Arc;
 
@@ -222,41 +226,28 @@ impl<C: ScalingController> ClosedLoop<C> {
             };
             let horizon = next_interaction.min(end);
 
-            // Batch-replay a confirmed steady state up to the horizon. The
-            // per-tick stats are constants during replay, so the bucket
-            // sums replicate exactly the additions the tick-by-tick loop
-            // below would have performed.
-            let replayed = self.engine.replay_steady(horizon);
-            let (backpressure, halted) = if replayed > 0 {
-                let stats = self.engine.last_tick();
-                let offered = stats.total_offered();
-                let emitted = stats.total_emitted();
-                for _ in 0..replayed {
-                    bucket_offered += offered;
-                    bucket_emitted += emitted;
-                }
-                (stats.backpressure, stats.halted)
-            } else {
-                let events = self.engine.tick_within(horizon);
-                let (backpressure, halted) = {
-                    let stats = self.engine.last_tick();
-                    bucket_offered += stats.total_offered();
-                    bucket_emitted += stats.total_emitted();
-                    (stats.backpressure, stats.halted)
-                };
-
-                if let Some(deployment) = events.deployed {
-                    parallelism = self.dense_parallelism();
-                    self.controller
-                        .on_deployed(self.engine.now_ns(), &deployment);
-                    // Metrics accumulated while the job was down describe
-                    // no useful execution: drop them so the first
-                    // post-deploy window is clean.
-                    self.engine.collect_snapshot_into(snapshot);
-                    next_policy = self.engine.now_ns() + self.cfg.policy_interval_ns;
-                }
-                (backpressure, halted)
-            };
+            // One step: a replayed batch of ticks or one full tick. The
+            // per-tick stats are constants during a replay, so the bucket
+            // sums repeat exactly the additions tick-by-tick driving would
+            // have performed.
+            let events = self.engine.advance(horizon);
+            let stats = self.engine.last_tick();
+            let (offered, emitted) = (stats.total_offered(), stats.total_emitted());
+            let (backpressure, halted) = (stats.backpressure, stats.halted);
+            for _ in 0..events.ticks {
+                bucket_offered += offered;
+                bucket_emitted += emitted;
+            }
+            if let Some(deployment) = events.deployed {
+                parallelism = self.dense_parallelism();
+                self.controller
+                    .on_deployed(self.engine.now_ns(), &deployment);
+                // Metrics accumulated while the job was down describe no
+                // useful execution: drop them so the first post-deploy
+                // window is clean.
+                self.engine.collect_snapshot_into(snapshot);
+                next_policy = self.engine.now_ns() + self.cfg.policy_interval_ns;
+            }
 
             let now = self.engine.now_ns();
 
@@ -336,13 +327,17 @@ impl<C: ScalingController> ClosedLoop<C> {
                             }
                         } else if plan == *self.engine.deployment() {
                             self.controller.on_deployed(now, self.engine.deployment());
-                        } else if let Some(inj) = injector.as_mut() {
-                            let outcome = inj.actuation(
-                                &plan,
-                                self.engine.deployment(),
-                                self.engine.graph(),
-                                now - start,
-                            );
+                        } else {
+                            // Without faults the plan lands as requested.
+                            let outcome = match injector.as_mut() {
+                                Some(inj) => inj.actuation(
+                                    &plan,
+                                    self.engine.deployment(),
+                                    self.engine.graph(),
+                                    now - start,
+                                ),
+                                None => ActuationOutcome::Land(plan),
+                            };
                             match outcome {
                                 ActuationOutcome::Silent => {
                                     // The command vanishes: no redeploy, no
@@ -364,13 +359,6 @@ impl<C: ScalingController> ClosedLoop<C> {
                                     self.engine.request_rescale(landed);
                                 }
                             }
-                        } else {
-                            decisions.push(DecisionPoint {
-                                at_ns: now,
-                                plan: plan.clone(),
-                                timely_workers: None,
-                            });
-                            self.engine.request_rescale(plan);
                         }
                     }
                 }
@@ -434,10 +422,7 @@ mod tests {
         d.set(fm, init.0);
         d.set(cnt, init.1);
         let cfg = EngineConfig {
-            instrumentation: InstrumentationConfig {
-                enabled: false,
-                per_record_cost_ns: 0.0,
-            },
+            instrumentation: InstrumentationConfig::disabled(),
             ..cfg
         };
         let engine = FluidEngine::new(graph, profiles, sources, d, cfg);

@@ -283,16 +283,11 @@ impl OperatorProfile {
         1e9 / self.real_cost_ns(p)
     }
 
-    /// Per-instance input shares at parallelism `p` (sums to 1).
-    pub fn instance_weights(&self, p: usize) -> Vec<f64> {
-        self.instance_weights_split(p, 1)
-    }
-
     /// Per-instance input shares at parallelism `p` with the hot key class
     /// split across `split` instances (sums to 1).
     ///
-    /// `split = 1` is classic hash partitioning and reproduces
-    /// [`OperatorProfile::instance_weights`] bitwise. With `split = s > 1`
+    /// `split = 1` is classic hash partitioning: the hot instance receives
+    /// `max(hot, 1/p)` and the others split the rest evenly. With `split = s > 1`
     /// the hot share is spread evenly over instances `0..s` (each receives
     /// `hot/s`) and the remaining `p - s` instances split the cold share
     /// evenly; `s >= p` degenerates to the uniform distribution. Profiles
@@ -329,15 +324,10 @@ impl OperatorProfile {
         }
     }
 
-    /// Maximum sustainable aggregate input rate at parallelism `p` given the
-    /// skew-adjusted instance shares: `R` such that the hottest instance
-    /// processes `max_share * R <= real_capacity`.
-    pub fn effective_capacity(&self, p: usize) -> f64 {
-        self.effective_capacity_split(p, 1)
-    }
-
-    /// [`OperatorProfile::effective_capacity`] with the hot class split
-    /// across `split` instances.
+    /// Maximum sustainable aggregate input rate at parallelism `p` with the
+    /// hot class split across `split` instances, given the skew-adjusted
+    /// instance shares: `R` such that the hottest instance processes
+    /// `max_share * R <= real_capacity`.
     pub fn effective_capacity_split(&self, p: usize, split: usize) -> f64 {
         let max_share = self
             .instance_weights_split(p, split)
@@ -433,7 +423,7 @@ mod tests {
     fn uniform_weights_sum_to_one() {
         let p = OperatorProfile::default();
         for n in 1..10 {
-            let w = p.instance_weights(n);
+            let w = p.instance_weights_split(n, 1);
             assert_eq!(w.len(), n);
             assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
@@ -442,13 +432,13 @@ mod tests {
     #[test]
     fn skewed_weights() {
         let p = OperatorProfile::default().with_skew(0.5);
-        let w = p.instance_weights(4);
+        let w = p.instance_weights_split(4, 1);
         assert!((w[0] - 0.5).abs() < 1e-12);
         assert!((w[1] - 0.5 / 3.0).abs() < 1e-12);
         assert!((w.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         // Skew below the fair share degrades to uniform.
         let p = OperatorProfile::default().with_skew(0.1);
-        let w = p.instance_weights(4);
+        let w = p.instance_weights_split(4, 1);
         assert!((w[0] - 0.25).abs() < 1e-12);
     }
 
@@ -456,21 +446,36 @@ mod tests {
     fn effective_capacity_limited_by_hot_instance() {
         let p = OperatorProfile::with_capacity(100.0, 1.0).with_skew(0.5);
         // 4 instances, hot share 0.5: R_max = 100 / 0.5 = 200, not 400.
-        assert!((p.effective_capacity(4) - 200.0).abs() < 1e-9);
+        assert!((p.effective_capacity_split(4, 1) - 200.0).abs() < 1e-9);
         let uniform = OperatorProfile::with_capacity(100.0, 1.0);
-        assert!((uniform.effective_capacity(4) - 400.0).abs() < 1e-9);
+        assert!((uniform.effective_capacity_split(4, 1) - 400.0).abs() < 1e-9);
     }
 
     #[test]
     fn split_one_is_bitwise_identical_to_classic_weights() {
+        // Classic hash partitioning, literally: the hot instance receives
+        // max(hot, fair share), the rest split the remainder evenly.
+        let classic_weights = |hot: f64, n: usize| -> Vec<f64> {
+            if n == 1 {
+                return vec![1.0];
+            }
+            let hot = hot.max(1.0 / n as f64);
+            let mut w = vec![(1.0 - hot) / (n as f64 - 1.0); n];
+            w[0] = hot;
+            w
+        };
         for hot in [0.05, 0.3, 0.5, 0.9] {
-            let p = OperatorProfile::default().with_splittable_skew(hot);
-            for n in 1..=16 {
-                let classic = p.instance_weights(n);
-                let split = p.instance_weights_split(n, 1);
-                assert_eq!(classic.len(), split.len());
-                for (a, b) in classic.iter().zip(&split) {
-                    assert_eq!(a.to_bits(), b.to_bits(), "hot={hot} p={n}");
+            for p in [
+                OperatorProfile::default().with_splittable_skew(hot),
+                OperatorProfile::default().with_skew(hot),
+            ] {
+                for n in 1..=16 {
+                    let classic = classic_weights(hot, n);
+                    let split = p.instance_weights_split(n, 1);
+                    assert_eq!(classic.len(), split.len());
+                    for (a, b) in classic.iter().zip(&split) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "hot={hot} p={n}");
+                    }
                 }
             }
         }

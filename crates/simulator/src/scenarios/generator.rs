@@ -343,13 +343,8 @@ impl ScenarioSpec {
             }
             let rt = targets[&op];
             let profile = &self.profiles[&op];
-            let cap_at = |p: usize| {
-                if profile.skew_splittable {
-                    profile.effective_capacity_split(p, p)
-                } else {
-                    profile.effective_capacity(p)
-                }
-            };
+            // A profile whose hot key is indivisible ignores the split.
+            let cap_at = |p: usize| profile.effective_capacity_split(p, p);
             // Effective capacity is monotone in p for the generated curve
             // parameters (alpha well below 1) until a skew plateau, so the
             // first sufficient p is the optimum; past 8 non-improving steps
@@ -695,7 +690,7 @@ mod tests {
             // Parallelism alone plateaus below the target; the full class
             // split at the reported optimum sustains it.
             assert!(
-                profile.effective_capacity(64) < rt * (1.0 - 1e-9),
+                profile.effective_capacity_split(64, 1) < rt * (1.0 - 1e-9),
                 "seed {seed}: {op} keeps up without splitting"
             );
             assert!(
@@ -748,7 +743,7 @@ mod tests {
             );
             let rt = a.target_rates(a.workload.final_rate)[op];
             assert!(
-                profile.effective_capacity(p) >= rt * (1.0 - 1e-9),
+                profile.effective_capacity_split(p, 1) >= rt * (1.0 - 1e-9),
                 "seed {seed}: {op} optimum p={p} cannot sustain the rate"
             );
             assert!(p <= 64, "seed {seed}: optimum {p} above the matrix cap");
@@ -910,20 +905,20 @@ mod tests {
             for (&op, &p) in &s.optimal_parallelism() {
                 let profile = &s.profiles[&op];
                 let rt = targets[&op];
-                let sufficient = profile.effective_capacity(p) >= rt * (1.0 - 1e-9);
+                let sufficient = profile.effective_capacity_split(p, 1) >= rt * (1.0 - 1e-9);
                 if !sufficient {
                     // Only a skew plateau justifies an insufficient optimum:
                     // more parallelism must not help.
                     assert!(
-                        profile.effective_capacity(p + 16)
-                            <= profile.effective_capacity(p) * (1.0 + 1e-6),
+                        profile.effective_capacity_split(p + 16, 1)
+                            <= profile.effective_capacity_split(p, 1) * (1.0 + 1e-6),
                         "seed {seed}: {op} p={p} insufficient but not plateaued"
                     );
                     continue;
                 }
                 if p > 1 {
                     assert!(
-                        profile.effective_capacity(p - 1) < rt,
+                        profile.effective_capacity_split(p - 1, 1) < rt,
                         "seed {seed}: {op} p={p} not minimal"
                     );
                 }

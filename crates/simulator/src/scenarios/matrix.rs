@@ -13,13 +13,16 @@
 //!
 //! The matrix is embarrassingly parallel: each *cell* — one
 //! `(scenario, controller)` pair — is a pure function of
-//! `(base_seed + scenario_index, controller)`. [`ScenarioMatrix::run`]
-//! fans the cells out over a work-queue of worker threads (the vendored
-//! `crossbeam` channel/scope primitives) and merges outcomes back **by
-//! cell index**, so the report is bit-identical to the sequential runner
-//! regardless of thread count or scheduling order. Every cell regenerates
-//! its scenario from its own seed and drives its own engine RNG — no state
-//! is shared between cells beyond the immutable config.
+//! `(base_seed + scenario_index, controller)`. Both runners execute the
+//! same per-scenario body: generate the scenario once, then run every
+//! controller on it in order. With one thread that body runs inline on
+//! the caller's thread; with several, [`ScenarioMatrix::run`] fans
+//! scenario indices out over a work-queue of worker threads (the vendored
+//! `crossbeam` channel/scope primitives) and merges each scenario's row
+//! of outcomes back **by scenario index**, so the report is bit-identical
+//! to the one-thread runner regardless of thread count or scheduling
+//! order. Every cell drives its own engine RNG — no state is shared
+//! between cells beyond the immutable config and the scenario itself.
 //!
 //! # Macro-tick fast-forward
 //!
@@ -577,9 +580,9 @@ impl ScenarioMatrix {
         &self.config
     }
 
-    /// The number of worker threads the runner will actually use.
+    /// The number of worker threads the runner will actually use: never
+    /// more than there are scenarios.
     pub fn effective_threads(&self) -> usize {
-        let cells = self.config.scenarios * self.config.controllers.len();
         let threads = if self.config.threads == 0 {
             std::thread::available_parallelism()
                 .map(|n| n.get())
@@ -587,13 +590,14 @@ impl ScenarioMatrix {
         } else {
             self.config.threads
         };
-        threads.clamp(1, cells.max(1))
+        threads.clamp(1, self.config.scenarios.max(1))
     }
 
     /// Runs the full cross-product and scores every run.
     ///
-    /// Cells are sharded over [`effective_threads`](Self::effective_threads)
-    /// workers; the report is bit-identical for any thread count.
+    /// Scenarios are sharded over
+    /// [`effective_threads`](Self::effective_threads) workers; the report
+    /// is bit-identical for any thread count.
     pub fn run(&self) -> MatrixReport {
         self.run_with(|_, _| {})
     }
@@ -602,8 +606,9 @@ impl ScenarioMatrix {
     /// its freshly scored outcome (progress reporting, per-run logging).
     ///
     /// With one worker thread the observer sees cells in matrix order
-    /// (scenario-major); with several it sees them in completion order. The
-    /// returned report is ordered and bit-identical either way.
+    /// (scenario-major); with several it sees each scenario's cells in
+    /// controller order and the scenarios in completion order. The returned
+    /// report is ordered and bit-identical either way.
     pub fn run_with<F>(&self, observer: F) -> MatrixReport
     where
         F: FnMut(&ScenarioSpec, &ScenarioOutcome),
@@ -621,43 +626,35 @@ impl ScenarioMatrix {
     where
         F: FnMut(&ScenarioSpec, &ScenarioOutcome),
     {
-        let n_controllers = self.config.controllers.len();
-        let cells = self.config.scenarios * n_controllers;
+        let scenarios = self.config.scenarios;
         let threads = self.effective_threads();
 
-        if threads <= 1 || cells <= 1 {
-            // Sequential path: generate each scenario once and drive every
-            // controller over it in matrix order, recycling one arena
-            // across all cells.
+        if threads <= 1 {
+            // One worker: the cells run inline on the caller's thread, in
+            // matrix order, through one arena.
+            let mut outcomes = Vec::with_capacity(scenarios * self.config.controllers.len());
             let mut arena = CellArena::new();
-            let mut outcomes = Vec::with_capacity(cells);
-            for i in 0..self.config.scenarios {
-                let seed = self.config.base_seed + i as u64;
-                let spec = ScenarioSpec::generate(seed, &self.config.generator);
-                for &kind in &self.config.controllers {
-                    let outcome = self.run_one_with(&spec, kind, &mut arena);
-                    observer(&spec, &outcome);
+            for i in 0..scenarios {
+                self.run_scenario(i, &mut arena, |spec, outcome| {
+                    observer(spec, &outcome);
                     outcomes.push(outcome);
-                }
+                });
             }
             return (MatrixReport { outcomes }, arena.fastforward_stats());
         }
 
-        // Parallel path: a bounded work queue of cell indices fanned out
-        // over scoped workers. Each worker regenerates its cell's scenario
-        // from `(base_seed, scenario_index)` — generation is a pure function
-        // of the seed, so no cross-cell state exists and the outcome of a
-        // cell is independent of which worker ran it and when. Outcomes are
-        // merged into their cell's slot, reproducing matrix order exactly.
-        let mut slots: Vec<Option<ScenarioOutcome>> = Vec::new();
-        slots.resize_with(cells, || None);
+        // Several workers: a work queue of scenario indices fanned out over
+        // scoped workers, each running the same per-scenario body. A row
+        // is a pure function of `(base_seed, scenario_index)`, so it is
+        // independent of which worker ran it and when; rows are merged into
+        // their scenario's slot, reproducing matrix order exactly.
+        let mut rows: Vec<Option<Vec<ScenarioOutcome>>> = (0..scenarios).map(|_| None).collect();
         let mut ff_stats = FastForwardStats::default();
         std::thread::scope(|scope| {
-            let (work_tx, work_rx) = crossbeam::channel::unbounded::<usize>();
-            let (result_tx, result_rx) =
-                crossbeam::channel::bounded::<(usize, ScenarioSpec, ScenarioOutcome)>(threads * 2);
-            for cell in 0..cells {
-                work_tx.send(cell).expect("queue open");
+            let (work_tx, work_rx) = crossbeam::channel::unbounded();
+            let (result_tx, result_rx) = crossbeam::channel::bounded(threads * 2);
+            for i in 0..scenarios {
+                work_tx.send(i).expect("queue open");
             }
             drop(work_tx);
 
@@ -668,13 +665,10 @@ impl ScenarioMatrix {
                 workers.push(scope.spawn(move || {
                     // One arena per worker, recycled across all of its cells.
                     let mut arena = CellArena::new();
-                    while let Ok(cell) = work_rx.recv() {
-                        let scenario_index = cell / n_controllers;
-                        let kind = self.config.controllers[cell % n_controllers];
-                        let seed = self.config.base_seed + scenario_index as u64;
-                        let spec = ScenarioSpec::generate(seed, &self.config.generator);
-                        let outcome = self.run_one_with(&spec, kind, &mut arena);
-                        if result_tx.send((cell, spec, outcome)).is_err() {
+                    while let Ok(i) = work_rx.recv() {
+                        let mut row = Vec::with_capacity(self.config.controllers.len());
+                        let spec = self.run_scenario(i, &mut arena, |_, o| row.push(o));
+                        if result_tx.send((i, spec, row)).is_err() {
                             // Collector gone (panic unwinding); stop early.
                             break;
                         }
@@ -684,22 +678,39 @@ impl ScenarioMatrix {
             }
             drop(result_tx);
 
-            while let Ok((cell, spec, outcome)) = result_rx.recv() {
-                observer(&spec, &outcome);
-                slots[cell] = Some(outcome);
+            while let Ok((i, spec, row)) = result_rx.recv() {
+                for outcome in &row {
+                    observer(&spec, outcome);
+                }
+                rows[i] = Some(row);
             }
             for worker in workers {
                 ff_stats += worker.join().expect("matrix worker panicked");
             }
         });
 
-        let report = MatrixReport {
-            outcomes: slots
-                .into_iter()
-                .map(|s| s.expect("every cell ran exactly once"))
-                .collect(),
-        };
-        (report, ff_stats)
+        let outcomes = rows
+            .into_iter()
+            .flat_map(|row| row.expect("every scenario ran exactly once"))
+            .collect();
+        (MatrixReport { outcomes }, ff_stats)
+    }
+
+    /// The cell body both runners share: generates scenario `i` once, runs
+    /// every configured controller on it through `arena` in controller
+    /// order, hands each outcome to `emit` as soon as it is scored, and
+    /// returns the scenario.
+    fn run_scenario(
+        &self,
+        i: usize,
+        arena: &mut CellArena,
+        mut emit: impl FnMut(&ScenarioSpec, ScenarioOutcome),
+    ) -> ScenarioSpec {
+        let spec = ScenarioSpec::generate(self.config.base_seed + i as u64, &self.config.generator);
+        for &kind in &self.config.controllers {
+            emit(&spec, self.run_one_with(&spec, kind, arena));
+        }
+        spec
     }
 
     /// Runs one scenario under one controller using `arena`'s recycled
@@ -1162,7 +1173,7 @@ mod tests {
         let mut cfg = small_config(2);
         cfg.controllers = vec![ControllerKind::Ds2];
         cfg.threads = 64;
-        // Never more workers than cells.
+        // Never more workers than scenarios.
         assert_eq!(ScenarioMatrix::new(cfg.clone()).effective_threads(), 2);
         cfg.threads = 1;
         assert_eq!(ScenarioMatrix::new(cfg.clone()).effective_threads(), 1);
@@ -1287,7 +1298,8 @@ mod tests {
                     // share; below that the weights degrade to uniform.
                     if p > 1 && hot > 1.0 / p as f64 {
                         assert!(
-                            profile.effective_capacity(p) < profile.real_capacity(p) * p as f64
+                            profile.effective_capacity_split(p, 1)
+                                < profile.real_capacity(p) * p as f64
                         );
                         found = true;
                     }
@@ -1335,7 +1347,8 @@ mod tests {
             // And the optimum is enough for the summed feeds.
             let p = spec.optimal_parallelism()[&merge];
             assert!(
-                spec.profiles[&merge].effective_capacity(p) >= targets[&merge] * (1.0 - 1e-9),
+                spec.profiles[&merge].effective_capacity_split(p, 1)
+                    >= targets[&merge] * (1.0 - 1e-9),
                 "seed {seed}: optimum {p} insufficient for summed feeds"
             );
             checked += 1;

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use ds2_core::deployment::Deployment;
 use ds2_core::graph::{GraphBuilder, LogicalGraph, OperatorId};
 use ds2_core::snapshot::MetricsSnapshot;
-use ds2_simulator::engine::{EngineConfig, FluidEngine, InstrumentationConfig};
+use ds2_simulator::engine::{EngineConfig, FluidEngine, InstrumentationConfig, TickEvents};
 use ds2_simulator::profile::{OperatorProfile, ProfileMap};
 use ds2_simulator::queue::{EpochQueue, Span};
 use ds2_simulator::scenarios::{
@@ -247,7 +247,7 @@ proptest! {
     /// Key-class split weights are a mass-conserving refinement of the
     /// classic skewed weights: for any parallelism, hot share and split
     /// degree the weights sum to 1 (every record lands on exactly one
-    /// instance), split 1 reproduces the classic `instance_weights`
+    /// instance), split 1 reproduces the classic hot-instance weights
     /// **bitwise**, non-splittable profiles ignore the split dimension
     /// entirely, and deepening a split never *raises* the hottest
     /// instance's share (splits only relieve — the merge direction is the
@@ -268,18 +268,22 @@ proptest! {
             prop_assert!(w > 0.0, "dead instance in {:?}", weights);
         }
 
-        // Split 1 *is* the classic model, bit for bit.
-        let classic: Vec<u64> = splittable
-            .instance_weights(p)
-            .iter()
-            .map(|w| w.to_bits())
-            .collect();
+        // Split 1 *is* the classic model, bit for bit: the hot instance
+        // receives max(hot, fair share), the rest split the remainder.
+        let classic: Vec<u64> = if p == 1 {
+            vec![1.0f64.to_bits()]
+        } else {
+            let h = hot.max(1.0 / p as f64);
+            let mut w = vec![(1.0 - h) / (p as f64 - 1.0); p];
+            w[0] = h;
+            w.iter().map(|w| w.to_bits()).collect()
+        };
         let at_one: Vec<u64> = splittable
             .instance_weights_split(p, 1)
             .iter()
             .map(|w| w.to_bits())
             .collect();
-        prop_assert_eq!(at_one, classic);
+        prop_assert_eq!(&at_one, &classic);
 
         // A non-splittable hot key cannot be split by decree.
         let pinned = OperatorProfile::with_capacity(cap, 1.0).with_skew(hot);
@@ -288,12 +292,7 @@ proptest! {
             .iter()
             .map(|w| w.to_bits())
             .collect();
-        let pinned_classic: Vec<u64> = pinned
-            .instance_weights(p)
-            .iter()
-            .map(|w| w.to_bits())
-            .collect();
-        prop_assert_eq!(pinned_split, pinned_classic);
+        prop_assert_eq!(pinned_split, classic);
 
         // Splitting deeper is monotone: max share never grows, so the
         // effective capacity never shrinks.
@@ -450,7 +449,22 @@ static DRIFT: AtomicU64 = AtomicU64::new(0);
 static WINDOWED_CASES: AtomicU64 = AtomicU64::new(0);
 static CYCLE: AtomicU64 = AtomicU64::new(0);
 
-/// Drives a `tick` loop and a `tick_within` loop over `sc` side by side for
+/// One tick through `FluidEngine::advance`: the horizon is one tick out
+/// while a transition is armed, so a replay takes exactly one tick, and
+/// unbounded otherwise, so a probe may start (it needs two ticks before the
+/// horizon).
+fn advance_one(e: &mut FluidEngine) -> TickEvents {
+    let horizon = if e.fastforward_active() {
+        e.now_ns() + e.config().tick_ns
+    } else {
+        u64::MAX
+    };
+    let events = e.advance(horizon);
+    assert_eq!(events.ticks, 1, "a lock-step advance takes one tick");
+    events
+}
+
+/// Drives a `tick` loop and an `advance` loop over `sc` side by side for
 /// 4 000 ticks, through its scripted rescales, and fails unless after every
 /// tick queue lengths, backlogs and what the source reports emitted are
 /// bitwise the same — and, every 100 ticks and at the end, the metrics
@@ -469,7 +483,7 @@ fn lockstep_edge(sc: &EdgeScenario) -> Result<FastForwardStats, TestCaseError> {
             }
         }
         let ea = exact.tick();
-        let eb = fast.tick_within(u64::MAX);
+        let eb = advance_one(&mut fast);
         prop_assert_eq!(ea.deployed, eb.deployed);
         prop_assert_eq!(
             exact.last_tick().total_emitted().to_bits(),
@@ -538,7 +552,7 @@ fn a_cycle_with_unsettled_class_tags_does_not_arm() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Fast-forward is exact on knife-edge dataflows: a `tick_within` loop
+    /// Fast-forward is exact on knife-edge dataflows: an `advance` loop
     /// leaves bitwise the queue lengths and backlogs of a `tick` loop after
     /// every tick — through drifting queues, both guard exits, hot-key
     /// classes, halts and repartitioning — and the same snapshots.
