@@ -41,7 +41,11 @@
 //! event horizon — a replayed batch or one full tick — and reports its
 //! ticks. All personalities share one process phase (pop, merge equal
 //! stamps, route or buffer, fire the window) and differ only in how much
-//! each operator drains: per partition, or water-filled from a pool.
+//! each operator drains: per partition, or water-filled from a pool. A
+//! one-class operator (almost all outside the hot-key scenarios) pops and
+//! forwards one chunk; only several classes merge equal stamps. Source
+//! rates are looked up once per schedule phase, and only latency-recording
+//! engines keep the queues' emission intervals ([`crate::queue`]).
 
 use std::collections::BTreeMap;
 
@@ -59,7 +63,7 @@ use crate::fastforward::{
 use crate::latency::{EpochTracker, LatencyRecorder};
 use crate::profile::{OperatorProfile, OutputMode, ProfileMap};
 use crate::queue::{EpochQueue, Span};
-use crate::source::SourceSpec;
+use crate::source::{RatePhase, SourceSpec};
 
 /// Execution-model personality (§4.3 and §5).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -203,6 +207,28 @@ struct PartitionClass {
     share: f64,
     /// How many identical partitions this class represents.
     count: usize,
+    /// The representative's drain this tick, set before the process phase.
+    take: f64,
+}
+
+impl PartitionClass {
+    /// Pops this tick's `take` off the representative queue, scaled to the
+    /// class total; `track` keeps the intervals ([`EpochQueue::pop`]).
+    #[inline]
+    fn drain(&mut self, track: bool) -> Option<Span> {
+        if self.take <= 0.0 {
+            return None;
+        }
+        let mut chunk = if track {
+            self.queue.pop::<true>(self.take)
+        } else {
+            self.queue.pop::<false>(self.take)
+        }?;
+        if self.count > 1 {
+            chunk.records *= self.count as f64;
+        }
+        Some(chunk)
+    }
 }
 
 /// One class of identical instances: the representative's accumulator plus
@@ -273,6 +299,14 @@ impl OpState {
             }
         }
     }
+}
+
+/// What one process phase drained, routed and buffered for the window.
+#[derive(Default)]
+struct Flow {
+    drained: f64,
+    routed: f64,
+    windowed: Option<Span>,
 }
 
 /// Adds `chunk` to a window buffer: the records are summed, the earliest
@@ -357,6 +391,9 @@ pub struct FluidEngine {
     /// Durable backlog per operator id (records offered but not yet
     /// emitted; non-zero only for sources).
     backlog: Vec<f64>,
+    /// The schedule phase each source is in, by operator id, looked up once
+    /// per phase ([`FluidEngine::refresh_rates`]).
+    rates: Vec<RatePhase>,
     now_ns: u64,
     snapshot_start_ns: u64,
     rng: SmallRng,
@@ -374,18 +411,16 @@ pub struct FluidEngine {
     /// dominated the allocator profile of large matrix runs).
     down_edges: Vec<Vec<(OperatorId, f64)>>,
     /// Per-operator `(instrumented, real)` cost per record at the current
-    /// deployment, in ns, indexed by operator id (`(0, 0)` for sources).
-    /// Rebuilt on every redeployment — the scaling-curve multipliers
-    /// involve `exp()` and only change when parallelism does.
-    cost_cache: Vec<(f64, f64)>,
+    /// deployment, in ns, and a noise-free tick's capacity `tick_ns / real`,
+    /// indexed by operator id (zeros for sources). Rebuilt on every
+    /// redeployment — the scaling-curve multipliers involve `exp()`.
+    cost_cache: Vec<(f64, f64, f64)>,
     /// Output mode per operator id (`None` for sources), cached so the tick
     /// path never chases the profile map.
     output_modes: Vec<Option<OutputMode>>,
     /// Window firing period per operator id, cached from the profiles.
     window_periods: Vec<Option<u64>>,
-    /// Per-partition drain scratch (operator_process).
-    takes_scratch: Vec<f64>,
-    /// Drained-chunk scratch of `operator_process` (one per class).
+    /// Drained-chunk scratch of `process` for multi-class operators.
     span_scratch: Vec<Span>,
     /// Timely water-filling scratch: eligible records per operator id.
     eligible_scratch: Vec<f64>,
@@ -511,6 +546,7 @@ impl FluidEngine {
             timely_workers,
             states: Vec::new(),
             backlog: vec![0.0; m],
+            rates: vec![RatePhase::default(); m],
             now_ns: 0,
             snapshot_start_ns: 0,
             rng: SmallRng::seed_from_u64(seed),
@@ -522,10 +558,9 @@ impl FluidEngine {
             reverse_topo,
             non_source_topo,
             down_edges,
-            cost_cache: vec![(0.0, 0.0); m],
+            cost_cache: vec![(0.0, 0.0, 0.0); m],
             output_modes,
             window_periods,
-            takes_scratch: Vec::new(),
             span_scratch: Vec::new(),
             eligible_scratch: vec![0.0; m],
             noise_scratch: vec![0.0; m],
@@ -543,6 +578,7 @@ impl FluidEngine {
             .map(|op| engine.make_op_state(op))
             .collect();
         engine.rebuild_cost_cache();
+        engine.refresh_rates();
         engine.refresh_spill();
         engine.rebuild_timely_deployment();
         engine
@@ -563,7 +599,7 @@ impl FluidEngine {
         for op in self.graph.operators() {
             let i = op.index();
             if self.graph.is_source(op) {
-                self.cost_cache[i] = (0.0, 0.0);
+                self.cost_cache[i] = (0.0, 0.0, 0.0);
                 continue;
             }
             let p = self.instances_of(op);
@@ -578,11 +614,12 @@ impl FluidEngine {
             // operators (and stateful ones within budget) keep the exact
             // historical cost bits.
             let spill = self.spill_factor(op, p);
-            self.cost_cache[i] = if spill != 1.0 {
+            let (instr, real) = if spill != 1.0 {
                 (instr * spill, real * spill)
             } else {
                 (instr, real)
             };
+            self.cost_cache[i] = (instr, real, self.cfg.tick_ns as f64 / real);
         }
     }
 
@@ -608,11 +645,22 @@ impl FluidEngine {
         }
     }
 
-    /// Total offered rate across all sources at the current virtual time.
+    /// Moves every source whose cached schedule phase does not hold the
+    /// current virtual time to the phase that does.
+    fn refresh_rates(&mut self) {
+        for (op, spec) in self.sources.iter() {
+            let phase = &mut self.rates[op.index()];
+            if !(phase.from_ns..phase.until_ns).contains(&self.now_ns) {
+                *phase = spec.schedule.phase_at(self.now_ns);
+            }
+        }
+    }
+
+    /// Total offered rate across all sources at the last `refresh_rates`.
     fn total_offered_rate(&self) -> f64 {
         self.sources
             .iter()
-            .map(|(_, spec)| spec.schedule.rate_at(self.now_ns))
+            .map(|(op, _)| self.rates[op.index()].rate)
             .sum()
     }
 
@@ -684,6 +732,7 @@ impl FluidEngine {
                         queue: EpochQueue::new(cap),
                         share,
                         count: 1,
+                        take: 0.0,
                     }),
                 }
             }
@@ -1308,6 +1357,7 @@ impl FluidEngine {
     /// `ff.log` for the fast-forward probe; plain ticks run the `false`
     /// instantiation, which carries no logging code at all.
     fn tick_core<const LOG: bool>(&mut self) -> TickEvents {
+        self.refresh_rates();
         self.refresh_spill();
         let mut events = TickEvents {
             deployed: None,
@@ -1398,7 +1448,7 @@ impl FluidEngine {
             // them into the new classes.
             let mut runs: Vec<Span> = Vec::new();
             for mut class in old.classes {
-                if let Some(mut run) = class.queue.pop(f64::INFINITY) {
+                if let Some(mut run) = class.queue.pop::<true>(f64::INFINITY) {
                     if class.count > 1 {
                         run.records *= class.count as f64;
                     }
@@ -1422,7 +1472,7 @@ impl FluidEngine {
         stats.halted = true;
         let tick_s = tick_ns as f64 / 1e9;
         for (op, spec) in self.sources.iter() {
-            let offered = spec.schedule.rate_at(self.now_ns) * tick_s;
+            let offered = self.rates[op.index()].rate * tick_s;
             stats.offered.insert(op, offered);
             stats.emitted.insert(op, 0.0);
             if spec.durable_backlog {
@@ -1508,8 +1558,9 @@ impl FluidEngine {
                 // One shared queue, one class: drain `n` off it and spread
                 // the worker time over the pool; only the instrumented
                 // fraction of it counts as useful.
-                let (drained, out_total) = self.process::<false>(op, &[n]);
-                let (instr, real) = self.cost_cache[op.index()];
+                self.states[op.index()].classes[0].take = n;
+                let (drained, out_total) = self.process::<false>(op);
+                let (instr, real, _) = self.cost_cache[op.index()];
                 let useful_ns = used_ns * (instr / real);
                 let st = &mut self.states[op.index()];
                 let w = st.instances().max(1) as f64;
@@ -1541,13 +1592,8 @@ impl FluidEngine {
     /// Source emission for one tick (blocking personalities consult
     /// downstream queue space; Timely never blocks).
     fn source_emit<const LOG: bool>(&mut self, op: OperatorId, stats: &mut TickStats, tick_s: f64) {
-        let (offered, durable_backlog) = {
-            let spec = &self.sources[op];
-            (
-                spec.schedule.rate_at(self.now_ns) * tick_s,
-                spec.durable_backlog,
-            )
-        };
+        let offered = self.rates[op.index()].rate * tick_s;
+        let durable_backlog = self.sources[op].durable_backlog;
         stats.offered.insert(op, offered);
 
         let tick_ns = self.cfg.tick_ns as f64;
@@ -1624,27 +1670,25 @@ impl FluidEngine {
     /// personalities.
     fn operator_process<const LOG: bool>(&mut self, op: OperatorId, tick_ns: u64, noise: f64) {
         let i = op.index();
-        let (instr_base, real_base) = self.cost_cache[i];
+        let (instr_base, real_base, cap_base) = self.cost_cache[i];
         let instr_cost = instr_base * noise;
         let real_cost = real_base * noise;
-        let cap_inst = tick_ns as f64 / real_cost;
+        // A noise-free tick reuses the cached quotient: `real_base * 1.0`
+        // is `real_base`.
+        let cap_inst = if noise == 1.0 {
+            cap_base
+        } else {
+            tick_ns as f64 / real_cost
+        };
         let output = self.output_modes[i].expect("non-source operators have profiles");
 
-        // Per-instance desired drains from their own partitions, one entry
-        // per partition class; the total scales each class by its count.
-        let mut takes = std::mem::take(&mut self.takes_scratch);
-        takes.clear();
-        takes.extend(
-            self.states[i]
-                .classes
-                .iter()
-                .map(|c| c.queue.len().min(cap_inst)),
-        );
-        let want_total: f64 = takes
-            .iter()
-            .zip(&self.states[i].classes)
-            .map(|(t, c)| t * c.count as f64)
-            .sum();
+        // Per-instance desired drains from their own partitions, one per
+        // partition class; the total scales each class by its count.
+        let classes = &mut self.states[i].classes;
+        for c in classes.iter_mut() {
+            c.take = c.queue.len().min(cap_inst);
+        }
+        let want_total: f64 = classes.iter().map(|c| c.take * c.count as f64).sum();
 
         // Output-space constraint (windowed operators buffer internally, so
         // only their flush is space-limited).
@@ -1654,23 +1698,23 @@ impl FluidEngine {
             let limit = self.output_space_limit(op, sel);
             if want_total > limit {
                 let factor = limit / want_total;
-                for t in &mut takes {
-                    *t *= factor;
+                for c in &mut self.states[i].classes {
+                    c.take *= factor;
                 }
                 out_limited = true;
             }
         }
         if LOG {
             let base = self.ff.log.row + self.ff.log.class_base[i] as usize;
-            for (k, take) in takes.iter().enumerate() {
-                self.ff.log.drains[base + k] = (cap_inst, *take);
+            for (k, c) in self.states[i].classes.iter().enumerate() {
+                self.ff.log.drains[base + k] = (cap_inst, c.take);
             }
         }
 
-        let (_, out_total) = self.process::<LOG>(op, &takes);
+        let (_, out_total) = self.process::<LOG>(op);
 
-        // Instance accounting: every instance of class k processed
-        // takes[k] (the per-partition drain).
+        // Instance accounting: every instance of a class processed its
+        // `take` (the per-partition drain; instance k owns partition k).
         let st = &mut self.states[i];
         let n_inst = st.instances();
         let n_out_share = if n_inst == 0 {
@@ -1678,13 +1722,12 @@ impl FluidEngine {
         } else {
             out_total / n_inst as f64
         };
-        for (k, class) in st.accs.iter_mut().enumerate() {
-            let share = takes.get(k).copied().unwrap_or(0.0);
-            let busy = (share * instr_cost).min(tick_ns as f64);
-            let hidden = share * (real_cost - instr_cost);
+        for (class, c) in st.accs.iter_mut().zip(&st.classes) {
+            let busy = (c.take * instr_cost).min(tick_ns as f64);
+            let hidden = c.take * (real_cost - instr_cost);
             let wait = (tick_ns as f64 - busy - hidden).max(0.0);
             let acc = &mut class.acc;
-            acc.records_in += share;
+            acc.records_in += c.take;
             acc.records_out += n_out_share;
             acc.useful_ns += busy;
             if out_limited {
@@ -1693,96 +1736,86 @@ impl FluidEngine {
                 acc.wait_input_ns += wait;
             }
         }
-        self.takes_scratch = takes;
     }
 
-    /// The process phase every personality shares: pops `takes[k]` records
-    /// off partition class `k` of operator `op` (a representative's drain,
-    /// scaled by the class count), merges chunks with equal stamps, and
-    /// routes each downstream — recording sink latency — or, for a windowed
-    /// operator, absorbs it into the window buffer, which then fires if its
-    /// period elapsed. Returns the records drained and the records routed.
-    /// The flush adds to the instances' `records_out` before the caller's
-    /// per-record share does: a windowed operator routes nothing itself, so
-    /// that share is `+0.0`, and the order leaves the sums bitwise the same.
-    fn process<const LOG: bool>(&mut self, op: OperatorId, takes: &[f64]) -> (f64, f64) {
+    /// The process phase every personality shares: pops each partition
+    /// class's `take` off operator `op` (a representative's drain, scaled
+    /// by the class count), merges chunks with equal stamps, and forwards
+    /// each ([`FluidEngine::forward`]); a windowed operator's buffer then
+    /// fires if its period elapsed. Returns the records drained and the
+    /// records routed. The flush adds to the instances' `records_out`
+    /// before the caller's per-record share does: a windowed operator
+    /// routes nothing itself, so that share is `+0.0`, and the order leaves
+    /// the sums bitwise the same.
+    fn process<const LOG: bool>(&mut self, op: OperatorId) -> (f64, f64) {
         let i = op.index();
-        let output = self.output_modes[i].expect("non-source operators have profiles");
-        // Sink latency is the only consumer of `is_sink` here; untracked
-        // runs skip it.
-        let is_sink = self.graph.is_sink(op) && self.cfg.track_record_latency;
-        let tick_end = self.now_ns + self.cfg.tick_ns;
-
-        let mut drained = std::mem::take(&mut self.span_scratch);
-        drained.clear();
-        let st = &mut self.states[i];
-        for (class, &take) in st.classes.iter_mut().zip(takes) {
-            if take <= 0.0 {
-                continue;
+        let track = self.cfg.track_record_latency;
+        let mut flow = Flow::default();
+        let classes = &mut self.states[i].classes;
+        if let [class] = &mut classes[..] {
+            // One class: a single chunk, nothing to merge.
+            if let Some(chunk) = class.drain(track) {
+                self.forward::<LOG>(op, chunk, &mut flow);
             }
-            if let Some(mut chunk) = class.queue.pop(take) {
-                // The representative queue drained one partition's worth;
-                // routing and latency work on class totals.
-                if class.count > 1 {
-                    chunk.records *= class.count as f64;
-                }
-                drained.push(chunk);
-            }
-        }
-        // Coalesce chunks with equal stamps before routing: the classes
-        // drain fragments of the same pushes, and routing them as one keeps
-        // the pushes per tick at one per distinct stamp. The merged chunk
-        // covers the union of its parts' intervals.
-        if drained.len() > 1 {
+        } else {
+            let mut drained = std::mem::take(&mut self.span_scratch);
+            drained.clear();
+            drained.extend(classes.iter_mut().filter_map(|c| c.drain(track)));
+            // Coalesce chunks with equal stamps before routing: the classes
+            // drain fragments of the same pushes, and routing them as one
+            // keeps the pushes per tick at one per distinct stamp. The
+            // merged chunk covers the union of its parts' intervals.
             drained.sort_unstable_by_key(|s| s.born_ns);
-            let mut w = 0usize;
-            for r in 1..drained.len() {
-                let chunk = drained[r];
-                if chunk.born_ns == drained[w].born_ns {
-                    drained[w].records += chunk.records;
-                    drained[w].cover(&chunk);
-                } else {
-                    w += 1;
-                    drained[w] = chunk;
+            drained.dedup_by(|chunk, kept| {
+                let same = chunk.born_ns == kept.born_ns;
+                if same {
+                    kept.records += chunk.records;
+                    kept.cover(chunk);
                 }
+                same
+            });
+            for &chunk in &drained {
+                self.forward::<LOG>(op, chunk, &mut flow);
             }
-            drained.truncate(w + 1);
+            self.span_scratch = drained;
         }
-        let mut in_total = 0.0f64;
-        let mut out_total = 0.0f64;
-        let mut windowed = None;
-        for chunk in &drained {
-            in_total += chunk.records;
-            match output {
-                OutputMode::PerRecord { selectivity } => {
-                    if is_sink {
-                        self.latency
-                            .record(tick_end.saturating_sub(chunk.mid_ns()), chunk.records);
-                    }
-                    let out = chunk.records * selectivity;
-                    out_total += out;
-                    let states = &mut self.states;
-                    let log = &mut self.ff.log;
-                    for &(to, weight) in &self.down_edges[i] {
-                        let routed = Span {
-                            records: out * weight,
-                            ..*chunk
-                        };
-                        route::<LOG>(states, log, to, routed);
-                    }
-                }
-                OutputMode::Windowed { selectivity, .. } => {
-                    let records = chunk.records * selectivity;
-                    absorb(&mut windowed, Span { records, ..*chunk });
-                }
-            }
-        }
-        self.span_scratch = drained;
-        if let Some(out) = windowed.filter(|w| w.records > 0.0) {
+        if let Some(out) = flow.windowed.filter(|w| w.records > 0.0) {
             absorb(&mut self.states[i].window, out);
         }
         self.maybe_fire_window::<LOG>(op);
-        (in_total, out_total)
+        (flow.drained, flow.routed)
+    }
+
+    /// Passes one drained chunk of `op` on: a per-record operator routes
+    /// its output downstream — a sink of a latency-recording engine
+    /// records the chunk's latency — and a windowed one adds its output to
+    /// `flow`'s window contribution.
+    #[inline]
+    fn forward<const LOG: bool>(&mut self, op: OperatorId, chunk: Span, flow: &mut Flow) {
+        let i = op.index();
+        flow.drained += chunk.records;
+        match self.output_modes[i].expect("non-source operators have profiles") {
+            OutputMode::PerRecord { selectivity } => {
+                if self.cfg.track_record_latency && self.graph.is_sink(op) {
+                    let tick_end = self.now_ns + self.cfg.tick_ns;
+                    self.latency
+                        .record(tick_end.saturating_sub(chunk.mid_ns()), chunk.records);
+                }
+                let out = chunk.records * selectivity;
+                flow.routed += out;
+                for &(to, weight) in &self.down_edges[i] {
+                    let routed = Span {
+                        records: out * weight,
+                        ..chunk
+                    };
+                    route::<LOG>(&mut self.states, &mut self.ff.log, to, routed);
+                }
+            }
+            OutputMode::Windowed { selectivity, .. } => {
+                let records = chunk.records * selectivity;
+                absorb(&mut flow.windowed, Span { records, ..chunk });
+            }
+        }
     }
 
     /// Fires a windowed operator's buffered output when its period elapses.
@@ -1864,6 +1897,7 @@ impl FluidEngine {
     /// model's exact rates (no quantization bias at ceiling boundaries).
     pub fn collect_snapshot_into(&mut self, snap: &mut MetricsSnapshot) {
         let window_ns = self.now_ns - self.snapshot_start_ns;
+        self.refresh_rates();
         snap.clear();
         for i in 0..self.states.len() {
             let op = OperatorId(i);
@@ -1911,8 +1945,8 @@ impl FluidEngine {
                 class.acc = InstanceAcc::default();
             }
         }
-        for (op, spec) in self.sources.iter() {
-            snap.set_source_rate(op, spec.schedule.rate_at(self.now_ns));
+        for (op, _) in self.sources.iter() {
+            snap.set_source_rate(op, self.rates[op.index()].rate);
         }
         // State dimension: stateful operators report their per-instance
         // state size at the current rate and parallelism. Stateless
@@ -3102,6 +3136,64 @@ pub(crate) mod tests {
             assert!(!fast.is_halted());
             assert_engines_agree(&mut exact, &mut fast, &ids);
         }
+    }
+
+    /// Source rates are looked up once per schedule phase. On a schedule
+    /// whose changes fall inside ticks, the cached rate is `rate_at` the
+    /// tick's start on every tick — what it offers — through a halt that
+    /// spans a change and the deploy after it, and a snapshot every tenth
+    /// tick reports the rate at its own time.
+    #[test]
+    fn cached_source_rates_follow_a_schedule_off_the_tick_grid() {
+        let (graph, ids) = chain(&[(3_000.0, 1.0)]);
+        let mut profiles = ProfileMap::new();
+        profiles.insert(ids[1], OperatorProfile::with_capacity(3_000.0, 1.0));
+        let schedule = RateSchedule::steps(vec![
+            (0, 800.0),
+            (123_456_789, 1_500.0),
+            (250_000_001, 300.0),
+            (395_000_000, 2_000.0),
+        ]);
+        let mut sources = BTreeMap::new();
+        sources.insert(
+            ids[0],
+            SourceSpec::durable(0.0).with_schedule(schedule.clone()),
+        );
+        let cfg = EngineConfig {
+            reconfig_latency_ns: 200_000_000,
+            ..Default::default()
+        };
+        let tick_s = cfg.tick_ns as f64 / 1e9;
+        let d = Deployment::uniform(&graph, 1);
+        let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
+        let mut snap = MetricsSnapshot::new();
+        let (mut halted, mut deployed) = (0, false);
+        for t in 0..60 {
+            if t == 15 {
+                let mut plan = e.deployment().clone();
+                plan.set(ids[1], 2);
+                e.request_rescale(plan);
+            }
+            let start = e.now_ns();
+            deployed |= e.tick().deployed.is_some();
+            halted += e.last_tick().halted as u32;
+            let rate = schedule.rate_at(start);
+            assert_eq!(
+                e.rates[ids[0].index()].rate.to_bits(),
+                rate.to_bits(),
+                "tick {t}"
+            );
+            assert_eq!(
+                e.last_tick().offered[ids[0]].to_bits(),
+                (rate * tick_s).to_bits(),
+                "tick {t}"
+            );
+            if t % 10 == 9 {
+                e.collect_snapshot_into(&mut snap);
+                assert_eq!(snap.source_rate(ids[0]), Some(schedule.rate_at(e.now_ns())));
+            }
+        }
+        assert!(halted == 20 && deployed, "halted {halted} ticks");
     }
 
     /// `src -> op0 -> op1 -> ...` at `rate` records/s, every operator one

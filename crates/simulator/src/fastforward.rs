@@ -660,7 +660,7 @@ mod tests {
         q.push(Span::at(0, 354.64));
         q.push(Span::at(0, 5_000.0));
         let before = q;
-        q.pop(705.92);
+        q.pop::<false>(705.92);
         q.push(Span::at(0, 5_000.0));
         let after = q;
         let records = |q: &EpochQueue| q.run.map(|r| r.records.to_bits());

@@ -6,6 +6,11 @@
 //! and the stamps travel downstream with the records they describe, which
 //! gives the simulator end-to-end latency and epoch-completion accounting at
 //! O(1) per queue and without per-record state.
+//!
+//! Only sink latency and the epoch frontier read the intervals, so engines
+//! that record neither pop with `pop::<false>`, which leaves them alone: a
+//! run's interval then covers every emission it received. The counts are
+//! bitwise the same either way.
 
 /// A run of records and the emission times they carry.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -145,10 +150,12 @@ impl EpochQueue {
 
     /// Dequeues up to `amount` records from the old end of the run. A pop
     /// that covers the run (up to `1e-12` records) takes it whole; a
-    /// smaller one takes `amount` records emitted over `[head, cut]` and
-    /// moves the run's head to `cut`, the point that fraction of the
-    /// interval reaches. Amounts below `1e-12` pop nothing.
-    pub fn pop(&mut self, amount: f64) -> Option<Span> {
+    /// smaller one takes `amount` records. With `TRACK` those records are
+    /// the ones emitted over `[head, cut]`, and the run's head moves to
+    /// `cut`, the point that fraction of the interval reaches; without it
+    /// the interval is left alone and the chunk carries the run's. Amounts
+    /// below `1e-12` pop nothing.
+    pub fn pop<const TRACK: bool>(&mut self, amount: f64) -> Option<Span> {
         let remaining = amount.min(self.total).max(0.0);
         let mut chunk = None;
         if remaining > 1e-12 {
@@ -157,17 +164,19 @@ impl EpochQueue {
                     self.total -= run.records;
                     chunk = self.run.take();
                 } else {
-                    let width = (run.tail_ns - run.head_ns) as f64;
-                    let cut = run.head_ns + (remaining / run.records * width) as u64;
-                    let cut = cut.min(run.tail_ns);
-                    chunk = Some(Span {
-                        tail_ns: cut,
+                    let mut taken = Span {
                         records: remaining,
                         ..*run
-                    });
+                    };
+                    if TRACK {
+                        let width = (run.tail_ns - run.head_ns) as f64;
+                        let cut = run.head_ns + (remaining / run.records * width) as u64;
+                        taken.tail_ns = cut.min(run.tail_ns);
+                        run.head_ns = taken.tail_ns;
+                    }
+                    chunk = Some(taken);
                     run.records -= remaining;
                     self.total -= remaining;
-                    run.head_ns = cut;
                 }
             }
         }
@@ -212,12 +221,12 @@ mod tests {
         assert_eq!(q.push(Span::at(20, 30.0)), 30.0);
         assert!((q.len() - 60.0).abs() < 1e-12);
         // 40 of 60 records: two thirds of [10, 20], rounded down.
-        let chunk = q.pop(40.0).expect("records queued");
+        let chunk = q.pop::<true>(40.0).expect("records queued");
         assert_eq!((chunk.head_ns, chunk.tail_ns, chunk.born_ns), (10, 16, 10));
         assert!((chunk.records - 40.0).abs() < 1e-12);
         assert!((q.len() - 20.0).abs() < 1e-12);
         assert_eq!(q.oldest_ns(), Some(16));
-        let rest = q.pop(20.0).expect("records queued");
+        let rest = q.pop::<true>(20.0).expect("records queued");
         assert_eq!((rest.head_ns, rest.tail_ns), (16, 20));
         assert_eq!(q.oldest_ns(), None);
     }
@@ -251,10 +260,10 @@ mod tests {
             tail_ns: 8,
             records: 5.0,
         });
-        let chunk = q.pop(100.0).expect("records queued");
+        let chunk = q.pop::<true>(100.0).expect("records queued");
         assert_eq!((chunk.born_ns, chunk.head_ns, chunk.tail_ns), (5, 3, 8));
         assert!((chunk.records - 30.0).abs() < 1e-12);
-        assert_eq!(q.pop(100.0), None);
+        assert_eq!(q.pop::<true>(100.0), None);
     }
 
     #[test]
@@ -269,7 +278,7 @@ mod tests {
     fn pop_more_than_queued() {
         let mut q = EpochQueue::new(10.0);
         q.push(Span::at(0, 5.0));
-        assert_eq!(q.pop(50.0), Some(Span::at(0, 5.0)));
+        assert_eq!(q.pop::<true>(50.0), Some(Span::at(0, 5.0)));
         assert!(q.is_empty());
         assert_eq!(q.oldest_ns(), None);
     }
@@ -283,7 +292,7 @@ mod tests {
         let mut replayed = exact;
         let pushes = [301.7, 0.1 + 0.2, 422.999];
         for tick in 1..=50u64 {
-            exact.pop(726.2919);
+            exact.pop::<false>(726.2919);
             for &x in &pushes {
                 assert_eq!(exact.push(Span::at(tick, x)), x, "unclamped");
             }
@@ -302,7 +311,7 @@ mod tests {
         q.push(Span::at(0, 5.0));
         q.clear();
         assert!(q.is_empty());
-        assert_eq!(q.pop(1.0), None);
+        assert_eq!(q.pop::<true>(1.0), None);
     }
 
     #[test]
@@ -310,7 +319,7 @@ mod tests {
         let mut q = EpochQueue::new(1.0);
         q.push(Span::at(0, 0.3));
         q.push(Span::at(1, 0.3));
-        let chunk = q.pop(0.45).expect("records queued");
+        let chunk = q.pop::<true>(0.45).expect("records queued");
         assert!((chunk.records - 0.45).abs() < 1e-12);
         assert!((q.len() - 0.15).abs() < 1e-12);
     }
@@ -390,35 +399,42 @@ mod tests {
         /// The reference pin: pushes into a finite capacity (clamped and
         /// dust-sized ones among them), partial pops and pops of everything
         /// leave `len()` and the run's `records` bitwise where the
-        /// reference arithmetic leaves them, after every operation.
+        /// reference arithmetic leaves them, after every operation — with
+        /// and without interval upkeep, whose chunks carry bitwise the same
+        /// records.
         #[test]
         fn counts_match_the_reference_arithmetic_bitwise(
             capacity in 100.0f64..5_000.0,
             ops in proptest::collection::vec(op(), 1..200),
         ) {
-            let mut q = EpochQueue::new(capacity);
+            let mut tracked = EpochQueue::new(capacity);
+            let mut untracked = EpochQueue::new(capacity);
             let mut reference = Reference::default();
             for (t, op) in ops.into_iter().enumerate() {
-                match op {
+                let amount = match op {
                     Op::Push(x) => {
-                        let accepted = q.push(Span::at(t as u64, x));
+                        let accepted = tracked.push(Span::at(t as u64, x));
                         prop_assert_eq!(accepted.to_bits(), reference.push(capacity, x).to_bits());
+                        prop_assert_eq!(untracked.push(Span::at(t as u64, x)).to_bits(), accepted.to_bits());
+                        None
                     }
-                    Op::Pop(x) => {
-                        q.pop(x);
-                        reference.pop(x);
-                    }
-                    Op::PopAll => {
-                        q.pop(f64::INFINITY);
-                        reference.pop(f64::INFINITY);
-                    }
+                    Op::Pop(x) => Some(x),
+                    Op::PopAll => Some(f64::INFINITY),
+                };
+                if let Some(x) = amount {
+                    let records = |chunk: Option<Span>| chunk.map(|c| c.records.to_bits());
+                    let chunk = records(tracked.pop::<true>(x));
+                    prop_assert_eq!(chunk, records(untracked.pop::<false>(x)), "chunk {}", t);
+                    reference.pop(x);
                 }
-                prop_assert_eq!(q.len().to_bits(), reference.total.to_bits(), "len after {}", t);
-                prop_assert_eq!(
-                    q.run.map(|r| r.records.to_bits()),
-                    reference.span.map(f64::to_bits),
-                    "run records after {}", t
-                );
+                for q in [&tracked, &untracked] {
+                    prop_assert_eq!(q.len().to_bits(), reference.total.to_bits(), "len after {}", t);
+                    prop_assert_eq!(
+                        q.run.map(|r| r.records.to_bits()),
+                        reference.span.map(f64::to_bits),
+                        "run records after {}", t
+                    );
+                }
             }
         }
     }

@@ -30,15 +30,20 @@ impl RateSchedule {
 
     /// The offered rate at time `now_ns`, in records/second.
     pub fn rate_at(&self, now_ns: u64) -> f64 {
-        let mut rate = 0.0;
-        for &(from, r) in &self.steps {
-            if from <= now_ns {
-                rate = r;
-            } else {
-                break;
-            }
+        self.phase_at(now_ns).rate
+    }
+
+    /// The constant phase `now_ns` falls in: the last step at or before it
+    /// (the last listed of steps with equal start times), or rate 0 from
+    /// time zero before the first step, up to the next step.
+    pub(crate) fn phase_at(&self, now_ns: u64) -> RatePhase {
+        let next = self.steps.partition_point(|&(from, _)| from <= now_ns);
+        let (from_ns, rate) = next.checked_sub(1).map_or((0, 0.0), |k| self.steps[k]);
+        RatePhase {
+            from_ns,
+            until_ns: self.steps.get(next).map_or(u64::MAX, |&(t, _)| t),
+            rate,
         }
-        rate
     }
 
     /// The maximum rate anywhere in the schedule.
@@ -62,6 +67,15 @@ impl RateSchedule {
             steps: self.steps.iter().map(|&(t, r)| (t, r * factor)).collect(),
         }
     }
+}
+
+/// One constant phase of a [`RateSchedule`]: `rate` records/second over
+/// `[from_ns, until_ns)` (`until_ns` is `u64::MAX` for the last phase).
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub(crate) struct RatePhase {
+    pub(crate) from_ns: u64,
+    pub(crate) until_ns: u64,
+    pub(crate) rate: f64,
 }
 
 /// Configuration of one source operator in a simulated scenario.
@@ -137,6 +151,36 @@ mod tests {
         let s = RateSchedule::steps(vec![(1_000, 5.0)]);
         assert_eq!(s.rate_at(0), 0.0);
         assert_eq!(s.rate_at(1_000), 5.0);
+    }
+
+    /// A phase lookup agrees with `rate_at` and brackets `now` by the
+    /// steps around it: before the first step, on a boundary, after the
+    /// last step, and where two steps share a start time (the last listed
+    /// wins).
+    #[test]
+    fn phases_bracket_now_by_the_steps_around_it() {
+        let s = RateSchedule::steps(vec![(1_000, 5.0), (3_000, 7.0), (3_000, 9.0), (6_000, 1.0)]);
+        let phase = |from_ns, until_ns, rate| RatePhase {
+            from_ns,
+            until_ns,
+            rate,
+        };
+        for (now, expected) in [
+            (0, phase(0, 1_000, 0.0)),
+            (999, phase(0, 1_000, 0.0)),
+            (1_000, phase(1_000, 3_000, 5.0)),
+            (2_999, phase(1_000, 3_000, 5.0)),
+            (3_000, phase(3_000, 6_000, 9.0)),
+            (6_000, phase(6_000, u64::MAX, 1.0)),
+            (u64::MAX, phase(6_000, u64::MAX, 1.0)),
+        ] {
+            assert_eq!(s.phase_at(now), expected, "at {now}");
+            assert_eq!(s.rate_at(now), expected.rate, "at {now}");
+        }
+        assert_eq!(
+            RateSchedule::constant(4.0).phase_at(17),
+            phase(0, u64::MAX, 4.0)
+        );
     }
 
     #[test]

@@ -225,7 +225,7 @@ proptest! {
         }
         let (mut popped, mut last_tail) = (0.0, None);
         for amount in pops.into_iter().chain([f64::INFINITY]) {
-            let Some(chunk) = q.pop(amount) else {
+            let Some(chunk) = q.pop::<true>(amount) else {
                 continue;
             };
             prop_assert!(chunk.head_ns <= chunk.tail_ns, "{chunk:?}");
