@@ -65,21 +65,6 @@ impl Default for DhalionConfig {
     }
 }
 
-/// One Dhalion diagnosis, kept for observability.
-#[derive(Debug, Clone)]
-pub struct DhalionAction {
-    /// When the action was issued.
-    pub at_ns: u64,
-    /// The operator Dhalion scaled.
-    pub operator: OperatorId,
-    /// Parallelism before and after.
-    pub from: usize,
-    /// New parallelism.
-    pub to: usize,
-    /// Backpressure fraction that motivated the action.
-    pub backpressure_fraction: f64,
-}
-
 /// The Dhalion-style controller.
 #[derive(Debug)]
 pub struct DhalionController {
@@ -92,7 +77,6 @@ pub struct DhalionController {
     blacklist: BTreeSet<(OperatorId, usize)>,
     /// The action we are waiting to judge, plus the pre-action ratio.
     last_action: Option<(OperatorId, usize, f64)>,
-    actions: Vec<DhalionAction>,
 }
 
 impl DhalionController {
@@ -106,18 +90,12 @@ impl DhalionController {
             healthy_streak: 0,
             blacklist: BTreeSet::new(),
             last_action: None,
-            actions: Vec::new(),
         }
     }
 
     /// Creates a controller with default configuration.
     pub fn with_defaults(graph: LogicalGraph) -> Self {
         Self::new(graph, DhalionConfig::default())
-    }
-
-    /// Actions taken so far.
-    pub fn actions(&self) -> &[DhalionAction] {
-        &self.actions
     }
 
     fn achieved_ratio(&self, snapshot: &MetricsSnapshot) -> Option<f64> {
@@ -163,7 +141,7 @@ impl ScalingController for DhalionController {
 
     fn on_metrics(
         &mut self,
-        now_ns: u64,
+        _now_ns: u64,
         snapshot: &MetricsSnapshot,
         current: &Deployment,
     ) -> ControllerVerdict {
@@ -215,13 +193,6 @@ impl ScalingController for DhalionController {
             }
             let mut plan = current.clone();
             plan.set(bottleneck, target);
-            self.actions.push(DhalionAction {
-                at_ns: now_ns,
-                operator: bottleneck,
-                from: p,
-                to: target,
-                backpressure_fraction: bp_fraction,
-            });
             self.last_action = Some((bottleneck, target, ratio));
             self.awaiting_deploy = true;
             return ControllerVerdict::Rescale(plan);
@@ -248,13 +219,6 @@ impl ScalingController for DhalionController {
                     }
                     let mut plan = current.clone();
                     plan.set(op, target);
-                    self.actions.push(DhalionAction {
-                        at_ns: now_ns,
-                        operator: op,
-                        from: p,
-                        to: target,
-                        backpressure_fraction: 0.0,
-                    });
                     self.last_action = Some((op, target, ratio));
                     self.awaiting_deploy = true;
                     self.healthy_streak = 0;
@@ -311,9 +275,8 @@ mod tests {
         snap.insert_instances(c, vec![inst(200.0, 200.0, 0.4)]);
         let v = d.on_metrics(0, &snap, &current);
         let plan = v.rescale().expect("must scale up");
-        assert_eq!(plan.parallelism(f), 2, "factor capped at 2x from p=1");
-        assert_eq!(plan.parallelism(c), 1, "only one operator per action");
-        assert_eq!(d.actions().len(), 1);
+        // Factor capped at 2x from p=1, one operator per action.
+        assert_eq!([s, f, c].map(|op| plan.parallelism(op)), [1, 2, 1]);
     }
 
     #[test]

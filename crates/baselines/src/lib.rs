@@ -12,12 +12,13 @@
 //!   (Nephele/DRS-style).
 
 #![forbid(unsafe_code)]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 pub mod dhalion;
 pub mod queueing;
 pub mod threshold;
 
-pub use dhalion::{DhalionAction, DhalionConfig, DhalionController};
+pub use dhalion::{DhalionConfig, DhalionController};
 pub use queueing::{QueueingConfig, QueueingController};
 pub use threshold::{ThresholdConfig, ThresholdController};

@@ -47,7 +47,6 @@ pub struct QueueingController {
     config: QueueingConfig,
     cooldown: u32,
     awaiting_deploy: bool,
-    actions: u32,
 }
 
 impl QueueingController {
@@ -58,18 +57,12 @@ impl QueueingController {
             config,
             cooldown: 0,
             awaiting_deploy: false,
-            actions: 0,
         }
     }
 
     /// Creates a controller with default configuration (`ρ = 0.8`).
     pub fn with_defaults(graph: LogicalGraph) -> Self {
         Self::new(graph, QueueingConfig::default())
-    }
-
-    /// Number of scaling actions taken.
-    pub fn actions(&self) -> u32 {
-        self.actions
     }
 }
 
@@ -121,7 +114,6 @@ impl ScalingController for QueueingController {
         }
 
         if changed {
-            self.actions += 1;
             self.awaiting_deploy = true;
             ControllerVerdict::Rescale(plan)
         } else {

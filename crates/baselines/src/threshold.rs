@@ -55,7 +55,6 @@ pub struct ThresholdController {
     config: ThresholdConfig,
     cooldown: u32,
     awaiting_deploy: bool,
-    actions: u32,
 }
 
 impl ThresholdController {
@@ -66,18 +65,12 @@ impl ThresholdController {
             config,
             cooldown: 0,
             awaiting_deploy: false,
-            actions: 0,
         }
     }
 
     /// Creates a controller with default thresholds (80%/30%).
     pub fn with_defaults(graph: LogicalGraph) -> Self {
         Self::new(graph, ThresholdConfig::default())
-    }
-
-    /// Number of scaling actions taken.
-    pub fn actions(&self) -> u32 {
-        self.actions
     }
 
     fn violation(&self, util: f64) -> Option<bool> {
@@ -167,7 +160,6 @@ impl ScalingController for ThresholdController {
         }
 
         if changed {
-            self.actions += 1;
             self.awaiting_deploy = true;
             ControllerVerdict::Rescale(plan)
         } else {

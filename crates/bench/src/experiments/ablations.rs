@@ -29,7 +29,7 @@ use crate::runners::{convergence_manager_config, run_controller, run_ds2};
 
 /// Ablation 1: Table 4 cells with the overhead model disabled (linear
 /// scaling, no hidden cost). Returns `(query, initial, steps)` rows.
-pub fn linear_scaling_ablation(duration_ns: u64) -> (Vec<(QueryId, usize, usize)>, String) {
+pub(crate) fn linear_scaling_ablation(duration_ns: u64) -> (Vec<(QueryId, usize, usize)>, String) {
     let mut rows = Vec::new();
     for q in [QueryId::Q1, QueryId::Q3, QueryId::Q11] {
         for &init in &[8usize, 28] {
@@ -42,7 +42,7 @@ pub fn linear_scaling_ablation(duration_ns: u64) -> (Vec<(QueryId, usize, usize)
                 let at_star = p.instrumented_cost_ns(s.expected);
                 p.scaling = ScalingCurve::Linear;
                 p.hidden_ns = 0.0;
-                p.proc_ns = at_star - p.deser_ns - p.ser_ns * p.output.average_selectivity();
+                p.proc_ns = at_star;
             }
             let deployment = Deployment::uniform(&s.graph, init);
             let cfg = EngineConfig {
@@ -70,7 +70,7 @@ pub fn linear_scaling_ablation(duration_ns: u64) -> (Vec<(QueryId, usize, usize)
 }
 
 /// Ablation 2: Dhalion reaction time vs Heron queue capacity.
-pub fn heron_queue_ablation(duration_ns: u64) -> (Vec<(f64, Option<f64>)>, String) {
+pub(crate) fn heron_queue_ablation(duration_ns: u64) -> (Vec<(f64, Option<f64>)>, String) {
     let mut rows = Vec::new();
     for &queue in &[250_000.0f64, 1_000_000.0, 4_000_000.0] {
         let (graph, ops) = crate::wordcount::wordcount_graph();
@@ -123,7 +123,7 @@ pub fn heron_queue_ablation(duration_ns: u64) -> (Vec<(f64, Option<f64>)>, Strin
 }
 
 /// Ablation 3: controller shoot-out on the Flink word count.
-pub fn controller_shootout(duration_ns: u64) -> String {
+pub(crate) fn controller_shootout(duration_ns: u64) -> String {
     let mk_engine = || {
         let (engine, ops) = crate::wordcount::skewed_flink_benchmark(0.0, (1, 1));
         (engine, ops)
@@ -194,7 +194,7 @@ pub fn controller_shootout(duration_ns: u64) -> String {
 
 /// Ablation 4: the §4.3 summation rule vs the naive per-operator maximum
 /// on Timely.
-pub fn timely_rule_ablation(duration_ns: u64) -> String {
+pub(crate) fn timely_rule_ablation(duration_ns: u64) -> String {
     let mut rows = Vec::new();
     for q in [QueryId::Q3, QueryId::Q5] {
         // Indicated plan from a generous run.

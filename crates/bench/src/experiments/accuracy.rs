@@ -19,23 +19,23 @@ use crate::output::{fmt_rate, render_table, write_csv};
 
 /// One configuration's measurements in the Figure 8 sweep.
 #[derive(Debug, Clone)]
-pub struct Fig8Point {
+pub(crate) struct Fig8Point {
     /// Main-operator parallelism.
     pub parallelism: usize,
     /// Whether this is the DS2-indicated configuration.
-    pub indicated: bool,
+    pub(crate) indicated: bool,
     /// Mean observed source rate over the steady tail, records/s.
     pub observed_rate: f64,
     /// Offered source rate, records/s.
     pub offered_rate: f64,
     /// Median record latency, ns.
-    pub latency_p50: u64,
+    pub(crate) latency_p50: u64,
     /// 99th percentile record latency, ns.
-    pub latency_p99: u64,
+    pub(crate) latency_p99: u64,
 }
 
 /// Figure 8 for one query: sweep offsets around the optimum.
-pub fn figure8_query(query: QueryId, duration_ns: u64) -> (Vec<Fig8Point>, usize) {
+pub(crate) fn figure8_query(query: QueryId, duration_ns: u64) -> (Vec<Fig8Point>, usize) {
     let reference = setup(query, Target::Flink);
     let p_star = reference.expected;
 
@@ -85,7 +85,7 @@ pub fn figure8_query(query: QueryId, duration_ns: u64) -> (Vec<Fig8Point>, usize
 
 /// Evaluates DS2 once on a well-provisioned deployment to obtain the full
 /// indicated plan for a query (all operators).
-pub fn indicated_plan(query: QueryId) -> Deployment {
+pub(crate) fn indicated_plan(query: QueryId) -> Deployment {
     let s = setup(query, Target::Flink);
     let deployment = Deployment::uniform(&s.graph, 36);
     let cfg = EngineConfig {
@@ -112,7 +112,7 @@ pub fn indicated_plan(query: QueryId) -> Deployment {
 }
 
 /// Runs Figure 8 for all queries, writing one CSV per query.
-pub fn figure8(duration_ns: u64) -> String {
+pub(crate) fn figure8(duration_ns: u64) -> String {
     let mut report =
         String::from("Figure 8 — observed source rate & latency vs configuration (Flink)\n");
     for q in QueryId::ALL {
@@ -157,13 +157,13 @@ pub fn figure8(duration_ns: u64) -> String {
 
 /// One configuration's measurements in the Figure 9 sweep.
 #[derive(Debug, Clone)]
-pub struct Fig9Point {
+pub(crate) struct Fig9Point {
     /// Worker-pool size.
     pub workers: usize,
     /// Completed epochs.
     pub epochs: usize,
     /// Fraction of epochs completing within the 1 s target.
-    pub within_target: f64,
+    pub(crate) within_target: f64,
     /// Median epoch latency, ns.
     pub p50: u64,
     /// 99th percentile epoch latency, ns.
@@ -171,7 +171,7 @@ pub struct Fig9Point {
 }
 
 /// Figure 9 for one query on Timely.
-pub fn figure9_query(query: QueryId, duration_ns: u64) -> (Vec<Fig9Point>, usize) {
+pub(crate) fn figure9_query(query: QueryId, duration_ns: u64) -> (Vec<Fig9Point>, usize) {
     let mut points = Vec::new();
     for workers in [2usize, 3, 4, 6, 8] {
         let s = setup(query, Target::Timely);
@@ -200,7 +200,7 @@ pub fn figure9_query(query: QueryId, duration_ns: u64) -> (Vec<Fig9Point>, usize
 
 /// DS2's indicated total workers for a query on Timely: one policy
 /// evaluation on a generously provisioned run, summed per §4.3.
-pub fn indicated_timely_workers(query: QueryId) -> usize {
+pub(crate) fn indicated_timely_workers(query: QueryId) -> usize {
     let s = setup(query, Target::Timely);
     let deployment = Deployment::uniform(&s.graph, 1);
     let cfg = EngineConfig {
@@ -229,7 +229,7 @@ pub fn indicated_timely_workers(query: QueryId) -> usize {
 }
 
 /// Runs Figure 9 for the queries the paper plots (Q3, Q5, Q11).
-pub fn figure9(duration_ns: u64) -> String {
+pub(crate) fn figure9(duration_ns: u64) -> String {
     let mut report =
         String::from("Figure 9 — per-epoch latency vs worker count (Timely, 1 s epochs)\n");
     for q in [QueryId::Q3, QueryId::Q5, QueryId::Q11] {

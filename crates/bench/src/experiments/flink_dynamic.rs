@@ -9,10 +9,10 @@ use crate::runners::{flink_dynamic_manager_config, run_ds2};
 use crate::wordcount::{flink_dynamic_benchmark, WordCountOps};
 
 /// Phase-2 start: 800 s, as in the paper's timeline.
-pub const PHASE2_AT_NS: u64 = 800_000_000_000;
+pub(crate) const PHASE2_AT_NS: u64 = 800_000_000_000;
 
 /// Outcome of the dynamic-scaling experiment.
-pub struct Fig7Run {
+pub(crate) struct Fig7Run {
     /// Closed-loop result.
     pub result: RunResult,
     /// Operator handles.
@@ -22,7 +22,7 @@ pub struct Fig7Run {
 impl Fig7Run {
     /// `(flat_map, count)` parallelism sequence across decisions,
     /// starting from the initial configuration.
-    pub fn config_sequence(&self) -> Vec<(usize, usize)> {
+    pub(crate) fn config_sequence(&self) -> Vec<(usize, usize)> {
         let mut seq = vec![(10usize, 5usize)];
         for d in &self.result.decisions {
             let cfg = (
@@ -37,7 +37,7 @@ impl Fig7Run {
     }
 
     /// Decisions that happened during phase 1 / phase 2.
-    pub fn phase_decision_counts(&self) -> (usize, usize) {
+    pub(crate) fn phase_decision_counts(&self) -> (usize, usize) {
         let p1 = self
             .result
             .decisions
@@ -49,7 +49,7 @@ impl Fig7Run {
 }
 
 /// Runs the Figure 7 experiment and writes `fig7_timeline.csv`.
-pub fn figure7(duration_ns: u64) -> (Fig7Run, String) {
+pub(crate) fn figure7(duration_ns: u64) -> (Fig7Run, String) {
     let (engine, ops) = flink_dynamic_benchmark((10, 5), PHASE2_AT_NS);
     let result = run_ds2(engine, flink_dynamic_manager_config(), duration_ns);
     let run = Fig7Run { result, ops };

@@ -9,12 +9,10 @@ use crate::wordcount::{heron_benchmark, WordCountOps};
 
 /// Outcome of one controller's Heron word-count run.
 pub struct HeronRun {
-    /// Controller name.
-    pub controller: &'static str,
     /// Closed-loop result.
-    pub result: RunResult,
+    pub(crate) result: RunResult,
     /// Operator handles.
-    pub ops: WordCountOps,
+    pub(crate) ops: WordCountOps,
 }
 
 impl HeronRun {
@@ -48,26 +46,18 @@ pub fn run_dhalion_heron(duration_ns: u64) -> HeronRun {
         },
     );
     let result = run_controller(engine, controller, 60_000_000_000, duration_ns);
-    HeronRun {
-        controller: "dhalion",
-        result,
-        ops,
-    }
+    HeronRun { result, ops }
 }
 
 /// Runs DS2 on the same benchmark (Figure 6, §5.2 settings).
 pub fn run_ds2_heron(duration_ns: u64) -> HeronRun {
     let (engine, ops) = heron_benchmark((1, 1));
     let result = run_ds2(engine, heron_manager_config(), duration_ns);
-    HeronRun {
-        controller: "ds2",
-        result,
-        ops,
-    }
+    HeronRun { result, ops }
 }
 
 /// Renders the Figure 1 style source-rate timeline as CSV rows.
-pub fn timeline_rows(run: &HeronRun) -> Vec<Vec<String>> {
+pub(crate) fn timeline_rows(run: &HeronRun) -> Vec<Vec<String>> {
     run.result
         .timeline
         .iter()
@@ -86,7 +76,7 @@ pub fn timeline_rows(run: &HeronRun) -> Vec<Vec<String>> {
 }
 
 /// Runs Figure 1 (Dhalion alone) and writes `fig1_dhalion_timeline.csv`.
-pub fn figure1(duration_ns: u64) -> (HeronRun, String) {
+pub(crate) fn figure1(duration_ns: u64) -> (HeronRun, String) {
     let run = run_dhalion_heron(duration_ns);
     let rows = timeline_rows(&run);
     let _ = write_csv(
@@ -117,7 +107,7 @@ pub fn figure1(duration_ns: u64) -> (HeronRun, String) {
 }
 
 /// Runs Figure 6 (DS2 vs Dhalion) and writes both timelines.
-pub fn figure6(duration_ns: u64) -> (HeronRun, HeronRun, String) {
+pub(crate) fn figure6(duration_ns: u64) -> (HeronRun, HeronRun, String) {
     let dhalion = run_dhalion_heron(duration_ns);
     let ds2 = run_ds2_heron(duration_ns);
     let _ = write_csv(

@@ -5,10 +5,10 @@
 //! `ds2-bench` subcommands and the integration tests share the same code
 //! paths (tests use shortened durations).
 
-pub mod ablations;
-pub mod accuracy;
-pub mod flink_dynamic;
+pub(crate) mod ablations;
+pub(crate) mod accuracy;
+pub(crate) mod flink_dynamic;
 pub mod heron;
-pub mod overhead;
-pub mod skew;
+pub(crate) mod overhead;
+pub(crate) mod skew;
 pub mod table4;

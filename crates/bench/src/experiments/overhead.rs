@@ -11,22 +11,22 @@ use crate::output::{render_table, write_csv};
 
 /// Latency measurements for one query, vanilla vs instrumented.
 #[derive(Debug, Clone)]
-pub struct OverheadPoint {
+pub(crate) struct OverheadPoint {
     /// Query name.
     pub query: &'static str,
     /// Mean latency without instrumentation, ns.
-    pub vanilla_p50: u64,
+    pub(crate) vanilla_p50: u64,
     /// Mean latency with instrumentation, ns.
-    pub instr_p50: u64,
+    pub(crate) instr_p50: u64,
     /// 99th percentile without instrumentation, ns.
-    pub vanilla_p99: u64,
+    pub(crate) vanilla_p99: u64,
     /// 99th percentile with instrumentation, ns.
-    pub instr_p99: u64,
+    pub(crate) instr_p99: u64,
 }
 
 impl OverheadPoint {
     /// Relative mean-latency overhead (instr vs vanilla).
-    pub fn overhead_fraction(&self) -> f64 {
+    pub(crate) fn overhead_fraction(&self) -> f64 {
         if self.vanilla_p50 == 0 {
             0.0
         } else {
@@ -86,7 +86,7 @@ fn run_timely(query: QueryId, instrument: bool, duration_ns: u64) -> (u64, u64) 
 }
 
 /// Runs Figure 10 for both personalities.
-pub fn figure10(duration_ns: u64) -> (Vec<OverheadPoint>, Vec<OverheadPoint>, String) {
+pub(crate) fn figure10(duration_ns: u64) -> (Vec<OverheadPoint>, Vec<OverheadPoint>, String) {
     let mut flink = Vec::new();
     let mut timely = Vec::new();
     for q in QueryId::ALL {

@@ -12,22 +12,22 @@ use crate::wordcount::skewed_flink_benchmark;
 
 /// Outcome at one skew level.
 #[derive(Debug, Clone)]
-pub struct SkewOutcome {
+pub(crate) struct SkewOutcome {
     /// Fraction of records routed to the hot Count instance.
     pub skew: f64,
     /// Scaling decisions taken.
     pub steps: usize,
     /// Final Count parallelism.
-    pub final_count: usize,
+    pub(crate) final_count: usize,
     /// Final achieved/offered ratio (below 1.0 under real skew).
     pub achieved: f64,
 }
 
 /// The Count parallelism that is optimal without skew in this benchmark.
-pub const NO_SKEW_OPTIMAL_COUNT: usize = 16;
+pub(crate) const NO_SKEW_OPTIMAL_COUNT: usize = 16;
 
 /// Runs the skew experiment at the paper's 20%, 50% and 70% levels.
-pub fn skew_experiment(duration_ns: u64) -> (Vec<SkewOutcome>, String) {
+pub(crate) fn skew_experiment(duration_ns: u64) -> (Vec<SkewOutcome>, String) {
     let mut outcomes = Vec::new();
     for &skew in &[0.2f64, 0.5, 0.7] {
         let (engine, ops) = skewed_flink_benchmark(skew, (1, 1));

@@ -16,7 +16,7 @@ use crate::output::{render_table, write_csv};
 use crate::runners::{convergence_manager_config, run_ds2};
 
 /// The initial parallelism column of Table 4.
-pub const INITIALS: [usize; 6] = [8, 12, 16, 20, 24, 28];
+pub(crate) const INITIALS: [usize; 6] = [8, 12, 16, 20, 24, 28];
 
 /// One Table 4 cell.
 #[derive(Debug, Clone)]
@@ -38,7 +38,7 @@ impl Cell {
     }
 
     /// Final main-operator parallelism.
-    pub fn final_parallelism(&self) -> usize {
+    pub(crate) fn final_parallelism(&self) -> usize {
         *self.sequence.last().expect("non-empty")
     }
 
@@ -58,7 +58,10 @@ impl Cell {
 
 /// Builds the Flink-personality engine for one query at uniform initial
 /// parallelism.
-pub fn query_engine(query: QueryId, initial: usize) -> (FluidEngine, ds2_core::graph::OperatorId) {
+pub(crate) fn query_engine(
+    query: QueryId,
+    initial: usize,
+) -> (FluidEngine, ds2_core::graph::OperatorId) {
     let s = setup(query, Target::Flink);
     let deployment = Deployment::uniform(&s.graph, initial);
     let cfg = EngineConfig {
@@ -88,7 +91,7 @@ pub fn run_cell(query: QueryId, initial: usize, duration_ns: u64) -> Cell {
 }
 
 /// Runs the full table (36 experiments).
-pub fn run_table(duration_ns: u64) -> Vec<Cell> {
+pub(crate) fn run_table(duration_ns: u64) -> Vec<Cell> {
     let mut cells = Vec::new();
     for q in QueryId::ALL {
         for &init in &INITIALS {

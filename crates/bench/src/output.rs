@@ -3,7 +3,7 @@
 
 use std::fs;
 use std::io::Write;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 /// Renders an aligned text table.
 pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
@@ -38,14 +38,18 @@ pub fn render_table(headers: &[&str], rows: &[Vec<String>]) -> String {
 }
 
 /// Directory where experiment CSVs are written.
-pub fn results_dir() -> PathBuf {
+pub(crate) fn results_dir() -> PathBuf {
     let dir = std::env::var("DS2_RESULTS_DIR").unwrap_or_else(|_| "results".to_string());
     PathBuf::from(dir)
 }
 
 /// Writes rows as a CSV file under the results directory, creating it if
 /// needed. Returns the file path.
-pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io::Result<PathBuf> {
+pub(crate) fn write_csv(
+    name: &str,
+    headers: &[&str],
+    rows: &[Vec<String>],
+) -> std::io::Result<PathBuf> {
     let dir = results_dir();
     fs::create_dir_all(&dir)?;
     let path = dir.join(name);
@@ -58,7 +62,7 @@ pub fn write_csv(name: &str, headers: &[&str], rows: &[Vec<String>]) -> std::io:
 }
 
 /// Formats a rate in records/second compactly (e.g. `2.0M`, `500K`).
-pub fn fmt_rate(rate: f64) -> String {
+pub(crate) fn fmt_rate(rate: f64) -> String {
     if rate >= 1e6 {
         format!("{:.2}M", rate / 1e6)
     } else if rate >= 1e3 {
@@ -66,24 +70,6 @@ pub fn fmt_rate(rate: f64) -> String {
     } else {
         format!("{rate:.0}")
     }
-}
-
-/// Formats nanoseconds as human-readable time.
-pub fn fmt_ns(ns: u64) -> String {
-    if ns >= 1_000_000_000 {
-        format!("{:.2}s", ns as f64 / 1e9)
-    } else if ns >= 1_000_000 {
-        format!("{:.1}ms", ns as f64 / 1e6)
-    } else if ns >= 1_000 {
-        format!("{:.1}us", ns as f64 / 1e3)
-    } else {
-        format!("{ns}ns")
-    }
-}
-
-/// Checks whether a path exists (test helper).
-pub fn exists(p: &Path) -> bool {
-    p.exists()
 }
 
 #[cfg(test)]
@@ -113,14 +99,6 @@ mod tests {
     }
 
     #[test]
-    fn ns_formatting() {
-        assert_eq!(fmt_ns(2_500_000_000), "2.50s");
-        assert_eq!(fmt_ns(40_000_000), "40.0ms");
-        assert_eq!(fmt_ns(1_500), "1.5us");
-        assert_eq!(fmt_ns(999), "999ns");
-    }
-
-    #[test]
     fn csv_written() {
         std::env::set_var("DS2_RESULTS_DIR", "/tmp/ds2-test-results");
         let p = write_csv(
@@ -129,7 +107,7 @@ mod tests {
             &[vec!["0".into(), "1".into()]],
         )
         .unwrap();
-        assert!(exists(&p));
+        assert!(p.exists());
         let content = std::fs::read_to_string(&p).unwrap();
         assert_eq!(content, "t,v\n0,1\n");
         std::env::remove_var("DS2_RESULTS_DIR");

@@ -10,7 +10,7 @@ use ds2_core::controller::ScalingController;
 
 /// The §5.2 Heron settings: 60 s decision interval, no warm-up, one
 /// interval activation, 1.0 target ratio.
-pub fn heron_manager_config() -> ManagerConfig {
+pub(crate) fn heron_manager_config() -> ManagerConfig {
     ManagerConfig {
         policy_interval_ns: 60_000_000_000,
         warmup_intervals: 0,
@@ -27,7 +27,7 @@ pub fn heron_manager_config() -> ManagerConfig {
 
 /// The §5.3 Flink settings: 10 s decision interval, 30 s warm-up (three
 /// intervals), one interval activation, 1.0 target ratio.
-pub fn flink_dynamic_manager_config() -> ManagerConfig {
+pub(crate) fn flink_dynamic_manager_config() -> ManagerConfig {
     ManagerConfig {
         policy_interval_ns: 10_000_000_000,
         warmup_intervals: 3,
@@ -44,7 +44,7 @@ pub fn flink_dynamic_manager_config() -> ManagerConfig {
 
 /// The §5.4 convergence settings: 30 s decision interval, 30 s warm-up
 /// (one interval), 1.0 target ratio.
-pub fn convergence_manager_config() -> ManagerConfig {
+pub(crate) fn convergence_manager_config() -> ManagerConfig {
     ManagerConfig {
         policy_interval_ns: 30_000_000_000,
         warmup_intervals: 1,
@@ -60,14 +60,18 @@ pub fn convergence_manager_config() -> ManagerConfig {
 }
 
 /// Runs DS2 (the Scaling Manager) against an engine.
-pub fn run_ds2(engine: FluidEngine, manager_config: ManagerConfig, duration_ns: u64) -> RunResult {
+pub(crate) fn run_ds2(
+    engine: FluidEngine,
+    manager_config: ManagerConfig,
+    duration_ns: u64,
+) -> RunResult {
     let interval = manager_config.policy_interval_ns;
     let manager = ScalingManager::new(engine.graph().clone(), manager_config);
     run_controller(engine, manager, interval, duration_ns)
 }
 
 /// Runs an arbitrary controller against an engine.
-pub fn run_controller<C: ScalingController>(
+pub(crate) fn run_controller<C: ScalingController>(
     engine: FluidEngine,
     controller: C,
     interval_ns: u64,

@@ -15,7 +15,7 @@ use ds2_simulator::source::{RateSchedule, SourceSpec};
 
 /// Operator handles for a word-count scenario.
 #[derive(Debug, Clone, Copy)]
-pub struct WordCountOps {
+pub(crate) struct WordCountOps {
     /// The sentence source.
     pub source: OperatorId,
     /// The sentence-splitting flat map.
@@ -25,7 +25,7 @@ pub struct WordCountOps {
 }
 
 /// Builds the word-count logical graph.
-pub fn wordcount_graph() -> (LogicalGraph, WordCountOps) {
+pub(crate) fn wordcount_graph() -> (LogicalGraph, WordCountOps) {
     let mut b = GraphBuilder::new();
     let source = b.operator("source");
     let flat_map = b.operator("flat_map");
@@ -46,7 +46,7 @@ pub fn wordcount_graph() -> (LogicalGraph, WordCountOps) {
 /// FlatMap capped at 100 K sentences/minute/instance, Count capped at 1 M
 /// words/minute/instance, 20 words per sentence. Optimal: (FlatMap 10,
 /// Count 20).
-pub fn heron_benchmark(initial: (usize, usize)) -> (FluidEngine, WordCountOps) {
+pub(crate) fn heron_benchmark(initial: (usize, usize)) -> (FluidEngine, WordCountOps) {
     let (graph, ops) = wordcount_graph();
     let per_sec = 1.0 / 60.0;
     let source_rate = 1_000_000.0 * per_sec;
@@ -88,7 +88,7 @@ pub fn heron_benchmark(initial: (usize, usize)) -> (FluidEngine, WordCountOps) {
 /// the first scale-up lands short and is refined by re-measurement; Count
 /// also carries a hidden (uninstrumented) overhead exercising the
 /// target-rate-ratio refinement — the paper's final "+1 Count" step.
-pub fn flink_dynamic_benchmark(
+pub(crate) fn flink_dynamic_benchmark(
     initial: (usize, usize),
     phase2_at_ns: u64,
 ) -> (FluidEngine, WordCountOps) {
@@ -149,7 +149,7 @@ pub fn flink_dynamic_benchmark(
 /// steps) to the configuration that would be optimal without skew, without
 /// over-provisioning — even though that configuration cannot meet the
 /// target throughput.
-pub fn skewed_flink_benchmark(
+pub(crate) fn skewed_flink_benchmark(
     skew_hot_fraction: f64,
     initial: (usize, usize),
 ) -> (FluidEngine, WordCountOps) {

@@ -42,9 +42,9 @@ impl ControllerVerdict {
 pub struct ControllerFaultStats {
     /// Metric windows where at least one operator's slots were repaired from
     /// the last-good snapshot.
-    pub repaired_windows: u32,
+    pub(crate) repaired_windows: u32,
     /// Per-instance samples replaced by the operator median as rate outliers.
-    pub outliers_rejected: u32,
+    pub(crate) outliers_rejected: u32,
     /// Metric windows vetoed outright (majority-invalid telemetry): the
     /// controller held the last-good deployment instead of acting.
     pub vetoed_windows: u32,

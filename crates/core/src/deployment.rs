@@ -36,23 +36,6 @@ pub struct ResourceAlloc {
     pub state_budget: f64,
 }
 
-impl ResourceAlloc {
-    /// The single-dimension allocation: `p` instances, no class split, no
-    /// state budget — behaviorally identical to the pre-refactor model.
-    pub fn parallelism_only(p: usize) -> Self {
-        Self {
-            parallelism: p,
-            key_classes: 1,
-            state_budget: f64::INFINITY,
-        }
-    }
-
-    /// Whether the allocation uses any axis beyond parallelism.
-    pub fn is_multi_dim(&self) -> bool {
-        self.key_classes > 1 || self.state_budget.is_finite()
-    }
-}
-
 /// A physical execution plan: the [`ResourceAlloc`] of every logical
 /// operator.
 ///
@@ -170,7 +153,7 @@ impl Deployment {
 
     /// Sets the per-instance state budget of one operator. Non-finite or
     /// non-positive values restore the default (unbudgeted).
-    pub fn set_state_budget(&mut self, op: OperatorId, bytes: f64) {
+    pub(crate) fn set_state_budget(&mut self, op: OperatorId, bytes: f64) {
         let i = op.index();
         let default = !bytes.is_finite() || bytes <= 0.0;
         if default && i >= self.state_budget.len() {
@@ -201,18 +184,12 @@ impl Deployment {
     /// Whether the two plans differ on the key-class axis anywhere — the
     /// significance signal for class-split rescales, which may leave every
     /// parallelism unchanged.
-    pub fn classes_differ(&self, other: &Deployment) -> bool {
+    pub(crate) fn classes_differ(&self, other: &Deployment) -> bool {
         let n = self.key_classes.len().max(other.key_classes.len());
         (0..n).any(|i| {
             let op = OperatorId(i);
             self.key_classes(op) != other.key_classes(op)
         })
-    }
-
-    /// Whether any operator uses an axis beyond parallelism.
-    pub fn is_multi_dim(&self) -> bool {
-        self.key_classes.iter().any(|&s| s > 1)
-            || self.state_budget.iter().any(|b| b.is_finite() && *b > 0.0)
     }
 
     /// Resets every assignment to "unassigned" and pins the slot count to
@@ -241,14 +218,8 @@ impl Deployment {
         self.parallelism.iter().sum()
     }
 
-    /// The per-operator parallelism as an ordered map (assigned operators
-    /// only). Allocates; intended for reporting, not hot paths.
-    pub fn to_map(&self) -> BTreeMap<OperatorId, usize> {
-        self.iter().collect()
-    }
-
     /// Largest absolute per-operator parallelism change between two plans.
-    pub fn max_delta(&self, other: &Deployment) -> usize {
+    pub(crate) fn max_delta(&self, other: &Deployment) -> usize {
         let n = self.parallelism.len().max(other.parallelism.len());
         let mut delta = 0usize;
         for i in 0..n {
@@ -374,7 +345,7 @@ mod tests {
         assert_eq!(d.parallelism(OperatorId(3)), 0);
         assert_eq!(d.total_instances(), 0);
         d.set(OperatorId(1), 3);
-        assert_eq!(d.to_map(), [(OperatorId(1), 3)].into());
+        assert_eq!(d.iter().collect::<Vec<_>>(), [(OperatorId(1), 3)]);
     }
 
     #[test]
@@ -387,9 +358,12 @@ mod tests {
     fn default_alloc_is_parallelism_only() {
         let d = Deployment::from_map([(OperatorId(0), 3)].into());
         let a = d.alloc(OperatorId(0));
-        assert_eq!(a, ResourceAlloc::parallelism_only(3));
-        assert!(!a.is_multi_dim());
-        assert!(!d.is_multi_dim());
+        let plain = ResourceAlloc {
+            parallelism: 3,
+            key_classes: 1,
+            state_budget: f64::INFINITY,
+        };
+        assert_eq!(a, plain);
         assert_eq!(d.key_classes(OperatorId(0)), 1);
         assert_eq!(d.state_budget(OperatorId(0)), f64::INFINITY);
     }
@@ -405,7 +379,6 @@ mod tests {
         // ...but the plans are distinguishable (a split is a real rescale).
         assert_ne!(base, split);
         assert!(split.classes_differ(&base));
-        assert!(split.is_multi_dim());
         assert_eq!(split.alloc(OperatorId(1)).key_classes, 2);
         assert_eq!(split.to_string(), "{op0:2, op1:4×2}");
     }
@@ -431,12 +404,10 @@ mod tests {
         let mut d = Deployment::from_map([(OperatorId(0), 2)].into());
         d.set_state_budget(OperatorId(0), 1e9);
         assert_eq!(d.state_budget(OperatorId(0)), 1e9);
-        assert!(d.is_multi_dim());
         let other = Deployment::from_map([(OperatorId(0), 2)].into());
         assert_ne!(d, other);
         d.reset(1);
         assert_eq!(d.state_budget(OperatorId(0)), f64::INFINITY);
-        assert!(!d.is_multi_dim());
     }
 
     #[test]

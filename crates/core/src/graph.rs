@@ -62,7 +62,7 @@ pub struct Edge {
 /// b.connect(map, agg);
 /// let graph = b.build().unwrap();
 /// assert_eq!(graph.sources(), &[src]);
-/// assert_eq!(graph.sinks(), &[agg]);
+/// assert!(graph.is_sink(agg));
 /// ```
 #[derive(Debug, Default)]
 pub struct GraphBuilder {
@@ -89,7 +89,12 @@ impl GraphBuilder {
     }
 
     /// Adds an edge carrying `weight` of `from`'s output to `to`.
-    pub fn connect_weighted(&mut self, from: OperatorId, to: OperatorId, weight: f64) -> &mut Self {
+    pub(crate) fn connect_weighted(
+        &mut self,
+        from: OperatorId,
+        to: OperatorId,
+        weight: f64,
+    ) -> &mut Self {
         self.edges.push(Edge { from, to, weight });
         self
     }
@@ -122,7 +127,6 @@ pub struct LogicalGraph {
     /// Operator indices in a topological order (sources first).
     topo: Vec<usize>,
     sources: Vec<OperatorId>,
-    sinks: Vec<OperatorId>,
 }
 
 impl LogicalGraph {
@@ -187,10 +191,6 @@ impl LogicalGraph {
             .filter(|&v| in_edges[v].is_empty())
             .map(OperatorId)
             .collect();
-        let sinks: Vec<OperatorId> = (0..m)
-            .filter(|&v| out_edges[v].is_empty())
-            .map(OperatorId)
-            .collect();
         if sources.len() == m {
             return Err(Ds2Error::InvalidGraph(
                 "graph has no edges: every operator is both source and sink".into(),
@@ -204,7 +204,6 @@ impl LogicalGraph {
             in_edges,
             topo,
             sources,
-            sinks,
         })
     }
 
@@ -243,11 +242,6 @@ impl LogicalGraph {
         &self.sources
     }
 
-    /// Sink operators (no downstream).
-    pub fn sinks(&self) -> &[OperatorId] {
-        &self.sinks
-    }
-
     /// Returns `true` if `id` is a source.
     pub fn is_source(&self, id: OperatorId) -> bool {
         self.in_edges[id.0].is_empty()
@@ -277,11 +271,6 @@ impl LogicalGraph {
     pub fn upstream(&self, id: OperatorId) -> Vec<OperatorId> {
         self.upstream_edges(id).map(|e| e.from).collect()
     }
-
-    /// Downstream operator ids of `id`.
-    pub fn downstream(&self, id: OperatorId) -> Vec<OperatorId> {
-        self.downstream_edges(id).map(|e| e.to).collect()
-    }
 }
 
 #[cfg(test)]
@@ -303,11 +292,12 @@ mod tests {
         let (g, s, o1, o2) = linear3();
         assert_eq!(g.len(), 3);
         assert_eq!(g.sources(), &[s]);
-        assert_eq!(g.sinks(), &[o2]);
         assert!(g.is_source(s));
         assert!(!g.is_source(o1));
         assert!(g.is_sink(o2));
-        assert_eq!(g.downstream(s), vec![o1]);
+        assert!(!g.is_sink(s) && !g.is_sink(o1));
+        let downstream: Vec<_> = g.downstream_edges(s).map(|e| e.to).collect();
+        assert_eq!(downstream, vec![o1]);
         assert_eq!(g.upstream(o2), vec![o1]);
         assert_eq!(g.name(o1), "o1");
         assert_eq!(g.by_name("o2"), Some(o2));
@@ -405,7 +395,7 @@ mod tests {
         b.connect(l, k);
         b.connect(r, k);
         let g = b.build().unwrap();
-        assert_eq!(g.downstream(s).len(), 2);
+        assert_eq!(g.downstream_edges(s).count(), 2);
         assert_eq!(g.upstream(k).len(), 2);
         let w: f64 = g.downstream_edges(s).map(|e| e.weight).sum();
         assert!((w - 1.0).abs() < 1e-12);

@@ -8,7 +8,7 @@
 //!
 //! * **Snapshot validation and repair.** Each operator's slots are checked
 //!   against the graph and the deployed parallelism
-//!   ([`MetricsSnapshot::validate_operator`]); broken operators are repaired
+//!   (`MetricsSnapshot::validate_operator`); broken operators are repaired
 //!   from the last fully valid snapshot while it is fresh enough.
 //! * **Degraded-telemetry veto.** A window in which a majority of operators
 //!   is invalid is never shown to the manager: the deployment is held.

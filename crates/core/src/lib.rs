@@ -63,6 +63,7 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 pub mod controller;

@@ -12,7 +12,7 @@
 //! The per-window path is allocation-conscious: the manager owns one
 //! [`Ds2Policy`] and one [`PolicyWorkspace`] for its whole lifetime, passes
 //! the learned requirement boost as an *argument* to
-//! [`Ds2Policy::evaluate_boosted_into`], and keeps its offered-rate and
+//! `Ds2Policy::evaluate_boosted_into`, and keeps its offered-rate and
 //! activation-combining scratch in dense reusable buffers.
 
 use std::collections::VecDeque;
@@ -246,7 +246,7 @@ impl ScalingManager {
     }
 
     /// Whether the next metrics window will be discarded as warm-up.
-    pub fn is_warming_up(&self) -> bool {
+    pub(crate) fn is_warming_up(&self) -> bool {
         self.warmup_remaining > 0
     }
 
@@ -255,7 +255,7 @@ impl ScalingManager {
     /// when it was issued, and bans the plan for `strikes` ×
     /// `ROLLBACK_BAN_INTERVALS` intervals so that the next evaluation does
     /// not re-open it immediately.
-    pub fn abandon_plan(&mut self, plan: Deployment, strikes: u32) {
+    pub(crate) fn abandon_plan(&mut self, plan: Deployment, strikes: u32) {
         self.rollback_ban_remaining = ROLLBACK_BAN_INTERVALS.saturating_mul(strikes);
         self.rolled_back_from = Some(plan);
         self.awaiting_deploy = false;

@@ -79,9 +79,9 @@ pub struct OperatorEstimate {
     /// Operator selectivity `o[λo] / o[λp]`.
     pub selectivity: f64,
     /// Optimal output rate `o[λo]*` (Eq. 8) given optimal upstream scaling.
-    pub optimal_output_rate: f64,
+    pub(crate) optimal_output_rate: f64,
     /// Real-valued instance requirement before ceiling and clamping.
-    pub raw_requirement: f64,
+    pub(crate) raw_requirement: f64,
     /// Final prescribed parallelism `π` (Eq. 7).
     pub parallelism: usize,
 }
@@ -214,7 +214,7 @@ impl Ds2Policy {
     /// (§4.2.1): the manager re-runs the policy with a boost learned from
     /// the achieved/target ratio, compensating for overheads invisible to
     /// instrumentation.
-    pub fn evaluate_boosted_into<'ws>(
+    pub(crate) fn evaluate_boosted_into<'ws>(
         &self,
         graph: &LogicalGraph,
         snapshot: &MetricsSnapshot,

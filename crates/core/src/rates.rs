@@ -9,7 +9,7 @@
 use crate::error::Ds2Error;
 
 /// Nanoseconds per second, used to express all rates in records/second.
-pub const NS_PER_SEC: f64 = 1_000_000_000.0;
+pub(crate) const NS_PER_SEC: f64 = 1_000_000_000.0;
 
 /// Raw instrumentation counters for one operator instance over one window.
 ///
@@ -96,7 +96,7 @@ impl InstanceMetrics {
     /// reveals per-record overheads outside the instrumented sections
     /// (network stack, channel selection) — the §4.2.1 situation the
     /// target-rate-ratio correction exists for.
-    pub fn unaccounted_fraction(&self) -> f64 {
+    pub(crate) fn unaccounted_fraction(&self) -> f64 {
         if self.window_ns == 0 {
             return 0.0;
         }
@@ -167,7 +167,7 @@ impl OperatorMetrics {
     }
 
     /// Aggregated true output rate `o[λo] = Σ λo^k` (Eq. 6).
-    pub fn aggregate_true_output_rate(&self) -> Option<f64> {
+    pub(crate) fn aggregate_true_output_rate(&self) -> Option<f64> {
         aggregate(self.instances.iter().map(|i| i.true_output_rate()))
     }
 
@@ -176,7 +176,7 @@ impl OperatorMetrics {
     /// window; fusing the passes halves the per-operator instance traffic
     /// while performing bit-identical arithmetic (same per-instance
     /// formula, same summation order) to the individual aggregates.
-    pub fn aggregate_true_rates(&self) -> Option<(f64, f64)> {
+    pub(crate) fn aggregate_true_rates(&self) -> Option<(f64, f64)> {
         let mut lp = 0.0;
         let mut lo = 0.0;
         let mut any = false;
@@ -244,7 +244,7 @@ impl OperatorMetrics {
     }
 
     /// Mean unaccounted-time fraction across instances.
-    pub fn mean_unaccounted_fraction(&self) -> f64 {
+    pub(crate) fn mean_unaccounted_fraction(&self) -> f64 {
         if self.instances.is_empty() {
             return 0.0;
         }
@@ -253,27 +253,6 @@ impl OperatorMetrics {
             .map(|i| i.unaccounted_fraction())
             .sum::<f64>()
             / self.instances.len() as f64
-    }
-
-    /// Coefficient of variation of per-instance observed processing rates.
-    ///
-    /// A high value indicates data skew across instances; the Manager can use
-    /// this as the skew-detection signal sketched in §4.2 (Fig. 5).
-    pub fn processing_rate_cv(&self) -> Option<f64> {
-        let rates: Vec<f64> = self
-            .instances
-            .iter()
-            .filter_map(|i| i.observed_processing_rate())
-            .collect();
-        if rates.len() < 2 {
-            return None;
-        }
-        let mean = rates.iter().sum::<f64>() / rates.len() as f64;
-        if mean <= 0.0 {
-            return None;
-        }
-        let var = rates.iter().map(|r| (r - mean) * (r - mean)).sum::<f64>() / rates.len() as f64;
-        Some(var.sqrt() / mean)
     }
 }
 
@@ -400,24 +379,10 @@ mod tests {
     }
 
     #[test]
-    fn skew_shows_up_in_cv() {
-        let balanced = OperatorMetrics::new(vec![inst(100, 100, 100, 1000); 4]);
-        assert!(balanced.processing_rate_cv().unwrap() < 1e-9);
-        let skewed = OperatorMetrics::new(vec![
-            inst(700, 700, 700, 1000),
-            inst(100, 100, 100, 1000),
-            inst(100, 100, 100, 1000),
-            inst(100, 100, 100, 1000),
-        ]);
-        assert!(skewed.processing_rate_cv().unwrap() > 0.5);
-    }
-
-    #[test]
     fn empty_operator_metrics() {
         let op = OperatorMetrics::default();
         assert_eq!(op.parallelism(), 0);
         assert_eq!(op.average_true_processing_rate(), None);
         assert_eq!(op.mean_utilization(), 0.0);
-        assert_eq!(op.processing_rate_cv(), None);
     }
 }

@@ -101,11 +101,6 @@ impl MetricsSnapshot {
         self.source_rates.insert(op, rate);
     }
 
-    /// Removes all recorded source rates.
-    pub fn clear_source_rates(&mut self) {
-        self.source_rates.clear();
-    }
-
     /// Metrics for one operator, if reported.
     #[inline]
     pub fn operator(&self, op: OperatorId) -> Option<&OperatorMetrics> {
@@ -141,7 +136,7 @@ impl MetricsSnapshot {
 
     /// All reported `(operator, per-instance state bytes)` pairs in id
     /// order.
-    pub fn state_bytes_iter(&self) -> impl Iterator<Item = (OperatorId, f64)> + '_ {
+    pub(crate) fn state_bytes_iter(&self) -> impl Iterator<Item = (OperatorId, f64)> + '_ {
         self.state_bytes.iter().map(|(op, &b)| (op, b))
     }
 
@@ -172,7 +167,7 @@ impl MetricsSnapshot {
     }
 
     /// Validates the snapshot against a graph and deployment: every operator
-    /// must pass [`MetricsSnapshot::validate_operator`] at its deployed
+    /// must pass `MetricsSnapshot::validate_operator` at its deployed
     /// parallelism.
     pub fn validate(&self, graph: &LogicalGraph, deployment: &Deployment) -> Result<(), Ds2Error> {
         graph
@@ -183,7 +178,7 @@ impl MetricsSnapshot {
     /// Validates one operator's report: it must be present with exactly `p`
     /// instances whose counters satisfy the `Wu <= W` model invariant, and
     /// a source must also carry a finite, non-negative offered rate.
-    pub fn validate_operator(
+    pub(crate) fn validate_operator(
         &self,
         graph: &LogicalGraph,
         op: OperatorId,
@@ -293,7 +288,7 @@ mod tests {
     #[test]
     fn missing_source_rate_fails() {
         let (g, d, mut snap) = setup();
-        snap.clear_source_rates();
+        snap.remove_source_rate(OperatorId(0));
         assert!(snap.validate(&g, &d).is_err());
     }
 

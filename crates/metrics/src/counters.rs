@@ -1,147 +1,18 @@
 //! Per-instance instrumentation counters (paper §4.1).
 //!
 //! Each parallel thread executing operator logic maintains local counters
-//! for records read, records produced, (de)serialization duration,
-//! processing duration, and waiting for input and output buffers. The
-//! counters here are lock-free ([`SharedCounters`] uses relaxed atomics) so
-//! the instrumentation cost stays in the nanosecond range — the overhead the
-//! paper measures in Figure 10.
+//! for records read, records produced, useful time, and waiting for input
+//! and output buffers. §3.2 defines useful time as deserialization +
+//! processing + serialization; here it is one counter, because the runtime
+//! measures the three activities as one timed span around the operator
+//! logic. The counters are lock-free ([`SharedCounters`] uses relaxed
+//! atomics) so the instrumentation cost stays in the nanosecond range — the
+//! overhead the paper measures in Figure 10.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use ds2_core::rates::InstanceMetrics;
-
-/// Breakdown of useful time into the three §3.2 activities.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct UsefulTime {
-    /// Time spent deserializing input records, in nanoseconds.
-    pub deserialization_ns: u64,
-    /// Time spent in operator logic, in nanoseconds.
-    pub processing_ns: u64,
-    /// Time spent serializing output records, in nanoseconds.
-    pub serialization_ns: u64,
-}
-
-impl UsefulTime {
-    /// Total useful nanoseconds.
-    pub fn total_ns(&self) -> u64 {
-        self.deserialization_ns + self.processing_ns + self.serialization_ns
-    }
-}
-
-/// Plain (single-threaded) instrumentation counters for one instance.
-///
-/// Used where the instance owns its counters (the simulator); the threaded
-/// runtime uses [`SharedCounters`] instead.
-#[derive(Debug, Clone, Default)]
-pub struct InstanceCounters {
-    records_in: u64,
-    records_out: u64,
-    useful: UsefulTime,
-    wait_input_ns: u64,
-    wait_output_ns: u64,
-    window_start_ns: u64,
-}
-
-impl InstanceCounters {
-    /// Creates counters with the window starting at `now_ns`.
-    pub fn new(now_ns: u64) -> Self {
-        Self {
-            window_start_ns: now_ns,
-            ..Default::default()
-        }
-    }
-
-    /// Records `n` records pulled from the input.
-    pub fn add_records_in(&mut self, n: u64) {
-        self.records_in += n;
-    }
-
-    /// Records `n` records pushed to the output.
-    pub fn add_records_out(&mut self, n: u64) {
-        self.records_out += n;
-    }
-
-    /// Adds deserialization time.
-    pub fn add_deserialization(&mut self, ns: u64) {
-        self.useful.deserialization_ns += ns;
-    }
-
-    /// Adds processing time.
-    pub fn add_processing(&mut self, ns: u64) {
-        self.useful.processing_ns += ns;
-    }
-
-    /// Adds serialization time.
-    pub fn add_serialization(&mut self, ns: u64) {
-        self.useful.serialization_ns += ns;
-    }
-
-    /// Adds time spent waiting on an empty input.
-    pub fn add_wait_input(&mut self, ns: u64) {
-        self.wait_input_ns += ns;
-    }
-
-    /// Adds time spent waiting on a full output.
-    pub fn add_wait_output(&mut self, ns: u64) {
-        self.wait_output_ns += ns;
-    }
-
-    /// Current useful-time breakdown.
-    pub fn useful(&self) -> UsefulTime {
-        self.useful
-    }
-
-    /// Closes the window at `now_ns`, returning the model-facing metrics and
-    /// resetting the counters for the next window.
-    pub fn take_window(&mut self, now_ns: u64) -> InstanceMetrics {
-        let window_ns = now_ns.saturating_sub(self.window_start_ns);
-        let m = clamped_window(
-            self.records_in,
-            self.records_out,
-            self.useful.total_ns(),
-            window_ns,
-            self.wait_input_ns,
-            self.wait_output_ns,
-        );
-        *self = Self::new(now_ns);
-        m
-    }
-}
-
-/// Builds an [`InstanceMetrics`] window, clamping wall-clock measurements to
-/// the model invariants `Wu <= W` and `Wu + waits <= W`.
-///
-/// Measurement intervals straddling the window boundary are credited
-/// entirely to the window they end in, so raw useful/wait sums can exceed
-/// the window by up to one interval; waits are scaled back proportionally.
-fn clamped_window(
-    records_in: u64,
-    records_out: u64,
-    useful_raw_ns: u64,
-    window_ns: u64,
-    wait_input_raw_ns: u64,
-    wait_output_raw_ns: u64,
-) -> InstanceMetrics {
-    let useful_ns = useful_raw_ns.min(window_ns);
-    let mut wait_input_ns = wait_input_raw_ns;
-    let mut wait_output_ns = wait_output_raw_ns;
-    let budget = window_ns - useful_ns;
-    let total_wait = wait_input_ns.saturating_add(wait_output_ns);
-    if total_wait > budget {
-        wait_input_ns = (wait_input_ns as u128 * budget as u128 / total_wait as u128) as u64;
-        wait_output_ns = (wait_output_ns as u128 * budget as u128 / total_wait as u128) as u64;
-    }
-    InstanceMetrics {
-        records_in,
-        records_out,
-        useful_ns,
-        window_ns,
-        wait_input_ns,
-        wait_output_ns,
-    }
-}
 
 /// Lock-free counters shareable between an operator thread (writer) and the
 /// metrics manager (reader).
@@ -154,9 +25,7 @@ fn clamped_window(
 pub struct SharedCounters {
     records_in: AtomicU64,
     records_out: AtomicU64,
-    deserialization_ns: AtomicU64,
-    processing_ns: AtomicU64,
-    serialization_ns: AtomicU64,
+    useful_ns: AtomicU64,
     wait_input_ns: AtomicU64,
     wait_output_ns: AtomicU64,
     records_dropped: AtomicU64,
@@ -180,22 +49,11 @@ impl SharedCounters {
         self.records_out.fetch_add(n, Ordering::Relaxed);
     }
 
-    /// Adds deserialization time.
-    #[inline]
-    pub fn add_deserialization(&self, ns: u64) {
-        self.deserialization_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Adds processing time.
+    /// Adds useful time: one timed span of deserialization, processing and
+    /// serialization.
     #[inline]
     pub fn add_processing(&self, ns: u64) {
-        self.processing_ns.fetch_add(ns, Ordering::Relaxed);
-    }
-
-    /// Adds serialization time.
-    #[inline]
-    pub fn add_serialization(&self, ns: u64) {
-        self.serialization_ns.fetch_add(ns, Ordering::Relaxed);
+        self.useful_ns.fetch_add(ns, Ordering::Relaxed);
     }
 
     /// Adds time spent waiting on an empty input.
@@ -222,9 +80,7 @@ impl SharedCounters {
         CounterTotals {
             records_in: self.records_in.load(Ordering::Relaxed),
             records_out: self.records_out.load(Ordering::Relaxed),
-            useful_ns: self.deserialization_ns.load(Ordering::Relaxed)
-                + self.processing_ns.load(Ordering::Relaxed)
-                + self.serialization_ns.load(Ordering::Relaxed),
+            useful_ns: self.useful_ns.load(Ordering::Relaxed),
             wait_input_ns: self.wait_input_ns.load(Ordering::Relaxed),
             wait_output_ns: self.wait_output_ns.load(Ordering::Relaxed),
             records_dropped: self.records_dropped.load(Ordering::Relaxed),
@@ -259,7 +115,12 @@ impl CounterTotals {
     }
 
     /// Metrics for the window between an earlier reading `start` (taken at
-    /// `start_ns`) and this reading (taken at `now_ns`).
+    /// `start_ns`) and this reading (taken at `now_ns`), clamped to the model
+    /// invariants `Wu <= W` and `Wu + waits <= W`.
+    ///
+    /// Measurement intervals straddling the window boundary are credited
+    /// entirely to the window they end in, so raw useful/wait sums can exceed
+    /// the window by up to one interval; waits are scaled back proportionally.
     pub fn window_since(
         &self,
         start: &CounterTotals,
@@ -267,14 +128,26 @@ impl CounterTotals {
         now_ns: u64,
     ) -> InstanceMetrics {
         let window_ns = now_ns.saturating_sub(start_ns);
-        clamped_window(
-            self.records_in.saturating_sub(start.records_in),
-            self.records_out.saturating_sub(start.records_out),
-            self.useful_ns.saturating_sub(start.useful_ns),
+        let useful_ns = self
+            .useful_ns
+            .saturating_sub(start.useful_ns)
+            .min(window_ns);
+        let mut wait_input_ns = self.wait_input_ns.saturating_sub(start.wait_input_ns);
+        let mut wait_output_ns = self.wait_output_ns.saturating_sub(start.wait_output_ns);
+        let budget = window_ns - useful_ns;
+        let total_wait = wait_input_ns.saturating_add(wait_output_ns);
+        if total_wait > budget {
+            wait_input_ns = (wait_input_ns as u128 * budget as u128 / total_wait as u128) as u64;
+            wait_output_ns = (wait_output_ns as u128 * budget as u128 / total_wait as u128) as u64;
+        }
+        InstanceMetrics {
+            records_in: self.records_in.saturating_sub(start.records_in),
+            records_out: self.records_out.saturating_sub(start.records_out),
+            useful_ns,
             window_ns,
-            self.wait_input_ns.saturating_sub(start.wait_input_ns),
-            self.wait_output_ns.saturating_sub(start.wait_output_ns),
-        )
+            wait_input_ns,
+            wait_output_ns,
+        }
     }
 }
 
@@ -283,59 +156,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn useful_time_totals() {
-        let u = UsefulTime {
-            deserialization_ns: 10,
-            processing_ns: 20,
-            serialization_ns: 30,
-        };
-        assert_eq!(u.total_ns(), 60);
-    }
-
-    #[test]
-    fn instance_counters_window_roundtrip() {
-        let mut c = InstanceCounters::new(1_000);
-        c.add_records_in(10);
-        c.add_records_out(20);
-        c.add_deserialization(100);
-        c.add_processing(200);
-        c.add_serialization(50);
-        c.add_wait_input(400);
-        let m = c.take_window(2_000);
-        assert_eq!(m.records_in, 10);
-        assert_eq!(m.records_out, 20);
-        assert_eq!(m.useful_ns, 350);
-        assert_eq!(m.window_ns, 1_000);
-        assert_eq!(m.wait_input_ns, 400);
-        // Counters reset for the next window.
-        let m2 = c.take_window(3_000);
-        assert_eq!(m2.records_in, 0);
-        assert_eq!(m2.useful_ns, 0);
-        assert_eq!(m2.window_ns, 1_000);
-    }
-
-    #[test]
-    fn take_window_clamps_useful_to_window() {
+    fn window_since_clamps_useful_to_window() {
         // A window boundary race can make useful time appear to exceed the
         // window; the counters clamp to keep the model invariant Wu <= W.
-        let mut c = InstanceCounters::new(0);
+        let c = SharedCounters::new();
         c.add_processing(5_000);
-        let m = c.take_window(1_000);
+        let m = c.totals().window_since(&CounterTotals::default(), 0, 1_000);
         assert_eq!(m.useful_ns, 1_000);
         assert!(m.validate().is_ok());
-    }
-
-    #[test]
-    fn take_window_clamps_excess_waits() {
-        // Waits measured around window boundaries can exceed the non-useful
-        // window time; both windowing paths must restore Wu + waits <= W.
-        let mut c = InstanceCounters::new(0);
-        c.add_processing(600);
-        c.add_wait_input(700);
-        let m = c.take_window(1_000);
-        assert_eq!(m.useful_ns, 600);
-        assert!(m.wait_input_ns <= 400);
-        assert!(m.validate().is_ok(), "{:?}", m.validate());
     }
 
     #[test]
@@ -357,9 +185,8 @@ mod tests {
         let c = SharedCounters::new();
         c.add_records_in(5);
         c.add_records_out(7);
-        c.add_deserialization(10);
         c.add_processing(20);
-        c.add_serialization(30);
+        c.add_processing(40);
         c.add_wait_input(100);
         c.add_wait_output(200);
         let t = c.totals();

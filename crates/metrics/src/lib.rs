@@ -2,20 +2,20 @@
 //!
 //! DS2 requires the stream processor to periodically report, per operator
 //! instance: records processed, records produced, and useful time
-//! (serialization + deserialization + processing) or, equivalently, waiting
-//! time. This crate provides that machinery:
+//! (serialization + deserialization + processing, measured as one timed
+//! span) or, equivalently, waiting time. This crate provides that machinery:
 //!
-//! * [`counters`] — per-instance local counters, both single-threaded
-//!   ([`counters::InstanceCounters`]) and lock-free shared
-//!   ([`counters::SharedCounters`]) variants.
+//! * [`counters`] — lock-free per-instance counters
+//!   ([`counters::SharedCounters`]) and their windowed readings.
 //!
 //! Gathering and reporting in intervals — the paper's metrics manager and
 //! repository (Fig. 5) — is the engine's `collect_snapshot_into` feeding the
 //! Scaling Manager directly.
 
 #![forbid(unsafe_code)]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 pub mod counters;
 
-pub use counters::{CounterTotals, InstanceCounters, SharedCounters, UsefulTime};
+pub use counters::{CounterTotals, SharedCounters};

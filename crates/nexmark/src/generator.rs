@@ -164,7 +164,7 @@ impl EventGenerator {
     }
 
     /// Generates the next event.
-    pub fn next_event(&mut self) -> Event {
+    pub(crate) fn next_event(&mut self) -> Event {
         let n = self.next_event_number;
         self.next_event_number += 1;
         let ts = self.event_timestamp(n);

@@ -16,6 +16,7 @@
 //!   and Table 4 / Figures 8–9 optimal configurations.
 
 #![forbid(unsafe_code)]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 pub mod generator;

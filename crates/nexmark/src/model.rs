@@ -23,9 +23,9 @@ pub struct Person {
     /// Display name.
     pub name: String,
     /// Email address.
-    pub email: String,
+    pub(crate) email: String,
     /// Credit-card number (opaque digits).
-    pub credit_card: String,
+    pub(crate) credit_card: String,
     /// Home city.
     pub city: String,
     /// Home state code (see [`US_STATES`]).
@@ -40,9 +40,9 @@ pub struct Auction {
     /// Unique auction id.
     pub id: u64,
     /// Item short name.
-    pub item_name: String,
+    pub(crate) item_name: String,
     /// Item description.
-    pub description: String,
+    pub(crate) description: String,
     /// Opening bid price in cents.
     pub initial_bid: u64,
     /// Reserve price in cents.
@@ -54,7 +54,7 @@ pub struct Auction {
     /// Seller (person id).
     pub seller: u64,
     /// Category id.
-    pub category: u64,
+    pub(crate) category: u64,
 }
 
 /// A bid on an auction.
@@ -117,7 +117,7 @@ impl Event {
 }
 
 /// Dollar-to-euro conversion rate used by Query 1 (the Beam constant).
-pub const USD_TO_EUR: f64 = 0.908;
+pub(crate) const USD_TO_EUR: f64 = 0.908;
 
 #[cfg(test)]
 mod tests {

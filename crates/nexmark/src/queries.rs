@@ -34,7 +34,7 @@ impl Q1CurrencyConversion {
 #[derive(Debug, Clone)]
 pub struct Q2Selection {
     /// Auction-id divisor defining the selected set.
-    pub divisor: u64,
+    pub(crate) divisor: u64,
 }
 
 impl Default for Q2Selection {
@@ -79,7 +79,7 @@ pub struct Q3LocalItemSuggestion {
 
 impl Q3LocalItemSuggestion {
     /// The category Q3 selects.
-    pub const CATEGORY: u64 = 3;
+    pub(crate) const CATEGORY: u64 = 3;
 
     fn person_matches(p: &Person) -> bool {
         matches!(p.state.as_str(), "OR" | "ID" | "CA")
@@ -122,11 +122,6 @@ impl Q3LocalItemSuggestion {
             Event::Bid(_) => {}
         }
     }
-
-    /// Number of indexed persons (for state-size assertions).
-    pub fn indexed_persons(&self) -> usize {
-        self.persons.len()
-    }
 }
 
 /// Q5 — hot items: the auction(s) with the most bids in a hopping window.
@@ -135,7 +130,7 @@ pub struct Q5HotItems {
     /// Window length in event-time milliseconds.
     pub window_ms: u64,
     /// Hop (slide) in event-time milliseconds.
-    pub hop_ms: u64,
+    pub(crate) hop_ms: u64,
     counts: HashMap<u64, u64>,
     window_end: u64,
 }
@@ -220,7 +215,7 @@ impl Q8MonitorNewUsers {
 #[derive(Debug)]
 pub struct Q11UserSessions {
     /// Session gap in event-time milliseconds.
-    pub gap_ms: u64,
+    pub(crate) gap_ms: u64,
     sessions: HashMap<u64, (u64, u64)>, // bidder -> (last_ts, count)
 }
 
@@ -384,11 +379,11 @@ mod tests {
             date_time: 0,
         };
         q.process(&Event::Person(person.clone()), &mut out);
-        assert_eq!(q.indexed_persons(), 0, "AZ person must not be indexed");
+        assert_eq!(q.persons.len(), 0, "AZ person must not be indexed");
         person.state = "CA".into();
         person.id = 2;
         q.process(&Event::Person(person), &mut out);
-        assert_eq!(q.indexed_persons(), 1);
+        assert_eq!(q.persons.len(), 1);
         // Wrong category: ignored.
         let auction = Auction {
             id: 5,

@@ -3,10 +3,9 @@
 //!
 //! A [`ChaosSpec`] attached to a [`JobSpec`](crate::job::JobSpec) names, per
 //! (operator, instance), record counts at which the worker thread crashes
-//! (panics mid-batch), wedges (goes to sleep in "user code"), or turns into
-//! a sticky straggler (fixed extra delay per record). Record counts are
-//! cumulative across restarts and every trigger fires at most once, so a
-//! restarted instance does not re-fire the fault that killed it.
+//! (panics mid-batch) or wedges (goes to sleep in "user code"). Record
+//! counts are cumulative across restarts and every trigger fires at most
+//! once, so a restarted instance does not re-fire the fault that killed it.
 //!
 //! Like the simulator's fault plans, seeded generation
 //! ([`ChaosSpec::seeded`]) is a pure function of the seed — stateless
@@ -16,20 +15,16 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 use ds2_core::graph::OperatorId;
 
 /// What happens to the targeted instance when its trigger fires.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ChaosAction {
+pub(crate) enum ChaosAction {
     /// The worker panics mid-batch (contained by the supervisor).
     Crash,
     /// The worker blocks in "user code" effectively forever.
     Wedge,
-    /// Every subsequent record costs this much extra processing time (a
-    /// sticky straggler, visible to DS2 as a slow instance).
-    Delay(Duration),
 }
 
 /// One injected fault: instance `instance` of `op` performs `action` just
@@ -42,9 +37,9 @@ pub struct ChaosEvent {
     pub instance: usize,
     /// Cumulative records the instance processes before the trigger fires
     /// (counted across restarts).
-    pub after_records: u64,
+    pub(crate) after_records: u64,
     /// The fault injected.
-    pub action: ChaosAction,
+    pub(crate) action: ChaosAction,
 }
 
 /// A chaos schedule for one job. The default (empty) spec injects nothing
@@ -84,24 +79,6 @@ impl ChaosSpec {
             instance,
             after_records,
             action: ChaosAction::Wedge,
-        });
-        self
-    }
-
-    /// Turns `(op, instance)` into a straggler after `after_records`
-    /// records: every later record costs `per_record` extra.
-    pub fn delay(
-        mut self,
-        op: OperatorId,
-        instance: usize,
-        after_records: u64,
-        per_record: Duration,
-    ) -> Self {
-        self.events.push(ChaosEvent {
-            op,
-            instance,
-            after_records,
-            action: ChaosAction::Delay(per_record),
         });
         self
     }

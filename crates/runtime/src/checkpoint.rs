@@ -117,7 +117,7 @@ impl CheckpointStore {
     }
 
     /// Total entries across all operators in the latest checkpoint.
-    pub fn total_entries(&self) -> usize {
+    pub(crate) fn total_entries(&self) -> usize {
         self.state.values().map(Vec::len).sum()
     }
 }
@@ -125,9 +125,6 @@ impl CheckpointStore {
 /// Outcome of one savepoint cycle.
 #[derive(Debug, Clone)]
 pub struct CheckpointStats {
-    /// Epoch committed by this cycle; `None` when the cycle aborted because
-    /// an instance missed the deadline (or was already dead awaiting heal).
-    pub committed_epoch: Option<u64>,
     /// Keyed entries captured by a committed cycle.
     pub entries: usize,
     /// Wall-clock time the cycle took.

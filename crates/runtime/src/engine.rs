@@ -426,7 +426,7 @@ pub struct RunningJob<R> {
     /// wedged, awaiting replacement: `(op, instance, incarnation)`.
     suspect_wedged: Vec<(OperatorId, usize, u64)>,
     /// Instances abandoned by a timed-out halt: `(op, instance,
-    /// parallelism-at-halt)`, used by [`recover`](Self::recover) to restore
+    /// parallelism-at-halt)`, used by `recover` to restore
     /// their key ranges from the latest checkpoint.
     wedged_at_halt: Vec<(OperatorId, usize, usize)>,
     checkpoints: CheckpointStore,
@@ -514,20 +514,9 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
         self.restarts
     }
 
-    /// Full redeploys performed by [`recover`](Self::recover).
+    /// Full redeploys performed by `recover`.
     pub fn recoveries(&self) -> u32 {
         self.recoveries
-    }
-
-    /// Epoch of the latest committed checkpoint (0 before the first).
-    pub fn checkpoint_epoch(&self) -> u64 {
-        self.checkpoints.epoch()
-    }
-
-    /// `true` while instances are deployed (a timed-out rescale halts the
-    /// job until [`recover`](Self::recover) redeploys it).
-    pub fn is_running(&self) -> bool {
-        !self.instances.is_empty()
     }
 
     /// Spawns all instances. Each worker is handed its share of `state`,
@@ -650,7 +639,6 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
             upstream_done: Arc::clone(&self.channels[&op].upstream_done),
             sup_tx: self.sup_tx.clone(),
             chaos: self.chaos.hook(op, instance),
-            chaos_delay: None,
             pool: Arc::clone(&self.pool),
             out_buf: Vec::new(),
         };
@@ -668,7 +656,7 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     /// With a `deadline`, an instance still running when it passes — wedged
     /// in user code, or never released because a producer wedged — is
     /// abandoned: its thread detaches, and its key range is recorded so
-    /// [`recover`](Self::recover) can restore it from the latest checkpoint.
+    /// `recover` can restore it from the latest checkpoint.
     /// The halt then fails, with the state of the instances that did halt
     /// stashed for recovery or [`shutdown`](Self::shutdown).
     fn halt(&mut self, deadline: Option<Duration>) -> Result<StateParts, Ds2Error> {
@@ -770,7 +758,7 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     /// if a worker fails to halt before the deadline. A timed-out rescale
     /// halts the job: no new instances are deployed, the rescale counter
     /// is untouched, and the state salvaged from the workers that did halt
-    /// is either redeployed by [`recover`](Self::recover) or returned by
+    /// is either redeployed by `recover` or returned by
     /// the next [`shutdown`](Self::shutdown).
     ///
     /// [`Ds2Error::WorkerPanicked`] if a new instance panicked building its
@@ -794,7 +782,7 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
     /// the delta since that checkpoint is the bounded loss a wedge costs).
     /// Returns `false` without touching anything when the job is still
     /// running.
-    pub fn recover(&mut self) -> bool {
+    pub(crate) fn recover(&mut self) -> bool {
         if !self.instances.is_empty() {
             return false;
         }
@@ -929,7 +917,6 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
         let deadline = t0 + self.spec.checkpoint_timeout;
         if self.instances.is_empty() {
             return CheckpointStats {
-                committed_epoch: None,
                 entries: 0,
                 took: t0.elapsed(),
                 unresponsive: Vec::new(),
@@ -970,13 +957,10 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
                 }
             }
         }
-        let committed_epoch = if unresponsive.is_empty() && !dead {
-            Some(self.checkpoints.commit(gathered))
-        } else {
-            None
-        };
+        if unresponsive.is_empty() && !dead {
+            self.checkpoints.commit(gathered);
+        }
         CheckpointStats {
-            committed_epoch,
             entries: self.checkpoints.total_entries(),
             took: t0.elapsed(),
             unresponsive,
@@ -985,7 +969,7 @@ impl<R: Clone + Send + 'static> RunningJob<R> {
 
     /// Runs a checkpoint cycle if [`JobSpec::checkpoint_interval`] is set
     /// and due; `None` otherwise. Driven by the control loop.
-    pub fn maybe_checkpoint(&mut self) -> Option<CheckpointStats> {
+    pub(crate) fn maybe_checkpoint(&mut self) -> Option<CheckpointStats> {
         let interval = self.spec.checkpoint_interval?;
         let now = self.epoch.elapsed();
         if now.saturating_sub(self.last_checkpoint_at) < interval {
@@ -1055,7 +1039,6 @@ struct WorkerCtx<R> {
     upstream_done: Arc<AtomicBool>,
     sup_tx: Sender<SupervisorEvent>,
     chaos: Option<Arc<InstanceChaos>>,
-    chaos_delay: Option<Duration>,
     pool: Arc<BatchPool<R>>,
     /// Collects one batch's outputs; once they are sent, the spent input
     /// batch takes its place.
@@ -1098,24 +1081,17 @@ fn run_batch<R: Clone + Send + 'static>(
     }
     let n_in = batch.len() as u64;
     let t0 = Instant::now();
-    let (chaos, chaos_delay, out_buf) = (&ctx.chaos, &mut ctx.chaos_delay, &mut ctx.out_buf);
-    let result = catch_unwind(AssertUnwindSafe(|| {
-        if chaos.is_none() && chaos_delay.is_none() {
-            // Fault-free fast path: the logic consumes the whole batch in
-            // one call (overridable for vectorized operators).
-            logic.process_batch(&mut batch, out_buf);
-        } else {
+    let (chaos, out_buf) = (&ctx.chaos, &mut ctx.out_buf);
+    let result = catch_unwind(AssertUnwindSafe(|| match chaos {
+        // Fault-free fast path: the logic consumes the whole batch in one
+        // call (overridable for vectorized operators).
+        None => logic.process_batch(&mut batch, out_buf),
+        Some(hook) => {
             for r in batch.drain(..) {
-                if let Some(hook) = chaos {
-                    match hook.before_record() {
-                        Some(ChaosAction::Crash) => panic!("chaos: injected crash"),
-                        Some(ChaosAction::Wedge) => std::thread::sleep(WEDGE_SLEEP),
-                        Some(ChaosAction::Delay(d)) => *chaos_delay = Some(d),
-                        None => {}
-                    }
-                }
-                if let Some(d) = *chaos_delay {
-                    std::thread::sleep(d);
+                match hook.before_record() {
+                    Some(ChaosAction::Crash) => panic!("chaos: injected crash"),
+                    Some(ChaosAction::Wedge) => std::thread::sleep(WEDGE_SLEEP),
+                    None => {}
                 }
                 logic.process(r, out_buf);
             }
@@ -1526,7 +1502,10 @@ mod tests {
             "error names the wedged instance: {err}"
         );
         assert_eq!(job.rescales(), 0, "aborted rescale must not count");
-        assert!(!job.is_running(), "timed-out rescale leaves the job halted");
+        assert!(
+            job.instances.is_empty(),
+            "timed-out rescale leaves the job halted"
+        );
 
         // The counting operator halted cleanly during the aborted rescale;
         // its salvaged state must come back intact on shutdown.
@@ -1700,7 +1679,7 @@ mod tests {
             "expected WorkerPanicked on count, got {err:?}"
         );
         assert_eq!(job.deployment(), &plan, "the plan is deployed");
-        assert!(job.is_running());
+        assert!(!job.instances.is_empty(), "the job is running");
 
         // The supervisor path takes it from here.
         let mut healed = Vec::new();
@@ -2244,9 +2223,9 @@ mod tests {
         std::thread::sleep(Duration::from_millis(300));
 
         let stats = job.checkpoint();
-        assert_eq!(stats.committed_epoch, Some(1), "{:?}", stats.unresponsive);
+        assert!(stats.unresponsive.is_empty(), "{:?}", stats.unresponsive);
+        assert_eq!(job.checkpoints.epoch(), 1, "the cycle committed epoch 1");
         assert!(stats.entries > 0, "keyed state must be captured");
-        assert_eq!(job.checkpoint_epoch(), 1);
 
         // The checkpoint took copies: the live run keeps counting, and the
         // final drain still matches the sink exactly.

@@ -13,19 +13,19 @@ use crate::supervisor::SupervisionConfig;
 
 /// Factory producing fresh logic instances for an operator (one per
 /// parallel instance, re-created on every rescale).
-pub type LogicFactory<R> = Arc<dyn Fn() -> Box<dyn Logic<R>> + Send + Sync>;
+pub(crate) type LogicFactory<R> = Arc<dyn Fn() -> Box<dyn Logic<R>> + Send + Sync>;
 
 /// Key extractor used to partition records among downstream instances.
-pub type KeyFn<R> = Arc<dyn Fn(&R) -> u64 + Send + Sync>;
+pub(crate) type KeyFn<R> = Arc<dyn Fn(&R) -> u64 + Send + Sync>;
 
 /// Generator invoked by source instances once per batch: `generate(n, len,
 /// out)` appends records `n..n + len` of the instance's sequence to `out`.
-pub type SourceFn<R> = Arc<dyn Fn(u64, usize, &mut Vec<R>) + Send + Sync>;
+pub(crate) type SourceFn<R> = Arc<dyn Fn(u64, usize, &mut Vec<R>) + Send + Sync>;
 
 /// Specification of one non-source operator.
 pub struct OperatorSpec<R> {
     /// Creates the per-instance logic.
-    pub factory: LogicFactory<R>,
+    pub(crate) factory: LogicFactory<R>,
     /// Extracts the partitioning key from an *output* record.
     pub key_fn: KeyFn<R>,
 }
@@ -75,7 +75,7 @@ pub struct JobSpec<R> {
     pub sources: BTreeMap<OperatorId, SourceOpSpec<R>>,
     /// Records per channel batch (Flink-style buffer granularity). Batch
     /// buffers are recycled through the job's free-list
-    /// ([`BatchPool`](crate::engine), sized from `channel_capacity`), so
+    /// (`BatchPool`, sized from `channel_capacity`), so
     /// larger batches amortize per-batch channel and dispatch costs
     /// without adding steady-state allocation. Deployed as at least 1.
     pub batch_size: usize,
@@ -91,7 +91,7 @@ pub struct JobSpec<R> {
     /// instead of hanging the control plane.
     pub rescale_timeout: Option<Duration>,
     /// Interval between background savepoint cycles
-    /// ([`RunningJob::maybe_checkpoint`](crate::engine::RunningJob::maybe_checkpoint)).
+    /// (`RunningJob::maybe_checkpoint`).
     /// `None` (the default) disables checkpointing: fault-free runs keep
     /// the pre-chaos behaviour with zero snapshot overhead.
     pub checkpoint_interval: Option<Duration>,

@@ -14,31 +14,31 @@
 //! Workers are supervised (panics are contained, reported as typed events,
 //! and healed by bounded restarts), keyed state is periodically
 //! checkpointed so even instances that die without salvage recover their
-//! key range, and a deterministic chaos layer injects crashes, wedges, and
-//! stragglers to prove it — the live counterpart of the simulator's fault
-//! model.
+//! key range, and a deterministic chaos layer injects crashes and wedges to
+//! prove it — the live counterpart of the simulator's fault model.
 //!
-//! * [`logic`] — the operator `Logic` trait plus adapters;
-//! * [`job`] — job specification (graph + code + rates);
-//! * [`engine`] — deployment, execution, rescaling, metrics collection;
-//! * [`control`] — the self-healing control loop driving any
+//! * `logic` — the operator `Logic` trait plus adapters;
+//! * `job` — job specification (graph + code + rates);
+//! * `engine` — deployment, execution, rescaling, metrics collection;
+//! * `control` — the self-healing control loop driving any
 //!   `ScalingController`;
-//! * [`supervisor`] — restart budgets, backoff, wedge detection;
+//! * `supervisor` — restart budgets, backoff, wedge detection;
 //! * [`checkpoint`] — in-memory savepoints with per-instance key slices;
-//! * [`chaos`] — seeded fault injection for the runtime.
+//! * `chaos` — seeded fault injection for the runtime.
 
 #![forbid(unsafe_code)]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
-pub mod chaos;
+pub(crate) mod chaos;
 pub mod checkpoint;
-pub mod control;
-pub mod engine;
-pub mod job;
-pub mod logic;
-pub mod supervisor;
+pub(crate) mod control;
+pub(crate) mod engine;
+pub(crate) mod job;
+pub(crate) mod logic;
+pub(crate) mod supervisor;
 
-pub use chaos::{ChaosAction, ChaosEvent, ChaosSpec};
+pub use chaos::{ChaosEvent, ChaosSpec};
 pub use checkpoint::{partition_state, CheckpointStats, CheckpointStore};
 pub use control::{run_control_loop, ControlConfig, ControlEvent};
 pub use engine::{HealOutcome, RunningJob};

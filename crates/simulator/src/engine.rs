@@ -326,7 +326,7 @@ fn absorb(buffer: &mut Option<Span>, chunk: Span) {
 ///
 /// The per-source maps are dense [`OpMap`] arenas the engine recycles
 /// across ticks (epoch-stamped clear), so reading them per tick is
-/// allocation-free; use [`TickStats::total_offered`] /
+/// allocation-free; use `TickStats::total_offered` /
 /// [`TickStats::total_emitted`] for the common aggregate.
 #[derive(Debug, Clone, Default)]
 pub struct TickStats {
@@ -342,7 +342,7 @@ pub struct TickStats {
 
 impl TickStats {
     /// Total records offered by all sources this tick.
-    pub fn total_offered(&self) -> f64 {
+    pub(crate) fn total_offered(&self) -> f64 {
         self.offered.values().sum()
     }
 
@@ -812,11 +812,6 @@ impl FluidEngine {
         &self.last_tick
     }
 
-    /// Whether the Heron backpressure signal is currently raised.
-    pub fn backpressure_active(&self) -> bool {
-        self.heron_backpressure
-    }
-
     /// Current total input-queue length of an operator, in records.
     pub fn queue_len(&self, op: OperatorId) -> f64 {
         self.states.get(op.index()).map_or(0.0, |s| s.queued())
@@ -837,7 +832,7 @@ impl FluidEngine {
     }
 
     /// Requests a Timely worker-pool rescale.
-    pub fn request_worker_rescale(&mut self, workers: usize) {
+    pub(crate) fn request_worker_rescale(&mut self, workers: usize) {
         self.ff.invalidate();
         let plan = self.deployment.clone();
         self.pending_rescale = Some((
@@ -2214,7 +2209,7 @@ pub(crate) mod tests {
         let mut running_ticks = 0;
         for _ in 0..6_000 {
             e.tick();
-            if e.backpressure_active() {
+            if e.heron_backpressure {
                 paused_ticks += 1;
             } else {
                 running_ticks += 1;
@@ -3431,7 +3426,7 @@ pub(crate) mod tests {
         let mut paused = 0;
         for _ in 0..3_000 {
             assert_lockstep(&mut exact, &mut fast, &ids, 1);
-            paused += exact.backpressure_active() as u32;
+            paused += exact.heron_backpressure as u32;
         }
         assert!(
             paused > 100 && paused < 1_000,

@@ -7,7 +7,7 @@
 //! identical between the fast-forward and `--exact` execution modes.
 //!
 //! A [`FaultPlan`] is derived from the scenario seed under its own salt
-//! ([`FAULT_PLAN_SALT`]), separated from the family-draw and scenario-body
+//! (`FAULT_PLAN_SALT`), separated from the family-draw and scenario-body
 //! streams exactly like the family axis: enabling faults never perturbs the
 //! workload, topology, or noise draws of the underlying scenario. Every
 //! individual fault decision is a pure function of
@@ -40,7 +40,7 @@ use ds2_core::snapshot::MetricsSnapshot;
 
 /// Salt separating the fault stream from the family-draw stream
 /// (`FAMILY_DRAW_SALT`) and every family's scenario-body stream.
-pub const FAULT_PLAN_SALT: u64 = 0x7A11_5EED_FAB1_0C37;
+pub(crate) const FAULT_PLAN_SALT: u64 = 0x7A11_5EED_FAB1_0C37;
 
 /// Intensity of the injected faults.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -82,7 +82,7 @@ impl FaultProfile {
     }
 
     /// Fault intensities of this profile, `None` for the fault-free one.
-    pub fn params(self) -> Option<FaultParams> {
+    pub(crate) fn params(self) -> Option<FaultParams> {
         match self {
             FaultProfile::None => None,
             FaultProfile::Mild => Some(FaultParams::MILD),
@@ -93,43 +93,43 @@ impl FaultProfile {
 
 /// Per-window / per-decision fault probabilities and magnitudes.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FaultParams {
+pub(crate) struct FaultParams {
     /// Probability per operator-window that *all* of an operator's slots
     /// (and, for sources, the offered rate) go missing.
-    pub op_drop: f64,
+    pub(crate) op_drop: f64,
     /// Probability per instance-window that one slot goes missing.
-    pub slot_drop: f64,
+    pub(crate) slot_drop: f64,
     /// Probability per instance-window of multiplicative counter noise.
-    pub noise_prob: f64,
+    pub(crate) noise_prob: f64,
     /// Maximum relative amplitude of the counter noise (`0.25` = ±25%).
-    pub noise_amp: f64,
+    pub(crate) noise_amp: f64,
     /// Probability per operator-window that the previous window's rows are
     /// delivered again (a stale/delayed sample).
-    pub stale_prob: f64,
+    pub(crate) stale_prob: f64,
     /// Fraction of instances that are stragglers for the whole run.
-    pub straggler_frac: f64,
+    pub(crate) straggler_frac: f64,
     /// Maximum useful-time inflation factor of a straggler.
-    pub straggler_mult: f64,
+    pub(crate) straggler_mult: f64,
     /// Probability per rescale that the command fails silently (no landing,
     /// no acknowledgement).
-    pub act_silent: f64,
+    pub(crate) act_silent: f64,
     /// Probability per rescale that the command times out: the job pays the
     /// redeploy downtime but stays on the old configuration.
-    pub act_timeout: f64,
+    pub(crate) act_timeout: f64,
     /// Probability per rescale of a partial landing (some operators keep
     /// their old allocation).
-    pub act_partial: f64,
+    pub(crate) act_partial: f64,
     /// Fraction of the run, at the end, left fault-free — the recovery
     /// tail. Faults that strike in the last seconds are unrecoverable by
     /// construction (a redeploy's downtime lands inside the scoring
     /// window), so the tail is what makes "converges once faults clear"
     /// a measurable property rather than a coin flip on fault timing.
-    pub tail_frac: f64,
+    pub(crate) tail_frac: f64,
 }
 
 impl FaultParams {
     /// The `mild` profile's intensities.
-    pub const MILD: FaultParams = FaultParams {
+    pub(crate) const MILD: FaultParams = FaultParams {
         op_drop: 0.02,
         slot_drop: 0.02,
         noise_prob: 0.08,
@@ -144,7 +144,7 @@ impl FaultParams {
     };
 
     /// The `harsh` profile's intensities.
-    pub const HARSH: FaultParams = FaultParams {
+    pub(crate) const HARSH: FaultParams = FaultParams {
         op_drop: 0.08,
         slot_drop: 0.10,
         noise_prob: 0.20,
@@ -207,11 +207,6 @@ impl FaultPlan {
         self.profile
     }
 
-    /// The fault intensities in effect.
-    pub fn params(&self) -> &FaultParams {
-        &self.params
-    }
-
     /// Stateless draw: a pure function of the plan seed, the stream, and
     /// two context indices (window/decision, operator/instance).
     fn mix(&self, stream: u64, a: u64, b: u64) -> u64 {
@@ -228,7 +223,7 @@ impl FaultPlan {
 
 /// What actually happens when a rescale command is carried out.
 #[derive(Debug, Clone, PartialEq)]
-pub enum ActuationOutcome {
+pub(crate) enum ActuationOutcome {
     /// The given plan lands (possibly a partial version of the request).
     Land(Deployment),
     /// The command times out: the job pays the redeploy downtime but comes
@@ -247,28 +242,28 @@ pub struct FaultTally {
     /// Metric windows where at least one fault was injected.
     pub faulted_windows: u32,
     /// Whole-operator dropouts injected.
-    pub dropped_ops: u32,
+    pub(crate) dropped_ops: u32,
     /// Individual slot dropouts injected.
-    pub dropped_slots: u32,
+    pub(crate) dropped_slots: u32,
     /// Instance samples perturbed by counter noise.
-    pub noisy_slots: u32,
+    pub(crate) noisy_slots: u32,
     /// Operator-windows replaced by the previous window's rows.
-    pub stale_ops: u32,
+    pub(crate) stale_ops: u32,
     /// Straggler instance-windows (useful time inflated).
-    pub straggler_slots: u32,
+    pub(crate) straggler_slots: u32,
     /// Rescale commands that failed silently.
-    pub silent_rescales: u32,
+    pub(crate) silent_rescales: u32,
     /// Rescale commands that timed out.
-    pub timeout_rescales: u32,
+    pub(crate) timeout_rescales: u32,
     /// Rescale commands that landed partially.
-    pub partial_rescales: u32,
+    pub(crate) partial_rescales: u32,
 }
 
 /// Per-run injector: applies a [`FaultPlan`] to metric snapshots and
 /// rescale commands, keeping the window/decision counters and the previous
 /// window's pre-fault rows (for stale replay).
 #[derive(Debug, Clone)]
-pub struct FaultInjector {
+pub(crate) struct FaultInjector {
     plan: FaultPlan,
     window: u64,
     decisions: u64,
@@ -301,7 +296,7 @@ impl FaultInjector {
     }
 
     /// Faults injected so far.
-    pub fn tally(&self) -> FaultTally {
+    pub(crate) fn tally(&self) -> FaultTally {
         self.tally
     }
 
@@ -310,7 +305,7 @@ impl FaultInjector {
     /// engine's state is untouched, which is what keeps fast-forward replay
     /// valid under faults. Windows inside the recovery tail pass through
     /// unfaulted.
-    pub fn apply_metrics(
+    pub(crate) fn apply_metrics(
         &mut self,
         snapshot: &mut MetricsSnapshot,
         graph: &LogicalGraph,

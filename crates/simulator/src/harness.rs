@@ -66,7 +66,7 @@ pub struct TimelinePoint {
     /// Whether the job was down (redeploying) at sample time.
     pub halted: bool,
     /// Total queued records across operators.
-    pub total_queued: f64,
+    pub(crate) total_queued: f64,
 }
 
 /// One applied scaling decision.
@@ -164,7 +164,7 @@ impl<C: ScalingController> ClosedLoop<C> {
 
     /// Consumes the loop, yielding the controller (e.g. to recover a pooled
     /// [`PolicyWorkspace`](ds2_core::policy::PolicyWorkspace) after a run).
-    pub fn into_controller(self) -> C {
+    pub(crate) fn into_controller(self) -> C {
         self.controller
     }
 
@@ -192,7 +192,7 @@ impl<C: ScalingController> ClosedLoop<C> {
     ///
     /// On a Timely engine a per-operator plan becomes one global worker
     /// count (the §4.3 summation rule) and rescales the worker pool.
-    pub fn run_reusing(&mut self, snapshot: &mut MetricsSnapshot) -> RunResult {
+    pub(crate) fn run_reusing(&mut self, snapshot: &mut MetricsSnapshot) -> RunResult {
         let timely = self.engine.config().mode == EngineMode::Timely;
         let mut timeline = Vec::new();
         let mut decisions = Vec::new();

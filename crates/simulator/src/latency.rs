@@ -77,7 +77,7 @@ impl LatencyRecorder {
     }
 
     /// Total record weight observed.
-    pub fn total_weight(&self) -> f64 {
+    pub(crate) fn total_weight(&self) -> f64 {
         self.samples.iter().map(|&(_, w)| w).sum()
     }
 

@@ -16,7 +16,7 @@
 //! * [`fastforward`] — macro-tick steady-state detection and exact replay
 //!   (the engine skips provably identical ticks between workload phases
 //!   and control decisions);
-//! * [`latency`] — record-latency and epoch-latency accounting;
+//! * `latency` — record-latency and epoch-latency accounting;
 //! * [`harness`] — the closed control loop driving any
 //!   [`ScalingController`](ds2_core::controller::ScalingController) against
 //!   the engine;
@@ -28,13 +28,14 @@
 //!   every baseline controller.
 
 #![forbid(unsafe_code)]
+#![warn(unnameable_types)]
 #![warn(missing_docs)]
 
 pub mod engine;
 pub mod fastforward;
 pub mod faults;
 pub mod harness;
-pub mod latency;
+pub(crate) mod latency;
 pub mod profile;
 pub mod queue;
 pub mod scenarios;
@@ -44,9 +45,7 @@ pub use engine::{
     EngineConfig, EngineMode, FluidEngine, InstrumentationConfig, TickEvents, TickStats,
 };
 pub use fastforward::FastForwardStats;
-pub use faults::{
-    ActuationOutcome, FaultInjector, FaultParams, FaultPlan, FaultProfile, FaultTally,
-};
+pub use faults::{FaultPlan, FaultProfile, FaultTally};
 pub use harness::{ClosedLoop, HarnessConfig, RunResult, TimelinePoint};
 pub use latency::{EpochTracker, LatencyRecorder};
 pub use profile::{OperatorProfile, OutputMode, ProfileMap, ScalingCurve};

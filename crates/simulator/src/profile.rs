@@ -3,9 +3,10 @@
 //!
 //! A profile models three cost components:
 //!
-//! * **instrumented cost** — deserialization + processing + serialization
-//!   per record. This is what the §4.1 counters see, i.e. what contributes
-//!   to *useful time* and therefore to the true rates DS2 measures.
+//! * **instrumented cost** — one per-record cost standing for §3.2's
+//!   deserialization + processing + serialization. This is what the §4.1
+//!   counters see, i.e. what contributes to *useful time* and therefore to
+//!   the true rates DS2 measures.
 //! * **scaling overhead** — growth of the instrumented cost with
 //!   parallelism (state repartitioning, more channels, coordination). This
 //!   makes true rates *sub-linear* in the instance count, which is why DS2
@@ -113,12 +114,12 @@ pub struct StateProfile {
     /// (record/second). Any dataflow dilution (selectivity of upstream
     /// operators) is folded in by the generator, so the engine only needs
     /// the total offered source rate.
-    pub bytes_per_source_rate: f64,
+    pub(crate) bytes_per_source_rate: f64,
     /// Per-record cost multiplier while spilling (> 1).
-    pub spill_cost_multiplier: f64,
+    pub(crate) spill_cost_multiplier: f64,
     /// Default per-instance budget in bytes when the deployment does not
     /// set one (∞ = unbudgeted).
-    pub budget_per_instance_bytes: f64,
+    pub(crate) budget_per_instance_bytes: f64,
 }
 
 impl Default for StateProfile {
@@ -133,7 +134,7 @@ impl Default for StateProfile {
 
 impl StateProfile {
     /// Total operator state at offered source rate `rate`, in bytes.
-    pub fn total_bytes(&self, rate: f64) -> f64 {
+    pub(crate) fn total_bytes(&self, rate: f64) -> f64 {
         self.bytes_per_source_rate * rate
     }
 }
@@ -141,12 +142,8 @@ impl StateProfile {
 /// The full cost model of one logical operator.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OperatorProfile {
-    /// Deserialization cost per input record, in nanoseconds (instrumented).
-    pub deser_ns: f64,
-    /// Processing cost per input record, in nanoseconds (instrumented).
+    /// Instrumented (useful) cost per input record, in nanoseconds.
     pub proc_ns: f64,
-    /// Serialization cost per *output* record, in nanoseconds (instrumented).
-    pub ser_ns: f64,
     /// Output behaviour (selectivity and windowing).
     pub output: OutputMode,
     /// Growth of the instrumented cost with parallelism.
@@ -154,7 +151,7 @@ pub struct OperatorProfile {
     /// Per-record cost invisible to instrumentation, in nanoseconds.
     pub hidden_ns: f64,
     /// Growth of the hidden cost with parallelism.
-    pub hidden_scaling: ScalingCurve,
+    pub(crate) hidden_scaling: ScalingCurve,
     /// Fraction of input routed to instance 0 (hot key), `None` for uniform
     /// distribution. Models the §4.2.3 skew experiment: with `Some(0.5)` at
     /// parallelism 4, instance 0 receives 50% of the records and the rest
@@ -166,7 +163,7 @@ pub struct OperatorProfile {
     /// unsplittable hot key is a no-op.
     ///
     /// [`ResourceAlloc`]: ds2_core::deployment::ResourceAlloc
-    pub skew_splittable: bool,
+    pub(crate) skew_splittable: bool,
     /// State-size model (`None` = stateless: no bytes, no spill).
     pub state: Option<StateProfile>,
 }
@@ -174,9 +171,7 @@ pub struct OperatorProfile {
 impl Default for OperatorProfile {
     fn default() -> Self {
         Self {
-            deser_ns: 0.0,
             proc_ns: 1_000.0,
-            ser_ns: 0.0,
             output: OutputMode::PerRecord { selectivity: 1.0 },
             scaling: ScalingCurve::Linear,
             hidden_ns: 0.0,
@@ -201,13 +196,6 @@ impl OperatorProfile {
     /// A profile sized by capacity: `capacity` records/second per instance.
     pub fn with_capacity(capacity: f64, selectivity: f64) -> Self {
         Self::simple(1e9 / capacity, selectivity)
-    }
-
-    /// Adds (de)serialization costs.
-    pub fn with_serde(mut self, deser_ns: f64, ser_ns: f64) -> Self {
-        self.deser_ns = deser_ns;
-        self.ser_ns = ser_ns;
-        self
     }
 
     /// Sets the instrumented scaling curve.
@@ -254,21 +242,17 @@ impl OperatorProfile {
     }
 
     /// Instrumented cost per input record at parallelism `p`, in ns.
-    ///
-    /// Serialization cost is charged per output record and folded in via
-    /// the average selectivity.
     pub fn instrumented_cost_ns(&self, p: usize) -> f64 {
-        let base = self.deser_ns + self.proc_ns + self.ser_ns * self.output.average_selectivity();
-        base * self.scaling.multiplier(p)
+        self.proc_ns * self.scaling.multiplier(p)
     }
 
     /// Hidden (uninstrumented) cost per input record at parallelism `p`.
-    pub fn hidden_cost_ns(&self, p: usize) -> f64 {
+    pub(crate) fn hidden_cost_ns(&self, p: usize) -> f64 {
         self.hidden_ns * self.hidden_scaling.multiplier(p)
     }
 
     /// Real cost per record at parallelism `p`: instrumented + hidden.
-    pub fn real_cost_ns(&self, p: usize) -> f64 {
+    pub(crate) fn real_cost_ns(&self, p: usize) -> f64 {
         self.instrumented_cost_ns(p) + self.hidden_cost_ns(p)
     }
 
@@ -291,7 +275,7 @@ impl OperatorProfile {
     /// the hot share is spread evenly over instances `0..s` (each receives
     /// `hot/s`) and the remaining `p - s` instances split the cold share
     /// evenly; `s >= p` degenerates to the uniform distribution. Profiles
-    /// without [`OperatorProfile::skew_splittable`] ignore the split — the
+    /// without `OperatorProfile::skew_splittable` ignore the split — the
     /// hot key is a single indivisible key.
     pub fn instance_weights_split(&self, p: usize, split: usize) -> Vec<f64> {
         let p = p.max(1);
@@ -391,13 +375,6 @@ mod tests {
         let p = OperatorProfile::with_capacity(2_000.0, 1.5);
         assert!((p.measured_capacity(1) - 2_000.0).abs() < 1e-6);
         assert!((p.real_capacity(1) - 2_000.0).abs() < 1e-6);
-    }
-
-    #[test]
-    fn serde_costs_fold_selectivity() {
-        let p = OperatorProfile::simple(100.0, 2.0).with_serde(10.0, 20.0);
-        // 10 deser + 100 proc + 2*20 ser = 150 ns.
-        assert!((p.instrumented_cost_ns(1) - 150.0).abs() < 1e-12);
     }
 
     #[test]

@@ -41,7 +41,7 @@ impl Span {
     }
 
     /// The mean emission time of records spread uniformly over the span.
-    pub fn mid_ns(&self) -> u64 {
+    pub(crate) fn mid_ns(&self) -> u64 {
         self.head_ns + (self.tail_ns - self.head_ns) / 2
     }
 
@@ -96,7 +96,7 @@ impl EpochQueue {
     }
 
     /// Fill fraction in `[0, 1]` (0 for unbounded queues).
-    pub fn fill_fraction(&self) -> f64 {
+    pub(crate) fn fill_fraction(&self) -> f64 {
         if self.capacity.is_finite() && self.capacity > 0.0 {
             (self.total / self.capacity).min(1.0)
         } else {
@@ -105,7 +105,7 @@ impl EpochQueue {
     }
 
     /// Emission time of the oldest queued records, if any.
-    pub fn oldest_ns(&self) -> Option<u64> {
+    pub(crate) fn oldest_ns(&self) -> Option<u64> {
         self.run.map(|run| run.head_ns)
     }
 

@@ -274,7 +274,7 @@ impl ScenarioSpec {
 
     /// The per-instance state budget this scenario's stateful operators
     /// were generated against: the tightest finite
-    /// [`StateProfile::budget_per_instance_bytes`] across profiles, or
+    /// `StateProfile::budget_per_instance_bytes` across profiles, or
     /// `None` for stateless scenarios. The multi-dimensional controller is
     /// configured with this value (the machine limit is knowable; *when*
     /// state crosses it is not).
@@ -293,7 +293,7 @@ impl ScenarioSpec {
     /// workload's final rate: generated sources all run the full schedule
     /// (share about 1 — the merge stage of a multi-source topology sees the
     /// sum), while nexmark feeds split one schedule at fixed ratios.
-    pub fn target_rates(&self, source_rate: f64) -> BTreeMap<OperatorId, f64> {
+    pub(crate) fn target_rates(&self, source_rate: f64) -> BTreeMap<OperatorId, f64> {
         let graph = &self.topology.graph;
         let mut out_rate: BTreeMap<OperatorId, f64> = BTreeMap::new();
         let mut targets = BTreeMap::new();
@@ -795,74 +795,74 @@ mod tests {
     #[test]
     fn generated_specs_are_pinned_bit_for_bit() {
         const PINNED: [u64; 68] = [
-            0x89ba_7a1e_4916_8638,
-            0xd90b_9bbc_dd88_d36d,
-            0xf77e_25d2_b2de_650d,
-            0x2fd6_b0ea_6966_095c,
-            0x4109_5e31_3bfe_714f,
-            0x1aa4_226a_5403_42d8,
-            0x90a9_9054_13c2_2b58,
-            0xe864_1319_89b1_2348,
-            0x51b5_4291_903d_e96d,
-            0xc3d0_469e_7512_7218,
-            0x1ca0_e43d_82cc_ff05,
-            0xd2e7_4068_f6e1_15da,
-            0x5323_a49a_81ea_f4da,
-            0x5589_68c3_81d9_ef93,
-            0xccc7_d666_97aa_04af,
-            0x3483_caef_392b_4009,
-            0xa34b_1d67_2d94_80ca,
-            0xb21a_ac57_7f36_1310,
-            0xfd62_8fb2_3f3f_836c,
-            0xeee7_5323_a3ca_0e25,
-            0x8762_af26_d4bc_536c,
-            0x5866_6956_ec6f_b683,
-            0xe82c_c191_fb44_4523,
-            0x7d9b_4b7f_3ab5_1b39,
-            0xa2b7_d067_264f_5c81,
-            0x6ad0_ad51_4f66_3c7e,
-            0x2580_7711_fea7_2b79,
-            0xc742_ff6d_4bc0_9a4d,
-            0xff3e_4b5a_5297_000c,
-            0xdc4d_1ed6_cba7_827d,
-            0x606b_737d_f96b_b847,
-            0xd331_0f7a_7d3e_f6c1,
-            0x5b56_4578_f3ec_e884,
-            0x529b_415e_ad1a_cf9a,
-            0xbe41_25cd_b587_b28e,
-            0x678d_12df_58d6_54fb,
-            0xb694_d710_e1aa_b9e9,
-            0x8200_ac57_2003_0bf2,
-            0x040b_1c35_f2f1_5489,
-            0x3a58_f45f_59d6_01e8,
-            0x3960_8c79_b5af_4314,
-            0xba45_a99f_65cb_91dd,
-            0x97b6_a47d_f1fc_9297,
-            0xf46a_25af_a8fb_ad44,
-            0x2bc3_2ec1_529a_c8ef,
-            0x1719_798c_435e_7f44,
-            0x624f_fb9a_d581_3f20,
-            0x7b08_63fe_9f49_77d0,
-            0xba93_752b_173f_2f50,
-            0x5a84_dd01_9e8b_747e,
-            0xa4fb_8f6e_325c_d6b9,
-            0xf446_9140_8fd7_0233,
-            0x03e2_2ac3_b3ff_889b,
-            0xdacd_afc2_c82d_8a1b,
-            0x54ba_bfa0_2a0e_e588,
-            0x3411_5d20_bc27_4469,
-            0xcd12_f36c_0ad8_f45d,
-            0x5849_3d2c_b189_ff39,
-            0x61c1_5219_ec99_183d,
-            0xba1c_861a_0c32_8d16,
-            0x5401_759f_233b_1941,
-            0xea4d_e231_0627_aa2e,
-            0xffb6_0f41_4878_faa8,
-            0xea13_be73_a75a_707a,
-            0x695a_8c7b_8293_e6c1,
-            0x4582_d49b_3817_4275,
-            0x1f6d_bcdf_4410_a502,
-            0x252b_5106_2b95_f771,
+            0x9c0f_d796_11bf_3c6a,
+            0x093c_9832_c217_74c3,
+            0x984b_0e2a_2e8d_c125,
+            0x590d_db82_8c71_9260,
+            0x5b44_7bcb_1a70_ad8d,
+            0xcf06_426c_b48c_af22,
+            0x734a_40b8_ae60_ee94,
+            0xd1c1_f16e_e322_d558,
+            0xe7ea_4d9c_8e20_dd9b,
+            0x8f07_f2d1_c179_9360,
+            0x4708_d9c8_327d_6e73,
+            0x5ca0_a86b_6fae_d502,
+            0x8925_9173_d3f6_c050,
+            0x4a53_d89c_e535_ab0d,
+            0xd33c_06ce_ec60_a2ff,
+            0x28bc_a24e_e2de_549f,
+            0x6d1c_f450_883c_37cc,
+            0x167d_1d95_866a_7048,
+            0xd2e8_304a_fb06_fbff,
+            0xf564_1084_cd1c_8992,
+            0x7d50_9f01_c646_1ee5,
+            0x4201_5b7e_6430_48e2,
+            0x7fa5_4261_a22e_b518,
+            0x8f16_d10c_6081_83d4,
+            0x74ff_38a7_1a84_7e10,
+            0x446e_b83f_05a7_a0f9,
+            0x9e21_8a95_e0b5_70bf,
+            0x57c5_c298_63e4_6479,
+            0x04cf_39f8_f0c5_6ae4,
+            0x4826_c866_7a76_bb41,
+            0xc0d2_4756_e0a0_7643,
+            0x48f3_f8e8_152a_88e7,
+            0xf2a9_9321_b0b8_3bf2,
+            0x5f75_8172_c1bc_6ab4,
+            0x5d23_df4f_0e8b_f226,
+            0x9643_8266_fa6c_0f17,
+            0xbc1d_c031_0046_2459,
+            0x9a54_dd47_2be5_cf12,
+            0x6d8d_5d35_98a1_c225,
+            0x4441_a2ae_96d8_2554,
+            0x9ba5_01a0_f382_7162,
+            0x7c18_5111_df15_d591,
+            0xdd63_370e_b971_9887,
+            0x77dc_96ab_ab81_f734,
+            0xc95d_d7bb_37e7_77af,
+            0xf02b_3eb7_c5c5_873a,
+            0x2194_aee5_3c41_bce6,
+            0x446b_8142_40a2_70a4,
+            0x628a_b020_7ce7_fa2a,
+            0x0507_08e5_14af_5e8a,
+            0x64e9_24bc_e4fc_2cc3,
+            0x4358_d876_6cfb_9051,
+            0xdf87_a549_34e0_7ddd,
+            0xa467_fa31_3b77_3b63,
+            0x57bd_7ea5_454f_b01e,
+            0x630e_3990_e979_d531,
+            0xcc01_eeee_cddc_df52,
+            0xfadd_b199_cd65_f85e,
+            0x73b2_78a8_8be3_a825,
+            0x3626_22dd_1646_9271,
+            0xc4ee_4dd8_b9aa_2a64,
+            0x17fe_a27d_8857_c85a,
+            0x9953_269d_8066_9eb5,
+            0xe51f_4e0a_bf5b_85a3,
+            0xfab0_c8b0_4fc4_40f3,
+            0xae25_65f3_8a02_17a8,
+            0xe0ad_e4e6_4a46_2cce,
+            0x3424_0473_3fbf_ef8b,
         ];
         let configs = pinned_configs();
         assert_eq!(configs.len(), PINNED.len());

@@ -213,27 +213,27 @@ pub struct ScenarioOutcome {
     /// Mean achieved/offered ratio over the final 30 timeline seconds.
     pub final_achieved_ratio: f64,
     /// Final non-source instances divided by the analytic optimum.
-    pub overprovision_factor: f64,
+    pub(crate) overprovision_factor: f64,
     /// Non-source operators left below their optimal parallelism.
-    pub underprovisioned_ops: usize,
+    pub(crate) underprovisioned_ops: usize,
     /// Per-operator scaling direction reversals (up→down or down→up), the
     /// SASO oscillation count.
-    pub reversals: usize,
+    pub(crate) reversals: usize,
     /// Scaling commands issued after the deployment first reached its
     /// final configuration in the final workload phase (0 = no churn).
     pub decisions_after_convergence: usize,
     /// Total non-source instances at the end of the run.
     pub final_instances: usize,
     /// Analytic optimal non-source instances for the final rate.
-    pub optimal_instances: usize,
+    pub(crate) optimal_instances: usize,
     /// Non-source instance-hours held over the run (parallelism integrated
     /// over virtual time between scaling commands) — the parallelism
     /// dimension's resource bill.
-    pub instance_hours: f64,
+    pub(crate) instance_hours: f64,
     /// Instance-hours held by operators carrying a finite per-instance
     /// state budget (memory-slot-hours) — the state dimension's resource
     /// bill. `0` for stateless scenarios.
-    pub state_budget_hours: f64,
+    pub(crate) state_budget_hours: f64,
     /// The scenario's hot-class share (the largest `skew_hot_fraction`
     /// across profiles; `0` without skew), echoed into failure reports.
     pub hot_share: f64,
@@ -243,7 +243,7 @@ pub struct ScenarioOutcome {
     pub multidim: bool,
     /// Whether the run had fault injection enabled. Reports grow the
     /// robustness columns only when at least one outcome sets this.
-    pub faulted: bool,
+    pub(crate) faulted: bool,
     /// Metric windows the injector touched (dropped, noised, staled or
     /// straggled at least one sample). `0` without faults.
     pub fault_windows: u32,
@@ -288,12 +288,12 @@ pub struct ControllerSummary {
     /// Total scaling commands across all runs.
     pub total_decisions: usize,
     /// Mean non-source instance-hours per run (parallelism dimension).
-    pub mean_instance_hours: f64,
+    pub(crate) mean_instance_hours: f64,
     /// Mean budgeted-operator instance-hours per run (state dimension).
-    pub mean_state_budget_hours: f64,
+    pub(crate) mean_state_budget_hours: f64,
     /// Mean injector-touched metric windows per run (fault exposure; `0`
     /// on fault-free matrices).
-    pub mean_fault_windows: f64,
+    pub(crate) mean_fault_windows: f64,
     /// Total decision windows vetoed as degraded across all runs.
     pub total_vetoed: usize,
     /// Total rescale retries spent across all runs.
@@ -316,7 +316,7 @@ impl MatrixReport {
     }
 
     /// Runs (for `controller`) that failed the three-step claim.
-    pub fn failing_runs<'a>(
+    pub(crate) fn failing_runs<'a>(
         &'a self,
         controller: &'a str,
     ) -> impl Iterator<Item = &'a ScenarioOutcome> + 'a {
@@ -717,7 +717,7 @@ impl ScenarioMatrix {
     /// buffers, and scores the result. Outcomes are independent of the
     /// arena's history (buffers are fully cleared between uses); the
     /// `arena_reuse_is_bit_identical` test guards that.
-    pub fn run_one_with(
+    pub(crate) fn run_one_with(
         &self,
         spec: &ScenarioSpec,
         kind: ControllerKind,
@@ -805,7 +805,7 @@ impl ScenarioMatrix {
 
     /// The DS2 manager configuration the matrix uses (the §5.4 convergence
     /// settings, adapted to the matrix interval).
-    pub fn ds2_config(&self) -> ManagerConfig {
+    pub(crate) fn ds2_config(&self) -> ManagerConfig {
         ManagerConfig {
             policy_interval_ns: self.config.policy_interval_ns,
             warmup_intervals: 1,
@@ -827,7 +827,7 @@ impl ScenarioMatrix {
     /// state sizes).
     ///
     /// [`ds2_config`]: ScenarioMatrix::ds2_config
-    pub fn ds2_multidim_config(&self, spec: &ScenarioSpec) -> ManagerConfig {
+    pub(crate) fn ds2_multidim_config(&self, spec: &ScenarioSpec) -> ManagerConfig {
         let mut config = self.ds2_config();
         config.policy.detect_splits = true;
         if let Some(budget) = spec.state_budget() {

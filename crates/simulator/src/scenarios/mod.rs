@@ -6,12 +6,12 @@
 //! hand-picked word count and easy to break on an adversarial topology.
 //! This module makes the claim falsifiable at scale:
 //!
-//! * [`topology`] — random DAG shapes (chains, diamonds, fan-in/fan-out,
+//! * `topology` — random DAG shapes (chains, diamonds, fan-in/fan-out,
 //!   layered, multi-source ingestion) of 2–12 operators;
-//! * [`workload`] — offered-rate shapes (constant, step, diurnal sine,
+//! * `workload` — offered-rate shapes (constant, step, diurnal sine,
 //!   spike, sawtooth ramp cycles, flash crowds) plus hot-key skew, alone
 //!   and correlated with a rate spike;
-//! * [`generator`] — seeded assembly of complete scenarios with analytic
+//! * `generator` — seeded assembly of complete scenarios with analytic
 //!   ground-truth optimal parallelism;
 //! * [`nexmark`] — the paper's real query dataflows (Nexmark Q1/Q2/Q3/Q5/
 //!   Q8/Q11, §5.1) lowered into matrix scenarios: windowed mains, keyed
@@ -47,11 +47,11 @@
 //! assert_eq!(summary.runs, 2);
 //! ```
 
-pub mod generator;
+pub(crate) mod generator;
 pub mod matrix;
 pub mod nexmark;
-pub mod topology;
-pub mod workload;
+pub(crate) mod topology;
+pub(crate) mod workload;
 
 pub use crate::faults::FaultProfile;
 pub use generator::{GeneratorConfig, ScenarioSpec};

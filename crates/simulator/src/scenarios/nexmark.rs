@@ -134,7 +134,7 @@ impl NexmarkQuery {
 
     /// `(feed_name, share)` of the total offered rate per source, at the
     /// paper's Table 3 rate ratios.
-    pub fn source_shares(&self) -> &'static [(&'static str, f64)] {
+    pub(crate) fn source_shares(&self) -> &'static [(&'static str, f64)] {
         match self {
             NexmarkQuery::Q3 => &[("auctions", 5.0 / 6.0), ("persons", 1.0 / 6.0)],
             NexmarkQuery::Q8 => &[("auctions", 7.0 / 9.0), ("persons", 2.0 / 9.0)],
@@ -185,7 +185,7 @@ impl NexmarkQuery {
     }
 
     /// The query's dataflow. Operators are created feeds first (in
-    /// [`source_shares`](Self::source_shares) order), then Q3's
+    /// `source_shares` order), then Q3's
     /// `filter_auctions`, `filter_persons` and join, Q8's window join, or
     /// every other query's main and `sink`; ids follow that order. Ids
     /// set map iteration order and topological tie-breaks, so reordering

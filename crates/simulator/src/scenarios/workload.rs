@@ -100,10 +100,10 @@ pub struct Workload {
     pub spec: SourceSpec,
     /// The offered rate over the final phase of the run — the rate the
     /// final deployment must sustain.
-    pub final_rate: f64,
+    pub(crate) final_rate: f64,
     /// Start of the last phase: decisions after this point respond to the
     /// final rate (convergence is judged from here).
-    pub last_change_ns: u64,
+    pub(crate) last_change_ns: u64,
     /// Hot-key fraction to apply to one operator's profile (KeySkew only).
     pub skew_hot_fraction: Option<f64>,
 }

@@ -47,7 +47,8 @@ impl RateSchedule {
     }
 
     /// The maximum rate anywhere in the schedule.
-    pub fn peak_rate(&self) -> f64 {
+    #[cfg(test)]
+    pub(crate) fn peak_rate(&self) -> f64 {
         self.steps.iter().map(|&(_, r)| r).fold(0.0, f64::max)
     }
 
@@ -55,7 +56,7 @@ impl RateSchedule {
     /// the offered rate next changes. Fast-forward uses this to bound how
     /// far a steady-state transition remains valid; `None` means the
     /// schedule is constant from `now_ns` on.
-    pub fn next_change_after(&self, now_ns: u64) -> Option<u64> {
+    pub(crate) fn next_change_after(&self, now_ns: u64) -> Option<u64> {
         self.steps.iter().map(|&(t, _)| t).find(|&t| t > now_ns)
     }
 
@@ -88,7 +89,7 @@ pub struct SourceSpec {
     /// durable buffer — Kafka-style — and are replayed as capacity allows.
     /// When `false`, unemitted offers are simply lost (a rate-limited
     /// generator, as in the Dhalion benchmark).
-    pub durable_backlog: bool,
+    pub(crate) durable_backlog: bool,
 }
 
 impl SourceSpec {

@@ -7,10 +7,7 @@
 
 use ds2::nexmark::profiles::setup;
 use ds2::prelude::*;
-use ds2_core::deployment::Deployment;
-use ds2_core::manager::{ManagerConfig, ScalingManager};
-use ds2_core::policy::PolicyConfig;
-use ds2_simulator::harness::{ClosedLoop, HarnessConfig};
+use ds2_bench::experiments::table4::run_cell;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
@@ -28,49 +25,13 @@ fn main() {
         query.reference_parallelism()
     );
 
-    let engine = FluidEngine::new(
-        s.graph.clone(),
-        s.profiles,
-        s.sources,
-        Deployment::uniform(&s.graph, initial),
-        EngineConfig {
-            mode: EngineMode::Flink,
-            tick_ns: 25_000_000,
-            per_instance_queue: 20_000.0,
-            reconfig_latency_ns: 30_000_000_000,
-            ..Default::default()
-        },
-    );
-    // The §5.4 settings: 30 s interval, 30 s warm-up, 1.0 target ratio.
-    let manager = ScalingManager::new(
-        s.graph.clone(),
-        ManagerConfig {
-            policy_interval_ns: 30_000_000_000,
-            warmup_intervals: 1,
-            min_change: 1,
-            policy: PolicyConfig {
-                max_parallelism: Some(36),
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
-    let mut closed_loop = ClosedLoop::new(
-        engine,
-        manager,
-        HarnessConfig {
-            policy_interval_ns: 30_000_000_000,
-            run_duration_ns: 600_000_000_000,
-            ..Default::default()
-        },
-    );
-    let result = closed_loop.run();
-
-    let steps = result.parallelism_steps(s.main_operator, initial);
+    // The Table 4 cell: the §5.4 engine and manager settings (30 s interval,
+    // 30 s warm-up, 1.0 target ratio) over ten simulated minutes.
+    let cell = run_cell(query, initial, 600_000_000_000);
     println!(
         "main operator ({}) parallelism sequence: {}",
         s.graph.name(s.main_operator),
-        steps
+        cell.sequence
             .iter()
             .map(|p| p.to_string())
             .collect::<Vec<_>>()
@@ -78,7 +39,7 @@ fn main() {
     );
     println!(
         "steps: {}   achieved/offered at the end: {:.3}",
-        steps.len() - 1,
-        result.final_achieved_ratio(30).min(1.0)
+        cell.steps(),
+        cell.achieved.min(1.0)
     );
 }
