@@ -240,7 +240,7 @@ struct AccClass {
     count: usize,
 }
 
-/// Per-operator runtime state.
+/// Per-operator runtime state, rebuilt by every redeployment.
 #[derive(Debug)]
 struct OpState {
     /// Partition classes (Flink/Heron: instance partitions grouped by
@@ -250,6 +250,8 @@ struct OpState {
     /// parallel to `classes` (instance k owns partition k); sources and
     /// Timely workers collapse to a single class.
     accs: Vec<AccClass>,
+    /// Total reporting instances: the sum of the `accs` counts.
+    instances: usize,
     /// Buffered output of a windowed operator awaiting the next firing:
     /// its records, the earliest stamp and the union of the emission
     /// intervals of the chunks it absorbed (see [`absorb`]).
@@ -267,13 +269,9 @@ impl OpState {
             .sum()
     }
 
-    /// Total reporting instances.
-    fn instances(&self) -> usize {
-        self.accs.iter().map(|a| a.count).sum()
-    }
-
     /// Maximum total emission the partitioned queues accept: the first full
-    /// partition stalls the sender.
+    /// partition stalls the sender. [`OpState::accepts`] bounds it from
+    /// below without dividing.
     fn accept_limit(&self) -> f64 {
         let mut limit = f64::INFINITY;
         for c in &self.classes {
@@ -282,6 +280,14 @@ impl OpState {
             }
         }
         limit
+    }
+
+    /// Whether every positive share of `records` fits below its space: then
+    /// `records <= accept_limit()`, as `fl(records · share) < space` forces
+    /// `records < space / share`.
+    fn accepts(&self, records: f64) -> bool {
+        let mut shared = self.classes.iter().filter(|c| c.share > 0.0);
+        shared.all(|c| records * c.share < c.queue.space())
     }
 
     /// Pushes `chunk` split across partitions by share: one representative
@@ -324,8 +330,8 @@ fn absorb(buffer: &mut Option<Span>, chunk: Span) {
 
 /// Statistics of the most recent tick, for timelines.
 ///
-/// The per-source maps are dense [`OpMap`] arenas the engine recycles
-/// across ticks (epoch-stamped clear), so reading them per tick is
+/// The per-source maps are dense [`OpMap`] arenas the engine rewrites in
+/// place every tick (epoch-stamped clear), so reading them per tick is
 /// allocation-free; use `TickStats::total_offered` /
 /// [`TickStats::total_emitted`] for the common aggregate.
 #[derive(Debug, Clone, Default)]
@@ -338,17 +344,19 @@ pub struct TickStats {
     pub backpressure: bool,
     /// Whether the engine was halted for redeployment.
     pub halted: bool,
+    /// The operators with a source spec, the only slots a tick writes.
+    sources: Vec<OperatorId>,
 }
 
 impl TickStats {
     /// Total records offered by all sources this tick.
     pub(crate) fn total_offered(&self) -> f64 {
-        self.offered.values().sum()
+        self.sources.iter().flat_map(|&o| self.offered.get(o)).sum()
     }
 
     /// Total records emitted by all sources this tick.
     pub fn total_emitted(&self) -> f64 {
-        self.emitted.values().sum()
+        self.sources.iter().flat_map(|&o| self.emitted.get(o)).sum()
     }
 
     fn clear(&mut self) {
@@ -375,7 +383,8 @@ pub struct TickEvents {
 /// [`OperatorId::index`] — operator state, source backlog, cached downstream
 /// edges, per-record cost cache and the per-tick scratch buffers — so the
 /// tick loop is pure index arithmetic over contiguous memory and performs no
-/// heap allocation in steady state.
+/// heap allocation in steady state (`crates/bench/tests/alloc_counting.rs`
+/// pins it; an engine that records latency appends its sink samples).
 #[derive(Debug)]
 pub struct FluidEngine {
     graph: LogicalGraph,
@@ -394,6 +403,8 @@ pub struct FluidEngine {
     /// The schedule phase each source is in, by operator id, looked up once
     /// per phase ([`FluidEngine::refresh_rates`]).
     rates: Vec<RatePhase>,
+    /// The earliest `until_ns` among `rates`: before it no phase can end.
+    rates_until: u64,
     now_ns: u64,
     snapshot_start_ns: u64,
     rng: SmallRng,
@@ -547,6 +558,7 @@ impl FluidEngine {
             states: Vec::new(),
             backlog: vec![0.0; m],
             rates: vec![RatePhase::default(); m],
+            rates_until: 0,
             now_ns: 0,
             snapshot_start_ns: 0,
             rng: SmallRng::seed_from_u64(seed),
@@ -577,6 +589,7 @@ impl FluidEngine {
             .operators()
             .map(|op| engine.make_op_state(op))
             .collect();
+        engine.last_tick.sources = engine.sources.keys().collect();
         engine.rebuild_cost_cache();
         engine.refresh_rates();
         engine.refresh_spill();
@@ -646,14 +659,21 @@ impl FluidEngine {
     }
 
     /// Moves every source whose cached schedule phase does not hold the
-    /// current virtual time to the phase that does.
+    /// current virtual time to the phase that does. Virtual time never
+    /// goes back, so before `rates_until` every cached phase holds it.
     fn refresh_rates(&mut self) {
+        if self.now_ns < self.rates_until {
+            return;
+        }
+        let mut until = u64::MAX;
         for (op, spec) in self.sources.iter() {
             let phase = &mut self.rates[op.index()];
             if !(phase.from_ns..phase.until_ns).contains(&self.now_ns) {
                 *phase = spec.schedule.phase_at(self.now_ns);
             }
+            until = until.min(phase.until_ns);
         }
+        self.rates_until = until;
     }
 
     /// Total offered rate across all sources at the last `refresh_rates`.
@@ -688,14 +708,6 @@ impl FluidEngine {
         }
     }
 
-    /// Number of partitioned input queues for a non-source operator.
-    fn partitions_of(&self, op: OperatorId) -> usize {
-        match self.cfg.mode {
-            EngineMode::Timely => 1,
-            _ => self.deployment.parallelism(op).max(1),
-        }
-    }
-
     fn per_partition_capacity(&self) -> f64 {
         match self.cfg.mode {
             EngineMode::Flink => self.cfg.per_instance_queue,
@@ -712,7 +724,7 @@ impl FluidEngine {
             // instances. At the default split of 1 this is bitwise the
             // classic single-hot-instance weighting.
             _ => self.profiles[op]
-                .instance_weights_split(self.partitions_of(op), self.deployment.key_classes(op)),
+                .instance_weights_split(self.instances_of(op), self.deployment.key_classes(op)),
         }
     }
 
@@ -758,6 +770,7 @@ impl FluidEngine {
                 .collect()
         };
         OpState {
+            instances,
             classes,
             accs,
             window: None,
@@ -1360,14 +1373,13 @@ impl FluidEngine {
         };
         let tick_ns = self.cfg.tick_ns;
         let tick_end = self.now_ns + tick_ns;
-        // Recycle last tick's stats buffers (O(1) epoch-stamped clear).
-        let mut stats = std::mem::take(&mut self.last_tick);
-        stats.clear();
+        // Rewrite last tick's stats in place (O(1) epoch-stamped clear).
+        self.last_tick.clear();
 
         // Redeployment window: the job is down. Sources accumulate durable
         // backlog; every instance only waits.
         if let Some(resume_at) = self.pending_rescale.as_ref().map(|p| p.0) {
-            self.halted_tick(&mut stats, tick_ns);
+            self.halted_tick(tick_ns);
             if tick_end >= resume_at {
                 // Deploy now: apply the plan, redistribute queued records
                 // into the new partitioning (the savepoint restored operator
@@ -1381,13 +1393,12 @@ impl FluidEngine {
                 events.deployed = Some(self.deployment().clone());
             }
             self.now_ns = tick_end;
-            self.last_tick = stats;
             return events;
         }
 
         match self.cfg.mode {
-            EngineMode::Flink | EngineMode::Heron => self.tick_blocking::<LOG>(&mut stats, tick_ns),
-            EngineMode::Timely => self.tick_timely(&mut stats, tick_ns),
+            EngineMode::Flink | EngineMode::Heron => self.tick_blocking::<LOG>(tick_ns),
+            EngineMode::Timely => self.tick_timely(tick_ns),
         }
 
         // Heron spout-pausing signal update: driven by the fullest partition
@@ -1411,7 +1422,7 @@ impl FluidEngine {
                 self.heron_backpressure = true;
             }
         }
-        stats.backpressure = self.heron_backpressure;
+        self.last_tick.backpressure = self.heron_backpressure;
 
         self.now_ns = tick_end;
 
@@ -1428,8 +1439,6 @@ impl FluidEngine {
                 .min();
             self.epochs.advance(self.now_ns, frontier);
         }
-
-        self.last_tick = stats;
         events
     }
 
@@ -1463,13 +1472,13 @@ impl FluidEngine {
 
     /// A tick during which the job is down: only wait time accumulates and
     /// durable sources build backlog.
-    fn halted_tick(&mut self, stats: &mut TickStats, tick_ns: u64) {
-        stats.halted = true;
+    fn halted_tick(&mut self, tick_ns: u64) {
+        self.last_tick.halted = true;
         let tick_s = tick_ns as f64 / 1e9;
         for (op, spec) in self.sources.iter() {
             let offered = self.rates[op.index()].rate * tick_s;
-            stats.offered.insert(op, offered);
-            stats.emitted.insert(op, 0.0);
+            self.last_tick.offered.insert(op, offered);
+            self.last_tick.emitted.insert(op, 0.0);
             if spec.durable_backlog {
                 self.backlog[op.index()] += offered;
             }
@@ -1482,12 +1491,12 @@ impl FluidEngine {
     }
 
     /// One tick of the blocking (Flink) or signal-based (Heron) personality.
-    fn tick_blocking<const LOG: bool>(&mut self, stats: &mut TickStats, tick_ns: u64) {
+    fn tick_blocking<const LOG: bool>(&mut self, tick_ns: u64) {
         let tick_s = tick_ns as f64 / 1e9;
         for i in 0..self.reverse_topo.len() {
             let op = self.reverse_topo[i];
             if self.graph.is_source(op) {
-                self.source_emit::<LOG>(op, stats, tick_s);
+                self.source_emit::<LOG>(op, tick_s);
             } else {
                 let noise = self.noise_factor();
                 self.operator_process::<LOG>(op, tick_ns, noise);
@@ -1498,12 +1507,12 @@ impl FluidEngine {
     /// One tick of the Timely personality: a shared worker pool is
     /// water-filled across operators with pending work; queues are
     /// unbounded and sources are never delayed.
-    fn tick_timely(&mut self, stats: &mut TickStats, tick_ns: u64) {
+    fn tick_timely(&mut self, tick_ns: u64) {
         let tick_s = tick_ns as f64 / 1e9;
         // Sources emit first and fully.
         for i in 0..self.graph.sources().len() {
             let op = self.graph.sources()[i];
-            self.source_emit::<false>(op, stats, tick_s);
+            self.source_emit::<false>(op, tick_s);
         }
 
         // Fair-share allocation of `workers × tick` nanoseconds.
@@ -1558,7 +1567,7 @@ impl FluidEngine {
                 let (instr, real, _) = self.cost_cache[op.index()];
                 let useful_ns = used_ns * (instr / real);
                 let st = &mut self.states[op.index()];
-                let w = st.instances().max(1) as f64;
+                let w = st.instances.max(1) as f64;
                 for class in &mut st.accs {
                     class.acc.records_in += drained / w;
                     class.acc.useful_ns += useful_ns / w;
@@ -1576,7 +1585,7 @@ impl FluidEngine {
             for i in 0..self.non_source_topo.len() {
                 let op = self.non_source_topo[i];
                 let st = &mut self.states[op.index()];
-                let per_inst = budget / n_ops / st.instances().max(1) as f64;
+                let per_inst = budget / n_ops / st.instances.max(1) as f64;
                 for class in &mut st.accs {
                     class.acc.wait_input_ns += per_inst;
                 }
@@ -1586,10 +1595,10 @@ impl FluidEngine {
 
     /// Source emission for one tick (blocking personalities consult
     /// downstream queue space; Timely never blocks).
-    fn source_emit<const LOG: bool>(&mut self, op: OperatorId, stats: &mut TickStats, tick_s: f64) {
+    fn source_emit<const LOG: bool>(&mut self, op: OperatorId, tick_s: f64) {
         let offered = self.rates[op.index()].rate * tick_s;
         let durable_backlog = self.sources[op].durable_backlog;
-        stats.offered.insert(op, offered);
+        self.last_tick.offered.insert(op, offered);
 
         let tick_ns = self.cfg.tick_ns as f64;
         let mut budget = offered + self.backlog[op.index()];
@@ -1601,7 +1610,7 @@ impl FluidEngine {
 
         // Blocking personalities: cannot emit past downstream queue space.
         let mut emit = budget;
-        if self.cfg.mode != EngineMode::Timely {
+        if self.cfg.mode != EngineMode::Timely && !self.output_fits(op, 1.0, emit) {
             emit = emit.min(self.output_space_limit(op, 1.0));
         }
         emit = emit.max(0.0);
@@ -1624,11 +1633,11 @@ impl FluidEngine {
             0.0
         };
 
-        stats.emitted.insert(op, emit);
+        self.last_tick.emitted.insert(op, emit);
 
         // Source instance counters: emission is useful output work.
         let st = &mut self.states[op.index()];
-        let n_inst = st.instances().max(1) as f64;
+        let n_inst = st.instances.max(1) as f64;
         // Generators are costless: model a nominal utilization proportional
         // to achieved vs offered so rates stay defined.
         let frac = if offered > 0.0 {
@@ -1646,7 +1655,8 @@ impl FluidEngine {
 
     /// The output-space limit for an operator about to emit through
     /// per-record output: total input records it may process such that
-    /// every downstream partition accepts its share.
+    /// every downstream partition accepts its share. Flow control's one
+    /// definition, computed where [`FluidEngine::output_fits`] fails.
     fn output_space_limit(&self, op: OperatorId, selectivity: f64) -> f64 {
         if selectivity <= 0.0 {
             return f64::INFINITY;
@@ -1659,6 +1669,32 @@ impl FluidEngine {
             }
         }
         limit
+    }
+
+    /// Whether `want <= output_space_limit(op, selectivity)` provably holds,
+    /// by multiplication only; `false` leaves the decision to that limit.
+    /// Rounding is monotone and a float rounds to itself. Per edge with
+    /// `weight > 0` and `m = fl(selectivity · weight)`, the limit's divisor,
+    /// `x = fl(want · m) >= MIN_POSITIVE` makes `x` and `y = fl(x ·
+    /// FIT_MARGIN)` normal, each within a factor `1 + u` (`u = 2⁻⁵³`) of its
+    /// exact value, so `y >= want · m`. [`OpState::accepts`]`(y)` then gives
+    /// `fl(space / share) >= y`, so `fl(accept / m) >= want`, for every
+    /// class. Zero, subnormal and NaN products, overflow and a full queue
+    /// fail the test; `selectivity <= 0`, no positive weight or share and
+    /// infinite space pass it, as the limit is infinite there.
+    fn output_fits(&self, op: OperatorId, selectivity: f64, want: f64) -> bool {
+        /// At least `(1 + u)²`, the rounding of the two products.
+        const FIT_MARGIN: f64 = 1.0 + 2.0 * f64::EPSILON;
+        let mut edges = self.down_edges[op.index()].iter().filter(|e| e.1 > 0.0);
+        let fits = selectivity <= 0.0
+            || edges.all(|&(to, weight)| {
+                let x = want * (selectivity * weight);
+                x >= f64::MIN_POSITIVE && self.states[to.index()].accepts(x * FIT_MARGIN)
+            });
+        debug_assert!(!fits || want <= self.output_space_limit(op, selectivity));
+        #[cfg(test)]
+        tests::EXACT_LIMITS.with(|n| n.set(n.get() + u64::from(!fits)));
+        fits
     }
 
     /// Processes one non-source operator for one tick of the blocking
@@ -1689,7 +1725,8 @@ impl FluidEngine {
         // only their flush is space-limited).
         let sel = output.average_selectivity();
         let mut out_limited = false;
-        if want_total > 0.0 && matches!(output, OutputMode::PerRecord { .. }) {
+        let per_record = matches!(output, OutputMode::PerRecord { .. });
+        if want_total > 0.0 && per_record && !self.output_fits(op, sel, want_total) {
             let limit = self.output_space_limit(op, sel);
             if want_total > limit {
                 let factor = limit / want_total;
@@ -1711,7 +1748,7 @@ impl FluidEngine {
         // Instance accounting: every instance of a class processed its
         // `take` (the per-partition drain; instance k owns partition k).
         let st = &mut self.states[i];
-        let n_inst = st.instances();
+        let n_inst = st.instances;
         let n_out_share = if n_inst == 0 {
             0.0
         } else {
@@ -1838,7 +1875,7 @@ impl FluidEngine {
             return;
         };
         let pending = flushed.records;
-        let n_inst = self.states[i].instances().max(1) as f64;
+        let n_inst = self.states[i].instances.max(1) as f64;
         // A sink's flush leaves the dataflow: it has no edges to spill at.
         if self.graph.is_sink(op) && self.cfg.track_record_latency {
             self.latency
@@ -1977,6 +2014,7 @@ pub(crate) mod tests {
     use crate::profile::StateProfile;
     use crate::source::RateSchedule;
     use ds2_core::graph::GraphBuilder;
+    use proptest::prelude::*;
 
     /// One tick through [`FluidEngine::advance`], for lock-step comparisons
     /// with [`FluidEngine::tick`]: the horizon is one tick out while a
@@ -3701,5 +3739,277 @@ pub(crate) mod tests {
         let avg = m.average_true_processing_rate().unwrap();
         let requirement = (1_000.0 / avg - 1e-9).ceil() as usize;
         assert_eq!(requirement, 10, "avg capacity measured {avg}");
+    }
+
+    thread_local! {
+        /// Flow-control decisions on this thread that
+        /// [`FluidEngine::output_fits`] left to the exact limit.
+        pub(super) static EXACT_LIMITS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+    }
+
+    /// An engine whose operator `ids[1]` fans out to three sinks,
+    /// `ids[2..5]`; the flow-control tests overwrite its edge weights and
+    /// the sinks' partition states.
+    fn fan_out() -> (FluidEngine, Vec<OperatorId>) {
+        let mut b = GraphBuilder::new();
+        let src = b.operator("src");
+        let x = b.operator("x");
+        b.connect(src, x);
+        let mut ids = vec![src, x];
+        for k in 0..3 {
+            let sink = b.operator(format!("sink{k}"));
+            b.connect(x, sink);
+            ids.push(sink);
+        }
+        let graph = b.build().unwrap();
+        let mut profiles = ProfileMap::new();
+        for &op in &ids[1..] {
+            profiles.insert(op, OperatorProfile::with_capacity(1_000.0, 1.0));
+        }
+        let mut sources = BTreeMap::new();
+        sources.insert(src, SourceSpec::constant(1_000.0));
+        let d = Deployment::uniform(&graph, 1);
+        let e = FluidEngine::new(graph, profiles, sources, d, EngineConfig::default());
+        (e, ids)
+    }
+
+    /// A receiver whose partitions carry `shares`, equal neighbours grouped
+    /// into one class as the engine groups them; class `k` queues the
+    /// fraction `fills[k % fills.len()]` of `capacity` (of `1e6` records
+    /// when the capacity is infinite).
+    fn receiver(shares: &[f64], capacity: f64, fills: &[f64]) -> OpState {
+        let mut classes: Vec<PartitionClass> = Vec::new();
+        for &share in shares {
+            match classes.last_mut() {
+                Some(c) if c.share.to_bits() == share.to_bits() => c.count += 1,
+                _ => {
+                    let mut queue = EpochQueue::new(capacity);
+                    let fill = fills[classes.len() % fills.len()];
+                    queue.push(Span::at(0, capacity.min(1e6) * fill));
+                    classes.push(PartitionClass {
+                        queue,
+                        share,
+                        count: 1,
+                        take: 0.0,
+                    });
+                }
+            }
+        }
+        OpState {
+            classes,
+            accs: Vec::new(),
+            instances: 0,
+            window: None,
+            next_fire_ns: u64::MAX,
+        }
+    }
+
+    /// Asks `output_fits` about `want` and, where it says "fits", checks
+    /// the two decisions the exact limit feeds: an operator's
+    /// `want > limit` is false and a source's `want.min(limit)` is `want`,
+    /// bitwise. Returns the answer.
+    fn fit_agrees(e: &FluidEngine, x: OperatorId, sel: f64, want: f64) -> bool {
+        let fits = e.output_fits(x, sel, want);
+        if fits {
+            let limit = e.output_space_limit(x, sel);
+            assert!(
+                want <= limit,
+                "fits, yet {want:e} > {limit:e} at selectivity {sel:e}"
+            );
+            assert_eq!(
+                want.min(limit).to_bits(),
+                want.to_bits(),
+                "min moved {want:e}"
+            );
+        }
+        fits
+    }
+
+    /// `v` moved `ulps` representable values up (negative: down).
+    fn nudge(v: f64, ulps: i64) -> f64 {
+        (0..ulps.unsigned_abs()).fold(v, |v, _| if ulps > 0 { v.next_up() } else { v.next_down() })
+    }
+
+    /// Zero, a subnormal, a tiny, moderate, huge or negative magnitude.
+    fn magnitude() -> impl Strategy<Value = f64> {
+        (0u32..12, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => 0.0,
+            1 => f64::MIN_POSITIVE * u,
+            2 => 10f64.powf(-300.0 + 290.0 * u),
+            3 => 10f64.powf(10.0 + 290.0 * u),
+            4 => -u,
+            5 => 1.0,
+            _ => 10f64.powf(-3.0 + 7.0 * u),
+        })
+    }
+
+    /// Partition shares as deployments produce them: uniform, hot-key with
+    /// one hot instance or a hot class split over several (the cold share
+    /// is zero at a hot fraction of one), or a single zero share.
+    fn shares() -> impl Strategy<Value = Vec<f64>> {
+        (1usize..=64, 1usize..=4, 0u32..5, 0.0f64..=1.0).prop_map(|(p, split, kind, hot)| {
+            let profile = OperatorProfile::with_capacity(1.0, 1.0);
+            let profile = match kind {
+                0 => profile,
+                1 => profile.with_skew(hot),
+                2 => profile.with_splittable_skew(hot),
+                3 => profile.with_skew(1.0),
+                _ => return vec![0.0],
+            };
+            profile.instance_weights_split(p, split)
+        })
+    }
+
+    /// A partition capacity: zero, infinite, or `1e-3..1e9` records.
+    fn capacity() -> impl Strategy<Value = f64> {
+        (0u32..8, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => 0.0,
+            1 => f64::INFINITY,
+            _ => 10f64.powf(-3.0 + 12.0 * u),
+        })
+    }
+
+    /// A fill fraction: empty, full, or anything in between.
+    fn fill() -> impl Strategy<Value = f64> {
+        (0u32..6, 0.0f64..1.0).prop_map(|(kind, u)| match kind {
+            0 => 0.0,
+            1 => 1.0,
+            2 => 1.0 - u * 1e-9,
+            _ => u,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4_000))]
+
+        /// The multiply-only test never pre-empts the exact limit: over
+        /// adversarial receivers (capacities, fills, hot-key class splits),
+        /// fan-out weights, selectivities and wants — two cases in three a
+        /// few ulps either side of the exact limit itself — wherever it says
+        /// "fits", the limit lets `want` through, at the operator's
+        /// selectivity and at a source's `1.0`.
+        #[test]
+        fn output_fits_agrees_with_the_exact_limit(
+            receivers in proptest::collection::vec(
+                (shares(), capacity(), proptest::collection::vec(fill(), 1..=3)),
+                3..=3,
+            ),
+            weights in proptest::collection::vec(magnitude(), 3..=3),
+            sel in magnitude(),
+            want in magnitude(),
+            ulps in -4i64..=4,
+            near_limit in 0u32..3,
+        ) {
+            let (mut e, ids) = fan_out();
+            let x = ids[1];
+            e.down_edges[x.index()] = ids[2..].iter().copied().zip(weights).collect();
+            for (&sink, (shares, capacity, fills)) in ids[2..].iter().zip(&receivers) {
+                e.states[sink.index()] = receiver(shares, *capacity, fills);
+            }
+            for sel in [sel, 1.0] {
+                let limit = e.output_space_limit(x, sel);
+                let want = if near_limit > 0 && limit.is_finite() {
+                    nudge(limit, ulps)
+                } else {
+                    want
+                };
+                fit_agrees(&e, x, sel, want);
+            }
+        }
+    }
+
+    /// The edge cases of the multiply-only test, each with the answer it
+    /// must give: only a provable fit skips the exact limit.
+    #[test]
+    fn output_fits_edge_cases() {
+        let (mut e, ids) = fan_out();
+        let x = ids[1];
+        // One edge carries weight; the zero and negative ones are ignored,
+        // as the exact limit ignores them.
+        e.down_edges[x.index()] = vec![(ids[2], 1.0), (ids[3], 0.0), (ids[4], -1.0)];
+        let mut case = |shares: &[f64], capacity: f64, fill: f64, sel: f64, want: f64| {
+            e.states[ids[2].index()] = receiver(shares, capacity, &[fill]);
+            fit_agrees(&e, x, sel, want)
+        };
+        let hot_key = OperatorProfile::with_capacity(1.0, 1.0)
+            .with_skew(0.5)
+            .instance_weights_split(4, 1);
+        // Room to spare: a fit, also with a hot class and three cold ones.
+        assert!(case(&[1.0], 1_000.0, 0.5, 1.0, 100.0));
+        assert!(case(&hot_key, 1_000.0, 0.5, 2.0, 100.0));
+        // At the limit and one ulp below it: the margin leaves both to the
+        // exact limit, which lets them through; well below, a fit.
+        assert!(!case(&[1.0], 1_000.0, 0.5, 1.0, 500.0));
+        assert!(!case(&[1.0], 1_000.0, 0.5, 1.0, 500f64.next_down()));
+        assert!(case(&[1.0], 1_000.0, 0.5, 1.0, 499.0));
+        // Zero space, from a full queue or a zero capacity: never a fit.
+        assert!(!case(&[1.0], 1_000.0, 1.0, 1.0, 1e-3));
+        assert!(!case(&hot_key, 1_000.0, 1.0, 1.0, 1e-3));
+        assert!(!case(&[1.0], 0.0, 0.0, 1.0, 1.0));
+        // A zero or subnormal want makes no normal product: left to the
+        // exact limit, unless the selectivity lifts the product into the
+        // normal range.
+        assert!(!case(&[1.0], 1_000.0, 0.5, 1.0, 0.0));
+        assert!(!case(&[1.0], 1_000.0, 0.5, 1.0, f64::MIN_POSITIVE / 4.0));
+        assert!(case(&[1.0], 1_000.0, 0.5, 1e10, f64::MIN_POSITIVE / 4.0));
+        // A product that overflows is no fit, even into infinite space.
+        assert!(!case(&[1.0], f64::INFINITY, 0.0, 1e300, 1e300));
+        // Infinite space takes any finite share.
+        assert!(case(&[1.0], f64::INFINITY, 0.5, 1.0, 1e300));
+        // Selectivity <= 0 and no positive share: the limit is infinite.
+        assert!(case(&[1.0], 1_000.0, 1.0, 0.0, 1e9));
+        assert!(case(&[1.0], 1_000.0, 1.0, -1.0, 1e9));
+        assert!(case(&[0.0], 1_000.0, 1.0, 1.0, 1e9));
+        // No positive weight: nothing is pushed anywhere.
+        e.down_edges[x.index()] = vec![(ids[2], 0.0)];
+        e.states[ids[2].index()] = receiver(&[1.0], 1_000.0, &[1.0]);
+        assert!(fit_agrees(&e, x, 1.0, 1e9));
+    }
+
+    /// In a running engine the multiply-only test decides both ways: a
+    /// chain feeding a hot-key operator backpressures at 2 000 records/s,
+    /// where flow control takes the exact limit, and drains at 200/s, where
+    /// the test skips it. Every "fits" is checked against the exact limit
+    /// by `output_fits`'s own debug assertion.
+    #[test]
+    fn flow_control_skips_the_exact_limit_only_while_the_queues_have_room() {
+        let (graph, ids) = chain(&[(3_000.0, 1.0), (300.0, 1.0)]);
+        let mut profiles = ProfileMap::new();
+        profiles.insert(ids[1], OperatorProfile::with_capacity(3_000.0, 1.0));
+        profiles.insert(
+            ids[2],
+            OperatorProfile::with_capacity(300.0, 1.0).with_skew(0.5),
+        );
+        let mut sources = BTreeMap::new();
+        let schedule = RateSchedule::steps(vec![(0, 2_000.0), (3_000_000_000, 200.0)]);
+        sources.insert(ids[0], SourceSpec::constant(0.0).with_schedule(schedule));
+        let mut d = Deployment::uniform(&graph, 1);
+        d.set(ids[2], 4);
+        let cfg = untracked(EngineConfig {
+            instrumentation: InstrumentationConfig::disabled(),
+            per_instance_queue: 200.0,
+            ..Default::default()
+        });
+        let mut e = FluidEngine::new(graph, profiles, sources, d, cfg);
+        let (mut exact, mut skipped, mut throttled) = (0, 0, 0);
+        for _ in 0..600 {
+            let before = EXACT_LIMITS.with(|n| n.get());
+            e.tick();
+            if EXACT_LIMITS.with(|n| n.get()) > before {
+                exact += 1;
+            } else {
+                skipped += 1;
+            }
+            let stats = e.last_tick();
+            throttled += u32::from(stats.total_emitted() < stats.total_offered());
+        }
+        assert!(
+            throttled > 100,
+            "the chain backpressures: {throttled} ticks"
+        );
+        assert!(
+            exact > 100 && skipped > 100,
+            "exact {exact}, skipped {skipped}"
+        );
     }
 }

@@ -77,7 +77,10 @@
 //!      `want_total > limit` flow control and in a window flush's
 //!      `(pending * weight).min(accept)` — not the binding term while the
 //!      space left after the drain exceeds everything the tick pushes;
-//!   4. `records >= space` in `push` — unclamped under the same condition.
+//!   4. `records >= space` in `push` — unclamped under the same condition;
+//!   5. `space()` in `output_fits`, the multiply-only test ahead of 3 — it
+//!      changes no float result: it only chooses whether 3's limit is
+//!      computed, and says "fits" only where that limit cannot bind.
 //!
 //!   The *drain guard* (1, 2) and the *space guard* (3, 4), each with a
 //!   slack of `GUARD_SLACK` × capacity — ten orders of magnitude above the
